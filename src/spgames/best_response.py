@@ -1,13 +1,16 @@
 """Exact and approximate best responses for single players and coalitions.
 
-All searches compare weights as exact rationals; verdicts never depend on
-floating point.  Ties are resolved deterministically:
+Both are branch and bound on the search kernel (`search.py`), with
+weights scaled to exact integers; verdicts never depend on floating
+point.  Ties are resolved deterministically:
 
 * single-player best responses return the maximum-weight set that is
   smallest in item-id lexicographic order (sets compared as sorted
-  tuples, so the empty set is smallest);
+  tuples, so the empty set is smallest): the first maximum in the
+  kernel's pre-order, which lists one player's sets in that order;
 * coalition responses minimize the tuple of per-member sets under the
-  same order, which makes a one-player coalition agree exactly with the
+  same order, which no visit order gives, so ties are explored and
+  compared.  A one-player coalition agrees exactly with the
   single-player search.
 """
 
@@ -21,6 +24,7 @@ from typing import Iterable, Union
 from .budget import SearchBudget
 from .errors import InputError
 from .model import Instance, restrict_available
+from .search import best, integral
 
 
 @dataclass(frozen=True)
@@ -52,49 +56,29 @@ def _check_player(instance: Instance, player: int) -> None:
         raise InputError(f"player index {player} out of range for n={instance.n}")
 
 
-def _search_best_set(instance: Instance, player: int, pool: tuple[str, ...],
-                     budget: SearchBudget) -> tuple[frozenset[str], Fraction]:
-    """Depth-first branch and bound over subsets of `pool` in lexicographic
-    order, pruning on remaining weight and on infeasible prefixes.
+def _joint_best(instance: Instance, members: tuple[int, ...],
+                available: Iterable[str], budget: SearchBudget
+                ) -> tuple[tuple[frozenset[str], ...], Fraction]:
+    """Best disjoint member sets from `available` by branch and bound.
 
-    Because subsets are visited in ascending lexicographic order, the
-    first set attaining the running maximum is the wanted tie-break, and
-    branches that can at best tie may be pruned.
+    One member takes the first best set in pre-order, the lexicographically
+    smallest; several compare the tuple of sorted sets on ties.
     """
-    system = instance.players[player]
-    weights = instance.weights
-    suffix = [Fraction(0)] * (len(pool) + 1)
-    for idx in range(len(pool) - 1, -1, -1):
-        suffix[idx] = suffix[idx + 1] + weights[pool[idx]]
-
-    best_set: frozenset[str] = frozenset()
-    best_value = Fraction(0)
-
-    def extend(current: tuple[str, ...], value: Fraction, start: int) -> None:
-        nonlocal best_set, best_value
-        for idx in range(start, len(pool)):
-            budget.spend()
-            if value + suffix[idx] <= best_value:
-                break  # cannot strictly improve; a tie here would be lex-later
-            candidate = current + (pool[idx],)
-            candidate_set = frozenset(candidate)
-            if not system.is_member(candidate_set, budget):
-                continue
-            candidate_value = value + weights[pool[idx]]
-            if candidate_value > best_value:
-                best_set, best_value = candidate_set, candidate_value
-            extend(candidate, candidate_value, idx + 1)
-
-    extend((), Fraction(0), 0)
-    return best_set, best_value
+    ids = sorted(available)
+    weights, scale = integral([instance.weights[i] for i in ids])
+    tests = [instance.players[m].is_member for m in members]
+    key = None if len(members) == 1 else (
+        lambda sets: tuple(tuple(sorted(s)) for s in sets))
+    sets, value = best(ids, weights, tests, budget, key=key)
+    return sets, Fraction(value, scale)
 
 
 @lru_cache(maxsize=1 << 16)
 def _best_response_cached(instance: Instance, player: int,
                           available: frozenset[str]
                           ) -> tuple[frozenset[str], Fraction]:
-    return _search_best_set(instance, player, tuple(sorted(available)),
-                            SearchBudget())
+    (chosen,), value = _joint_best(instance, (player,), available, SearchBudget())
+    return chosen, value
 
 
 def best_response(instance: Instance, player: int, available: Iterable[str],
@@ -110,8 +94,9 @@ def best_response(instance: Instance, player: int, available: Iterable[str],
     pool = restrict_available(instance, available)
     if budget is None:
         return _best_response_cached(instance, player, pool)
-    return _search_best_set(instance, player, tuple(sorted(pool)),
-                            SearchBudget.ensure(budget))
+    (chosen,), value = _joint_best(instance, (player,), pool,
+                                   SearchBudget.ensure(budget))
+    return chosen, value
 
 
 def is_alpha_best_response(instance: Instance, player: int,
@@ -147,59 +132,12 @@ def coalition_best_response(instance: Instance, coalition: Iterable[int],
 
     Returns pairwise-disjoint feasible sets, one per member in ascending
     player order, maximizing the joint weight.  Exhaustive item-to-member
-    assignment search with infeasible-prefix and remaining-weight pruning.
+    assignment search with infeasible-set and remaining-weight pruning.
     """
     members = tuple(sorted(set(int(i) for i in coalition)))
     if not members:
         raise InputError("coalition must be nonempty")
     for member in members:
         _check_player(instance, member)
-    pool = tuple(sorted(restrict_available(instance, available)))
-    weights = instance.weights
-    shared = SearchBudget.ensure(budget)
-
-    suffix = [Fraction(0)] * (len(pool) + 1)
-    for idx in range(len(pool) - 1, -1, -1):
-        suffix[idx] = suffix[idx + 1] + weights[pool[idx]]
-
-    systems = [instance.players[m] for m in members]
-    feasible_cache: list[dict[frozenset[str], bool]] = [
-        {frozenset(): True} for _ in members]
-
-    def feasible(slot: int, candidate: frozenset[str]) -> bool:
-        cache = feasible_cache[slot]
-        hit = cache.get(candidate)
-        if hit is None:
-            hit = systems[slot].is_member(candidate, shared)
-            cache[candidate] = hit
-        return hit
-
-    sets: list[frozenset[str]] = [frozenset() for _ in members]
-    best_value: Fraction | None = None
-    best_key: tuple | None = None
-    best_sets: tuple[frozenset[str], ...] = tuple(sets)
-
-    def walk(idx: int, value: Fraction) -> None:
-        nonlocal best_value, best_key, best_sets
-        if best_value is not None and value + suffix[idx] < best_value:
-            return
-        if idx == len(pool):
-            key = tuple(tuple(sorted(s)) for s in sets)
-            if best_value is None or value > best_value or (
-                    value == best_value and key < best_key):
-                best_value, best_key, best_sets = value, key, tuple(sets)
-            return
-        item = pool[idx]
-        for slot in range(len(members)):
-            shared.spend()
-            candidate = sets[slot] | {item}
-            if feasible(slot, candidate):
-                sets[slot] = candidate
-                walk(idx + 1, value + weights[item])
-                sets[slot] = candidate - {item}
-        shared.spend()
-        walk(idx + 1, value)
-
-    walk(0, Fraction(0))
-    assert best_value is not None
-    return best_sets, best_value
+    return _joint_best(instance, members, restrict_available(instance, available),
+                       SearchBudget.ensure(budget))

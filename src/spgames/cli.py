@@ -2,8 +2,9 @@
 
 Exit codes form a stable contract: 0 verified or success, 1 refuted with
 a witness (or a failing report row), 2 input error, 3 search budget
-exceeded.  All output is UTF-8, newline-terminated JSON or TSV; rationals
-are printed exactly, decimals only as presentation extras.
+exceeded or the search ran out of stack or memory.  All output is UTF-8,
+newline-terminated JSON or TSV; rationals are printed exactly, decimals
+only as presentation extras.
 """
 
 from __future__ import annotations
@@ -313,6 +314,11 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except BudgetExceededError as exc:
         _write(dumps_document({"error": "budget-exceeded", "detail": str(exc)}))
+        return EXIT_BUDGET
+    except (RecursionError, MemoryError) as exc:
+        # Partition and placement searches still recurse once per item.
+        _write(dumps_document({"error": "resources-exhausted",
+                               "detail": f"{type(exc).__name__}: {exc}"}))
         return EXIT_BUDGET
 
 

@@ -6,6 +6,11 @@ once a player moves, rational later players cannot touch its items, so a
 node's value for the mover is decided by the per-node optimum and
 backward induction collapses to forward branching over the actions that
 are within a factor alpha of that optimum.
+
+Nash enumeration walks the search kernel (`search.py`): the pre-order
+of one player's tree lists that player's feasible sets, and the
+post-order of the players' joint tree lists assignments in the output
+order.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from typing import Iterable, Optional
 
@@ -22,6 +28,7 @@ from .best_response import (DeviationWitness, best_response, check_alpha,
                             coalition_best_response, is_alpha_best_response)
 from .feasibility import feasible_subsets, max_cardinality_feasible
 from .model import Instance, Profile, validate_profile, welfare
+from .search import integral, walk
 
 
 @dataclass(frozen=True)
@@ -82,63 +89,32 @@ def enumerate_nash(instance: Instance, alpha,
     """All valid profiles satisfying the approximate Nash condition.
 
     Iterates item-to-player assignments (each item goes to one player or
-    to nobody), pruning assignments whose per-player prefix is already
-    infeasible.  The order of the returned profiles follows the
-    lexicographic assignment order with players before "nobody".
+    to nobody), never extending a player's set beyond its feasible sets.
+    The order of the returned profiles follows the lexicographic
+    assignment order with players before "nobody".
     """
     factor = check_alpha(alpha)
     shared = SearchBudget.ensure(budget)
     ids = instance.ordered_ids
-    n = instance.n
-    shared.require((n + 1) ** len(ids))
-
+    weights, _ = integral([instance.weights[i] for i in ids])
+    shared.require((instance.n + 1) ** len(ids))
     families = []
-    set_weights = []
     for system in instance.players:
-        family = feasible_subsets(system, ids, shared)
-        families.append(frozenset(family))
-        set_weights.append({T: instance.weight_of(T) for T in family})
+        family = walk(ids, weights, [system.is_member], shared)
+        families.append({T: value for (T,), value in family})
 
-    value_cache: list[dict[frozenset[str], Fraction]] = [{} for _ in range(n)]
+    @cache
+    def top(player: int, available: frozenset[str]) -> int:
+        return max(value for T, value in families[player].items()
+                   if T <= available)
 
-    def best_value(player: int, available: frozenset[str]) -> Fraction:
-        cache = value_cache[player]
-        hit = cache.get(available)
-        if hit is None:
-            hit = max(w for T, w in set_weights[player].items() if T <= available)
-            cache[available] = hit
-        return hit
-
-    sets: list[frozenset[str]] = [frozenset() for _ in range(n)]
-    values: list[Fraction] = [Fraction(0) for _ in range(n)]
-    assigned: set[str] = set()
     out: list[Profile] = []
-
-    def walk(idx: int) -> None:
-        if idx == len(ids):
-            free = instance.item_ids - assigned
-            for player in range(n):
-                if factor * values[player] < best_value(player, free | sets[player]):
-                    return
-            out.append(Profile(tuple(sets)))
-            return
-        item = ids[idx]
-        weight = instance.weights[item]
-        for player in range(n):
-            shared.spend()
-            candidate = sets[player] | {item}
-            if candidate in families[player]:
-                sets[player] = candidate
-                values[player] += weight
-                assigned.add(item)
-                walk(idx + 1)
-                assigned.remove(item)
-                values[player] -= weight
-                sets[player] = candidate - {item}
-        shared.spend()
-        walk(idx + 1)
-
-    walk(0)
+    tests = [lambda T, _, family=family: T in family for family in families]
+    for sets, _ in walk(ids, weights, tests, shared, post=True):
+        free = instance.item_ids.difference(*sets)
+        if all(factor * families[player][T] >= top(player, free | T)
+               for player, T in enumerate(sets)):
+            out.append(Profile(sets))
     return tuple(out)
 
 

@@ -13,6 +13,10 @@ Both representations are downward closed: removing items from an allowed
 set keeps it allowed.  Scheduling oracles with release dates fall back to
 a budget-guarded exact search; all-zero release dates are decided by the
 deadline-prefix check.
+
+Subset enumeration and the maximum-cardinality bound run on the search
+kernel (`search.py`), whose one-member pre-order lists a system's sets
+in lexicographic order.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from typing import Iterable, Optional
 
 from .budget import SearchBudget
 from .errors import InputError
+from .search import best, walk
 
 
 def _fraction(value, *, name: str, minimum: Fraction | None = None,
@@ -586,23 +591,13 @@ def feasible_subsets(system: FeasibilitySystem, pool: Iterable[str],
                      ) -> tuple[frozenset[str], ...]:
     """All members of the system contained in `pool`, in lexicographic order.
 
-    The enumeration extends only feasible prefixes, which is exhaustive
+    The enumeration extends only feasible sets, which is exhaustive
     because the family is downward closed.
     """
     shared = SearchBudget.ensure(budget)
-    ordered = sorted(frozenset(pool) & system.universe())
-    out: list[frozenset[str]] = []
-
-    def extend(current: tuple[str, ...], start: int) -> None:
-        out.append(frozenset(current))
-        for idx in range(start, len(ordered)):
-            shared.spend()
-            candidate = current + (ordered[idx],)
-            if system.is_member(frozenset(candidate), shared):
-                extend(candidate, idx + 1)
-
-    extend((), 0)
-    return tuple(out)
+    ids = sorted(frozenset(pool) & system.universe())
+    return tuple(sets[0] for sets, _ in walk(
+        ids, [0] * len(ids), [system.is_member], shared))
 
 
 def _uniform_unit_machine(system: FeasibilitySystem) -> bool:
@@ -700,21 +695,8 @@ def _greedy_feasible_scan(system: FeasibilitySystem, ordered: list[str],
 def _max_cardinality_from(system: FeasibilitySystem, prefix: frozenset[str],
                           pool: list[str], budget: SearchBudget) -> int:
     """Largest feasible superset size of `prefix` using items from `pool`."""
-    best = len(prefix)
-
-    def extend(current: frozenset[str], start: int) -> None:
-        nonlocal best
-        best = max(best, len(current))
-        for idx in range(start, len(pool)):
-            budget.spend()
-            if len(current) + (len(pool) - idx) <= best:
-                break
-            candidate = current | {pool[idx]}
-            if system.is_member(candidate, budget):
-                extend(candidate, idx + 1)
-
-    extend(prefix, 0)
-    return best
+    tests = [lambda items, shared: system.is_member(prefix | items, shared)]
+    return len(prefix) + best(pool, [1] * len(pool), tests, budget)[1]
 
 
 def max_cardinality_feasible(system: FeasibilitySystem, available: Iterable[str],
@@ -762,36 +744,44 @@ def max_cardinality_feasible(system: FeasibilitySystem, available: Iterable[str]
     return tuple(chosen)
 
 
+def _machine_count(system: FeasibilitySystem) -> int:
+    """Machines a schedule witness for `system` may use."""
+    if isinstance(system, SharedSymmetricSystem):
+        return system.copies * _machine_count(system.base)
+    if isinstance(system, UnrelatedMachinesSystem):
+        return len(system.machines)
+    if isinstance(system, IdenticalMachinesSystem):
+        return system.copies
+    return 1
+
+
+def _window_for(system: FeasibilitySystem, machine: int, item: str
+                ) -> Optional[JobWindow]:
+    """The window of `item` on witness machine `machine`, or None."""
+    if isinstance(system, SharedSymmetricSystem):
+        # Each copy of the base lists all of the base's machines in turn.
+        return _window_for(system.base, machine % _machine_count(system.base), item)
+    if isinstance(system, UnrelatedMachinesSystem):
+        return system._machine_window(system.machines[machine], item)
+    if isinstance(system, (SingleMachineSystem, IdenticalMachinesSystem)):
+        return system.job_map.get(item)
+    return None
+
+
 def validate_witness(system: FeasibilitySystem, items: Iterable[str],
                      witness: ScheduleWitness) -> bool:
     """Re-check a schedule witness against the system's raw parameters."""
-    target = frozenset(items)
-    if witness.scheduled_items() != target:
+    if witness.scheduled_items() != frozenset(items):
         return False
-
-    def window_for(machine_index: int, item: str) -> Optional[JobWindow]:
-        if isinstance(system, (SingleMachineSystem, IdenticalMachinesSystem)):
-            return system.job_map.get(item)
-        if isinstance(system, UnrelatedMachinesSystem):
-            machine = system.machines[machine_index]
-            return system._machine_window(machine, item)
-        if isinstance(system, SharedSymmetricSystem):
-            base = system.base
-            if isinstance(base, SingleMachineSystem):
-                return base.job_map.get(item)
-        return None
-
     if isinstance(system, SingleMachineSystem) and len(witness.machines) != 1:
         return False
-    if isinstance(system, IdenticalMachinesSystem) and len(witness.machines) > system.copies:
-        return False
-    if isinstance(system, SharedSymmetricSystem) and len(witness.machines) > system.copies:
+    if len(witness.machines) > _machine_count(system):
         return False
 
-    for machine_index, sequence in enumerate(witness.machines):
+    for machine, sequence in enumerate(witness.machines):
         clock = None
         for item, start in sequence:
-            window = window_for(machine_index, item)
+            window = _window_for(system, machine, item)
             if window is None:
                 return False
             if start < window.release:

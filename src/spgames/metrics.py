@@ -4,6 +4,10 @@ All ratios are exact rationals.  The worst equilibrium is found by
 exhaustive, budget-gated enumeration: correctness of "worst" is the
 point, so no heuristics are used.  The practical envelope for the
 exhaustive operations is small instances (around n <= 4 and |J| <= 10).
+
+The optimum is branch and bound on the search kernel (`search.py`).
+Its tie-break is the first maximum in the kernel's post-order, which
+lists assignments in lexicographic order.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .bounds import (RationalInterval, bound_collusion, bound_nash,
                      bound_sequential_symmetric, ratio_within_sequential_bound)
 from .equilibria import enumerate_nash, enumerate_spe_outcomes, verify_collusion
 from .model import Instance, Profile, restrict_available, welfare
+from .search import best, integral
 
 Bound = Union[Fraction, RationalInterval, None]
 
@@ -54,60 +59,20 @@ def compute_opt(instance: Instance,
     """Maximum-welfare valid profile by branch and bound.
 
     Items are assigned in id order to a player or to nobody; the upper
-    bound at a node is the weight of the items not yet decided.  Ties are
-    broken by the lexicographically smallest assignment vector (players
-    in index order before "nobody"), which the search visits first.
+    bound at a node is its weight plus that of the items not yet decided.
+    Ties are broken by the lexicographically smallest assignment vector
+    (players in index order before "nobody"), which the search's
+    post-order visits first.
     `available` restricts the assignable items (the full ground set by
     default).
     """
     shared = SearchBudget.ensure(budget)
-    if available is None:
-        pool = list(instance.ordered_ids)
-    else:
-        pool = sorted(restrict_available(instance, available))
-    n = instance.n
-    weights = instance.weights
-
-    suffix = [Fraction(0)] * (len(pool) + 1)
-    for idx in range(len(pool) - 1, -1, -1):
-        suffix[idx] = suffix[idx + 1] + weights[pool[idx]]
-
-    feasible_cache: list[dict[frozenset[str], bool]] = [
-        {frozenset(): True} for _ in range(n)]
-
-    def feasible(player: int, candidate: frozenset[str]) -> bool:
-        cache = feasible_cache[player]
-        hit = cache.get(candidate)
-        if hit is None:
-            hit = instance.players[player].is_member(candidate, shared)
-            cache[candidate] = hit
-        return hit
-
-    sets: list[frozenset[str]] = [frozenset() for _ in range(n)]
-    best_value: Fraction | None = None
-    best_sets: tuple[frozenset[str], ...] = tuple(sets)
-
-    def walk(idx: int, value: Fraction) -> None:
-        nonlocal best_value, best_sets
-        if best_value is not None and value + suffix[idx] <= best_value:
-            return  # equal-value completions here would be lex-later
-        if idx == len(pool):
-            best_value, best_sets = value, tuple(sets)
-            return
-        item = pool[idx]
-        for player in range(n):
-            shared.spend()
-            candidate = sets[player] | {item}
-            if feasible(player, candidate):
-                sets[player] = candidate
-                walk(idx + 1, value + weights[item])
-                sets[player] = candidate - {item}
-        shared.spend()
-        walk(idx + 1, value)
-
-    walk(0, Fraction(0))
-    assert best_value is not None
-    return Profile(best_sets), best_value
+    ids = (instance.ordered_ids if available is None
+           else sorted(restrict_available(instance, available)))
+    weights, scale = integral([instance.weights[i] for i in ids])
+    tests = [system.is_member for system in instance.players]
+    sets, value = best(ids, weights, tests, shared, post=True)
+    return Profile(sets), Fraction(value, scale)
 
 
 def _ratio(opt_value: Fraction, worst_value: Fraction) -> Fraction:

@@ -71,8 +71,8 @@ class Instance:
         if self.symmetric:
             if not all(isinstance(s, SharedSymmetricSystem) for s in self.players):
                 raise InputError("symmetric instances require shared-base players")
-            bases = {s.base for s in self.players}
-            if len(bases) != 1:
+            # Equality, not a set: hashing a base rehashes every job window.
+            if any(s.base != self.players[0].base for s in self.players):
                 raise InputError("symmetric instances require one shared base")
 
     @property

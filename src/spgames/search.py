@@ -1,0 +1,103 @@
+"""The one exhaustive search behind every assignment and subset search.
+
+A node assigns each pool item to one member or to nobody.  The root
+assigns every item to nobody, and each child takes one item later than
+the node's last taken item into one member's set (items in pool order,
+then members in order).  So every assignment whose member sets are all
+feasible is one node, reached by the walk because feasibility systems
+are downward closed.  The two visit orders give the documented
+tie-breaks without any sorting:
+
+* pre-order lists one member's sets in lexicographic order of their
+  sorted item tuples (the empty set first), and
+* post-order lists assignments in lexicographic order of the assignment
+  vector, members in index order before nobody.
+
+Weights are scaled once to integers by the lcm of their denominators.
+Member sets stay frozensets, since each membership test and each result
+needs one.  A walk with several members meets a member's set once per
+assignment of the others, so it memoises each member's verdicts; a
+one-member walk meets each set once.  The walk keeps an explicit stack,
+so pool size is not limited by Python's recursion depth.  Branch and
+bound is Land and Doig's (1960): the children of a node are skipped once
+its value plus the weight of the items after its last taken item falls
+below the caller's floor.
+"""
+
+from __future__ import annotations
+
+from itertools import accumulate
+from math import lcm
+from typing import Callable, Iterator, Optional, Sequence
+
+from .budget import SearchBudget
+
+Sets = tuple[frozenset[str], ...]
+Test = Callable[[frozenset[str], SearchBudget], bool]
+
+
+def integral(values: Sequence) -> tuple[list[int], int]:
+    """`values` scaled to integers by the lcm of their denominators, and that lcm."""
+    scale = lcm(*{value.denominator for value in values})
+    return [value.numerator * (scale // value.denominator) for value in values], scale
+
+
+def walk(ids: Sequence[str], weights: Sequence[int], tests: Sequence[Test],
+         budget: SearchBudget, post: bool = False,
+         floor: Optional[list[int]] = None) -> Iterator[tuple[Sets, int]]:
+    """Yield (member sets, value) for every node, in pre- or post-order.
+
+    `tests[m]` decides member m's sets.  Every attempt to put an item into
+    a member's set spends one budget node.  With `floor`, a one-element
+    list the caller may raise between nodes, the walk skips the children
+    of a node that cannot reach `floor[0]`.
+    """
+    size, width = len(ids), len(tests)
+    suffix = list(accumulate(reversed(weights), initial=0))[::-1]
+    verdicts = [{} for _ in tests] if width > 1 else None
+    root: Sets = (frozenset(),) * width
+    if not post:
+        yield root, 0
+    stack = [[root, 0, 0]]  # sets, value, next attempt (item * width + member)
+    while stack:
+        frame = stack[-1]
+        sets, value, attempt = frame
+        item, member = divmod(attempt, width)
+        if item == size or floor and value + suffix[item] < floor[0]:
+            stack.pop()
+            if post:
+                yield sets, value
+            continue
+        frame[2] = attempt + 1
+        budget.spend()
+        grown = sets[member] | {ids[item]}
+        if verdicts:
+            known = verdicts[member].get(grown)
+            if known is None:
+                known = verdicts[member][grown] = tests[member](grown, budget)
+        else:
+            known = tests[member](grown, budget)
+        if known:
+            child = sets[:member] + (grown,) + sets[member + 1:]
+            gained = value + weights[item]
+            if not post:
+                yield child, gained
+            stack.append([child, gained, attempt - member + width])
+
+
+def best(ids: Sequence[str], weights: Sequence[int], tests: Sequence[Test],
+         budget: SearchBudget, post: bool = False,
+         key: Optional[Callable[[Sets], tuple]] = None) -> tuple[Sets, int]:
+    """The first node of maximum value in the walk's order.
+
+    With `key`, the maximum-value node of smallest key instead: ties are
+    then explored, and their keys compared, rather than pruned.
+    """
+    floor = [0]
+    found: Optional[tuple[Sets, int]] = None
+    for sets, value in walk(ids, weights, tests, budget, post, floor):
+        if found is None or value > found[1] or (
+                key and value == found[1] and key(sets) < key(found[0])):
+            found = sets, value
+            floor[0] = value if key else value + 1
+    return found

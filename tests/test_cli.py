@@ -155,6 +155,19 @@ class TestQueries:
                            "--concept", "nash", "--alpha", "1"], capsys)
         assert code == 3
 
+    @pytest.mark.parametrize("error", [RecursionError, MemoryError])
+    def test_exhausted_resources_exit_three(self, trivial_files, capsys,
+                                            monkeypatch, error):
+        def exhausted(args):
+            raise error("too deep")
+
+        monkeypatch.setattr("spgames.cli._cmd_opt", exhausted)
+        code, out = run_cli(["opt", "--instance", trivial_files["instance"]], capsys)
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["error"] == "resources-exhausted"
+        assert doc["detail"] == f"{error.__name__}: too deep"
+
     def test_missing_file_exits_two(self, capsys):
         code, _ = run_cli(["opt", "--instance", "/nonexistent.json"], capsys)
         assert code == 2

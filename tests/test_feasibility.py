@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from spgames import (BudgetExceededError, ExplicitSystem,
+from spgames import (BudgetExceededError, ExplicitSystem, ScheduleWitness,
                      IdenticalMachinesSystem, InputError, JobWindow,
                      SharedSymmetricSystem, SingleMachineSystem, TimeWindow,
                      UnrelatedMachinesSystem, antichain_violation, ex_asym,
@@ -202,6 +202,32 @@ class TestWitness:
         witness = shared.schedule_witness({"a", "b"})
         assert witness is not None
         assert validate_witness(shared, {"a", "b"}, witness)
+
+    def test_multi_copy_witness_over_unrelated_machines(self):
+        base = UnrelatedMachinesSystem(
+            machines=("m1", "m2"),
+            processing={("m1", "a"): 1, ("m2", "b"): 1, ("m1", "c"): 1},
+            jobs={name: TimeWindow(0, 2) for name in "abc"})
+        shared = SharedSymmetricSystem(base=base, copies=2)
+        jobs = {"a", "b", "c"}
+        witness = shared.schedule_witness(jobs)
+        assert witness is not None
+        assert validate_witness(shared, jobs, witness)
+        # Witness machine i is base machine i mod 2 of copy i // 2.
+        a, b, c = (((job, Fraction(0)),) for job in "abc")
+        assert validate_witness(shared, jobs, ScheduleWitness((a, b, c, ())))
+        assert not validate_witness(shared, jobs, ScheduleWitness((a, b, (), c)))
+
+    def test_multi_copy_witness_over_identical_machines(self):
+        base = IdenticalMachinesSystem(copies=2, jobs=unit_jobs(
+            {"a": (0, 1, 1), "b": (0, 1, 1), "c": (0, 1, 1)}))
+        shared = SharedSymmetricSystem(base=base, copies=2)
+        jobs = {"a", "b", "c"}
+        witness = shared.schedule_witness(jobs)
+        assert witness is not None and len(witness.machines) == 4
+        assert validate_witness(shared, jobs, witness)
+        assert not validate_witness(
+            shared, jobs, ScheduleWitness(witness.machines + ((),)))
 
 
 class TestMaxCardinality:

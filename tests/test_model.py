@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from spgames import (INFEASIBLE, InputError, Instance, Item, Payoff, Profile,
-                     ExplicitSystem, ex_trivial, payoff, validate_profile,
-                     welfare)
+                     ExplicitSystem, SharedSymmetricSystem, ex_trivial, payoff,
+                     validate_profile, welfare)
 
 
 def two_item_game() -> Instance:
@@ -155,6 +155,20 @@ class TestConstruction:
     def test_at_least_one_player(self):
         with pytest.raises(InputError):
             Instance(items=(Item("a", 1),), players=())
+
+    def test_symmetric_players_share_one_base(self):
+        items = (Item("a", 1), Item("b", 1))
+
+        def view(*sets):
+            base = ExplicitSystem(maximal_sets=tuple(map(frozenset, sets)))
+            return SharedSymmetricSystem(base=base, copies=1)
+
+        game = Instance(items=items, players=(view("a", "b"), view("b", "a")),
+                        symmetric=True)
+        assert game.n == 2
+        with pytest.raises(InputError):
+            Instance(items=items, players=(view("a", "b"), view("a")),
+                     symmetric=True)
 
 
 class TestExactArithmetic:
