@@ -26,7 +26,7 @@ from .budget import SearchBudget
 from .errors import InputError
 from .best_response import (DeviationWitness, best_response, check_alpha,
                             coalition_best_response, is_alpha_best_response)
-from .feasibility import feasible_subsets, max_cardinality_feasible
+from .feasibility import max_cardinality_feasible
 from .model import Instance, Profile, validate_profile, welfare
 from .search import integral, walk
 
@@ -166,12 +166,17 @@ def enumerate_spe_outcomes(instance: Instance, order: Iterable[int], alpha,
     At each node the mover may take any feasible subset of the remaining
     items whose weight is within a factor alpha of the node optimum; the
     outcomes of all such choice combinations are collected.  Subtrees are
-    shared across nodes with equal remaining-item sets.
+    shared across nodes with equal remaining-item sets.  The mover's sets
+    come in lexicographic order from the kernel's one-member pre-order,
+    with weights scaled once per call to integers; the alpha test
+    compares cross-multiplied integers.
     """
     sequence = check_order(instance, order)
     factor = check_alpha(alpha)
     shared = SearchBudget.ensure(budget)
     n = instance.n
+    scaled, _ = integral([instance.weights[i] for i in instance.ordered_ids])
+    weight = dict(zip(instance.ordered_ids, scaled))
     memo: dict[tuple[int, frozenset[str]],
                tuple[tuple[frozenset[str], ...], ...]] = {}
 
@@ -183,13 +188,14 @@ def enumerate_spe_outcomes(instance: Instance, order: Iterable[int], alpha,
         cached = memo.get(key)
         if cached is not None:
             return cached
-        player = sequence[depth]
-        subsets = feasible_subsets(instance.players[player], available, shared)
-        weighted = [(T, instance.weight_of(T)) for T in subsets]
-        node_optimum = max(w for _, w in weighted)
+        system = instance.players[sequence[depth]]
+        ids = sorted(available & system.universe())
+        weighted = list(walk(ids, [weight[i] for i in ids], [system.is_member],
+                             shared))
+        node_optimum = max(value for _, value in weighted)
         out: list[tuple[frozenset[str], ...]] = []
-        for action, value in weighted:
-            if factor * value < node_optimum:
+        for (action,), value in weighted:
+            if factor.numerator * value < node_optimum * factor.denominator:
                 continue
             shared.spend()
             for tail in completions(depth + 1, available - action):

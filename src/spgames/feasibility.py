@@ -11,8 +11,18 @@ allowed selection for a player?  Two representations are supported:
 
 Both representations are downward closed: removing items from an allowed
 set keeps it allowed.  Scheduling oracles with release dates fall back to
-a budget-guarded exact search; all-zero release dates are decided by the
-deadline-prefix check.
+a budget-guarded exact search.
+
+A machine system whose release dates are all zero caches one integer
+view of its jobs (`IntegerJobs`): every processing time and deadline
+scaled once by the lcm of their denominators, addressed by the job's
+position in the id-sorted `jobs`.  On one such machine, membership is
+the earliest-deadline-first prefix check (Jackson 1955) and the
+maximum-cardinality scan keeps its jobs on integer keys, finish times
+and slacks, so neither touches a `Fraction`.  Their results are item
+ids, so nothing turns back into `Fraction` on those paths; schedule
+witnesses, whose start times are `Fraction`s, are built from the
+original windows.
 
 Subset enumeration and the maximum-cardinality bound run on the search
 kernel (`search.py`), whose one-member pre-order lists a system's sets
@@ -22,14 +32,16 @@ in lexicographic order.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional
+from itertools import accumulate
+from typing import Iterable, Optional, Sequence
 
 from .budget import SearchBudget
 from .errors import InputError
-from .search import best, walk
+from .search import best, integral, walk
 
 
 def _fraction(value, *, name: str, minimum: Fraction | None = None,
@@ -181,6 +193,40 @@ def _schedule_one_machine(jobs: list[tuple[str, JobWindow]],
     return schedule
 
 
+class IntegerJobs:
+    """Zero-release jobs of one machine kind on an integer clock.
+
+    Processing times and deadlines are scaled once by the lcm of their
+    denominators, which keeps every comparison exact.  Jobs are addressed
+    by their position in the owner's id-sorted `jobs`, so sorting
+    positions sorts ids.
+    """
+
+    __slots__ = ("processing", "deadline", "uniform")
+
+    def __init__(self, windows: Sequence[JobWindow]):
+        scaled, _ = integral([w.processing for w in windows]
+                             + [w.deadline for w in windows])
+        self.processing = tuple(scaled[:len(windows)])
+        self.deadline = tuple(scaled[len(windows):])
+        self.uniform = len(set(self.processing)) <= 1
+
+    def fits(self, positions: Iterable[int], budget: SearchBudget) -> bool:
+        """Whether one machine runs these jobs by their deadlines.
+
+        Earliest deadline first, ties by id, is optimal without release
+        dates, so checking each prefix load decides the set.  One budget
+        node per job checked.
+        """
+        clock = 0
+        for k in sorted(sorted(positions), key=self.deadline.__getitem__):
+            budget.spend()
+            clock += self.processing[k]
+            if clock > self.deadline[k]:
+                return False
+        return True
+
+
 def _partition_into_parts(item_ids: list[str], max_parts: int, part_ok,
                           budget: SearchBudget) -> Optional[list[list[str]]]:
     """Split items into at most `max_parts` groups, each accepted by `part_ok`.
@@ -274,8 +320,48 @@ class ExplicitSystem(FeasibilitySystem):
         return any(target <= maximal for maximal in self.maximal_sets)
 
 
+class _JobTable:
+    """Id lookup and integer view shared by the single and identical
+    machine systems, whose jobs carry one window each."""
+
+    jobs: tuple[tuple[str, JobWindow], ...]
+
+    @cached_property
+    def position(self) -> dict[str, int]:
+        """Index of each job id in the id-sorted `jobs`."""
+        return {item: k for k, (item, _) in enumerate(self.jobs)}
+
+    @cached_property
+    def integer_view(self) -> Optional[IntegerJobs]:
+        """The jobs on an integer clock when every release is 0, else None."""
+        windows = [w for _, w in self.jobs]
+        if any(w.release != 0 for w in windows):
+            return None
+        return IntegerJobs(windows)
+
+    def window(self, item: str) -> Optional[JobWindow]:
+        k = self.position.get(item)
+        return None if k is None else self.jobs[k][1]
+
+    def universe(self) -> frozenset[str]:
+        return frozenset(self.position)
+
+    def job_deadlines(self) -> dict[str, Fraction]:
+        return {i: w.deadline for i, w in self.jobs}
+
+    def _fits_one_machine(self, items, budget) -> bool:
+        """Membership on one zero-release machine, read off the integer view."""
+        positions = {self.position.get(i) for i in items}
+        return None not in positions and self.integer_view.fits(
+            positions, SearchBudget.ensure(budget))
+
+    def _schedule(self, items, budget: SearchBudget
+                  ) -> Optional[list[tuple[str, Fraction]]]:
+        return _schedule_one_machine([(i, self.window(i)) for i in items], budget)
+
+
 @dataclass(frozen=True)
-class SingleMachineSystem(FeasibilitySystem):
+class SingleMachineSystem(_JobTable, FeasibilitySystem):
     """Jobs allowed together exactly when one machine can schedule them all."""
 
     jobs: tuple[tuple[str, JobWindow], ...]
@@ -283,32 +369,23 @@ class SingleMachineSystem(FeasibilitySystem):
     def __post_init__(self):
         object.__setattr__(self, "jobs", _normalize_job_map(self.jobs))
 
-    @cached_property
-    def job_map(self) -> dict[str, JobWindow]:
-        return dict(self.jobs)
-
-    def universe(self) -> frozenset[str]:
-        return frozenset(self.job_map)
-
     def is_member(self, items, budget=None) -> bool:
+        if self.integer_view is not None:
+            return self._fits_one_machine(items, budget)
         return self.schedule_witness(items, budget) is not None
 
     def schedule_witness(self, items, budget=None) -> Optional[ScheduleWitness]:
         target = frozenset(items)
         if not target <= self.universe():
             return None
-        chosen = [(i, self.job_map[i]) for i in sorted(target)]
-        schedule = _schedule_one_machine(chosen, SearchBudget.ensure(budget))
+        schedule = self._schedule(sorted(target), SearchBudget.ensure(budget))
         if schedule is None:
             return None
         return ScheduleWitness(machines=(tuple(schedule),))
 
-    def job_deadlines(self) -> dict[str, Fraction]:
-        return {i: w.deadline for i, w in self.jobs}
-
 
 @dataclass(frozen=True)
-class IdenticalMachinesSystem(FeasibilitySystem):
+class IdenticalMachinesSystem(_JobTable, FeasibilitySystem):
     """Jobs allowed when they split across `copies` identical machines."""
 
     copies: int
@@ -320,14 +397,9 @@ class IdenticalMachinesSystem(FeasibilitySystem):
         object.__setattr__(self, "copies", int(self.copies))
         object.__setattr__(self, "jobs", _normalize_job_map(self.jobs))
 
-    @cached_property
-    def job_map(self) -> dict[str, JobWindow]:
-        return dict(self.jobs)
-
-    def universe(self) -> frozenset[str]:
-        return frozenset(self.job_map)
-
     def is_member(self, items, budget=None) -> bool:
+        if self.copies == 1 and self.integer_view is not None:
+            return self._fits_one_machine(items, budget)
         return self.schedule_witness(items, budget) is not None
 
     def schedule_witness(self, items, budget=None) -> Optional[ScheduleWitness]:
@@ -336,29 +408,20 @@ class IdenticalMachinesSystem(FeasibilitySystem):
             return None
         shared = SearchBudget.ensure(budget)
         if self.copies == 1:
-            chosen = [(i, self.job_map[i]) for i in sorted(target)]
-            schedule = _schedule_one_machine(chosen, shared)
+            schedule = self._schedule(sorted(target), shared)
             if schedule is None:
                 return None
             return ScheduleWitness(machines=(tuple(schedule),))
 
-        def part_ok(part: list[str]) -> bool:
-            chosen = [(i, self.job_map[i]) for i in part]
-            return _schedule_one_machine(chosen, shared) is not None
-
-        parts = _partition_into_parts(sorted(target), self.copies, part_ok, shared)
+        parts = _partition_into_parts(
+            sorted(target), self.copies,
+            lambda part: self._schedule(part, shared) is not None, shared)
         if parts is None:
             return None
-        machines = []
-        for part in parts:
-            chosen = [(i, self.job_map[i]) for i in part]
-            machines.append(tuple(_schedule_one_machine(chosen, shared)))
+        machines = [tuple(self._schedule(part, shared)) for part in parts]
         while len(machines) < self.copies:
             machines.append(())
         return ScheduleWitness(machines=tuple(machines))
-
-    def job_deadlines(self) -> dict[str, Fraction]:
-        return {i: w.deadline for i, w in self.jobs}
 
 
 @dataclass(frozen=True)
@@ -608,88 +671,55 @@ def _uniform_unit_machine(system: FeasibilitySystem) -> bool:
     already yields the maximum cardinality.
     """
     if isinstance(system, SharedSymmetricSystem):
-        return _uniform_unit_machine(system.base)
-    if isinstance(system, (SingleMachineSystem, IdenticalMachinesSystem)):
-        windows = [w for _, w in system.jobs]
-        if not windows:
-            return True
-        return (all(w.release == 0 for w in windows)
-                and len({w.processing for w in windows}) == 1)
-    return False
+        system = system.base
+    return (isinstance(system, _JobTable) and system.integer_view is not None
+            and system.integer_view.uniform)
 
 
-def _zero_release_jobs(system: FeasibilitySystem) -> Optional[dict[str, JobWindow]]:
-    base = system
+def _zero_release_jobs(system: FeasibilitySystem) -> Optional[_JobTable]:
+    """The one zero-release machine that decides `system`, or None."""
     if isinstance(system, SharedSymmetricSystem) and system.copies == 1:
-        base = system.base
-    if isinstance(base, IdenticalMachinesSystem) and base.copies == 1:
-        base = SingleMachineSystem(jobs=base.jobs)
-    if isinstance(base, SingleMachineSystem) and all(
-            w.release == 0 for _, w in base.jobs):
-        return base.job_map
+        system = system.base
+    if isinstance(system, IdenticalMachinesSystem) and system.copies > 1:
+        return None
+    if isinstance(system, _JobTable) and system.integer_view is not None:
+        return system
     return None
 
 
-def _greedy_scan_zero_release(job_map: dict[str, JobWindow], ordered: list[str],
-                              budget: SearchBudget) -> list[str]:
-    """Greedy feasible scan with an O(log) insertion test per candidate.
+def _greedy_scan_zero_release(jobs: IntegerJobs, positions: Iterable[int],
+                              budget: SearchBudget) -> list[int]:
+    """The jobs of `positions`, in that order, that a greedy scan keeps.
 
-    The kept jobs stay sorted by (deadline, id) with running finish times;
-    inserting a candidate shifts every later job by its processing time,
-    so it fits exactly when that shift is at most the smallest later
-    slack (deadline minus finish).
+    A job is kept when the kept set stays feasible with it.  Everything
+    here is an integer of the view: kept jobs stay in (deadline,
+    position) order with their finish times and, at each place, the
+    smallest slack (deadline minus finish) from there on.  A candidate
+    inserted at a place pushes every later job back by its processing
+    time, so it fits exactly when it meets its own deadline and that push
+    is at most the smallest later slack.  One budget node per candidate;
+    the caller turns the kept positions back into item ids.
     """
-    import bisect
-
-    keys: list[tuple[Fraction, str]] = []
-    rows: list[tuple[str, Fraction]] = []  # (item, processing) in key order
-    finishes: list[Fraction] = []
-    suffix_slack: list[Fraction] = []
-    accepted: list[str] = []
-
-    def rebuild() -> None:
-        clock = Fraction(0)
-        finishes.clear()
-        for _, processing in rows:
-            clock += processing
-            finishes.append(clock)
-        suffix_slack.clear()
-        slack = None
-        for pos in range(len(rows) - 1, -1, -1):
-            gap = keys[pos][0] - finishes[pos]
-            slack = gap if slack is None else min(slack, gap)
-            suffix_slack.append(slack)
-        suffix_slack.reverse()
-
-    for item in ordered:
+    deadline, processing = jobs.deadline, jobs.processing
+    keys: list[tuple[int, int]] = []
+    finish: list[int] = []
+    slack: list[int] = []
+    kept: list[int] = []
+    for k in positions:
         budget.spend()
-        window = job_map[item]
-        key = (window.deadline, item)
-        pos = bisect.bisect_left(keys, key)
-        before = finishes[pos - 1] if pos else Fraction(0)
-        end = before + window.processing
-        fits = end <= window.deadline
-        if fits and pos < len(rows):
-            fits = window.processing <= suffix_slack[pos]
-        if fits:
-            keys.insert(pos, key)
-            rows.insert(pos, (item, window.processing))
-            rebuild()
-            accepted.append(item)
-    return accepted
-
-
-def _greedy_feasible_scan(system: FeasibilitySystem, ordered: list[str],
-                          budget: SearchBudget) -> list[str]:
-    fast = _zero_release_jobs(system)
-    if fast is not None:
-        return _greedy_scan_zero_release(fast, ordered, budget)
-    chosen: list[str] = []
-    for item in ordered:
-        budget.spend()
-        if system.is_member(frozenset(chosen) | {item}, budget):
-            chosen.append(item)
-    return chosen
+        key = (deadline[k], k)
+        at = bisect_left(keys, key)
+        length = processing[k]
+        if (finish[at - 1] if at else 0) + length > key[0]:
+            continue
+        if at < len(keys) and length > slack[at]:
+            continue
+        keys.insert(at, key)
+        finish = list(accumulate(processing[j] for _, j in keys))
+        gaps = [d - f for (d, _), f in zip(keys, finish)]
+        slack = list(accumulate(reversed(gaps), min))[::-1]
+        kept.append(k)
+    return kept
 
 
 def _max_cardinality_from(system: FeasibilitySystem, prefix: frozenset[str],
@@ -712,18 +742,30 @@ def max_cardinality_feasible(system: FeasibilitySystem, available: Iterable[str]
     reachable with it.
     """
     shared = SearchBudget.ensure(budget)
-    pool = sorted(frozenset(available) & system.universe())
-    if prefer_largest_deadline:
-        deadlines = system.job_deadlines()
-        if deadlines is None:
-            raise InputError(
-                "largest-deadline scan requires a scheduling system")
-        pool.sort(key=lambda i: (-deadlines[i], i))
-    if not pool:
-        return ()
-
-    greedy = _greedy_feasible_scan(system, pool, shared)
-    if _uniform_unit_machine(system):
+    machine = _zero_release_jobs(system)
+    if machine is not None:
+        view, position = machine.integer_view, machine.position
+        order = sorted({position[i] for i in available if i in position})
+        if prefer_largest_deadline:
+            # A stable sort keeps equal deadlines in id order.
+            order.sort(key=view.deadline.__getitem__, reverse=True)
+        pool = [machine.jobs[k][0] for k in order]
+        greedy = [machine.jobs[k][0]
+                  for k in _greedy_scan_zero_release(view, order, shared)]
+    else:
+        pool = sorted(frozenset(available) & system.universe())
+        if prefer_largest_deadline:
+            deadlines = system.job_deadlines()
+            if deadlines is None:
+                raise InputError(
+                    "largest-deadline scan requires a scheduling system")
+            pool.sort(key=lambda i: (-deadlines[i], i))
+        greedy = []
+        for item in pool:
+            shared.spend()
+            if system.is_member(frozenset(greedy) | {item}, shared):
+                greedy.append(item)
+    if not pool or _uniform_unit_machine(system):
         return tuple(greedy)
 
     target = _max_cardinality_from(system, frozenset(), pool, shared)
@@ -763,8 +805,8 @@ def _window_for(system: FeasibilitySystem, machine: int, item: str
         return _window_for(system.base, machine % _machine_count(system.base), item)
     if isinstance(system, UnrelatedMachinesSystem):
         return system._machine_window(system.machines[machine], item)
-    if isinstance(system, (SingleMachineSystem, IdenticalMachinesSystem)):
-        return system.job_map.get(item)
+    if isinstance(system, _JobTable):
+        return system.window(item)
     return None
 
 

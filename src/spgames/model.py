@@ -75,6 +75,19 @@ class Instance:
             if any(s.base != self.players[0].base for s in self.players):
                 raise InputError("symmetric instances require one shared base")
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # Computed once per object: it rehashes every weight and system.
+        return hash((self.items, self.players, self.symmetric))
+
+    def __getstate__(self) -> dict:
+        # String hashes differ between processes: a pickle leaves the
+        # cached hash out, and the copy computes its own.
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
     @property
     def n(self) -> int:
         return len(self.players)

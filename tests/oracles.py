@@ -145,6 +145,40 @@ def schedulable_by_permutations(jobs) -> bool:
     return len(jobs) == 0
 
 
+def edf_checks(jobs) -> int:
+    """Jobs an earliest-deadline-first prefix check looks at before it
+    decides.  jobs: list of (id, processing, deadline) with zero release.
+
+    Jobs go by (deadline, id); the count stops at the first job that
+    finishes late, or covers them all.
+    """
+    clock = Fraction(0)
+    for checked, (_, processing, deadline) in enumerate(
+            sorted(jobs, key=lambda job: (job[2], job[0])), start=1):
+        clock += processing
+        if clock > deadline:
+            return checked
+    return len(jobs)
+
+
+def brute_max_cardinality_scan(is_member, pool) -> tuple[str, ...]:
+    """The documented pick of `max_cardinality_feasible`, by enumeration.
+
+    `pool` is in scan order.  An item is kept when some feasible set of
+    maximum cardinality contains the kept items and it, and otherwise
+    only later items of the scan.
+    """
+    members = [T for T in all_subsets(pool) if is_member(T)]
+    target = max(len(T) for T in members)
+    chosen: list[str] = []
+    for index, item in enumerate(pool):
+        kept = frozenset(chosen) | {item}
+        reach = kept | frozenset(pool[index + 1:])
+        if any(len(T) == target and kept <= T <= reach for T in members):
+            chosen.append(item)
+    return tuple(chosen)
+
+
 def simulate_deadline_rounds(n: int, alpha: Fraction) -> list[int]:
     """Independent simulation of sequential play on the deadline grid.
 

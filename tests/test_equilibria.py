@@ -6,8 +6,9 @@ from itertools import permutations
 
 import pytest
 
-from spgames import (ExplicitSystem, GeneratorSpec, InputError, Instance,
-                     Item, Profile, enumerate_nash, enumerate_spe_outcomes,
+from spgames import (BudgetExceededError, ExplicitSystem, GeneratorSpec,
+                     InputError, Instance, Item, Profile, SearchBudget,
+                     enumerate_nash, enumerate_spe_outcomes,
                      ex_asym, ex_collusion, ex_seq, ex_sym, ex_trivial,
                      generate, greedy_sequential_outcome, reference_profiles,
                      verify_collusion, verify_nash, verify_spe_outcome,
@@ -109,6 +110,21 @@ class TestGreedySequential:
     def test_unknown_selector_rejected(self):
         with pytest.raises(InputError):
             greedy_sequential_outcome(ex_trivial(), (0, 1), 1, "fancy")
+
+    # The scan spends one node per candidate.  The counts are pinned, so
+    # a faster scan cannot move the point where a budget stops it.
+    @pytest.mark.parametrize("n, nodes", [(6, 140), (9, 465), (12, 1098)])
+    def test_budget_stops_the_deadline_scan(self, n, nodes):
+        game = ex_seq(n)
+        counted = SearchBudget(10**9)
+        outcome = greedy_sequential_outcome(game, range(n), 1, "deadline",
+                                            budget=counted)
+        assert counted.used == nodes
+        with pytest.raises(BudgetExceededError):
+            greedy_sequential_outcome(game, range(n), 1, "deadline",
+                                      budget=nodes - 1)
+        assert greedy_sequential_outcome(game, range(n), 1, "deadline",
+                                         budget=nodes) == outcome
 
 
 class TestSpeOutcomes:

@@ -5,15 +5,18 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spgames import (BudgetExceededError, ExplicitSystem, ScheduleWitness,
                      IdenticalMachinesSystem, InputError, JobWindow,
-                     SharedSymmetricSystem, SingleMachineSystem, TimeWindow,
-                     UnrelatedMachinesSystem, antichain_violation, ex_asym,
-                     ex_seq, feasible_subsets, max_cardinality_feasible,
-                     validate_downward_closed, validate_witness)
+                     SearchBudget, SharedSymmetricSystem, SingleMachineSystem,
+                     TimeWindow, UnrelatedMachinesSystem, antichain_violation,
+                     ex_asym, ex_seq, ex_sym, feasible_subsets,
+                     max_cardinality_feasible, validate_downward_closed,
+                     validate_witness)
 
-from oracles import all_subsets, schedulable_by_permutations
+from oracles import (all_subsets, brute_max_cardinality_scan, edf_checks,
+                     schedulable_by_permutations)
 
 
 def unit_jobs(spec: dict[str, tuple]) -> dict[str, JobWindow]:
@@ -306,3 +309,86 @@ class TestFeasibleSubsets:
         listed = feasible_subsets(system, {"a", "b"})
         assert [tuple(sorted(T)) for T in listed] == [
             (), ("a",), ("a", "b"), ("b",)]
+
+
+def rationals(low: int, high: int):
+    return st.builds(Fraction, st.integers(low, high), st.integers(1, 4))
+
+
+@st.composite
+def zero_release_machines(draw):
+    """Up to 7 zero-release jobs with rational times, and a system that
+    one machine of them decides.  Half the tables give every job the same
+    processing time, which the scan treats as a special case.  A deadline
+    is its job's processing time plus a slack, which may be negative:
+    with deadlines drawn on their own, no greedy pass stalled, and the
+    exact search behind the scan never ran."""
+    ids = [f"j{index}" for index in range(draw(st.integers(0, 7)))]
+    length = draw(rationals(1, 8)) if draw(st.booleans()) else None
+    jobs = {}
+    for i in ids:
+        processing = length or draw(rationals(1, 8))
+        jobs[i] = JobWindow(0, processing, processing + draw(rationals(-1, 8)))
+    kind = draw(st.sampled_from(("single", "identical", "shared")))
+    if kind == "identical":
+        return IdenticalMachinesSystem(copies=1, jobs=jobs), jobs
+    system = SingleMachineSystem(jobs=jobs)
+    if kind == "shared":
+        system = SharedSymmetricSystem(base=system, copies=1)
+    return system, jobs
+
+
+def fits_by_permutations(jobs, items) -> bool:
+    return schedulable_by_permutations(
+        [(Fraction(0), jobs[i].processing, jobs[i].deadline) for i in items])
+
+
+class TestIntegerView:
+    """Zero-release machines, decided on integer times, against brute force."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(zero_release_machines(), st.data())
+    def test_membership_and_its_nodes(self, machine, data):
+        system, jobs = machine
+        items = data.draw(st.frozensets(st.sampled_from(sorted(jobs) + ["x"])))
+        budget = SearchBudget(10**6)
+        verdict = system.is_member(items, budget)
+        if "x" in items:
+            assert (verdict, budget.used) == (False, 0)
+            return
+        assert verdict == fits_by_permutations(jobs, items)
+        assert budget.used == edf_checks(
+            [(i, jobs[i].processing, jobs[i].deadline) for i in items])
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(zero_release_machines(), st.data())
+    def test_scan_keeps_the_documented_maximum(self, machine, data):
+        system, jobs = machine
+        # Drawing the jobs left out makes the whole table the simplest pool.
+        available = frozenset(
+            i for i in sorted(jobs) if not data.draw(st.booleans(), label=i))
+        members = {T for T in all_subsets(available)
+                   if fits_by_permutations(jobs, T)}
+        for largest_deadline_first in (False, True):
+            pool = sorted(available)
+            if largest_deadline_first:
+                pool.sort(key=lambda i: -jobs[i].deadline)
+            budget = SearchBudget(10**6)
+            scan = max_cardinality_feasible(system, available,
+                                            largest_deadline_first, budget)
+            assert frozenset(scan) in members
+            assert len(scan) == max(map(len, members))
+            assert scan == brute_max_cardinality_scan(members.__contains__, pool)
+            if len({jobs[i].processing for i in jobs}) <= 1:
+                assert budget.used == len(pool)  # one node per candidate
+
+    def test_nodes_of_a_scan_past_the_greedy_pass(self):
+        # ex_sym mixes processing times, so the scan runs the exact search
+        # after its greedy pass.  The 301 nodes are pinned, so integer
+        # times cannot move the point where a budget stops the scan.
+        game = ex_sym(3, 2, 3)
+        for largest_deadline_first in (False, True):
+            budget = SearchBudget(10**6)
+            scan = max_cardinality_feasible(game.players[0], game.item_ids,
+                                            largest_deadline_first, budget)
+            assert (len(scan), budget.used) == (7, 301)

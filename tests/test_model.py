@@ -1,13 +1,14 @@
 """Core model: payoffs, welfare, profile validation, exact arithmetic."""
 
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
 from spgames import (INFEASIBLE, InputError, Instance, Item, Payoff, Profile,
-                     ExplicitSystem, SharedSymmetricSystem, ex_trivial, payoff,
-                     validate_profile, welfare)
+                     ExplicitSystem, SharedSymmetricSystem, ex_seq, ex_trivial,
+                     payoff, validate_profile, welfare)
 
 
 def two_item_game() -> Instance:
@@ -169,6 +170,39 @@ class TestConstruction:
         with pytest.raises(InputError):
             Instance(items=items, players=(view("a", "b"), view("a")),
                      symmetric=True)
+
+
+class CountedSystem(ExplicitSystem):
+    """An explicit family that counts how often it is hashed."""
+
+    hashes = 0
+
+    def __hash__(self):
+        CountedSystem.hashes += 1
+        return super().__hash__()
+
+
+class TestInstanceHash:
+    def test_equal_instances_hash_equal(self):
+        assert ex_seq(6) == ex_seq(6)
+        assert hash(ex_seq(6)) == hash(ex_seq(6))
+        items = [Item("a", Fraction(1, 2)), Item("b", 2)]
+        system = ExplicitSystem(maximal_sets=(frozenset("ab"),))
+        assert hash(Instance(items=items, players=[system])) == hash(
+            Instance(items=tuple(items), players=(system,)))
+
+    def test_hash_is_computed_once_per_object(self):
+        game = Instance(items=(Item("a", 1),),
+                        players=(CountedSystem(maximal_sets=(frozenset("a"),)),))
+        before = CountedSystem.hashes
+        first = hash(game)
+        assert {game: 1}[game] == 1 and hash(game) == first
+        assert CountedSystem.hashes == before + 1
+        # A copy from another process must not trust this process's
+        # string hashes, so an unpickled instance hashes afresh.
+        copy = pickle.loads(pickle.dumps(game))
+        assert copy == game and hash(copy) == first
+        assert CountedSystem.hashes == before + 2
 
 
 class TestExactArithmetic:
