@@ -316,7 +316,8 @@ def main(argv=None) -> int:
         _write(dumps_document({"error": "budget-exceeded", "detail": str(exc)}))
         return EXIT_BUDGET
     except (RecursionError, MemoryError) as exc:
-        # Partition and placement searches still recurse once per item.
+        # No search recurses per item, but a deeply nested JSON input or a
+        # job set too large for memory can still exhaust the interpreter.
         _write(dumps_document({"error": "resources-exhausted",
                                "detail": f"{type(exc).__name__}: {exc}"}))
         return EXIT_BUDGET

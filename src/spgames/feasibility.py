@@ -24,6 +24,16 @@ ids, so nothing turns back into `Fraction` on those paths; schedule
 witnesses, whose start times are `Fraction`s, are built from the
 original windows.
 
+A player with several machines splits a set across them by one
+partition search, `_partition`, which keeps an explicit stack.  Items go
+in id order into parts, one part per machine, each decided by a
+one-machine membership test.  Every attempt to put an item into a part
+spends one budget node, on top of what that test spends.  The copies of
+a `SharedSymmetricSystem` are interchangeable, so an item may only open
+the first empty part; the machines of an `UnrelatedMachinesSystem` are
+distinct single machines.  `IdenticalMachinesSystem` is the shared
+system of `copies` single machines and answers through it.
+
 Subset enumeration and the maximum-cardinality bound run on the search
 kernel (`search.py`), whose one-member pre-order lists a system's sets
 in lexicographic order.
@@ -37,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .budget import SearchBudget
 from .errors import InputError
@@ -106,15 +116,17 @@ class ScheduleWitness:
         return frozenset(item for seq in self.machines for item, _ in seq)
 
 
-def _normalize_job_map(jobs) -> tuple[tuple[str, JobWindow], ...]:
+def _normalize_job_map(jobs, window_type=JobWindow
+                       ) -> tuple[tuple[str, JobWindow | TimeWindow], ...]:
     if isinstance(jobs, dict):
         pairs = jobs.items()
     else:
         pairs = jobs
     out = []
     for item_id, window in pairs:
-        if not isinstance(window, JobWindow):
-            window = JobWindow(**window) if isinstance(window, dict) else JobWindow(*window)
+        if not isinstance(window, window_type):
+            window = (window_type(**window) if isinstance(window, dict)
+                      else window_type(*window))
         out.append((str(item_id), window))
     out.sort(key=lambda p: p[0])
     ids = [p[0] for p in out]
@@ -227,38 +239,41 @@ class IntegerJobs:
         return True
 
 
-def _partition_into_parts(item_ids: list[str], max_parts: int, part_ok,
-                          budget: SearchBudget) -> Optional[list[list[str]]]:
-    """Split items into at most `max_parts` groups, each accepted by `part_ok`.
+def _partition(item_ids: Sequence[str], count: int,
+               fits: Callable[[int, list[str]], bool], budget: SearchBudget,
+               interchangeable: bool) -> Optional[list[list[str]]]:
+    """Split items into `count` parts accepted by `fits(p, part)`, or None.
 
-    Items are placed in id order; a new group may only be opened as group
-    `len(used)+1` (symmetry breaking for interchangeable parts).  Pruning on
-    a rejected partial group is sound because every `part_ok` family used
-    here is downward closed.
+    Items go in id order, each into the first part in index order that
+    still fits with it; an item that fits nowhere sends the one before it
+    on to its next part.  Every attempt to put an item into a part spends
+    one budget node.  Interchangeable parts are tried only up to the
+    first empty one, so no split is met again under a renumbering, and
+    only the parts in use are returned.  Pruning a rejected part is sound
+    because every family decided here is downward closed.  The stack (the
+    part of each placed item) is a list, not Python's call stack.
     """
-    parts: list[list[str]] = []
-
-    def place(index: int) -> bool:
-        if index == len(item_ids):
-            return True
-        item = item_ids[index]
-        limit = min(len(parts) + 1, max_parts)
-        for p in range(limit):
+    parts: list[list[str]] = [[] for _ in range(count)]
+    placed: list[int] = []
+    first = 0  # the first part to try for the next item
+    while len(placed) < len(item_ids):
+        item = item_ids[len(placed)]
+        limit = min(count, sum(map(bool, parts)) + 1) if interchangeable else count
+        for p in range(first, limit):
             budget.spend()
-            opened = p == len(parts)
-            if opened:
-                parts.append([])
             parts[p].append(item)
-            if part_ok(parts[p]) and place(index + 1):
-                return True
+            if fits(p, parts[p]):
+                placed.append(p)
+                first = 0
+                break
             parts[p].pop()
-            if opened:
-                parts.pop()
-        return False
-
-    if place(0):
-        return parts
-    return None
+        else:
+            if not placed:
+                return None
+            p = placed.pop()
+            parts[p].pop()
+            first = p + 1
+    return [part for part in parts if part] if interchangeable else parts
 
 
 class FeasibilitySystem:
@@ -309,11 +324,13 @@ class ExplicitSystem(FeasibilitySystem):
             sets = (frozenset(),)
         object.__setattr__(self, "maximal_sets", sets)
 
+    @cached_property
+    def _union(self) -> frozenset[str]:
+        # Computed once per object; not a field, so eq and hash ignore it.
+        return frozenset().union(*self.maximal_sets)
+
     def universe(self) -> frozenset[str]:
-        out: set[str] = set()
-        for s in self.maximal_sets:
-            out |= s
-        return frozenset(out)
+        return self._union
 
     def is_member(self, items, budget=None) -> bool:
         target = frozenset(items)
@@ -349,16 +366,6 @@ class _JobTable:
     def job_deadlines(self) -> dict[str, Fraction]:
         return {i: w.deadline for i, w in self.jobs}
 
-    def _fits_one_machine(self, items, budget) -> bool:
-        """Membership on one zero-release machine, read off the integer view."""
-        positions = {self.position.get(i) for i in items}
-        return None not in positions and self.integer_view.fits(
-            positions, SearchBudget.ensure(budget))
-
-    def _schedule(self, items, budget: SearchBudget
-                  ) -> Optional[list[tuple[str, Fraction]]]:
-        return _schedule_one_machine([(i, self.window(i)) for i in items], budget)
-
 
 @dataclass(frozen=True)
 class SingleMachineSystem(_JobTable, FeasibilitySystem):
@@ -370,15 +377,19 @@ class SingleMachineSystem(_JobTable, FeasibilitySystem):
         object.__setattr__(self, "jobs", _normalize_job_map(self.jobs))
 
     def is_member(self, items, budget=None) -> bool:
-        if self.integer_view is not None:
-            return self._fits_one_machine(items, budget)
-        return self.schedule_witness(items, budget) is not None
+        if self.integer_view is None:
+            return self.schedule_witness(items, budget) is not None
+        positions = {self.position.get(i) for i in items}
+        return None not in positions and self.integer_view.fits(
+            positions, SearchBudget.ensure(budget))
 
     def schedule_witness(self, items, budget=None) -> Optional[ScheduleWitness]:
         target = frozenset(items)
         if not target <= self.universe():
             return None
-        schedule = self._schedule(sorted(target), SearchBudget.ensure(budget))
+        schedule = _schedule_one_machine(
+            [(i, self.window(i)) for i in sorted(target)],
+            SearchBudget.ensure(budget))
         if schedule is None:
             return None
         return ScheduleWitness(machines=(tuple(schedule),))
@@ -386,7 +397,11 @@ class SingleMachineSystem(_JobTable, FeasibilitySystem):
 
 @dataclass(frozen=True)
 class IdenticalMachinesSystem(_JobTable, FeasibilitySystem):
-    """Jobs allowed when they split across `copies` identical machines."""
+    """Jobs allowed when they split across `copies` identical machines.
+
+    This is the family of `copies` shared copies of one machine, so
+    membership and witnesses are that shared system's.
+    """
 
     copies: int
     jobs: tuple[tuple[str, JobWindow], ...]
@@ -397,31 +412,15 @@ class IdenticalMachinesSystem(_JobTable, FeasibilitySystem):
         object.__setattr__(self, "copies", int(self.copies))
         object.__setattr__(self, "jobs", _normalize_job_map(self.jobs))
 
+    @cached_property
+    def _as_shared(self) -> SharedSymmetricSystem:
+        return SharedSymmetricSystem(SingleMachineSystem(self.jobs), self.copies)
+
     def is_member(self, items, budget=None) -> bool:
-        if self.copies == 1 and self.integer_view is not None:
-            return self._fits_one_machine(items, budget)
-        return self.schedule_witness(items, budget) is not None
+        return self._as_shared.is_member(items, budget)
 
     def schedule_witness(self, items, budget=None) -> Optional[ScheduleWitness]:
-        target = frozenset(items)
-        if not target <= self.universe():
-            return None
-        shared = SearchBudget.ensure(budget)
-        if self.copies == 1:
-            schedule = self._schedule(sorted(target), shared)
-            if schedule is None:
-                return None
-            return ScheduleWitness(machines=(tuple(schedule),))
-
-        parts = _partition_into_parts(
-            sorted(target), self.copies,
-            lambda part: self._schedule(part, shared) is not None, shared)
-        if parts is None:
-            return None
-        machines = [tuple(self._schedule(part, shared)) for part in parts]
-        while len(machines) < self.copies:
-            machines.append(())
-        return ScheduleWitness(machines=tuple(machines))
+        return self._as_shared.schedule_witness(items, budget)
 
 
 @dataclass(frozen=True)
@@ -455,44 +454,28 @@ class UnrelatedMachinesSystem(FeasibilitySystem):
         norm.sort(key=lambda p: p[0])
         object.__setattr__(self, "processing", tuple(norm))
 
-        if isinstance(self.jobs, dict):
-            job_pairs = self.jobs.items()
-        else:
-            job_pairs = self.jobs
-        jobs = []
-        for item_id, window in job_pairs:
-            if not isinstance(window, TimeWindow):
-                window = TimeWindow(**window) if isinstance(window, dict) else TimeWindow(*window)
-            jobs.append((str(item_id), window))
-        jobs.sort(key=lambda p: p[0])
-        if len({i for i, _ in jobs}) != len(jobs):
-            raise InputError("duplicate job ids in feasibility descriptor")
-        object.__setattr__(self, "jobs", tuple(jobs))
+        object.__setattr__(self, "jobs", _normalize_job_map(self.jobs, TimeWindow))
 
+        known = self.universe()
         for (machine, item), _ in self.processing:
             if machine not in machines:
                 raise InputError(f"processing entry for unknown machine {machine!r}")
-            if item not in {i for i, _ in jobs}:
+            if item not in known:
                 raise InputError(f"processing entry for unknown job {item!r}")
 
     @cached_property
-    def processing_map(self) -> dict[tuple[str, str], Fraction]:
-        return dict(self.processing)
-
-    @cached_property
-    def job_map(self) -> dict[str, TimeWindow]:
-        return dict(self.jobs)
+    def _single_machines(self) -> tuple[SingleMachineSystem, ...]:
+        """Each machine alone, with the jobs that can run on it."""
+        times = dict(self.jobs)
+        return tuple(
+            SingleMachineSystem({item: JobWindow(times[item].release, duration,
+                                                 times[item].deadline)
+                                 for (m, item), duration in self.processing
+                                 if m == machine})
+            for machine in self.machines)
 
     def universe(self) -> frozenset[str]:
-        return frozenset(self.job_map)
-
-    def _machine_window(self, machine: str, item: str) -> Optional[JobWindow]:
-        duration = self.processing_map.get((machine, item))
-        if duration is None:
-            return None
-        window = self.job_map[item]
-        return JobWindow(release=window.release, processing=duration,
-                         deadline=window.deadline)
+        return frozenset(item for item, _ in self.jobs)
 
     def is_member(self, items, budget=None) -> bool:
         return self.schedule_witness(items, budget) is not None
@@ -502,39 +485,16 @@ class UnrelatedMachinesSystem(FeasibilitySystem):
         if not target <= self.universe():
             return None
         shared = SearchBudget.ensure(budget)
-        ordered = sorted(target)
-        assignment: dict[str, list[str]] = {m: [] for m in self.machines}
-
-        def machine_ok(machine: str) -> bool:
-            chosen = []
-            for item in assignment[machine]:
-                window = self._machine_window(machine, item)
-                if window is None:
-                    return False
-                chosen.append((item, window))
-            return _schedule_one_machine(chosen, shared) is not None
-
-        def place(index: int) -> bool:
-            if index == len(ordered):
-                return True
-            item = ordered[index]
-            for machine in self.machines:
-                shared.spend()
-                if (machine, item) not in self.processing_map:
-                    continue
-                assignment[machine].append(item)
-                if machine_ok(machine) and place(index + 1):
-                    return True
-                assignment[machine].pop()
-            return False
-
-        if not place(0):
+        machines = self._single_machines
+        parts = _partition(
+            sorted(target), len(machines),
+            lambda p, part: machines[p].is_member(part, shared),
+            shared, interchangeable=False)
+        if parts is None:
             return None
-        machines = []
-        for machine in self.machines:
-            chosen = [(i, self._machine_window(machine, i)) for i in assignment[machine]]
-            machines.append(tuple(_schedule_one_machine(chosen, shared)))
-        return ScheduleWitness(machines=tuple(machines))
+        return ScheduleWitness(machines=tuple(
+            machine.schedule_witness(part, shared).machines[0]
+            for machine, part in zip(machines, parts)))
 
     def job_deadlines(self) -> dict[str, Fraction]:
         return {i: w.deadline for i, w in self.jobs}
@@ -561,17 +521,19 @@ class SharedSymmetricSystem(FeasibilitySystem):
     def universe(self) -> frozenset[str]:
         return self.base.universe()
 
+    def _split(self, target: frozenset[str], budget: SearchBudget
+               ) -> Optional[list[list[str]]]:
+        return _partition(sorted(target), self.copies,
+                          lambda _, part: self.base.is_member(part, budget),
+                          budget, interchangeable=True)
+
     def is_member(self, items, budget=None) -> bool:
         target = frozenset(items)
         if not target <= self.universe():
             return False
         if self.copies == 1:
             return self.base.is_member(target, budget)
-        shared = SearchBudget.ensure(budget)
-        parts = _partition_into_parts(
-            sorted(target), self.copies,
-            lambda part: self.base.is_member(part, shared), shared)
-        return parts is not None
+        return self._split(target, SearchBudget.ensure(budget)) is not None
 
     def schedule_witness(self, items, budget=None) -> Optional[ScheduleWitness]:
         target = frozenset(items)
@@ -580,9 +542,7 @@ class SharedSymmetricSystem(FeasibilitySystem):
         shared = SearchBudget.ensure(budget)
         if self.copies == 1:
             return self.base.schedule_witness(target, shared)
-        parts = _partition_into_parts(
-            sorted(target), self.copies,
-            lambda part: self.base.is_member(part, shared), shared)
+        parts = self._split(target, shared)
         if parts is None:
             return None
         machines = []
@@ -804,7 +764,7 @@ def _window_for(system: FeasibilitySystem, machine: int, item: str
         # Each copy of the base lists all of the base's machines in turn.
         return _window_for(system.base, machine % _machine_count(system.base), item)
     if isinstance(system, UnrelatedMachinesSystem):
-        return system._machine_window(system.machines[machine], item)
+        system = system._single_machines[machine]
     if isinstance(system, _JobTable):
         return system.window(item)
     return None

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations
+from math import factorial
 from typing import Iterable, Optional, Union
 
 from .budget import SearchBudget
@@ -23,7 +24,7 @@ from .best_response import check_alpha
 from .bounds import (RationalInterval, bound_collusion, bound_nash,
                      bound_sequential_symmetric, ratio_within_sequential_bound)
 from .equilibria import enumerate_nash, enumerate_spe_outcomes, verify_collusion
-from .model import Instance, Profile, restrict_available, welfare
+from .model import Instance, Profile, restrict_available
 from .search import best, integral
 
 Bound = Union[Fraction, RationalInterval, None]
@@ -89,14 +90,17 @@ def _ratio(opt_value: Fraction, worst_value: Fraction) -> Fraction:
 
 def _worst(instance: Instance, profiles: Iterable[Profile]
            ) -> tuple[Profile, Fraction]:
+    """The first profile of least welfare.  The enumerators yield only
+    valid profiles, so their weights are summed without `welfare`'s
+    validation pass."""
     worst_profile: Profile | None = None
     worst_value: Fraction | None = None
     for profile in profiles:
-        value = welfare(instance, profile)
+        value = sum(map(instance.weight_of, profile.sets), Fraction(0))
         if worst_value is None or value < worst_value:
             worst_profile, worst_value = profile, value
     if worst_profile is None:
-        raise RuntimeError("no equilibrium found; the optimum always is one")
+        raise RuntimeError("no equilibrium found, though one always exists")
     return worst_profile, worst_value
 
 
@@ -128,17 +132,9 @@ def empirical_sequential_poa(instance: Instance, alpha,
     """
     factor = check_alpha(alpha)
     shared = SearchBudget.ensure(budget)
-    worst_profile: Profile | None = None
-    worst_value: Fraction | None = None
-    examined = 0
-    for order in permutations(range(instance.n)):
-        examined += 1
-        for profile in enumerate_spe_outcomes(instance, order, factor, shared):
-            value = welfare(instance, profile)
-            if worst_value is None or value < worst_value:
-                worst_profile, worst_value = profile, value
-    if worst_profile is None:
-        raise RuntimeError("sequential play produced no outcome")
+    worst_profile, worst_value = _worst(instance, chain.from_iterable(
+        enumerate_spe_outcomes(instance, order, factor, shared)
+        for order in permutations(range(instance.n))))
     opt_profile, opt_value = compute_opt(instance, shared)
     ratio = _ratio(opt_value, worst_value)
     if instance.symmetric:
@@ -151,7 +147,7 @@ def empirical_sequential_poa(instance: Instance, alpha,
                      worst_equilibrium_welfare=worst_value, ratio=ratio,
                      bound=bound, bound_satisfied=satisfied,
                      worst_profile=worst_profile, opt_profile=opt_profile,
-                     orders_examined=examined)
+                     orders_examined=factorial(instance.n))
 
 
 def empirical_collusion_poa(instance: Instance, k: int, alpha,

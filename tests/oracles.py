@@ -8,7 +8,7 @@ machinery of the package search paths, so agreement is meaningful.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from spgames import Instance, Profile, validate_profile, verify_nash
 
@@ -143,6 +143,16 @@ def schedulable_by_permutations(jobs) -> bool:
         if ok:
             return True
     return len(jobs) == 0
+
+
+def brute_partition(items, count: int, fits) -> bool:
+    """Whether some assignment of `items` to `count` numbered parts has
+    every part accepted by `fits(p, part)`.  Tries every assignment."""
+    items = sorted(items)
+    return any(
+        all(fits(p, [i for i, a in zip(items, assignment) if a == p])
+            for p in range(count))
+        for assignment in product(range(count), repeat=len(items)))
 
 
 def edf_checks(jobs) -> int:

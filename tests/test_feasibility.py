@@ -15,8 +15,8 @@ from spgames import (BudgetExceededError, ExplicitSystem, ScheduleWitness,
                      max_cardinality_feasible, validate_downward_closed,
                      validate_witness)
 
-from oracles import (all_subsets, brute_max_cardinality_scan, edf_checks,
-                     schedulable_by_permutations)
+from oracles import (all_subsets, brute_max_cardinality_scan,
+                     brute_partition, edf_checks, schedulable_by_permutations)
 
 
 def unit_jobs(spec: dict[str, tuple]) -> dict[str, JobWindow]:
@@ -392,3 +392,147 @@ class TestIntegerView:
             scan = max_cardinality_feasible(game.players[0], game.item_ids,
                                             largest_deadline_first, budget)
             assert (len(scan), budget.used) == (7, 301)
+
+
+def two_machines(kind: str, jobs: dict[str, JobWindow]):
+    """Two machines of one kind that both run every job as `jobs` says."""
+    if kind == "identical":
+        return IdenticalMachinesSystem(copies=2, jobs=jobs)
+    if kind == "shared":
+        return SharedSymmetricSystem(base=SingleMachineSystem(jobs=jobs), copies=2)
+    return UnrelatedMachinesSystem(
+        machines=("m1", "m2"),
+        processing={(m, i): w.processing for m in ("m1", "m2")
+                    for i, w in jobs.items()},
+        jobs={i: TimeWindow(w.release, w.deadline) for i, w in jobs.items()})
+
+
+@st.composite
+def multi_machine_systems(draw):
+    """Jobs on 1 to 3 machines of one kind, and a brute-force test of one
+    machine's part.  Half the tables are packings: each of two machines
+    gets a full load of up to three jobs due at one deadline, and the
+    jobs are listed in a drawn order, so the first machine a job fits on
+    is often the wrong one and the search must go back.  The other half
+    draw up to 5 jobs with release dates and their own deadlines.  On
+    unrelated machines outside packings, a job has its own time on each
+    machine, or none."""
+    kind = draw(st.sampled_from(("identical", "shared", "unrelated")))
+    packing = draw(st.booleans())
+    if packing:
+        count, horizon = 2, draw(st.integers(3, 6))
+        pieces = []
+        for _ in range(count):
+            cuts = sorted(draw(st.sets(st.integers(1, horizon - 1), max_size=2)))
+            pieces += [b - a for a, b in zip([0] + cuts, cuts + [horizon])]
+        windows = [(0, piece, horizon) for piece in draw(st.permutations(pieces))]
+    else:
+        count, windows = draw(st.integers(1, 3)), []
+        for _ in range(draw(st.integers(1, 5))):
+            release = draw(st.sampled_from((0, 0, 1, Fraction(3, 2))))
+            windows.append((release, draw(rationals(1, 3)),
+                            release + draw(rationals(2, 12))))
+    jobs = {f"j{k}": JobWindow(*window) for k, window in enumerate(windows)}
+    if kind == "unrelated":
+        machines = tuple(f"m{m}" for m in range(count))
+        processing = {(m, i): w.processing if packing else draw(rationals(1, 3))
+                      for m in machines for i, w in jobs.items()
+                      if packing or draw(st.booleans())}
+        system = UnrelatedMachinesSystem(
+            machines, processing,
+            {i: TimeWindow(w.release, w.deadline) for i, w in jobs.items()})
+        durations = [{i: t for (m, i), t in processing.items() if m == machine}
+                     for machine in machines]
+    else:
+        system = (IdenticalMachinesSystem(count, jobs) if kind == "identical"
+                  else SharedSymmetricSystem(SingleMachineSystem(jobs), count))
+        durations = [{i: w.processing for i, w in jobs.items()}] * count
+
+    def fits(p: int, part: list[str]) -> bool:
+        return all(i in durations[p] for i in part) and schedulable_by_permutations(
+            [(jobs[i].release, durations[p][i], jobs[i].deadline) for i in part])
+
+    return system, sorted(jobs), count, fits
+
+
+class TestPartition:
+    """Players with several machines, decided by one partition search."""
+
+    @pytest.mark.parametrize("kind", ["identical", "shared", "unrelated"])
+    def test_a_thousand_jobs_do_not_exhaust_the_stack(self, kind):
+        jobs = {f"j{k:04d}": JobWindow(0, 1, 2000) for k in range(1200)}
+        system = two_machines(kind, jobs)
+        assert system.is_member(jobs)
+        witness = system.schedule_witness(jobs)
+        assert witness is not None
+        assert validate_witness(system, jobs, witness)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(multi_machine_systems(), st.data())
+    def test_verdicts_and_witnesses_match_every_assignment(self, machines, data):
+        system, ids, count, fits = machines
+        whole = data.draw(st.booleans(), label="whole table")
+        items = {i for i in ids if whole or data.draw(st.booleans(), label=i)}
+        if data.draw(st.integers(0, 7), label="unknown id") == 3:
+            items.add("x")
+        member = "x" not in items and brute_partition(items, count, fits)
+        assert system.is_member(items) == member
+        witness = system.schedule_witness(items)
+        if member:
+            assert len(witness.machines) == count
+            assert validate_witness(system, items, witness)
+        else:
+            assert witness is None
+
+    JOBS = unit_jobs({"a": (0, 1, 1), "b": (0, 1, 1), "c": (0, 1, 2),
+                      "d": (0, 2, 2), "e": (0, 1, 3)})
+    RELEASED = unit_jobs({"a": (0, 2, 3), "b": (1, 1, 2), "c": (2, 1, 4),
+                          "d": (0, 1, 1)})
+    # Two machines hold these only as {a, c} and {b, d, e}.
+    PACKED = unit_jobs({"a": (0, 3, 6), "b": (0, 2, 6), "c": (0, 3, 6),
+                        "d": (0, 2, 6), "e": (0, 2, 6)})
+
+    @pytest.mark.parametrize("jobs, copies, items, member, nodes", [
+        (JOBS, 2, "abc", True, (10, 13)),
+        (JOBS, 2, "abd", False, (13, 13)),
+        (JOBS, 3, "abcde", True, (23, 28)),
+        (RELEASED, 2, "abcd", True, (20, 28)),
+        (RELEASED, 2, "abc", True, (12, 16)),
+        (PACKED, 2, "abcde", True, (46, 51)),
+    ])
+    def test_nodes_of_shared_copies(self, jobs, copies, items, member, nodes):
+        # (membership, witness) nodes, pinned from the recursive searches
+        # this one replaced.  Identical machines are the shared copies of
+        # one machine, node for node; their membership used to build a
+        # witness and spent the witness count.
+        for system in (SharedSymmetricSystem(SingleMachineSystem(jobs), copies),
+                       IdenticalMachinesSystem(copies, jobs)):
+            member_budget, witness_budget = SearchBudget(10**6), SearchBudget(10**6)
+            assert system.is_member(set(items), member_budget) == member
+            witness = system.schedule_witness(set(items), witness_budget)
+            assert (witness is not None) == member
+            assert (member_budget.used, witness_budget.used) == nodes
+
+    # Job c has a release date, so a machine holding it runs the subset
+    # program.  In MOVED, job b runs only where job a went first.
+    UNRELATED = UnrelatedMachinesSystem(
+        machines=("m1", "m2"),
+        processing={("m1", "a"): 1, ("m1", "b"): 2, ("m1", "c"): 1,
+                    ("m2", "b"): 1, ("m2", "c"): 2, ("m2", "d"): 1},
+        jobs={"a": TimeWindow(0, 2), "b": TimeWindow(0, 2),
+              "c": TimeWindow(1, 3), "d": TimeWindow(0, 1)})
+    MOVED = UnrelatedMachinesSystem(
+        machines=("m1", "m2"),
+        processing={("m1", "a"): 1, ("m2", "a"): 1, ("m1", "b"): 1,
+                    ("m2", "c"): 2},
+        jobs={"a": TimeWindow(0, 1), "b": TimeWindow(0, 1), "c": TimeWindow(0, 3)})
+
+    @pytest.mark.parametrize("system, items, nodes", [
+        (UNRELATED, "abcd", 20), (UNRELATED, "abc", 15), (UNRELATED, "ad", 7),
+        (MOVED, "ab", 12), (MOVED, "abc", 17)])
+    def test_nodes_of_unrelated_machines(self, system, items, nodes):
+        # Pinned from the recursive search this one replaced.
+        for method in ("is_member", "schedule_witness"):
+            budget = SearchBudget(10**6)
+            assert getattr(system, method)(set(items), budget)
+            assert budget.used == nodes
