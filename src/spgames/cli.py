@@ -316,8 +316,9 @@ def main(argv=None) -> int:
         _write(dumps_document({"error": "budget-exceeded", "detail": str(exc)}))
         return EXIT_BUDGET
     except (RecursionError, MemoryError) as exc:
-        # No search recurses per item, but a deeply nested JSON input or a
-        # job set too large for memory can still exhaust the interpreter.
+        # No search recurses per item and nested JSON input is an input
+        # error; this is the last guard for what can still exhaust the
+        # interpreter, such as a job set too large for memory.
         _write(dumps_document({"error": "resources-exhausted",
                                "detail": f"{type(exc).__name__}: {exc}"}))
         return EXIT_BUDGET

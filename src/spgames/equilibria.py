@@ -27,7 +27,7 @@ from .errors import InputError
 from .best_response import (DeviationWitness, best_response, check_alpha,
                             coalition_best_response, is_alpha_best_response)
 from .feasibility import max_cardinality_feasible
-from .model import Instance, Profile, validate_profile, welfare
+from .model import Instance, Profile, welfare
 from .search import integral, walk
 
 
@@ -56,17 +56,10 @@ def check_order(instance: Instance, order: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
-def _require_valid(instance: Instance, profile: Profile) -> None:
-    violations = validate_profile(instance, profile)
-    if violations:
-        raise InputError(f"profile is not valid: {violations}")
-
-
 def verify_nash(instance: Instance, profile: Profile, alpha,
                 budget: int | SearchBudget | None = None) -> EquilibriumReport:
     """Check the approximate unilateral-deviation condition for every player."""
     factor = check_alpha(alpha)
-    _require_valid(instance, profile)
     total = welfare(instance, profile)
     for player in range(instance.n):
         others: set[str] = set()
@@ -221,7 +214,6 @@ def verify_spe_outcome(instance: Instance, profile: Profile,
     of its node optimum along the play path."""
     sequence = check_order(instance, order)
     factor = check_alpha(alpha)
-    _require_valid(instance, profile)
     total = welfare(instance, profile)
     available = set(instance.item_ids)
     for player in sequence:
@@ -254,9 +246,8 @@ def verify_collusion(instance: Instance, profile: Profile, k: int, alpha,
     factor = check_alpha(alpha)
     if not 1 <= k <= instance.n:
         raise InputError(f"k must be between 1 and {instance.n}, got {k}")
-    _require_valid(instance, profile)
-    shared = SearchBudget.ensure(budget)
     total = welfare(instance, profile)
+    shared = SearchBudget.ensure(budget)
     unclaimed = instance.item_ids - profile.all_items()
 
     for size in range(1, k + 1):

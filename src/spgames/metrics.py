@@ -1,9 +1,11 @@
 """Centralized optimum and empirical price-of-anarchy measurements.
 
-All ratios are exact rationals.  The worst equilibrium is found by
-exhaustive, budget-gated enumeration: correctness of "worst" is the
-point, so no heuristics are used.  The practical envelope for the
-exhaustive operations is small instances (around n <= 4 and |J| <= 10).
+All ratios are exact rationals.  The worst equilibrium is certified
+worst-first: enumerated profiles are stably sorted by welfare, and the
+first that passes the concept's check is kept, so ties go to the
+enumeration order.  Correctness of "worst" is the point, so no
+heuristics are used.  The practical envelope for the exhaustive
+operations is small instances (around n <= 4 and |J| <= 10).
 
 The optimum is branch and bound on the search kernel (`search.py`).
 Its tie-break is the first maximum in the kernel's post-order, which
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, permutations
 from math import factorial
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .budget import SearchBudget
 from .errors import InputError
@@ -88,20 +90,22 @@ def _ratio(opt_value: Fraction, worst_value: Fraction) -> Fraction:
     return opt_value / worst_value
 
 
-def _worst(instance: Instance, profiles: Iterable[Profile]
+def _worst(instance: Instance, profiles: Iterable[Profile],
+           accept: Callable[[Profile], bool] = lambda _: True
            ) -> tuple[Profile, Fraction]:
-    """The first profile of least welfare.  The enumerators yield only
-    valid profiles, so their weights are summed without `welfare`'s
-    validation pass."""
-    worst_profile: Profile | None = None
-    worst_value: Fraction | None = None
-    for profile in profiles:
-        value = sum(map(instance.weight_of, profile.sets), Fraction(0))
-        if worst_value is None or value < worst_value:
-            worst_profile, worst_value = profile, value
-    if worst_profile is None:
-        raise RuntimeError("no equilibrium found, though one always exists")
-    return worst_profile, worst_value
+    """The first profile of least welfare that `accept` admits, asking it
+    in a stable sort by welfare on integer-scaled weights (enumerated
+    profiles are valid, so none is revalidated)."""
+    scaled, scale = integral([instance.weights[i] for i in instance.ordered_ids])
+    weight = dict(zip(instance.ordered_ids, scaled))
+
+    def value(profile: Profile) -> int:
+        return sum(weight[i] for items in profile.sets for i in items)
+
+    for profile in sorted(profiles, key=value):
+        if accept(profile):
+            return profile, Fraction(value(profile), scale)
+    raise RuntimeError("no equilibrium found, though one always exists")
 
 
 def empirical_poa(instance: Instance, alpha,
@@ -155,17 +159,18 @@ def empirical_collusion_poa(instance: Instance, k: int, alpha,
                             ) -> PoAResult:
     """Ratio of the optimum to the worst approximate k-collusion profile.
 
-    Candidates are the enumerated Nash profiles filtered by the coalition
-    condition.  The bound alpha + (n-k)/(n-1) needs n >= 2; for a single
-    player only the ratio is reported.
+    Enumerated Nash profiles face the coalition condition in order of
+    welfare, ties in enumeration order, only until one passes.  The bound
+    alpha + (n-k)/(n-1) needs n >= 2; for a single player only the ratio
+    is reported.
     """
     factor = check_alpha(alpha)
     if not 1 <= k <= instance.n:
         raise InputError(f"k must be between 1 and {instance.n}, got {k}")
     shared = SearchBudget.ensure(budget)
-    candidates = [profile for profile in enumerate_nash(instance, factor, shared)
-                  if verify_collusion(instance, profile, k, factor, shared).verdict]
-    worst_profile, worst_value = _worst(instance, candidates)
+    worst_profile, worst_value = _worst(
+        instance, enumerate_nash(instance, factor, shared),
+        lambda p: verify_collusion(instance, p, k, factor, shared).verdict)
     opt_profile, opt_value = compute_opt(instance, shared)
     ratio = _ratio(opt_value, worst_value)
     if instance.n >= 2:

@@ -306,5 +306,5 @@ def dumps_document(doc) -> str:
 def loads_document(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"malformed JSON: {exc}") from exc

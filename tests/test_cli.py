@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, output formats, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -168,6 +169,12 @@ class TestQueries:
         assert doc["error"] == "resources-exhausted"
         assert doc["detail"] == f"{error.__name__}: too deep"
 
+    def test_deeply_nested_json_exits_two(self, tmp_path, capsys):
+        nested = tmp_path / "nested.json"
+        nested.write_text("[" * 100_000)
+        code, out = run_cli(["opt", "--instance", str(nested)], capsys)
+        assert code == 2 and out == ""
+
     def test_missing_file_exits_two(self, capsys):
         code, _ = run_cli(["opt", "--instance", "/nonexistent.json"], capsys)
         assert code == 2
@@ -187,3 +194,9 @@ class TestReport:
         assert by_key[("ex_seq", "n=5", "spe-greedy")]["measured"] == "25/18"
         assert by_key[("ex_collusion", "n=3,k=2,alpha=1",
                        "collusion")]["measured"] == "3/2"
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("report.tsv", "report.json")}
+        assert digests == {
+            "report.tsv": "965efe45db3e7d4d3e4d0ba27b0b03fc26a3a9a72c0e5c897719053bce60e3b8",
+            "report.json": "0b523d967dbc6f49f68bc6b528851346a01b028bd3c662aa3d365586f5351abe",
+        }

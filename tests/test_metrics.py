@@ -3,16 +3,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from spgames import (BudgetExceededError, ExplicitSystem, GeneratorSpec,
-                     Instance, Item, RationalInterval, compute_opt,
-                     empirical_collusion_poa, empirical_poa,
+                     Instance, Item, RationalInterval, SearchBudget,
+                     compute_opt, empirical_collusion_poa, empirical_poa,
                      empirical_sequential_poa, ex_asym, ex_seq, ex_sym,
                      ex_trivial, generate, greedy_sequential_outcome,
-                     ratio_within_sequential_bound, reference_profiles,
-                     welfare)
+                     random_explicit, ratio_within_sequential_bound,
+                     reference_profiles, verify_collusion, welfare)
 
-from oracles import brute_opt
+from oracles import brute_enumerate_nash, brute_opt
+from test_search import exhaustive, games
 
 
 class TestComputeOpt:
@@ -125,3 +127,62 @@ class TestCollusionPoa:
                         players=(ExplicitSystem(maximal_sets=(frozenset({"a"}),)),))
         result = empirical_collusion_poa(game, 1, 1)
         assert result.ratio == 1 and result.bound is None
+
+
+def _first_least_welfare(game, profiles):
+    """The reference worst profile: the first of least welfare, in order."""
+    worst = min(welfare(game, profile) for profile in profiles)
+    return next(p for p in profiles if welfare(game, p) == worst), worst
+
+
+# Player 1 can take only a; player 0 holding a while c lies free is Nash,
+# but the pair rejects it.
+CONTESTED = Instance(items=(Item("a", Fraction(1, 2)), Item("c", Fraction(1, 2))),
+                     players=(ExplicitSystem(maximal_sets=(frozenset("a"),
+                                                           frozenset("c"))),
+                              ExplicitSystem(maximal_sets=(frozenset("a"),))))
+
+
+@exhaustive
+@given(games(max_set=2), st.sampled_from((Fraction(1), Fraction(3, 2))))
+@example(CONTESTED, Fraction(1))
+def test_worst_first_matches_filtered_enumeration(game, alpha):
+    """Weights include 0, so several profiles often share the least
+    welfare and the tie-break is exercised.  Maximal sets of at most two
+    items make players compete for the same items, so coalitions can
+    reject the least-welfare Nash profiles; `CONTESTED` always has one."""
+    nash = brute_enumerate_nash(game, alpha)
+    opt = brute_opt(game)[1]
+
+    def check(result, candidates):
+        profile, worst = _first_least_welfare(game, candidates)
+        assert result.worst_profile == profile
+        assert result.worst_equilibrium_welfare == worst
+        assert result.ratio == (opt / worst if worst else 1)
+
+    check(empirical_poa(game, alpha), nash)
+    for k in range(1, game.n + 1):
+        check(empirical_collusion_poa(game, k, alpha),
+              [p for p in nash if verify_collusion(game, p, k, alpha).verdict])
+
+
+# SearchBudget.used by empirical_collusion_poa at alpha 1 when every Nash
+# profile was checked against the coalition condition.
+FULL_FILTER_NODES = [
+    (generate(GeneratorSpec.make("ex_collusion", n=3, k=2, alpha=Fraction(1))),
+     {1: 3125, 2: 3417, 3: 3525}),
+    (random_explicit(n=3, items=6, max_weight=8, seed=11),
+     {1: 672, 2: 1210, 3: 2002}),
+]
+
+
+@pytest.mark.parametrize("game, full_filter", FULL_FILTER_NODES,
+                         ids=["ex_collusion", "random_explicit"])
+def test_worst_first_spends_no_more_nodes(game, full_filter):
+    used = {}
+    for k in full_filter:
+        budget = SearchBudget()
+        empirical_collusion_poa(game, k, 1, budget)
+        used[k] = budget.used
+        assert used[k] <= full_filter[k]
+    assert sum(used.values()) < sum(full_filter.values())

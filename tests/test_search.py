@@ -22,11 +22,13 @@ exhaustive = settings(max_examples=150, deadline=None, derandomize=True)
 
 
 @st.composite
-def games(draw) -> Instance:
+def games(draw, max_set=None) -> Instance:
+    """`max_set` caps the size of the players' maximal sets."""
     ids = IDS[:draw(st.integers(1, len(IDS)))]
     weights = draw(st.lists(st.sampled_from(WEIGHTS), min_size=len(ids),
                             max_size=len(ids)))
-    family = st.lists(st.frozensets(st.sampled_from(ids)), min_size=1, max_size=3)
+    family = st.lists(st.frozensets(st.sampled_from(ids), max_size=max_set),
+                      min_size=1, max_size=3)
     players = [ExplicitSystem(maximal_sets=tuple(draw(family)))
                for _ in range(draw(st.integers(1, 3)))]
     return Instance(items=tuple(map(Item, ids, weights)), players=tuple(players))
