@@ -24,7 +24,7 @@ from typing import Iterable, Union
 from .budget import SearchBudget
 from .errors import InputError
 from .model import Instance, restrict_available
-from .search import best, integral
+from .search import best
 
 
 @dataclass(frozen=True)
@@ -65,11 +65,11 @@ def _joint_best(instance: Instance, members: tuple[int, ...],
     smallest; several compare the tuple of sorted sets on ties.
     """
     ids = sorted(available)
-    weights, scale = integral([instance.weights[i] for i in ids])
+    weight, scale = instance.integer_weights
     tests = [instance.players[m].is_member for m in members]
     key = None if len(members) == 1 else (
         lambda sets: tuple(tuple(sorted(s)) for s in sets))
-    sets, value = best(ids, weights, tests, budget, key=key)
+    sets, value = best(ids, [weight[i] for i in ids], tests, budget, key=key)
     return sets, Fraction(value, scale)
 
 

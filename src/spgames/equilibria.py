@@ -28,7 +28,7 @@ from .best_response import (DeviationWitness, best_response, check_alpha,
                             coalition_best_response, is_alpha_best_response)
 from .feasibility import max_cardinality_feasible
 from .model import Instance, Profile, welfare
-from .search import integral, walk
+from .search import walk
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,8 @@ def enumerate_nash(instance: Instance, alpha,
     factor = check_alpha(alpha)
     shared = SearchBudget.ensure(budget)
     ids = instance.ordered_ids
-    weights, _ = integral([instance.weights[i] for i in ids])
+    weight, _ = instance.integer_weights
+    weights = [weight[i] for i in ids]
     shared.require((instance.n + 1) ** len(ids))
     families = []
     for system in instance.players:
@@ -161,15 +162,14 @@ def enumerate_spe_outcomes(instance: Instance, order: Iterable[int], alpha,
     outcomes of all such choice combinations are collected.  Subtrees are
     shared across nodes with equal remaining-item sets.  The mover's sets
     come in lexicographic order from the kernel's one-member pre-order,
-    with weights scaled once per call to integers; the alpha test
-    compares cross-multiplied integers.
+    with the instance's integer weights; the alpha test compares
+    cross-multiplied integers.
     """
     sequence = check_order(instance, order)
     factor = check_alpha(alpha)
     shared = SearchBudget.ensure(budget)
     n = instance.n
-    scaled, _ = integral([instance.weights[i] for i in instance.ordered_ids])
-    weight = dict(zip(instance.ordered_ids, scaled))
+    weight, _ = instance.integer_weights
     memo: dict[tuple[int, frozenset[str]],
                tuple[tuple[frozenset[str], ...], ...]] = {}
 

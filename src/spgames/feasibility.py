@@ -17,12 +17,12 @@ A machine system whose release dates are all zero caches one integer
 view of its jobs (`IntegerJobs`): every processing time and deadline
 scaled once by the lcm of their denominators, addressed by the job's
 position in the id-sorted `jobs`.  On one such machine, membership is
-the earliest-deadline-first prefix check (Jackson 1955) and the
-maximum-cardinality scan keeps its jobs on integer keys, finish times
-and slacks, so neither touches a `Fraction`.  Their results are item
-ids, so nothing turns back into `Fraction` on those paths; schedule
-witnesses, whose start times are `Fraction`s, are built from the
-original windows.
+the earliest-deadline-first prefix check (Jackson 1955) and, when all
+processing times are equal, the maximum-cardinality scan keeps its jobs
+on integer keys, finish times and slacks, so neither touches a
+`Fraction`.  Their results are item ids, so nothing turns back into
+`Fraction` on those paths; schedule witnesses, whose start times are
+`Fraction`s, are built from the original windows.
 
 A player with several machines splits a set across them by one
 partition search, `_partition`, which keeps an explicit stack.  Items go
@@ -34,9 +34,12 @@ the first empty part; the machines of an `UnrelatedMachinesSystem` are
 distinct single machines.  `IdenticalMachinesSystem` is the shared
 system of `copies` single machines and answers through it.
 
-Subset enumeration and the maximum-cardinality bound run on the search
+Subset enumeration and the maximum-cardinality scan run on the search
 kernel (`search.py`), whose one-member pre-order lists a system's sets
-in lexicographic order.
+in lexicographic order.  The scan's documented pick is the kernel's
+first maximum over the scan-ordered pool; a greedy scan serves only
+uniform zero-release machines, where every greedily kept set is
+maximum.
 """
 
 from __future__ import annotations
@@ -249,10 +252,14 @@ def _partition(item_ids: Sequence[str], count: int,
     on to its next part.  Every attempt to put an item into a part spends
     one budget node.  Interchangeable parts are tried only up to the
     first empty one, so no split is met again under a renumbering, and
-    only the parts in use are returned.  Pruning a rejected part is sound
-    because every family decided here is downward closed.  The stack (the
-    part of each placed item) is a list, not Python's call stack.
+    only the parts in use are returned; no more of them than items are
+    made, so a huge `count` costs nothing.  Pruning a rejected part is
+    sound because every family decided here is downward closed.  The
+    stack (the part of each placed item) is a list, not Python's call
+    stack.
     """
+    if interchangeable:
+        count = min(count, len(item_ids))
     parts: list[list[str]] = [[] for _ in range(count)]
     placed: list[int] = []
     first = 0  # the first part to try for the next item
@@ -623,8 +630,8 @@ def feasible_subsets(system: FeasibilitySystem, pool: Iterable[str],
         ids, [0] * len(ids), [system.is_member], shared))
 
 
-def _uniform_unit_machine(system: FeasibilitySystem) -> bool:
-    """True for zero-release, equal-processing machine systems.
+def _uniform_machine(system: FeasibilitySystem) -> Optional[_JobTable]:
+    """The jobs of a zero-release, equal-processing machine system, or None.
 
     For these, any maximal feasible subset of a pool is also maximum (jobs
     match to fixed time slots, a transversal structure), so a greedy scan
@@ -632,17 +639,8 @@ def _uniform_unit_machine(system: FeasibilitySystem) -> bool:
     """
     if isinstance(system, SharedSymmetricSystem):
         system = system.base
-    return (isinstance(system, _JobTable) and system.integer_view is not None
-            and system.integer_view.uniform)
-
-
-def _zero_release_jobs(system: FeasibilitySystem) -> Optional[_JobTable]:
-    """The one zero-release machine that decides `system`, or None."""
-    if isinstance(system, SharedSymmetricSystem) and system.copies == 1:
-        system = system.base
-    if isinstance(system, IdenticalMachinesSystem) and system.copies > 1:
-        return None
-    if isinstance(system, _JobTable) and system.integer_view is not None:
+    if (isinstance(system, _JobTable) and system.integer_view is not None
+            and system.integer_view.uniform):
         return system
     return None
 
@@ -682,13 +680,6 @@ def _greedy_scan_zero_release(jobs: IntegerJobs, positions: Iterable[int],
     return kept
 
 
-def _max_cardinality_from(system: FeasibilitySystem, prefix: frozenset[str],
-                          pool: list[str], budget: SearchBudget) -> int:
-    """Largest feasible superset size of `prefix` using items from `pool`."""
-    tests = [lambda items, shared: system.is_member(prefix | items, shared)]
-    return len(prefix) + best(pool, [1] * len(pool), tests, budget)[1]
-
-
 def max_cardinality_feasible(system: FeasibilitySystem, available: Iterable[str],
                              prefer_largest_deadline: bool = False,
                              budget: int | SearchBudget | None = None
@@ -699,51 +690,39 @@ def max_cardinality_feasible(system: FeasibilitySystem, available: Iterable[str]
     `prefer_largest_deadline` is set, plain item-id order otherwise.  Among
     all maximum-cardinality subsets, the returned one is the set picked by
     a greedy scan that keeps an item whenever the maximum remains
-    reachable with it.
+    reachable with it: the lexicographically first in scan order.  That is
+    the first maximum of the kernel's one-member pre-order over the
+    scan-ordered pool, which one `best` search returns.  Only uniform
+    zero-release machines skip that search: there the set a plain greedy
+    scan keeps, one node per candidate, is maximum, and no feasible set
+    comes before it in scan order.
     """
     shared = SearchBudget.ensure(budget)
-    machine = _zero_release_jobs(system)
-    if machine is not None:
+    machine = _uniform_machine(system)
+    if machine is not None and _machine_count(system) == 1:
         view, position = machine.integer_view, machine.position
         order = sorted({position[i] for i in available if i in position})
         if prefer_largest_deadline:
             # A stable sort keeps equal deadlines in id order.
             order.sort(key=view.deadline.__getitem__, reverse=True)
-        pool = [machine.jobs[k][0] for k in order]
-        greedy = [machine.jobs[k][0]
-                  for k in _greedy_scan_zero_release(view, order, shared)]
-    else:
-        pool = sorted(frozenset(available) & system.universe())
-        if prefer_largest_deadline:
-            deadlines = system.job_deadlines()
-            if deadlines is None:
-                raise InputError(
-                    "largest-deadline scan requires a scheduling system")
-            pool.sort(key=lambda i: (-deadlines[i], i))
-        greedy = []
+        return tuple(machine.jobs[k][0]
+                     for k in _greedy_scan_zero_release(view, order, shared))
+    pool = sorted(frozenset(available) & system.universe())
+    if prefer_largest_deadline:
+        deadlines = system.job_deadlines()
+        if deadlines is None:
+            raise InputError(
+                "largest-deadline scan requires a scheduling system")
+        pool.sort(key=lambda i: (-deadlines[i], i))
+    if machine is not None:
+        greedy: list[str] = []
         for item in pool:
             shared.spend()
             if system.is_member(frozenset(greedy) | {item}, shared):
                 greedy.append(item)
-    if not pool or _uniform_unit_machine(system):
         return tuple(greedy)
-
-    target = _max_cardinality_from(system, frozenset(), pool, shared)
-    if len(greedy) == target:
-        return tuple(greedy)
-
-    chosen: list[str] = []
-    rest = list(pool)
-    for item in pool:
-        rest.remove(item)
-        candidate = frozenset(chosen) | {item}
-        if not system.is_member(candidate, shared):
-            continue
-        if _max_cardinality_from(system, candidate, rest, shared) == target:
-            chosen.append(item)
-            if len(chosen) == target:
-                break
-    return tuple(chosen)
+    (chosen,), _ = best(pool, [1] * len(pool), [system.is_member], shared)
+    return tuple(item for item in pool if item in chosen)
 
 
 def _machine_count(system: FeasibilitySystem) -> int:

@@ -27,7 +27,7 @@ from .bounds import (RationalInterval, bound_collusion, bound_nash,
                      bound_sequential_symmetric, ratio_within_sequential_bound)
 from .equilibria import enumerate_nash, enumerate_spe_outcomes, verify_collusion
 from .model import Instance, Profile, restrict_available
-from .search import best, integral
+from .search import best
 
 Bound = Union[Fraction, RationalInterval, None]
 
@@ -72,9 +72,9 @@ def compute_opt(instance: Instance,
     shared = SearchBudget.ensure(budget)
     ids = (instance.ordered_ids if available is None
            else sorted(restrict_available(instance, available)))
-    weights, scale = integral([instance.weights[i] for i in ids])
+    weight, scale = instance.integer_weights
     tests = [system.is_member for system in instance.players]
-    sets, value = best(ids, weights, tests, shared, post=True)
+    sets, value = best(ids, [weight[i] for i in ids], tests, shared, post=True)
     return Profile(sets), Fraction(value, scale)
 
 
@@ -96,8 +96,7 @@ def _worst(instance: Instance, profiles: Iterable[Profile],
     """The first profile of least welfare that `accept` admits, asking it
     in a stable sort by welfare on integer-scaled weights (enumerated
     profiles are valid, so none is revalidated)."""
-    scaled, scale = integral([instance.weights[i] for i in instance.ordered_ids])
-    weight = dict(zip(instance.ordered_ids, scaled))
+    weight, scale = instance.integer_weights
 
     def value(profile: Profile) -> int:
         return sum(weight[i] for items in profile.sets for i in items)

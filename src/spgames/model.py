@@ -15,6 +15,7 @@ from typing import Iterable, Optional
 
 from .errors import InputError
 from .feasibility import FeasibilitySystem, SharedSymmetricSystem
+from .search import integral
 
 
 def _weight(value) -> Fraction:
@@ -97,6 +98,15 @@ class Instance:
         return {item.id: item.weight for item in self.items}
 
     @cached_property
+    def integer_weights(self) -> tuple[dict[str, int], int]:
+        """Every weight scaled to an integer by the lcm of their
+        denominators, and that lcm.  Scaling by one positive constant
+        keeps every comparison, prune and tie, so the searches run on
+        these and divide by the lcm once at the end."""
+        scaled, scale = integral([item.weight for item in self.items])
+        return dict(zip((item.id for item in self.items), scaled)), scale
+
+    @cached_property
     def item_ids(self) -> frozenset[str]:
         return frozenset(self.weights)
 
@@ -136,11 +146,6 @@ class Profile:
         for s in self.sets:
             out |= s
         return frozenset(out)
-
-    def replace(self, player: int, items: Iterable[str]) -> "Profile":
-        sets = list(self.sets)
-        sets[player] = frozenset(items)
-        return Profile(tuple(sets))
 
 
 @dataclass(frozen=True)

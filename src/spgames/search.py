@@ -13,7 +13,8 @@ tie-breaks without any sorting:
 * post-order lists assignments in lexicographic order of the assignment
   vector, members in index order before nobody.
 
-Weights are scaled once to integers by the lcm of their denominators.
+Weights are integers, scaled once by the lcm of their denominators
+(`integral`); an instance keeps its own as `Instance.integer_weights`.
 Member sets stay frozensets, since each membership test and each result
 needs one.  A walk with several members meets a member's set once per
 assignment of the others, so it memoises each member's verdicts; a

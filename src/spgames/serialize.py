@@ -104,16 +104,16 @@ def _parse_jobs(doc, field: str) -> dict[str, JobWindow]:
     return out
 
 
-def _parse_descriptor(doc, index: int,
+def _parse_descriptor(doc, field: str,
                       base: Optional[FeasibilitySystem]) -> FeasibilitySystem:
+    """The system a descriptor names; errors start with `field`."""
     if not isinstance(doc, dict):
-        raise InputError(f"player {index + 1}: descriptor must be an object")
+        raise InputError(f"{field}: descriptor must be an object")
     kind = doc.get("kind")
-    field = f"player {index + 1}"
     if kind == "explicit":
         sets = doc.get("maximal_sets")
-        if not isinstance(sets, list):
-            raise InputError(f"{field}: maximal_sets must be a list")
+        if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
+            raise InputError(f"{field}: maximal_sets must be a list of lists")
         return ExplicitSystem(maximal_sets=tuple(
             frozenset(str(i) for i in s) for s in sets))
     if kind == "single_machine":
@@ -202,8 +202,8 @@ def document_to_instance(doc) -> tuple[Instance, dict]:
         raise InputError("instance document needs a nonempty 'players' array")
     base = None
     if "symmetric_base" in doc:
-        base = _parse_descriptor(doc["symmetric_base"], -1, None)
-    players = tuple(_parse_descriptor(entry, index, base)
+        base = _parse_descriptor(doc["symmetric_base"], "symmetric_base", None)
+    players = tuple(_parse_descriptor(entry, f"player {index + 1}", base)
                     for index, entry in enumerate(players_doc))
     symmetric = bool(players) and all(
         isinstance(p, SharedSymmetricSystem) for p in players)

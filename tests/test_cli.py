@@ -179,6 +179,18 @@ class TestQueries:
         code, _ = run_cli(["opt", "--instance", "/nonexistent.json"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("maximal_sets", [[5], ["ab"]])
+    def test_maximal_sets_that_are_not_lists_exit_two(self, tmp_path, capsys,
+                                                      maximal_sets):
+        # Exit 1 would say "refuted"; a string must not pass as the set
+        # of its characters.
+        document = tmp_path / "instance.json"
+        document.write_text(json.dumps({
+            "items": [{"id": "a", "weight": "1"}, {"id": "b", "weight": "1"}],
+            "players": [{"kind": "explicit", "maximal_sets": maximal_sets}]}))
+        code, out = run_cli(["opt", "--instance", str(document)], capsys)
+        assert code == 2 and out == ""
+
 
 class TestReport:
     def test_paper_suite_writes_tables_and_passes(self, tmp_path, capsys):

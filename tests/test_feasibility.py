@@ -1,6 +1,7 @@
 """Feasibility systems: membership, closure, witnesses, cardinality scans."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -382,16 +383,17 @@ class TestIntegerView:
             if len({jobs[i].processing for i in jobs}) <= 1:
                 assert budget.used == len(pool)  # one node per candidate
 
-    def test_nodes_of_a_scan_past_the_greedy_pass(self):
-        # ex_sym mixes processing times, so the scan runs the exact search
-        # after its greedy pass.  The 301 nodes are pinned, so integer
-        # times cannot move the point where a budget stops the scan.
+    def test_nodes_of_a_scan_by_the_kernel(self):
+        # ex_sym mixes processing times, so the scan is one kernel search
+        # for the first maximum.  The 84 nodes are pinned, so neither the
+        # route nor integer times can move the point where a budget stops
+        # the scan.
         game = ex_sym(3, 2, 3)
         for largest_deadline_first in (False, True):
             budget = SearchBudget(10**6)
             scan = max_cardinality_feasible(game.players[0], game.item_ids,
                                             largest_deadline_first, budget)
-            assert (len(scan), budget.used) == (7, 301)
+            assert (len(scan), budget.used) == (7, 84)
 
 
 def two_machines(kind: str, jobs: dict[str, JobWindow]):
@@ -527,6 +529,21 @@ class TestPartition:
                     ("m2", "c"): 2},
         jobs={"a": TimeWindow(0, 1), "b": TimeWindow(0, 1), "c": TimeWindow(0, 3)})
 
+    @pytest.mark.parametrize("kind", ["identical", "shared"])
+    def test_copies_past_the_item_count_cost_no_memory(self, kind):
+        # Both jobs are due at 1, so the split opens a second copy.  Only
+        # as many interchangeable parts as items can ever be used.
+        jobs = unit_jobs({"a": (0, 1, 1), "b": (0, 1, 1)})
+        system = (IdenticalMachinesSystem(10**5, jobs) if kind == "identical"
+                  else SharedSymmetricSystem(SingleMachineSystem(jobs), 10**5))
+        tracemalloc.start()
+        try:
+            assert system.is_member({"a", "b"})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
     @pytest.mark.parametrize("system, items, nodes", [
         (UNRELATED, "abcd", 20), (UNRELATED, "abc", 15), (UNRELATED, "ad", 7),
         (MOVED, "ab", 12), (MOVED, "abc", 17)])
@@ -536,3 +553,55 @@ class TestPartition:
             budget = SearchBudget(10**6)
             assert getattr(system, method)(set(items), budget)
             assert budget.used == nodes
+
+
+@st.composite
+def scan_systems(draw):
+    """A system for each route of the maximum-cardinality scan, with up to
+    7 items: an explicit family, one machine, two identical or shared
+    machines, or two unrelated machines.  Half the machine tables have
+    release dates, and half give every job the same processing time."""
+    kind = draw(st.sampled_from(
+        ("explicit", "single", "identical", "shared", "unrelated")))
+    ids = [f"j{k}" for k in range(draw(st.integers(1, 7)))]
+    if kind == "explicit":
+        return ExplicitSystem(maximal_sets=tuple(
+            draw(st.lists(st.frozensets(st.sampled_from(ids)), max_size=4))))
+    released = draw(st.booleans())
+    length = draw(rationals(1, 3)) if draw(st.booleans()) else None
+    jobs = {}
+    for i in ids:
+        release = draw(st.sampled_from((0, 1, Fraction(3, 2)))) if released else 0
+        processing = length or draw(rationals(1, 3))
+        jobs[i] = JobWindow(release, processing,
+                            release + processing + draw(rationals(-1, 6)))
+    if kind == "unrelated":
+        return UnrelatedMachinesSystem(
+            machines=("m1", "m2"),
+            processing={(m, i): draw(rationals(1, 3))
+                        for m in ("m1", "m2") for i in ids
+                        if draw(st.booleans())},
+            jobs={i: TimeWindow(w.release, w.deadline) for i, w in jobs.items()})
+    if kind == "single":
+        return SingleMachineSystem(jobs)
+    return two_machines(kind, jobs)
+
+
+class TestScanRoutes:
+    """The maximum-cardinality scan on every route, against enumeration."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(scan_systems(), st.data())
+    def test_scan_keeps_the_documented_maximum(self, system, data):
+        available = frozenset(i for i in sorted(system.universe())
+                              if not data.draw(st.booleans(), label=i))
+        members = {T for T in all_subsets(available) if system.is_member(T)}
+        deadlines = system.job_deadlines()
+        for largest_deadline_first in (False, True) if deadlines else (False,):
+            pool = sorted(available)
+            if largest_deadline_first:
+                pool.sort(key=lambda i: -deadlines[i])
+            scan = max_cardinality_feasible(system, available,
+                                            largest_deadline_first)
+            assert frozenset(scan) in members
+            assert scan == brute_max_cardinality_scan(members.__contains__, pool)

@@ -103,6 +103,13 @@ class TestStrictParsing:
         with pytest.raises(InputError):
             document_to_instance(doc)
 
+    def test_base_errors_name_the_base_section(self):
+        doc = {"items": [{"id": "a", "weight": "1"}],
+               "symmetric_base": {"kind": "explicit", "maximal_sets": "a"},
+               "players": [{"kind": "shared_symmetric", "copies": 1}]}
+        with pytest.raises(InputError, match="^symmetric_base: "):
+            document_to_instance(doc)
+
     def test_malformed_json_rejected(self):
         with pytest.raises(InputError):
             loads_document("{not json")
