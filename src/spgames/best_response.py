@@ -12,6 +12,12 @@ point.  Ties are resolved deterministically:
   same order, which no visit order gives, so ties are explored and
   compared.  A one-player coalition agrees exactly with the
   single-player search.
+
+One alpha rule, `within_alpha`, decides every concept: alpha times the
+held weight must reach the best reply's weight, ties passing.  `deviation`
+asks `best_response` for one member and `coalition_best_response` for
+more, so the k = 1 collusion check is the Nash check.  An integer budget
+is one `SearchBudget` per call; with none, one-player replies are memoised.
 """
 
 from __future__ import annotations
@@ -19,11 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 from .budget import SearchBudget
 from .errors import InputError
-from .model import Instance, restrict_available
+from .model import Instance, _check_player_index, restrict_available
 from .search import best
 
 
@@ -51,9 +57,9 @@ def check_alpha(alpha) -> Fraction:
     return out
 
 
-def _check_player(instance: Instance, player: int) -> None:
-    if not 0 <= player < instance.n:
-        raise InputError(f"player index {player} out of range for n={instance.n}")
+def within_alpha(factor: Fraction, held, best) -> bool:
+    """Whether `held` is within `factor` of `best`, ties included."""
+    return factor.numerator * held >= best * factor.denominator
 
 
 def _joint_best(instance: Instance, members: tuple[int, ...],
@@ -90,13 +96,28 @@ def best_response(instance: Instance, player: int, available: Iterable[str],
     memoized per (instance, player, availability), which the enumeration
     routines rely on heavily.
     """
-    _check_player(instance, player)
+    _check_player_index(instance, player)
     pool = restrict_available(instance, available)
     if budget is None:
         return _best_response_cached(instance, player, pool)
     (chosen,), value = _joint_best(instance, (player,), pool,
                                    SearchBudget.ensure(budget))
     return chosen, value
+
+
+def deviation(instance: Instance, members: tuple[int, ...],
+              pool: Iterable[str], held: Fraction, factor: Fraction,
+              budget: SearchBudget | None) -> Optional[DeviationWitness]:
+    """The members' best reply in `pool` when it beats `factor` times
+    their `held` weight, else None."""
+    if len(members) == 1:
+        chosen, value = best_response(instance, members[0], pool, budget)
+        proposed = (chosen,)
+    else:
+        proposed, value = coalition_best_response(instance, members, pool, budget)
+    if within_alpha(factor, held, value):
+        return None
+    return DeviationWitness(members, proposed, held, value)
 
 
 def is_alpha_best_response(instance: Instance, player: int,
@@ -109,19 +130,16 @@ def is_alpha_best_response(instance: Instance, player: int,
     player may always keep its own items.  Returns True, or the maximizing
     deviation as a witness (check the result with `is True`).
     """
-    _check_player(instance, player)
+    _check_player_index(instance, player)
     factor = check_alpha(alpha)
+    budget = budget if budget is None else SearchBudget.ensure(budget)
     held = restrict_available(instance, chosen)
     if not instance.players[player].is_member(held, budget):
         raise InputError(
             f"chosen set {sorted(held)} is not feasible for player {player + 1}")
     pool = restrict_available(instance, available) | held
-    best_set, best_value = best_response(instance, player, pool, budget)
-    held_value = instance.weight_of(held)
-    if factor * held_value >= best_value:
-        return True
-    return DeviationWitness(players=(player,), proposed=(best_set,),
-                            old_value=held_value, new_value=best_value)
+    return deviation(instance, (player,), pool, instance.weight_of(held),
+                     factor, budget) or True
 
 
 def coalition_best_response(instance: Instance, coalition: Iterable[int],
@@ -138,6 +156,6 @@ def coalition_best_response(instance: Instance, coalition: Iterable[int],
     if not members:
         raise InputError("coalition must be nonempty")
     for member in members:
-        _check_player(instance, member)
+        _check_player_index(instance, member)
     return _joint_best(instance, members, restrict_available(instance, available),
                        SearchBudget.ensure(budget))

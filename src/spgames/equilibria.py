@@ -11,6 +11,14 @@ Nash enumeration walks the search kernel (`search.py`): the pre-order
 of one player's tree lists that player's feasible sets, and the
 post-order of the players' joint tree lists assignments in the output
 order.
+
+Every verifier asks `best_response.deviation`, the one alpha rule (a
+tie passes), for a reply from the items no outsider holds (Nash,
+collusion) or those left when the player moves (SPE).  For one player
+the former are its own items plus the unclaimed ones, so the Nash check
+is the collusion check at k = 1.  An integer budget becomes one
+`SearchBudget` per call; with none, one-player replies are memoised and
+the searches of one `verify_collusion` call share one default budget.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from typing import Iterable, Optional
 from .budget import SearchBudget
 from .errors import InputError
 from .best_response import (DeviationWitness, best_response, check_alpha,
-                            coalition_best_response, is_alpha_best_response)
+                            deviation, within_alpha)
 from .feasibility import max_cardinality_feasible
 from .model import Instance, Profile, welfare
 from .search import walk
@@ -61,19 +69,9 @@ def verify_nash(instance: Instance, profile: Profile, alpha,
     """Check the approximate unilateral-deviation condition for every player."""
     factor = check_alpha(alpha)
     total = welfare(instance, profile)
-    for player in range(instance.n):
-        others: set[str] = set()
-        for k in range(instance.n):
-            if k != player:
-                others |= profile.items_of(k)
-        available = instance.item_ids - others
-        result = is_alpha_best_response(instance, player, available,
-                                        profile.items_of(player), factor, budget)
-        if result is not True:
-            return EquilibriumReport(concept="nash", alpha=factor, verdict=False,
-                                     welfare=total, witness=result)
-    return EquilibriumReport(concept="nash", alpha=factor, verdict=True,
-                             welfare=total)
+    budget = budget if budget is None else SearchBudget.ensure(budget)
+    witness = _first_deviation(instance, profile, 1, factor, budget)
+    return EquilibriumReport("nash", factor, witness is None, total, witness)
 
 
 def enumerate_nash(instance: Instance, alpha,
@@ -92,10 +90,9 @@ def enumerate_nash(instance: Instance, alpha,
     weight, _ = instance.integer_weights
     weights = [weight[i] for i in ids]
     shared.require((instance.n + 1) ** len(ids))
-    families = []
-    for system in instance.players:
-        family = walk(ids, weights, [system.is_member], shared)
-        families.append({T: value for (T,), value in family})
+    families = [{T: value for (T,), value
+                 in walk(ids, weights, [system.is_member], shared)}
+                for system in instance.players]
 
     @cache
     def top(player: int, available: frozenset[str]) -> int:
@@ -106,7 +103,7 @@ def enumerate_nash(instance: Instance, alpha,
     tests = [lambda T, _, family=family: T in family for family in families]
     for sets, _ in walk(ids, weights, tests, shared, post=True):
         free = instance.item_ids.difference(*sets)
-        if all(factor * families[player][T] >= top(player, free | T)
+        if all(within_alpha(factor, families[player][T], top(player, free | T))
                for player, T in enumerate(sets)):
             out.append(Profile(sets))
     return tuple(out)
@@ -162,25 +159,20 @@ def enumerate_spe_outcomes(instance: Instance, order: Iterable[int], alpha,
     outcomes of all such choice combinations are collected.  Subtrees are
     shared across nodes with equal remaining-item sets.  The mover's sets
     come in lexicographic order from the kernel's one-member pre-order,
-    with the instance's integer weights; the alpha test compares
-    cross-multiplied integers.
+    with the instance's integer weights, on which the alpha rule is
+    applied.
     """
     sequence = check_order(instance, order)
     factor = check_alpha(alpha)
     shared = SearchBudget.ensure(budget)
     n = instance.n
     weight, _ = instance.integer_weights
-    memo: dict[tuple[int, frozenset[str]],
-               tuple[tuple[frozenset[str], ...], ...]] = {}
 
+    @cache
     def completions(depth: int, available: frozenset[str]
                     ) -> tuple[tuple[frozenset[str], ...], ...]:
         if depth == n:
             return ((),)
-        key = (depth, available)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
         system = instance.players[sequence[depth]]
         ids = sorted(available & system.universe())
         weighted = list(walk(ids, [weight[i] for i in ids], [system.is_member],
@@ -188,21 +180,16 @@ def enumerate_spe_outcomes(instance: Instance, order: Iterable[int], alpha,
         node_optimum = max(value for _, value in weighted)
         out: list[tuple[frozenset[str], ...]] = []
         for (action,), value in weighted:
-            if factor.numerator * value < node_optimum * factor.denominator:
+            if not within_alpha(factor, value, node_optimum):
                 continue
             shared.spend()
             for tail in completions(depth + 1, available - action):
                 out.append((action,) + tail)
-        memo[key] = tuple(out)
-        return memo[key]
+        return tuple(out)
 
-    profiles = []
-    for choice in completions(0, instance.item_ids):
-        sets: list[frozenset[str]] = [frozenset() for _ in range(n)]
-        for position, action in enumerate(choice):
-            sets[sequence[position]] = action
-        profiles.append(Profile(tuple(sets)))
-    return tuple(profiles)
+    turn = [sequence.index(player) for player in range(n)]
+    return tuple(Profile(tuple(choice[t] for t in turn))
+                 for choice in completions(0, instance.item_ids))
 
 
 def verify_spe_outcome(instance: Instance, profile: Profile,
@@ -215,21 +202,32 @@ def verify_spe_outcome(instance: Instance, profile: Profile,
     sequence = check_order(instance, order)
     factor = check_alpha(alpha)
     total = welfare(instance, profile)
-    available = set(instance.item_ids)
+    budget = budget if budget is None else SearchBudget.ensure(budget)
+    available = instance.item_ids
     for player in sequence:
         chosen = profile.items_of(player)
-        best_set, best_value = best_response(instance, player,
-                                             frozenset(available), budget)
-        held_value = instance.weight_of(chosen)
-        if factor * held_value < best_value:
-            witness = DeviationWitness(players=(player,), proposed=(best_set,),
-                                       old_value=held_value, new_value=best_value)
-            return EquilibriumReport(concept="spe", alpha=factor, verdict=False,
-                                     welfare=total, witness=witness,
-                                     order=sequence)
+        witness = deviation(instance, (player,), available,
+                            instance.weight_of(chosen), factor, budget)
+        if witness:
+            break
         available -= chosen
-    return EquilibriumReport(concept="spe", alpha=factor, verdict=True,
-                             welfare=total, order=sequence)
+    return EquilibriumReport("spe", factor, witness is None, total, witness,
+                             order=sequence)
+
+
+def _first_deviation(instance: Instance, profile: Profile, k: int,
+                     factor: Fraction, budget: SearchBudget | None
+                     ) -> Optional[DeviationWitness]:
+    """The first deviation of a coalition of at most k, by size then in order."""
+    unclaimed = instance.item_ids - profile.all_items()
+    for size in range(1, k + 1):
+        for coalition in combinations(range(instance.n), size):
+            held = frozenset().union(*map(profile.items_of, coalition))
+            witness = deviation(instance, coalition, held | unclaimed,
+                                instance.weight_of(held), factor, budget)
+            if witness:
+                return witness
+    return None
 
 
 def verify_collusion(instance: Instance, profile: Profile, k: int, alpha,
@@ -247,24 +245,7 @@ def verify_collusion(instance: Instance, profile: Profile, k: int, alpha,
     if not 1 <= k <= instance.n:
         raise InputError(f"k must be between 1 and {instance.n}, got {k}")
     total = welfare(instance, profile)
-    shared = SearchBudget.ensure(budget)
-    unclaimed = instance.item_ids - profile.all_items()
-
-    for size in range(1, k + 1):
-        for coalition in combinations(range(instance.n), size):
-            held: set[str] = set()
-            for member in coalition:
-                held |= profile.items_of(member)
-            pool = frozenset(held) | unclaimed
-            proposed, joint_value = coalition_best_response(
-                instance, coalition, pool, shared)
-            held_value = instance.weight_of(held)
-            if factor * held_value < joint_value:
-                witness = DeviationWitness(players=coalition, proposed=proposed,
-                                           old_value=held_value,
-                                           new_value=joint_value)
-                return EquilibriumReport(concept="collusion", alpha=factor,
-                                         verdict=False, welfare=total,
-                                         witness=witness, k=k)
-    return EquilibriumReport(concept="collusion", alpha=factor, verdict=True,
-                             welfare=total, k=k)
+    witness = _first_deviation(instance, profile, k, factor,
+                               SearchBudget.ensure(budget))
+    return EquilibriumReport("collusion", factor, witness is None, total,
+                             witness, k=k)

@@ -484,24 +484,29 @@ class UnrelatedMachinesSystem(FeasibilitySystem):
     def universe(self) -> frozenset[str]:
         return frozenset(item for item, _ in self.jobs)
 
+    def _split(self, target: frozenset[str], budget: SearchBudget
+               ) -> Optional[list[list[str]]]:
+        machines = self._single_machines
+        return _partition(sorted(target), len(machines),
+                          lambda p, part: machines[p].is_member(part, budget),
+                          budget, interchangeable=False)
+
     def is_member(self, items, budget=None) -> bool:
-        return self.schedule_witness(items, budget) is not None
+        target = frozenset(items)
+        return target <= self.universe() and self._split(
+            target, SearchBudget.ensure(budget)) is not None
 
     def schedule_witness(self, items, budget=None) -> Optional[ScheduleWitness]:
         target = frozenset(items)
         if not target <= self.universe():
             return None
         shared = SearchBudget.ensure(budget)
-        machines = self._single_machines
-        parts = _partition(
-            sorted(target), len(machines),
-            lambda p, part: machines[p].is_member(part, shared),
-            shared, interchangeable=False)
+        parts = self._split(target, shared)
         if parts is None:
             return None
         return ScheduleWitness(machines=tuple(
             machine.schedule_witness(part, shared).machines[0]
-            for machine, part in zip(machines, parts)))
+            for machine, part in zip(self._single_machines, parts)))
 
     def job_deadlines(self) -> dict[str, Fraction]:
         return {i: w.deadline for i, w in self.jobs}

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from spgames import Instance, Profile, validate_profile, verify_nash
+from spgames import DeviationWitness, Instance, Profile, validate_profile
 
 
 def all_subsets(pool):
@@ -102,6 +102,53 @@ def brute_coalition(instance: Instance, coalition, pool
     return best[1], best[2]
 
 
+def nash_pools(instance: Instance, profile: Profile):
+    """Each player with the items no other player holds."""
+    out = []
+    for player in range(instance.n):
+        others = [s for other, s in enumerate(profile.sets) if other != player]
+        out.append(((player,), instance.item_ids.difference(*others)))
+    return out
+
+
+def collusion_pools(instance: Instance, profile: Profile, k: int):
+    """Each coalition of at most k players, by size and then in
+    lexicographic order, with its own items plus the unclaimed ones."""
+    unclaimed = instance.item_ids - profile.all_items()
+    out = []
+    for size in range(1, k + 1):
+        for coalition in combinations(range(instance.n), size):
+            own = frozenset().union(*(profile.sets[m] for m in coalition))
+            out.append((coalition, own | unclaimed))
+    return out
+
+
+def spe_pools(instance: Instance, profile: Profile, order):
+    """Each mover in `order` with the items left when it moves."""
+    out = []
+    left = instance.item_ids
+    for player in order:
+        out.append(((player,), left))
+        left = left - profile.sets[player]
+    return out
+
+
+def brute_first_deviation(instance: Instance, profile: Profile, alpha, pools):
+    """The first (members, pool) whose best reply beats alpha times the
+    members' held weight, as a witness; None when there is none."""
+    for members, pool in pools:
+        if len(members) == 1:
+            chosen, value = brute_best_response(instance, members[0], pool)
+            proposed = (chosen,)
+        else:
+            proposed, value = brute_coalition(instance, members, pool)
+        held = sum((instance.weight_of(profile.sets[m]) for m in members),
+                   Fraction(0))
+        if value > Fraction(alpha) * held:
+            return DeviationWitness(tuple(members), proposed, held, value)
+    return None
+
+
 def brute_enumerate_nash(instance: Instance, alpha) -> list[Profile]:
     """Definition check over every item-to-player assignment."""
     pool = sorted(instance.item_ids)
@@ -116,7 +163,8 @@ def brute_enumerate_nash(instance: Instance, alpha) -> list[Profile]:
             profile = Profile(tuple(sets))
             if validate_profile(instance, profile):
                 return
-            if verify_nash(instance, profile, alpha).verdict:
+            if brute_first_deviation(instance, profile, alpha,
+                                     nash_pools(instance, profile)) is None:
                 out.append(profile)
             return
         for choice in list(range(n)) + [None]:

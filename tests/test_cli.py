@@ -150,6 +150,19 @@ class TestQueries:
         assert code == 3
         assert json.loads(out)["error"] == "budget-exceeded"
 
+    def test_one_budget_caps_a_whole_verification(self, tmp_path, capsys):
+        # The reply searches of verify_nash here need 132 nodes together.
+        code, _ = run_cli(["generate", "ex_sym", "--p", "2", "--q", "1",
+                           "--n", "4", "--out", str(tmp_path)], capsys)
+        assert code == 0
+        code, out = run_cli(["verify", "--instance",
+                             str(tmp_path / "instance.json"), "--profile",
+                             str(tmp_path / "profile_bad_equilibrium.json"),
+                             "--concept", "nash", "--alpha", "2",
+                             "--budget", "34"], capsys)
+        assert code == 3
+        assert json.loads(out)["error"] == "budget-exceeded"
+
     def test_budget_env_variable(self, trivial_files, capsys, monkeypatch):
         monkeypatch.setenv("SPG_BUDGET", "4")
         code, _ = run_cli(["poa", "--instance", trivial_files["instance"],

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spgames import (BudgetExceededError, ExplicitSystem, GeneratorSpec,
                      InputError, Instance, Item, Profile, SearchBudget,
@@ -14,8 +15,10 @@ from spgames import (BudgetExceededError, ExplicitSystem, GeneratorSpec,
                      verify_collusion, verify_nash, verify_spe_outcome,
                      welfare)
 
-from oracles import (brute_enumerate_nash, replay_deviation,
-                     simulate_deadline_rounds)
+from oracles import (brute_enumerate_nash, brute_first_deviation,
+                     collusion_pools, nash_pools, replay_deviation,
+                     simulate_deadline_rounds, spe_pools)
+from test_search import games
 
 
 def sets_of(profile: Profile) -> list[list[str]]:
@@ -231,6 +234,85 @@ class TestVerifyCollusion:
         game = ex_trivial()
         with pytest.raises(InputError):
             verify_collusion(game, Profile((frozenset(), frozenset())), 3, 1)
+
+
+SYM_SPEC = GeneratorSpec.make("ex_sym", p=2, q=1, n=4)
+VERIFIERS = {
+    "nash": lambda game, profile, budget: verify_nash(game, profile, 2, budget),
+    "spe": lambda game, profile, budget: verify_spe_outcome(
+        game, profile, range(game.n), 2, budget),
+    "collusion": lambda game, profile, budget: verify_collusion(
+        game, profile, game.n, 2, budget)}
+
+
+class TestOneBudgetPerCall:
+    # An integer budget caps the whole call, not each reply inside it.
+    @pytest.mark.parametrize("concept", sorted(VERIFIERS))
+    @pytest.mark.parametrize("profile_name", ["bad_equilibrium", "first_spe"])
+    def test_an_integer_budget_caps_the_whole_call(self, concept, profile_name):
+        game = generate(SYM_SPEC)
+        profile = (enumerate_spe_outcomes(game, range(game.n), 2)[0]
+                   if profile_name == "first_spe"
+                   else reference_profiles(SYM_SPEC)[profile_name])
+        verify = VERIFIERS[concept]
+        counted = SearchBudget(10**9)
+        report = verify(game, profile, counted)
+        with pytest.raises(BudgetExceededError):
+            verify(game, profile, counted.used - 1)
+        assert verify(game, profile, counted.used) == report
+
+
+COLLUSION_SPEC = GeneratorSpec.make("ex_collusion", n=3, k=2, alpha=Fraction(1))
+
+
+@st.composite
+def games_with_profile(draw) -> tuple[Instance, Profile]:
+    """A game and a valid profile: half the time a Nash profile, so
+    that larger coalitions get to deviate; otherwise each player in turn
+    takes one of its maximal sets or a part of it, less the items taken
+    before it."""
+    game = draw(games(max_set=3))
+    stable = enumerate_nash(game, 1)
+    if stable and draw(st.booleans()):
+        return game, draw(st.sampled_from(stable))
+    taken: frozenset[str] = frozenset()
+    sets = []
+    for system in game.players:
+        maximal = draw(st.sampled_from(system.maximal_sets))
+        if maximal and draw(st.booleans()):
+            maximal = draw(st.frozensets(st.sampled_from(sorted(maximal))))
+        sets.append(maximal - taken)
+        taken |= maximal
+    return game, Profile(tuple(sets))
+
+
+# Random games rarely let a larger coalition deviate where no player
+# does, so the examples pin two that do: a pair in the two-item game and
+# all three players in the collusion construction.
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(games_with_profile(),
+       st.sampled_from((Fraction(1), Fraction(3, 2), Fraction(2))))
+@example((ex_trivial(), Profile((frozenset({"2"}), frozenset()))), Fraction(1))
+@example((generate(COLLUSION_SPEC),
+          reference_profiles(COLLUSION_SPEC)["bad_equilibrium"]), Fraction(1))
+def test_verifiers_match_the_oracles(game_profile, alpha):
+    game, profile = game_profile
+
+    def expect(report, pools):
+        witness = brute_first_deviation(game, profile, alpha, pools)
+        assert (report.verdict, report.witness) == (witness is None, witness)
+
+    nash = verify_nash(game, profile, alpha)
+    expect(nash, nash_pools(game, profile))
+    assert verify_nash(game, profile, alpha, 10**6) == nash
+    single = verify_collusion(game, profile, 1, alpha)
+    assert (single.verdict, single.witness) == (nash.verdict, nash.witness)
+    for k in range(1, game.n + 1):
+        expect(verify_collusion(game, profile, k, alpha),
+               collusion_pools(game, profile, k))
+    for order in permutations(range(game.n)):
+        expect(verify_spe_outcome(game, profile, order, alpha),
+               spe_pools(game, profile, order))
 
 
 class TestPriceOfStability:
