@@ -10,7 +10,13 @@ are within a factor alpha of that optimum.
 Nash enumeration walks the search kernel (`search.py`): the pre-order
 of one player's tree lists that player's feasible sets, and the
 post-order of the players' joint tree lists assignments in the output
-order.
+order.  `worst_equilibrium` walks the same joint tree for the first
+least-welfare Nash or k-collusion profile without listing the others:
+branch and bound drops a subtree where some player can no longer be
+alpha-satisfied, or where every Nash leaf has at least the least welfare
+accepted so far, and equal systems let it skip relabelled assignments.
+Both share the per-player families, the memoised best weight within a
+pool and the leaf test (`_NashCondition`).
 
 Every verifier asks `best_response.deviation`, the one alpha rule (a
 tie passes), for a reply from the items no outsider holds (Nash,
@@ -27,7 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterable, Optional
 
 from .budget import SearchBudget
@@ -68,10 +74,54 @@ def verify_nash(instance: Instance, profile: Profile, alpha,
                 budget: int | SearchBudget | None = None) -> EquilibriumReport:
     """Check the approximate unilateral-deviation condition for every player."""
     factor = check_alpha(alpha)
-    total = welfare(instance, profile)
     budget = budget if budget is None else SearchBudget.ensure(budget)
-    witness = _first_deviation(instance, profile, 1, factor, budget)
+    total = welfare(instance, profile, budget)
+    witness = _first_deviation(instance, profile, 1, 1, factor, budget)
     return EquilibriumReport("nash", factor, witness is None, total, witness)
+
+
+class _NashCondition:
+    """The Nash condition on integer weights, shared by `enumerate_nash`
+    and `worst_equilibrium`.
+
+    `families[p]` maps each feasible set of player p to its weight, found
+    by one kernel walk per player.  `top(p, available)` is p's best weight
+    within `available`, memoised, and players with equal systems share
+    their entries.  `holds`
+    is the leaf test: each player's weight is within alpha of its best
+    within its own items plus the unclaimed ones.
+    """
+
+    def __init__(self, instance: Instance, factor: Fraction,
+                 budget: SearchBudget):
+        self.instance, self.factor = instance, factor
+        self.ids = instance.ordered_ids
+        weight, self.scale = instance.integer_weights
+        self.weights = [weight[i] for i in self.ids]
+        self._owner = [instance.players.index(system)
+                       for system in instance.players]
+        self.families = [
+            {T: value for (T,), value
+             in walk(self.ids, self.weights, [system.is_member], budget)}
+            for system in instance.players]
+        self.tests = [lambda T, _, family=family: T in family
+                      for family in self.families]
+        self._tops: dict[tuple[int, frozenset[str]], int] = {}
+
+    def top(self, player: int, available: frozenset[str]) -> int:
+        key = self._owner[player], available
+        found = self._tops.get(key)
+        if found is None:
+            found = self._tops[key] = max(
+                value for T, value in self.families[player].items()
+                if T <= available)
+        return found
+
+    def holds(self, sets: tuple[frozenset[str], ...]) -> bool:
+        free = self.instance.item_ids.difference(*sets)
+        return all(within_alpha(self.factor, self.families[player][T],
+                                self.top(player, free | T))
+                   for player, T in enumerate(sets))
 
 
 def enumerate_nash(instance: Instance, alpha,
@@ -86,27 +136,69 @@ def enumerate_nash(instance: Instance, alpha,
     """
     factor = check_alpha(alpha)
     shared = SearchBudget.ensure(budget)
-    ids = instance.ordered_ids
-    weight, _ = instance.integer_weights
-    weights = [weight[i] for i in ids]
-    shared.require((instance.n + 1) ** len(ids))
-    families = [{T: value for (T,), value
-                 in walk(ids, weights, [system.is_member], shared)}
-                for system in instance.players]
+    shared.require((instance.n + 1) ** len(instance.item_ids))
+    nash = _NashCondition(instance, factor, shared)
+    return tuple(Profile(sets) for sets, _
+                 in walk(nash.ids, nash.weights, nash.tests, shared, post=True)
+                 if nash.holds(sets))
 
-    @cache
-    def top(player: int, available: frozenset[str]) -> int:
-        return max(value for T, value in families[player].items()
-                   if T <= available)
 
-    out: list[Profile] = []
-    tests = [lambda T, _, family=family: T in family for family in families]
-    for sets, _ in walk(ids, weights, tests, shared, post=True):
-        free = instance.item_ids.difference(*sets)
-        if all(within_alpha(factor, families[player][T], top(player, free | T))
-               for player, T in enumerate(sets)):
-            out.append(Profile(sets))
-    return tuple(out)
+def worst_equilibrium(instance: Instance, alpha, k: int = 1,
+                      budget: int | SearchBudget | None = None
+                      ) -> tuple[Profile, Fraction]:
+    """The first least-welfare approximate k-collusion profile (Nash at
+    k = 1) in the order of `enumerate_nash`, and its welfare.
+
+    Branch and bound over the same post-order walk.  Call the items before
+    `item` that nobody holds "skipped"; they stay free below the node.  So
+    in any Nash leaf below it, player i holds at least w(S_i) and at least
+    top(i, skipped | S_i) / alpha.  A node is dropped when some player
+    cannot reach alpha-satisfaction even with every undecided item it can
+    hold, or when the sum of those lower bounds reaches the least welfare
+    accepted so far: later leaves lose ties in post-order.  When every
+    player has the same system, relabelled assignments are walked once;
+    the first least-welfare profile is the first of its relabellings, so
+    it is among those walked.  A leaf below the least welfare faces the
+    Nash test, then (k >= 2) the coalitions of 2..k players.
+    """
+    factor = check_alpha(alpha)
+    shared = SearchBudget.ensure(budget)
+    nash = _NashCondition(instance, factor, shared)
+    ids, families = nash.ids, nash.families
+    num, den = factor.numerator, factor.denominator
+    before = [frozenset(ids[:item]) for item in range(len(ids) + 1)]
+    reach = []  # reach[p][item]: weight of the items from `item` on p can hold
+    for family in families:
+        universe = frozenset().union(*family)
+        reach.append(list(accumulate(
+            reversed([w if i in universe else 0
+                      for i, w in zip(ids, nash.weights)]), initial=0))[::-1])
+    least: Optional[int] = None
+    found: Optional[Profile] = None
+
+    def prune(sets: tuple[frozenset[str], ...], value: int, item: int) -> bool:
+        skipped = before[item].difference(*sets)
+        bound = 0
+        for player, T in enumerate(sets):
+            held, top = families[player][T], nash.top(player, skipped | T)
+            if not within_alpha(factor, held + reach[player][item], top):
+                return True
+            bound += max(num * held, den * top)
+        return least is not None and bound >= num * least
+
+    interchangeable = all(system == instance.players[0]
+                          for system in instance.players)
+    for sets, value in walk(ids, nash.weights, nash.tests, shared, post=True,
+                            prune=prune, interchangeable=interchangeable):
+        if least is not None and value >= least or not nash.holds(sets):
+            continue
+        profile = Profile(sets)
+        if k > 1 and _first_deviation(instance, profile, 2, k, factor, shared):
+            continue
+        least, found = value, profile
+    if found is None:
+        raise RuntimeError("no equilibrium found, though one always exists")
+    return found, Fraction(least, nash.scale)
 
 
 def greedy_sequential_outcome(instance: Instance, order: Iterable[int],
@@ -201,8 +293,8 @@ def verify_spe_outcome(instance: Instance, profile: Profile,
     of its node optimum along the play path."""
     sequence = check_order(instance, order)
     factor = check_alpha(alpha)
-    total = welfare(instance, profile)
     budget = budget if budget is None else SearchBudget.ensure(budget)
+    total = welfare(instance, profile, budget)
     available = instance.item_ids
     for player in sequence:
         chosen = profile.items_of(player)
@@ -215,12 +307,13 @@ def verify_spe_outcome(instance: Instance, profile: Profile,
                              order=sequence)
 
 
-def _first_deviation(instance: Instance, profile: Profile, k: int,
+def _first_deviation(instance: Instance, profile: Profile, start: int, k: int,
                      factor: Fraction, budget: SearchBudget | None
                      ) -> Optional[DeviationWitness]:
-    """The first deviation of a coalition of at most k, by size then in order."""
+    """The first deviation of a coalition of `start` to k players, by size
+    then in order."""
     unclaimed = instance.item_ids - profile.all_items()
-    for size in range(1, k + 1):
+    for size in range(start, k + 1):
         for coalition in combinations(range(instance.n), size):
             held = frozenset().union(*map(profile.items_of, coalition))
             witness = deviation(instance, coalition, held | unclaimed,
@@ -244,8 +337,8 @@ def verify_collusion(instance: Instance, profile: Profile, k: int, alpha,
     factor = check_alpha(alpha)
     if not 1 <= k <= instance.n:
         raise InputError(f"k must be between 1 and {instance.n}, got {k}")
-    total = welfare(instance, profile)
-    witness = _first_deviation(instance, profile, k, factor,
-                               SearchBudget.ensure(budget))
+    shared = SearchBudget.ensure(budget)
+    total = welfare(instance, profile, shared)
+    witness = _first_deviation(instance, profile, 1, k, factor, shared)
     return EquilibriumReport("collusion", factor, witness is None, total,
                              witness, k=k)

