@@ -24,15 +24,19 @@ on integer keys, finish times and slacks, so neither touches a
 `Fraction` on those paths; schedule witnesses, whose start times are
 `Fraction`s, are built from the original windows.
 
-A player with several machines splits a set across them by one
-partition search, `_partition`, which keeps an explicit stack.  Items go
-in id order into parts, one part per machine, each decided by a
-one-machine membership test.  Every attempt to put an item into a part
-spends one budget node, on top of what that test spends.  The copies of
-a `SharedSymmetricSystem` are interchangeable, so an item may only open
-the first empty part; the machines of an `UnrelatedMachinesSystem` are
-distinct single machines.  `IdenticalMachinesSystem` is the shared
-system of `copies` single machines and answers through it.
+A player with several machines splits a set across them by one walk of
+the search kernel, `_first_split`: one member per machine, each decided
+by a one-machine membership test, the items in id order with unit
+weights, and a prune that drops every node that left an item out.  The
+split is the first node that holds every item.  Every attempt to put an
+item into a machine's set spends one budget node, on top of what that
+test spends; with several machines the kernel asks each machine's test
+once per set, so a set met again spends only its one node.  The copies
+of a `SharedSymmetricSystem` are walked as interchangeable members, so
+an item may only open the first empty copy; the machines of an
+`UnrelatedMachinesSystem` are distinct single machines.
+`IdenticalMachinesSystem` is the shared system of `copies` single
+machines and answers through it.
 
 Subset enumeration and the maximum-cardinality scan run on the search
 kernel (`search.py`), whose one-member pre-order lists a system's sets
@@ -50,11 +54,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .budget import SearchBudget
 from .errors import InputError
-from .search import best, integral, walk
+from .search import Sets, Test, best, integral, walk
 
 
 def _fraction(value, *, name: str, minimum: Fraction | None = None,
@@ -242,52 +246,34 @@ class IntegerJobs:
         return True
 
 
-def _partition(item_ids: Sequence[str], count: int,
-               fits: Callable[[int, list[str]], bool], budget: SearchBudget,
-               interchangeable: bool) -> Optional[list[list[str]]]:
-    """Split items into `count` parts accepted by `fits(p, part)`, or None.
+def _first_split(target: frozenset[str], tests: Sequence[Test],
+                 budget: SearchBudget, interchangeable: bool = False
+                 ) -> Optional[Sets]:
+    """`target` split into one set per test, each accepted by its test, or None.
 
-    Items go in id order, each into the first part in index order that
-    still fits with it; an item that fits nowhere sends the one before it
-    on to its next part.  Every attempt to put an item into a part spends
-    one budget node.  Interchangeable parts are tried only up to the
-    first empty one, so no split is met again under a renumbering, and
-    only the parts in use are returned; no more of them than items are
-    made, so a huge `count` costs nothing.  Pruning a rejected part is
-    sound because every family decided here is downward closed.  The
-    stack (the part of each placed item) is a list, not Python's call
-    stack.
+    The split is the first node of the kernel's pre-order, over the items
+    in id order with unit weights, that holds every item.  A node that
+    left an item out is pruned: no node below it holds that item.
     """
-    if interchangeable:
-        count = min(count, len(item_ids))
-    parts: list[list[str]] = [[] for _ in range(count)]
-    placed: list[int] = []
-    first = 0  # the first part to try for the next item
-    while len(placed) < len(item_ids):
-        item = item_ids[len(placed)]
-        limit = min(count, sum(map(bool, parts)) + 1) if interchangeable else count
-        for p in range(first, limit):
-            budget.spend()
-            parts[p].append(item)
-            if fits(p, parts[p]):
-                placed.append(p)
-                first = 0
-                break
-            parts[p].pop()
-        else:
-            if not placed:
-                return None
-            p = placed.pop()
-            parts[p].pop()
-            first = p + 1
-    return [part for part in parts if part] if interchangeable else parts
+    ids = sorted(target)
+    for sets, value in walk(ids, [1] * len(ids), tests, budget,
+                            prune=lambda sets, value, item: value < item,
+                            interchangeable=interchangeable):
+        if value == len(ids):
+            return sets
+    return None
 
 
 class FeasibilitySystem:
-    """Base interface: a downward-closed family of item sets."""
+    """Base interface: a downward-closed family of item sets.
+
+    Each system computes its item ids once, as the cached property
+    `_ids`: not a field, so eq, hash and repr ignore it.
+    """
 
     def universe(self) -> frozenset[str]:
-        raise NotImplementedError
+        """The item ids the system is defined over."""
+        return self._ids
 
     def is_member(self, items: Iterable[str],
                   budget: int | SearchBudget | None = None) -> bool:
@@ -332,12 +318,8 @@ class ExplicitSystem(FeasibilitySystem):
         object.__setattr__(self, "maximal_sets", sets)
 
     @cached_property
-    def _union(self) -> frozenset[str]:
-        # Computed once per object; not a field, so eq and hash ignore it.
+    def _ids(self) -> frozenset[str]:
         return frozenset().union(*self.maximal_sets)
-
-    def universe(self) -> frozenset[str]:
-        return self._union
 
     def is_member(self, items, budget=None) -> bool:
         target = frozenset(items)
@@ -367,7 +349,8 @@ class _JobTable:
         k = self.position.get(item)
         return None if k is None else self.jobs[k][1]
 
-    def universe(self) -> frozenset[str]:
+    @cached_property
+    def _ids(self) -> frozenset[str]:
         return frozenset(self.position)
 
     def job_deadlines(self) -> dict[str, Fraction]:
@@ -481,15 +464,16 @@ class UnrelatedMachinesSystem(FeasibilitySystem):
                                  if m == machine})
             for machine in self.machines)
 
-    def universe(self) -> frozenset[str]:
+    @cached_property
+    def _ids(self) -> frozenset[str]:
         return frozenset(item for item, _ in self.jobs)
 
     def _split(self, target: frozenset[str], budget: SearchBudget
-               ) -> Optional[list[list[str]]]:
-        machines = self._single_machines
-        return _partition(sorted(target), len(machines),
-                          lambda p, part: machines[p].is_member(part, budget),
-                          budget, interchangeable=False)
+               ) -> Optional[Sets]:
+        """One set per machine, in machine order, or None."""
+        return _first_split(target, [machine.is_member
+                                     for machine in self._single_machines],
+                            budget)
 
     def is_member(self, items, budget=None) -> bool:
         target = frozenset(items)
@@ -530,14 +514,21 @@ class SharedSymmetricSystem(FeasibilitySystem):
         if isinstance(self.base, SharedSymmetricSystem):
             raise InputError("shared symmetric systems cannot nest")
 
-    def universe(self) -> frozenset[str]:
+    @cached_property
+    def _ids(self) -> frozenset[str]:
         return self.base.universe()
 
     def _split(self, target: frozenset[str], budget: SearchBudget
-               ) -> Optional[list[list[str]]]:
-        return _partition(sorted(target), self.copies,
-                          lambda _, part: self.base.is_member(part, budget),
-                          budget, interchangeable=True)
+               ) -> Optional[Sets]:
+        """The nonempty sets of a split into interchangeable copies, or None.
+
+        No more copies than items are walked, so a huge `copies` costs
+        nothing.
+        """
+        sets = _first_split(target, [self.base.is_member]
+                            * min(self.copies, len(target)), budget,
+                            interchangeable=True)
+        return None if sets is None else tuple(filter(None, sets))
 
     def is_member(self, items, budget=None) -> bool:
         target = frozenset(items)

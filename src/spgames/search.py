@@ -27,9 +27,10 @@ node and item, before the node tries that item; True drops the node's
 remaining subtree, the node included, which is how a search for a
 least-value node bounds from below.  Members with one and the same test
 can be walked as interchangeable: a member opens its set only after the
-member before it has, as `feasibility._partition` opens parts, so of
-the assignments that relabel members into each other only the first in
-post-order is met.
+member before it has, so of the assignments that relabel members into
+each other only the first in post-order is met.  Splitting a set across
+a player's machines is a walk too: one member per machine, and a prune
+that drops every node that left an item out.
 """
 
 from __future__ import annotations
@@ -69,7 +70,8 @@ def walk(ids: Sequence[str], weights: Sequence[int], tests: Sequence[Test],
     skipped attempt spends no node.
     """
     size, width = len(ids), len(tests)
-    suffix = list(accumulate(reversed(weights), initial=0))[::-1]
+    if floor is not None:
+        suffix = list(accumulate(reversed(weights), initial=0))[::-1]
     verdicts = [{} for _ in tests] if width > 1 else None
     root: Sets = (frozenset(),) * width
     if not post:

@@ -12,9 +12,10 @@ from spgames import (BudgetExceededError, ExplicitSystem, ScheduleWitness,
                      IdenticalMachinesSystem, InputError, JobWindow,
                      SearchBudget, SharedSymmetricSystem, SingleMachineSystem,
                      TimeWindow, UnrelatedMachinesSystem, antichain_violation,
+                     compute_opt, empirical_poa, empirical_sequential_poa,
                      ex_asym, ex_seq, ex_sym, feasible_subsets,
-                     max_cardinality_feasible, validate_downward_closed,
-                     validate_witness)
+                     max_cardinality_feasible, random_symmetric,
+                     validate_downward_closed, validate_witness)
 
 from oracles import (all_subsets, brute_max_cardinality_scan,
                      brute_partition, edf_checks, schedulable_by_permutations)
@@ -556,6 +557,22 @@ class TestPartition:
             budget = SearchBudget(10**6)
             assert getattr(system, method)(set(items), budget)
             assert budget.used == pinned
+
+    # ex_asym's players are one-machine unrelated systems; the symmetric
+    # game's players hold 3, 2, 3 and 2 copies of one explicit base.
+    SYMMETRIC = random_symmetric(n=4, copies=3, seed=2)
+
+    @pytest.mark.parametrize("search, args, nodes", [
+        (compute_opt, (ex_asym(3, 2),), 61),
+        (empirical_poa, (ex_asym(3, 2), Fraction(3, 2)), 443),
+        (empirical_sequential_poa, (SYMMETRIC, 1), 8_328),
+        (empirical_sequential_poa, (SYMMETRIC, Fraction(3, 2)), 12_936),
+    ], ids=["opt-asym", "nash-asym", "spe-symmetric-1", "spe-symmetric-1.5"])
+    def test_nodes_of_splits_inside_assignment_searches(self, search, args, nodes):
+        # Pinned from the partition search the kernel walk replaced.
+        budget = SearchBudget(10**6)
+        search(*args, budget)
+        assert budget.used == nodes
 
 
 @st.composite
