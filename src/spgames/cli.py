@@ -16,13 +16,13 @@ from fractions import Fraction
 from pathlib import Path
 
 from .budget import SearchBudget
-from .equilibria import (enumerate_nash, enumerate_spe_outcomes, verify_collusion,
-                         verify_nash, verify_spe_outcome)
+from .equilibria import (check_k, enumerate_nash, enumerate_spe_outcomes,
+                         verify_collusion, verify_nash, verify_spe_outcome)
 from .errors import BudgetExceededError, InputError
 from .factory import GeneratorSpec, generate, reference_profiles
 from .metrics import (compute_opt, empirical_collusion_poa, empirical_poa,
                       empirical_sequential_poa)
-from .model import Instance, Profile, welfare
+from .model import Instance, Profile
 from .report import paper_suite_rows, rows_to_json, rows_to_tsv
 from .serialize import (document_to_instance, document_to_profile,
                         dumps_document, instance_to_document, loads_document,
@@ -152,49 +152,42 @@ def _cmd_opt(args) -> int:
     return EXIT_OK
 
 
+def _listing(instance: Instance, key: str, profiles, **fields) -> int:
+    """Write profiles found by a search with their welfare, the weight of
+    their items (a search yields valid profiles only)."""
+    _write(dumps_document({**fields, "count": len(profiles), key: [
+        {"profile": profile_to_document(p),
+         "welfare": rational_str(instance.weight_of(p.all_items()))}
+        for p in profiles]}))
+    return EXIT_OK
+
+
 def _cmd_nash(args) -> int:
     instance = _load_instance(args.instance)
     alpha = parse_rational(args.alpha, "--alpha")
-    profiles = enumerate_nash(instance, alpha, _budget(args))
-    _write(dumps_document({
-        "alpha": rational_str(alpha),
-        "count": len(profiles),
-        "equilibria": [{"profile": profile_to_document(p),
-                        "welfare": rational_str(welfare(instance, p))}
-                       for p in profiles]}))
-    return EXIT_OK
+    return _listing(instance, "equilibria",
+                    enumerate_nash(instance, alpha, _budget(args)),
+                    alpha=rational_str(alpha))
 
 
 def _cmd_spe(args) -> int:
     instance = _load_instance(args.instance)
     alpha = parse_rational(args.alpha, "--alpha")
     order = _parse_order(args.order, instance)
-    outcomes = enumerate_spe_outcomes(instance, order, alpha, _budget(args))
-    _write(dumps_document({
-        "alpha": rational_str(alpha),
-        "order": [p + 1 for p in order],
-        "count": len(outcomes),
-        "outcomes": [{"profile": profile_to_document(p),
-                      "welfare": rational_str(welfare(instance, p))}
-                     for p in outcomes]}))
-    return EXIT_OK
+    return _listing(instance, "outcomes",
+                    enumerate_spe_outcomes(instance, order, alpha, _budget(args)),
+                    alpha=rational_str(alpha), order=[p + 1 for p in order])
 
 
 def _cmd_collusion(args) -> int:
     instance = _load_instance(args.instance)
     alpha = parse_rational(args.alpha, "--alpha")
-    budget = _budget(args)
-    shared = SearchBudget.ensure(budget)
+    check_k(instance, args.k)
+    shared = SearchBudget.ensure(_budget(args))
     profiles = [p for p in enumerate_nash(instance, alpha, shared)
                 if verify_collusion(instance, p, args.k, alpha, shared).verdict]
-    _write(dumps_document({
-        "alpha": rational_str(alpha),
-        "k": args.k,
-        "count": len(profiles),
-        "equilibria": [{"profile": profile_to_document(p),
-                        "welfare": rational_str(welfare(instance, p))}
-                       for p in profiles]}))
-    return EXIT_OK
+    return _listing(instance, "equilibria", profiles,
+                    alpha=rational_str(alpha), k=args.k)
 
 
 def _cmd_poa(args) -> int:

@@ -5,7 +5,10 @@ Sequential outcomes exploit the payoff structure of set packing games:
 once a player moves, rational later players cannot touch its items, so a
 node's value for the mover is decided by the per-node optimum and
 backward induction collapses to forward branching over the actions that
-are within a factor alpha of that optimum.
+are within a factor alpha of that optimum.  `sequential_outcomes` keeps
+each outcome's welfare on the instance's integer weights, summed from
+the action values of that branching; the worst sequential welfare of
+`metrics.empirical_sequential_poa` is read from these sums.
 
 Nash enumeration walks the search kernel (`search.py`): the pre-order
 of one player's tree lists that player's feasible sets, and the
@@ -44,6 +47,8 @@ from .feasibility import max_cardinality_feasible
 from .model import Instance, Profile, welfare
 from .search import walk
 
+# The players' sets of one sequential outcome and its integer welfare.
+_Outcome = tuple[tuple[frozenset[str], ...], int]
 
 @dataclass(frozen=True)
 class EquilibriumReport:
@@ -68,6 +73,11 @@ def check_order(instance: Instance, order: Iterable[int]) -> tuple[int, ...]:
         raise InputError(
             f"order {out} is not a permutation of 0..{instance.n - 1}")
     return out
+
+
+def check_k(instance: Instance, k: int) -> None:
+    if not 1 <= k <= instance.n:
+        raise InputError(f"k must be between 1 and {instance.n}, got {k}")
 
 
 def verify_nash(instance: Instance, profile: Profile, alpha,
@@ -136,7 +146,6 @@ def enumerate_nash(instance: Instance, alpha,
     """
     factor = check_alpha(alpha)
     shared = SearchBudget.ensure(budget)
-    shared.require((instance.n + 1) ** len(instance.item_ids))
     nash = _NashCondition(instance, factor, shared)
     return tuple(Profile(sets) for sets, _
                  in walk(nash.ids, nash.weights, nash.tests, shared, post=True)
@@ -248,40 +257,51 @@ def enumerate_spe_outcomes(instance: Instance, order: Iterable[int], alpha,
 
     At each node the mover may take any feasible subset of the remaining
     items whose weight is within a factor alpha of the node optimum; the
-    outcomes of all such choice combinations are collected.  Subtrees are
-    shared across nodes with equal remaining-item sets.  The mover's sets
-    come in lexicographic order from the kernel's one-member pre-order,
-    with the instance's integer weights, on which the alpha rule is
-    applied.
+    outcomes of all such choice combinations are collected, in the order
+    of `sequential_outcomes`.
     """
     sequence = check_order(instance, order)
     factor = check_alpha(alpha)
-    shared = SearchBudget.ensure(budget)
+    return tuple(Profile(sets) for sets, _ in sequential_outcomes(
+        instance, sequence, factor, SearchBudget.ensure(budget)))
+
+
+def sequential_outcomes(instance: Instance, sequence: tuple[int, ...],
+                        factor: Fraction, budget: SearchBudget
+                        ) -> tuple[_Outcome, ...]:
+    """The players' sets of every outcome of `enumerate_spe_outcomes`, each
+    with its welfare on the instance's integer weights.
+
+    Subtrees are shared across nodes with equal remaining-item sets.  The
+    mover's sets come in lexicographic order from the kernel's one-member
+    pre-order, with their integer weights, on which the alpha rule is
+    applied; an outcome's welfare is the sum of its actions' weights.
+    """
     n = instance.n
     weight, _ = instance.integer_weights
 
     @cache
     def completions(depth: int, available: frozenset[str]
-                    ) -> tuple[tuple[frozenset[str], ...], ...]:
+                    ) -> tuple[_Outcome, ...]:
         if depth == n:
-            return ((),)
+            return (((), 0),)
         system = instance.players[sequence[depth]]
         ids = sorted(available & system.universe())
         weighted = list(walk(ids, [weight[i] for i in ids], [system.is_member],
-                             shared))
+                             budget))
         node_optimum = max(value for _, value in weighted)
-        out: list[tuple[frozenset[str], ...]] = []
+        out: list[_Outcome] = []
         for (action,), value in weighted:
             if not within_alpha(factor, value, node_optimum):
                 continue
-            shared.spend()
-            for tail in completions(depth + 1, available - action):
-                out.append((action,) + tail)
+            budget.spend()
+            for tail, rest in completions(depth + 1, available - action):
+                out.append(((action,) + tail, value + rest))
         return tuple(out)
 
     turn = [sequence.index(player) for player in range(n)]
-    return tuple(Profile(tuple(choice[t] for t in turn))
-                 for choice in completions(0, instance.item_ids))
+    return tuple((tuple(choice[t] for t in turn), value)
+                 for choice, value in completions(0, instance.item_ids))
 
 
 def verify_spe_outcome(instance: Instance, profile: Profile,
@@ -335,8 +355,7 @@ def verify_collusion(instance: Instance, profile: Profile, k: int, alpha,
     coalitions were checked.
     """
     factor = check_alpha(alpha)
-    if not 1 <= k <= instance.n:
-        raise InputError(f"k must be between 1 and {instance.n}, got {k}")
+    check_k(instance, k)
     shared = SearchBudget.ensure(budget)
     total = welfare(instance, profile, shared)
     witness = _first_deviation(instance, profile, 1, k, factor, shared)

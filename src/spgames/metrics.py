@@ -3,10 +3,13 @@
 All ratios are exact rationals.  The worst Nash and k-collusion profile
 is the first of least welfare in the order of `enumerate_nash`, found by
 the branch and bound of `equilibria.worst_equilibrium` without listing
-the others.  The worst sequential outcome is the first of least welfare
-over all orders, in order.  Correctness of "worst" is the point, so no
-heuristics are used.  The practical envelope for the exhaustive
-operations is small instances (around n <= 4 and |J| <= 16).
+the others; the Nash measurement is the collusion one at k = 1.  The
+worst sequential outcome is the first of least welfare over all orders,
+in `permutations` order, and its welfare is the integer sum that
+`equilibria.sequential_outcomes` carries with each outcome.  Correctness
+of "worst" is the point, so no heuristics are used.  The practical
+envelope for the exhaustive operations is small instances (around n <= 4
+and |J| <= 16).
 
 The optimum is branch and bound on the search kernel (`search.py`).
 Its tie-break is the first maximum in the kernel's post-order, which
@@ -15,18 +18,18 @@ lists assignments in lexicographic order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain, permutations
+from itertools import permutations
 from math import factorial
+from operator import itemgetter
 from typing import Iterable, Optional, Union
 
 from .budget import SearchBudget
-from .errors import InputError
 from .best_response import check_alpha
 from .bounds import (RationalInterval, bound_collusion, bound_nash,
                      bound_sequential_symmetric, ratio_within_sequential_bound)
-from .equilibria import enumerate_spe_outcomes, worst_equilibrium
+from .equilibria import check_k, sequential_outcomes, worst_equilibrium
 # Unused here, but `perfbench/selftest.py` checks that this binding is traced.
 from .equilibria import enumerate_nash  # noqa: F401
 from .model import Instance, Profile, restrict_available
@@ -93,33 +96,14 @@ def _ratio(opt_value: Fraction, worst_value: Fraction) -> Fraction:
     return opt_value / worst_value
 
 
-def _worst(instance: Instance, profiles: Iterable[Profile]
-           ) -> tuple[Profile, Fraction]:
-    """The first profile of least welfare, on integer-scaled weights
-    (enumerated profiles are valid, so none is revalidated)."""
-    weight, scale = instance.integer_weights
-
-    def value(profile: Profile) -> int:
-        return sum(weight[i] for items in profile.sets for i in items)
-
-    profile = min(profiles, key=value)
-    return profile, Fraction(value(profile), scale)
-
-
 def empirical_poa(instance: Instance, alpha,
                   budget: int | SearchBudget | None = None) -> PoAResult:
-    """Ratio of the optimum to the worst approximate Nash profile,
-    checked against the alpha + 1 bound."""
-    factor = check_alpha(alpha)
-    shared = SearchBudget.ensure(budget)
-    worst_profile, worst_value = worst_equilibrium(instance, factor, 1, shared)
-    opt_profile, opt_value = compute_opt(instance, shared)
-    ratio = _ratio(opt_value, worst_value)
-    bound = bound_nash(factor)
-    return PoAResult(concept="nash", alpha=factor, opt_welfare=opt_value,
-                     worst_equilibrium_welfare=worst_value, ratio=ratio,
-                     bound=bound, bound_satisfied=ratio <= bound,
-                     worst_profile=worst_profile, opt_profile=opt_profile)
+    """Ratio of the optimum to the worst approximate Nash profile, the
+    k = 1 collusion measurement checked against the alpha + 1 bound."""
+    result = empirical_collusion_poa(instance, 1, alpha, budget)
+    bound = bound_nash(result.alpha)
+    return replace(result, concept="nash", k=None, bound=bound,
+                   bound_satisfied=result.ratio <= bound)
 
 
 def empirical_sequential_poa(instance: Instance, alpha,
@@ -133,9 +117,12 @@ def empirical_sequential_poa(instance: Instance, alpha,
     """
     factor = check_alpha(alpha)
     shared = SearchBudget.ensure(budget)
-    worst_profile, worst_value = _worst(instance, chain.from_iterable(
-        enumerate_spe_outcomes(instance, order, factor, shared)
-        for order in permutations(range(instance.n))))
+    _, scale = instance.integer_weights
+    sets, least = min(
+        (outcome for order in permutations(range(instance.n))
+         for outcome in sequential_outcomes(instance, order, factor, shared)),
+        key=itemgetter(1))
+    worst_profile, worst_value = Profile(sets), Fraction(least, scale)
     opt_profile, opt_value = compute_opt(instance, shared)
     ratio = _ratio(opt_value, worst_value)
     if instance.symmetric:
@@ -161,8 +148,7 @@ def empirical_collusion_poa(instance: Instance, k: int, alpha,
     reported.
     """
     factor = check_alpha(alpha)
-    if not 1 <= k <= instance.n:
-        raise InputError(f"k must be between 1 and {instance.n}, got {k}")
+    check_k(instance, k)
     shared = SearchBudget.ensure(budget)
     worst_profile, worst_value = worst_equilibrium(instance, factor, k, shared)
     opt_profile, opt_value = compute_opt(instance, shared)

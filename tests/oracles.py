@@ -176,6 +176,36 @@ def brute_enumerate_nash(instance: Instance, alpha) -> list[Profile]:
     return out
 
 
+def brute_spe_outcomes(instance: Instance, order, alpha) -> list[Profile]:
+    """Every outcome of approximately optimal sequential play, depth first.
+
+    Each mover in `order` may take any feasible set of the items left whose
+    weight is within alpha of the best such set, tried in sorted-tuple
+    order; the alpha rule is applied to the rational weights.
+    """
+    factor = Fraction(alpha)
+    tables = [sorted(feasible_table(instance, p), key=lambda T: tuple(sorted(T)))
+              for p in range(instance.n)]
+    out = []
+    sets = [frozenset() for _ in range(instance.n)]
+
+    def walk(depth: int, left: frozenset) -> None:
+        if depth == len(order):
+            out.append(Profile(tuple(sets)))
+            return
+        player = order[depth]
+        moves = [T for T in tables[player] if T <= left]
+        top = max(instance.weight_of(T) for T in moves)
+        for T in moves:
+            if factor * instance.weight_of(T) >= top:
+                sets[player] = T
+                walk(depth + 1, left - T)
+        sets[player] = frozenset()
+
+    walk(0, instance.item_ids)
+    return out
+
+
 def schedulable_by_permutations(jobs) -> bool:
     """jobs: list of (release, processing, deadline) fractions."""
     for order in permutations(range(len(jobs))):

@@ -133,6 +133,37 @@ class TestQueries:
         assert doc["count"] == 1
         assert doc["equilibria"][0]["welfare"] == "2"
 
+    def test_collusion_k_out_of_range_exits_two_before_enumerating(
+            self, tmp_path, capsys):
+        # Enumerating this game's Nash profiles needs far more than 1,000
+        # nodes, so a late check would exit 3.
+        code, _ = run_cli(["generate", "ex_collusion", "--n", "4", "--k", "2",
+                           "--alpha", "1", "--out", str(tmp_path)], capsys)
+        assert code == 0
+        code, out = run_cli(["collusion", "--instance",
+                             str(tmp_path / "instance.json"), "--k", "0",
+                             "--budget", "1000"], capsys)
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("command, digest", [
+        (["nash"],
+         "93601d67f10ad61161208be16724264854100438550d51629b1673c8f481a48e"),
+        (["spe", "--order", "3,1,2"],
+         "ffda946e22390bd8ef48be8f05f48901d14b760e7371ec77e74d63a436a0b05c"),
+        (["collusion", "--k", "2"],
+         "3909f80b26d9fc330021dbdab90fbf1f6c0a3174c85dc2979283a8ed00fb8655"),
+        (["poa", "--concept", "spe"],
+         "02d0a4e672b29dc4de4a71849f31b02f7fad30353f464ed68cdfe1780f1fb85c"),
+    ])
+    def test_listing_bytes_are_pinned(self, tmp_path, capsys, command, digest):
+        code, _ = run_cli(["generate", "ex_collusion", "--n", "3", "--k", "2",
+                           "--alpha", "1", "--out", str(tmp_path)], capsys)
+        assert code == 0
+        code, out = run_cli(command + ["--instance",
+                                       str(tmp_path / "instance.json")], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
     def test_poa_ratio_as_rational_string(self, trivial_files, capsys):
         code, out = run_cli(["poa", "--instance", trivial_files["instance"],
                              "--concept", "nash", "--alpha", "1"], capsys)

@@ -80,6 +80,15 @@ class TestEnumerateNash:
                 assert ours == brute
 
 
+    def test_budget_caps_the_walk_not_the_assignment_count(self):
+        # 5^12 assignments, but the walk lists both profiles in about
+        # 681,000 nodes.
+        game = ex_collusion(4, 2, 1)
+        assert len(enumerate_nash(game, 1)) == 2
+        with pytest.raises(BudgetExceededError):
+            enumerate_nash(game, 1, budget=1000)
+
+
 class TestGreedySequential:
     def test_exact_selector_first_mover_takes_lex_best(self):
         game = ex_trivial()

@@ -5,16 +5,18 @@ non-integers, so ties and the integer scaling of weights both occur.
 """
 
 from fractions import Fraction
+from itertools import permutations
 
 from hypothesis import given, settings, strategies as st
 
 from spgames import (ExplicitSystem, Instance, Item, SearchBudget,
                      best_response, coalition_best_response, compute_opt,
-                     enumerate_nash, feasible_subsets)
+                     empirical_sequential_poa, enumerate_nash,
+                     enumerate_spe_outcomes, feasible_subsets)
 from spgames.search import walk
 
 from oracles import (all_subsets, brute_best_response, brute_coalition,
-                     brute_enumerate_nash, brute_opt)
+                     brute_enumerate_nash, brute_opt, brute_spe_outcomes)
 
 WEIGHTS = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
 IDS = ("a", "b", "c", "d", "e")
@@ -71,6 +73,26 @@ def test_coalition_best_response_matches_oracle(game_pool, data):
 @given(games(), st.sampled_from((Fraction(1), Fraction(3, 2))))
 def test_enumerate_nash_matches_oracle_in_order(game, alpha):
     assert list(enumerate_nash(game, alpha)) == brute_enumerate_nash(game, alpha)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(games(), st.sampled_from((Fraction(1), Fraction(3, 2))))
+def test_spe_outcomes_and_worst_match_oracle_in_order(game, alpha):
+    """Every order lists the oracle's outcomes in the oracle's order, and
+    the worst outcome is the first of least welfare over the orders in
+    `permutations` order."""
+    outcomes = []
+    for order in permutations(range(game.n)):
+        listed = brute_spe_outcomes(game, order, alpha)
+        assert list(enumerate_spe_outcomes(game, order, alpha)) == listed
+        outcomes += listed
+    worst = min(outcomes, key=lambda p: game.weight_of(p.all_items()))
+    least = game.weight_of(worst.all_items())
+    opt = brute_opt(game)[1]
+    result = empirical_sequential_poa(game, alpha)
+    assert result.worst_profile == worst
+    assert result.worst_equilibrium_welfare == least
+    assert result.ratio == (opt / least if least else 1)
 
 
 @exhaustive
