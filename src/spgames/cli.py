@@ -15,9 +15,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .budget import SearchBudget
-from .equilibria import (check_k, enumerate_nash, enumerate_spe_outcomes,
-                         verify_collusion, verify_nash, verify_spe_outcome)
+from .equilibria import (enumerate_collusion, enumerate_nash,
+                         enumerate_spe_outcomes, verify_collusion, verify_nash,
+                         verify_spe_outcome)
 from .errors import BudgetExceededError, InputError
 from .factory import GeneratorSpec, generate, reference_profiles
 from .metrics import (compute_opt, empirical_collusion_poa, empirical_poa,
@@ -182,11 +182,8 @@ def _cmd_spe(args) -> int:
 def _cmd_collusion(args) -> int:
     instance = _load_instance(args.instance)
     alpha = parse_rational(args.alpha, "--alpha")
-    check_k(instance, args.k)
-    shared = SearchBudget.ensure(_budget(args))
-    profiles = [p for p in enumerate_nash(instance, alpha, shared)
-                if verify_collusion(instance, p, args.k, alpha, shared).verdict]
-    return _listing(instance, "equilibria", profiles,
+    return _listing(instance, "equilibria",
+                    enumerate_collusion(instance, args.k, alpha, _budget(args)),
                     alpha=rational_str(alpha), k=args.k)
 
 

@@ -10,16 +10,15 @@ each outcome's welfare on the instance's integer weights, summed from
 the action values of that branching; the worst sequential welfare of
 `metrics.empirical_sequential_poa` is read from these sums.
 
-Nash enumeration walks the search kernel (`search.py`): the pre-order
-of one player's tree lists that player's feasible sets, and the
-post-order of the players' joint tree lists assignments in the output
-order.  `worst_equilibrium` walks the same joint tree for the first
-least-welfare Nash or k-collusion profile without listing the others:
-branch and bound drops a subtree where some player can no longer be
-alpha-satisfied, or where every Nash leaf has at least the least welfare
-accepted so far, and equal systems let it skip relabelled assignments.
-Both share the per-player families, the memoised best weight within a
-pool and the leaf test (`_NashCondition`).
+Nash and k-collusion profiles come from one walk of the search kernel
+(`search.py`) in `_equilibria`: the pre-order of one player's tree lists
+its feasible sets, and the post-order of the players' joint tree lists
+assignments in the output order.  Branch and bound drops a subtree where
+some player can no longer be alpha-satisfied, or where every leaf reaches
+a caller's bound on welfare; each leaf faces the Nash test, then the
+coalitions of 2..k players.  `enumerate_nash` and `enumerate_collusion`
+list the profiles; `worst_equilibrium` lowers the bound to each one, and
+walks relabelled assignments once when all players share one system.
 
 Every verifier asks `best_response.deviation`, the one alpha rule (a
 tie passes), for a reply from the items no outsider holds (Nash,
@@ -37,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, combinations
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .budget import SearchBudget
 from .errors import InputError
@@ -45,7 +44,7 @@ from .best_response import (DeviationWitness, best_response, check_alpha,
                             deviation, within_alpha)
 from .feasibility import max_cardinality_feasible
 from .model import Instance, Profile, welfare
-from .search import walk
+from .search import Sets, walk
 
 # The players' sets of one sequential outcome and its integer welfare.
 _Outcome = tuple[tuple[frozenset[str], ...], int]
@@ -90,66 +89,100 @@ def verify_nash(instance: Instance, profile: Profile, alpha,
     return EquilibriumReport("nash", factor, witness is None, total, witness)
 
 
-class _NashCondition:
-    """The Nash condition on integer weights, shared by `enumerate_nash`
-    and `worst_equilibrium`.
+def _equilibria(instance: Instance, factor: Fraction, k: int,
+                budget: SearchBudget, least: list[Optional[int]],
+                interchangeable: bool = False
+                ) -> Iterator[tuple[Sets, int]]:
+    """Yield (sets, integer welfare) of every approximate k-collusion
+    profile (Nash at k = 1) below the welfare `least[0]` (None: no bound),
+    which the caller may lower between profiles, in `enumerate_nash` order.
 
-    `families[p]` maps each feasible set of player p to its weight, found
-    by one kernel walk per player.  `top(p, available)` is p's best weight
-    within `available`, memoised, and players with equal systems share
-    their entries.  `holds`
-    is the leaf test: each player's weight is within alpha of its best
-    within its own items plus the unclaimed ones.
+    A branch and bound over the joint tree in post-order.  Call the items
+    before `item` that nobody holds "skipped"; they stay free below the
+    node.  So in any Nash leaf below it, player i holds at least w(S_i)
+    and top(i, skipped | S_i) / alpha, where `top(p, pool)`, memoised per
+    system, is p's best weight within `pool`.  A node is dropped when some
+    player cannot reach alpha-satisfaction even with every undecided item
+    it can hold, or when the sum of those lower bounds reaches `least[0]`:
+    later leaves lose ties in post-order.  A leaf below `least[0]` faces
+    the Nash test, then (k >= 2) the coalitions of 2..k players.
+    `interchangeable` (all players have one system) walks relabelled
+    assignments once.
     """
+    ids = instance.ordered_ids
+    weight, _ = instance.integer_weights
+    weights = [weight[i] for i in ids]
+    owner = [instance.players.index(system) for system in instance.players]
+    families = [{T: value for (T,), value
+                 in walk(ids, weights, [system.is_member], budget)}
+                for system in instance.players]
+    tops: dict[tuple[int, frozenset[str]], int] = {}
 
-    def __init__(self, instance: Instance, factor: Fraction,
-                 budget: SearchBudget):
-        self.instance, self.factor = instance, factor
-        self.ids = instance.ordered_ids
-        weight, self.scale = instance.integer_weights
-        self.weights = [weight[i] for i in self.ids]
-        self._owner = [instance.players.index(system)
-                       for system in instance.players]
-        self.families = [
-            {T: value for (T,), value
-             in walk(self.ids, self.weights, [system.is_member], budget)}
-            for system in instance.players]
-        self.tests = [lambda T, _, family=family: T in family
-                      for family in self.families]
-        self._tops: dict[tuple[int, frozenset[str]], int] = {}
-
-    def top(self, player: int, available: frozenset[str]) -> int:
-        key = self._owner[player], available
-        found = self._tops.get(key)
+    def top(player: int, available: frozenset[str]) -> int:
+        key = owner[player], available
+        found = tops.get(key)
         if found is None:
-            found = self._tops[key] = max(
-                value for T, value in self.families[player].items()
-                if T <= available)
+            found = tops[key] = max(value for T, value
+                                    in families[player].items()
+                                    if T <= available)
         return found
 
-    def holds(self, sets: tuple[frozenset[str], ...]) -> bool:
-        free = self.instance.item_ids.difference(*sets)
-        return all(within_alpha(self.factor, self.families[player][T],
-                                self.top(player, free | T))
+    def nash(sets: Sets) -> bool:
+        free = instance.item_ids.difference(*sets)
+        return all(within_alpha(factor, families[player][T],
+                                top(player, free | T))
                    for player, T in enumerate(sets))
+
+    num, den = factor.numerator, factor.denominator
+    before = [frozenset(ids[:item]) for item in range(len(ids) + 1)]
+    reach = []  # reach[p][item]: weight of the items from `item` on p can hold
+    for family in families:
+        universe = frozenset().union(*family)
+        reach.append(list(accumulate(
+            reversed([w if i in universe else 0
+                      for i, w in zip(ids, weights)]), initial=0))[::-1])
+
+    def prune(sets: Sets, value: int, item: int) -> bool:
+        skipped = before[item].difference(*sets)
+        bound = 0
+        for player, T in enumerate(sets):
+            held, best = families[player][T], top(player, skipped | T)
+            if not within_alpha(factor, held + reach[player][item], best):
+                return True
+            bound += max(num * held, den * best)
+        return least[0] is not None and bound >= num * least[0]
+
+    tests = [lambda T, _, family=family: T in family for family in families]
+    for sets, value in walk(ids, weights, tests, budget, post=True,
+                            prune=prune, interchangeable=interchangeable):
+        if least[0] is not None and value >= least[0] or not nash(sets):
+            continue
+        if k > 1 and _first_deviation(instance, Profile(sets), 2, k, factor,
+                                      budget):
+            continue
+        yield sets, value
 
 
 def enumerate_nash(instance: Instance, alpha,
                    budget: int | SearchBudget | None = None
                    ) -> tuple[Profile, ...]:
-    """All valid profiles satisfying the approximate Nash condition.
-
-    Iterates item-to-player assignments (each item goes to one player or
-    to nobody), never extending a player's set beyond its feasible sets.
-    The order of the returned profiles follows the lexicographic
-    assignment order with players before "nobody".
+    """All valid profiles satisfying the approximate Nash condition: the
+    pruned walk of `_equilibria` at k = 1 over item-to-player assignments
+    (each item to one player or to nobody).  Profiles come in the
+    lexicographic assignment order with players before "nobody".
     """
+    return enumerate_collusion(instance, 1, alpha, budget)
+
+
+def enumerate_collusion(instance: Instance, k: int, alpha,
+                        budget: int | SearchBudget | None = None
+                        ) -> tuple[Profile, ...]:
+    """The profiles of `enumerate_nash` that pass `verify_collusion` at k,
+    in the same order, listed by the same walk."""
+    check_k(instance, k)
     factor = check_alpha(alpha)
-    shared = SearchBudget.ensure(budget)
-    nash = _NashCondition(instance, factor, shared)
-    return tuple(Profile(sets) for sets, _
-                 in walk(nash.ids, nash.weights, nash.tests, shared, post=True)
-                 if nash.holds(sets))
+    return tuple(Profile(sets) for sets, _ in _equilibria(
+        instance, factor, k, SearchBudget.ensure(budget), [None]))
 
 
 def worst_equilibrium(instance: Instance, alpha, k: int = 1,
@@ -158,56 +191,24 @@ def worst_equilibrium(instance: Instance, alpha, k: int = 1,
     """The first least-welfare approximate k-collusion profile (Nash at
     k = 1) in the order of `enumerate_nash`, and its welfare.
 
-    Branch and bound over the same post-order walk.  Call the items before
-    `item` that nobody holds "skipped"; they stay free below the node.  So
-    in any Nash leaf below it, player i holds at least w(S_i) and at least
-    top(i, skipped | S_i) / alpha.  A node is dropped when some player
-    cannot reach alpha-satisfaction even with every undecided item it can
-    hold, or when the sum of those lower bounds reaches the least welfare
-    accepted so far: later leaves lose ties in post-order.  When every
-    player has the same system, relabelled assignments are walked once;
-    the first least-welfare profile is the first of its relabellings, so
-    it is among those walked.  A leaf below the least welfare faces the
-    Nash test, then (k >= 2) the coalitions of 2..k players.
+    `_equilibria` with its bound lowered to each profile it yields, so the
+    last one yielded is the answer.  When every player has the same
+    system, relabelled assignments are walked once; the first
+    least-welfare profile is the first of its relabellings, so it is
+    among those walked.
     """
     factor = check_alpha(alpha)
-    shared = SearchBudget.ensure(budget)
-    nash = _NashCondition(instance, factor, shared)
-    ids, families = nash.ids, nash.families
-    num, den = factor.numerator, factor.denominator
-    before = [frozenset(ids[:item]) for item in range(len(ids) + 1)]
-    reach = []  # reach[p][item]: weight of the items from `item` on p can hold
-    for family in families:
-        universe = frozenset().union(*family)
-        reach.append(list(accumulate(
-            reversed([w if i in universe else 0
-                      for i, w in zip(ids, nash.weights)]), initial=0))[::-1])
-    least: Optional[int] = None
-    found: Optional[Profile] = None
-
-    def prune(sets: tuple[frozenset[str], ...], value: int, item: int) -> bool:
-        skipped = before[item].difference(*sets)
-        bound = 0
-        for player, T in enumerate(sets):
-            held, top = families[player][T], nash.top(player, skipped | T)
-            if not within_alpha(factor, held + reach[player][item], top):
-                return True
-            bound += max(num * held, den * top)
-        return least is not None and bound >= num * least
-
+    least: list[Optional[int]] = [None]
     interchangeable = all(system == instance.players[0]
                           for system in instance.players)
-    for sets, value in walk(ids, nash.weights, nash.tests, shared, post=True,
-                            prune=prune, interchangeable=interchangeable):
-        if least is not None and value >= least or not nash.holds(sets):
-            continue
-        profile = Profile(sets)
-        if k > 1 and _first_deviation(instance, profile, 2, k, factor, shared):
-            continue
-        least, found = value, profile
+    found = None
+    for sets, value in _equilibria(instance, factor, k,
+                                   SearchBudget.ensure(budget), least,
+                                   interchangeable):
+        least[0], found = value, sets
     if found is None:
         raise RuntimeError("no equilibrium found, though one always exists")
-    return found, Fraction(least, nash.scale)
+    return Profile(found), Fraction(least[0], instance.integer_weights[1])
 
 
 def greedy_sequential_outcome(instance: Instance, order: Iterable[int],

@@ -81,12 +81,21 @@ class TestEnumerateNash:
 
 
     def test_budget_caps_the_walk_not_the_assignment_count(self):
-        # 5^12 assignments, but the walk lists both profiles in about
-        # 681,000 nodes.
+        # 5^12 assignments, but the pruned walk lists both profiles in
+        # 14,601 nodes.
         game = ex_collusion(4, 2, 1)
         assert len(enumerate_nash(game, 1)) == 2
         with pytest.raises(BudgetExceededError):
             enumerate_nash(game, 1, budget=1000)
+
+    def test_listing_skips_subtrees_without_a_satisfiable_player(self):
+        # Walking every feasible assignment takes 681,393 nodes here.
+        game = ex_collusion(4, 2, 1)
+        budget = SearchBudget()
+        assert len(enumerate_nash(game, 1, budget)) == 2
+        assert budget.used == 14_601
+        with pytest.raises(BudgetExceededError):
+            enumerate_nash(game, 1, budget=14_600)
 
 
 class TestGreedySequential:

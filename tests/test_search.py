@@ -7,16 +7,18 @@ non-integers, so ties and the integer scaling of weights both occur.
 from fractions import Fraction
 from itertools import permutations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spgames import (ExplicitSystem, Instance, Item, SearchBudget,
                      best_response, coalition_best_response, compute_opt,
                      empirical_sequential_poa, enumerate_nash,
                      enumerate_spe_outcomes, feasible_subsets)
+from spgames.equilibria import enumerate_collusion
 from spgames.search import walk
 
 from oracles import (all_subsets, brute_best_response, brute_coalition,
-                     brute_enumerate_nash, brute_opt, brute_spe_outcomes)
+                     brute_enumerate_nash, brute_first_deviation, brute_opt,
+                     brute_spe_outcomes, collusion_pools)
 
 WEIGHTS = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
 IDS = ("a", "b", "c", "d", "e")
@@ -73,6 +75,31 @@ def test_coalition_best_response_matches_oracle(game_pool, data):
 @given(games(), st.sampled_from((Fraction(1), Fraction(3, 2))))
 def test_enumerate_nash_matches_oracle_in_order(game, alpha):
     assert list(enumerate_nash(game, alpha)) == brute_enumerate_nash(game, alpha)
+
+
+@st.composite
+def games_with_k(draw) -> tuple[Instance, int]:
+    game = draw(st.one_of(games(), games(shared=True)))
+    return game, draw(st.integers(1, game.n))
+
+
+# Two Nash profiles of this game ({b}, {c} and its relabelling) fall to
+# the coalition of both players, which random games rarely show.
+_SPLIT = ExplicitSystem(maximal_sets=(frozenset({"a"}), frozenset({"b", "c"})))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(games_with_k(), st.sampled_from((Fraction(1), Fraction(3, 2))))
+@example((Instance(items=tuple(Item(i, 1) for i in "abc"),
+                   players=(_SPLIT, _SPLIT)), 2), Fraction(1))
+def test_enumerate_collusion_matches_oracle_in_order(game_k, alpha):
+    """The k-collusion listing is the oracle's Nash list, in its order,
+    less the profiles some coalition of at most k players can improve."""
+    game, k = game_k
+    assert list(enumerate_collusion(game, k, alpha)) == [
+        profile for profile in brute_enumerate_nash(game, alpha)
+        if brute_first_deviation(game, profile, alpha,
+                                 collusion_pools(game, profile, k)) is None]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
