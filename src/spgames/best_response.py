@@ -93,8 +93,9 @@ def best_response(instance: Instance, player: int, available: Iterable[str],
     """Maximum-weight feasible subset of `available` for one player.
 
     Returns the set and its weight.  With the default budget, results are
-    memoized per (instance, player, availability), which the enumeration
-    routines rely on heavily.
+    memoized per (instance, player, availability), for the verifiers
+    called without one: `verify_nash`, `verify_spe_outcome` and
+    `is_alpha_best_response`.
     """
     _check_player_index(instance, player)
     pool = restrict_available(instance, available)

@@ -15,10 +15,11 @@ Nash and k-collusion profiles come from one walk of the search kernel
 its feasible sets, and the post-order of the players' joint tree lists
 assignments in the output order.  Branch and bound drops a subtree where
 some player can no longer be alpha-satisfied, or where every leaf reaches
-a caller's bound on welfare; each leaf faces the Nash test, then the
-coalitions of 2..k players.  `enumerate_nash` and `enumerate_collusion`
-list the profiles; `worst_equilibrium` lowers the bound to each one, and
-walks relabelled assignments once when all players share one system.
+a caller's bound on welfare.  Asked after an assignment's last item, the
+prune is the Nash test, then asks the coalitions of 2..k players.
+`enumerate_nash` and `enumerate_collusion` list the profiles;
+`worst_equilibrium` lowers the bound to each one, and walks relabelled
+assignments once when all players share one system.
 
 Every verifier asks `best_response.deviation`, the one alpha rule (a
 tie passes), for a reply from the items no outsider holds (Nash,
@@ -104,10 +105,12 @@ def _equilibria(instance: Instance, factor: Fraction, k: int,
     system, is p's best weight within `pool`.  A node is dropped when some
     player cannot reach alpha-satisfaction even with every undecided item
     it can hold, or when the sum of those lower bounds reaches `least[0]`:
-    later leaves lose ties in post-order.  A leaf below `least[0]` faces
-    the Nash test, then (k >= 2) the coalitions of 2..k players.
-    `interchangeable` (all players have one system) walks relabelled
-    assignments once.
+    later leaves lose ties in post-order; the sum is never below alpha
+    times the node's welfare.  After a node's last item nothing is
+    undecided and `skipped` is every free item, so the prune is the Nash
+    test and the welfare bound; a node passing both then faces the
+    coalitions of 2..k players (k >= 2).  `interchangeable` (all players
+    have one system) walks relabelled assignments once.
     """
     ids = instance.ordered_ids
     weight, _ = instance.integer_weights
@@ -127,12 +130,6 @@ def _equilibria(instance: Instance, factor: Fraction, k: int,
                                     if T <= available)
         return found
 
-    def nash(sets: Sets) -> bool:
-        free = instance.item_ids.difference(*sets)
-        return all(within_alpha(factor, families[player][T],
-                                top(player, free | T))
-                   for player, T in enumerate(sets))
-
     num, den = factor.numerator, factor.denominator
     before = [frozenset(ids[:item]) for item in range(len(ids) + 1)]
     reach = []  # reach[p][item]: weight of the items from `item` on p can hold
@@ -143,6 +140,8 @@ def _equilibria(instance: Instance, factor: Fraction, k: int,
                       for i, w in zip(ids, weights)]), initial=0))[::-1])
 
     def prune(sets: Sets, value: int, item: int) -> bool:
+        if least[0] is not None and value >= least[0]:
+            return True
         skipped = before[item].difference(*sets)
         bound = 0
         for player, T in enumerate(sets):
@@ -150,17 +149,14 @@ def _equilibria(instance: Instance, factor: Fraction, k: int,
             if not within_alpha(factor, held + reach[player][item], best):
                 return True
             bound += max(num * held, den * best)
-        return least[0] is not None and bound >= num * least[0]
+        if least[0] is not None and bound >= num * least[0]:
+            return True
+        return item == len(ids) and k > 1 and _first_deviation(
+            instance, Profile(sets), 2, k, factor, budget) is not None
 
     tests = [lambda T, _, family=family: T in family for family in families]
-    for sets, value in walk(ids, weights, tests, budget, post=True,
-                            prune=prune, interchangeable=interchangeable):
-        if least[0] is not None and value >= least[0] or not nash(sets):
-            continue
-        if k > 1 and _first_deviation(instance, Profile(sets), 2, k, factor,
-                                      budget):
-            continue
-        yield sets, value
+    yield from walk(ids, weights, tests, budget, post=True, prune=prune,
+                    interchangeable=interchangeable)
 
 
 def enumerate_nash(instance: Instance, alpha,

@@ -23,9 +23,10 @@ so pool size is not limited by Python's recursion depth.  Branch and
 bound is Land and Doig's (1960): the children of a node are skipped once
 its value plus the weight of the items after its last taken item falls
 below the caller's floor.  A caller's `prune` hook is asked once per
-node and item, before the node tries that item; True drops the node's
-remaining subtree, the node included, which is how a search for a
-least-value node bounds from below.  Members with one and the same test
+node and item, before the node tries that item, and once after its last
+item; True drops the node's remaining subtree, the node included.  So a
+search for a least-value node bounds from below, and the last ask
+filters the nodes the walk yields.  Members with one and the same test
 can be walked as interchangeable: a member opens its set only after the
 member before it has, so of the assignments that relabel members into
 each other only the first in post-order is met.  Splitting a set across
@@ -62,8 +63,9 @@ def walk(ids: Sequence[str], weights: Sequence[int], tests: Sequence[Test],
     a member's set spends one budget node.  With `floor`, a one-element
     list the caller may raise between nodes, the walk skips the children
     of a node that cannot reach `floor[0]`.  With `prune`, a node about
-    to try `item` is dropped when `prune(sets, value, item)` is True: the
-    rest of its subtree and, in post-order, the node itself.  With
+    to try `item`, or done with its last at `item == len(ids)`, is
+    dropped when `prune(sets, value, item)` is True: the rest of its
+    subtree and, in post-order, the node itself.  With
     `interchangeable`, a member with an empty set takes an item only if
     the member before it holds one, so of the assignments that relabel
     members into each other only the first in post-order is walked; a
@@ -81,13 +83,13 @@ def walk(ids: Sequence[str], weights: Sequence[int], tests: Sequence[Test],
         frame = stack[-1]
         sets, value, attempt = frame
         item, member = divmod(attempt, width)
+        if prune and not member and prune(sets, value, item):
+            stack.pop()
+            continue
         if item == size or floor and value + suffix[item] < floor[0]:
             stack.pop()
             if post:
                 yield sets, value
-            continue
-        if prune and not member and prune(sets, value, item):
-            stack.pop()
             continue
         if interchangeable and member and not sets[member - 1]:
             # The member before is empty, so this one and every later one

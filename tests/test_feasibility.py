@@ -529,6 +529,15 @@ class TestPartition:
         processing={("m1", "a"): 1, ("m2", "a"): 1, ("m1", "b"): 1,
                     ("m2", "c"): 2},
         jobs={"a": TimeWindow(0, 1), "b": TimeWindow(0, 1), "c": TimeWindow(0, 3)})
+    # Three machines: with b on m2 and then on m3, the split asks m1 about
+    # {a, c} twice, and the second answer comes from the walk's memo;
+    # without the memo this split spends (20, 23) nodes.
+    RECALLED = UnrelatedMachinesSystem(
+        machines=("m1", "m2", "m3"),
+        processing={("m1", "a"): 2, ("m1", "b"): 2, ("m1", "c"): 2,
+                    ("m2", "b"): 2, ("m2", "c"): 1, ("m3", "b"): 1,
+                    ("m3", "c"): 2},
+        jobs={"a": TimeWindow(0, 2), "b": TimeWindow(0, 2), "c": TimeWindow(0, 1)})
 
     @pytest.mark.parametrize("kind", ["identical", "shared"])
     def test_copies_past_the_item_count_cost_no_memory(self, kind):
@@ -548,7 +557,7 @@ class TestPartition:
     @pytest.mark.parametrize("system, items, nodes", [
         (UNRELATED, "abcd", (15, 20)), (UNRELATED, "abc", (11, 15)),
         (UNRELATED, "ad", (5, 7)), (MOVED, "ab", (10, 12)),
-        (MOVED, "abc", (14, 17))])
+        (MOVED, "abc", (14, 17)), (RECALLED, "abc", (19, 22))])
     def test_nodes_of_unrelated_machines(self, system, items, nodes):
         # Membership is the split alone; a witness also schedules each
         # machine.  The witness counts are pinned from the recursive

@@ -170,7 +170,32 @@ def test_prune_drops_the_subtree_and_the_node(game, cut):
                      prune=prune))
     taken = set(ids[:cut])
     assert kept == [node for node in every
-                    if cut >= len(ids) or any(T & taken for T in node[0])]
+                    if cut > len(ids) or any(T & taken for T in node[0])]
+
+
+@exhaustive
+@given(games(), st.booleans(), st.integers(0, 6))
+def test_prune_after_the_last_item_filters_the_nodes(game, interchangeable,
+                                                     mod):
+    """A prune that is True only after a node's last item drops exactly
+    the nodes it rejects from the post-order, at no change in nodes."""
+    ids = game.ordered_ids
+    weights = [1 + ord(i[0]) % 3 for i in ids]
+    tests = [system.is_member for system in game.players]
+
+    def rejects(sets, value):
+        return (value + len(sets[0])) % 7 == mod
+
+    def prune(sets, value, item):
+        return item == len(ids) and rejects(sets, value)
+
+    plain, pruned = SearchBudget(), SearchBudget()
+    every = list(walk(ids, weights, tests, plain, post=True,
+                      interchangeable=interchangeable))
+    kept = list(walk(ids, weights, tests, pruned, post=True, prune=prune,
+                     interchangeable=interchangeable))
+    assert kept == [node for node in every if not rejects(*node)]
+    assert pruned.used == plain.used
 
 
 def test_deep_pool_needs_no_recursion():
