@@ -5,10 +5,12 @@ Sequential outcomes exploit the payoff structure of set packing games:
 once a player moves, rational later players cannot touch its items, so a
 node's value for the mover is decided by the per-node optimum and
 backward induction collapses to forward branching over the actions that
-are within a factor alpha of that optimum.  `sequential_outcomes` keeps
-each outcome's welfare on the instance's integer weights, summed from
-the action values of that branching; the worst sequential welfare of
-`metrics.empirical_sequential_poa` is read from these sums.
+are within a factor alpha of that optimum (`_acceptable`, the one rule
+for a node's actions).  `enumerate_spe_outcomes` lists every outcome of
+one order.  `least_sequential_outcome`, the worst outcome of
+`metrics.empirical_sequential_poa`, lists none: it takes a minimum over
+the same branching, memoised on the sequence of systems still to move,
+and examines one order per class of orders with the same sequence.
 
 Nash and k-collusion profiles come from one walk of the search kernel
 (`search.py`) in `_equilibria`: the pre-order of one player's tree lists
@@ -46,9 +48,6 @@ from .best_response import (DeviationWitness, best_response, check_alpha,
 from .feasibility import max_cardinality_feasible
 from .model import Instance, Profile, welfare
 from .search import Sets, walk
-
-# The players' sets of one sequential outcome and its integer welfare.
-_Outcome = tuple[tuple[frozenset[str], ...], int]
 
 @dataclass(frozen=True)
 class EquilibriumReport:
@@ -253,52 +252,111 @@ def enumerate_spe_outcomes(instance: Instance, order: Iterable[int], alpha,
     """All outcomes of approximately optimal sequential play under `order`.
 
     At each node the mover may take any feasible subset of the remaining
-    items whose weight is within a factor alpha of the node optimum; the
-    outcomes of all such choice combinations are collected, in the order
-    of `sequential_outcomes`.
+    items whose weight is within a factor alpha of the node optimum
+    (`_acceptable`); the outcomes of all such choice combinations are
+    collected depth first, actions in lexicographic order.  Subtrees are
+    shared across nodes with equal remaining-item sets.
     """
     sequence = check_order(instance, order)
     factor = check_alpha(alpha)
-    return tuple(Profile(sets) for sets, _ in sequential_outcomes(
-        instance, sequence, factor, SearchBudget.ensure(budget)))
-
-
-def sequential_outcomes(instance: Instance, sequence: tuple[int, ...],
-                        factor: Fraction, budget: SearchBudget
-                        ) -> tuple[_Outcome, ...]:
-    """The players' sets of every outcome of `enumerate_spe_outcomes`, each
-    with its welfare on the instance's integer weights.
-
-    Subtrees are shared across nodes with equal remaining-item sets.  The
-    mover's sets come in lexicographic order from the kernel's one-member
-    pre-order, with their integer weights, on which the alpha rule is
-    applied; an outcome's welfare is the sum of its actions' weights.
-    """
+    budget = SearchBudget.ensure(budget)
     n = instance.n
-    weight, _ = instance.integer_weights
 
     @cache
-    def completions(depth: int, available: frozenset[str]
-                    ) -> tuple[_Outcome, ...]:
+    def completions(depth: int, available: frozenset[str]) -> tuple[Sets, ...]:
         if depth == n:
-            return (((), 0),)
-        system = instance.players[sequence[depth]]
-        ids = sorted(available & system.universe())
-        weighted = list(walk(ids, [weight[i] for i in ids], [system.is_member],
-                             budget))
-        node_optimum = max(value for _, value in weighted)
-        out: list[_Outcome] = []
-        for (action,), value in weighted:
-            if not within_alpha(factor, value, node_optimum):
-                continue
+            return ((),)
+        out: list[Sets] = []
+        for action, _ in _acceptable(instance, sequence[depth], available,
+                                     factor, budget):
             budget.spend()
-            for tail, rest in completions(depth + 1, available - action):
-                out.append(((action,) + tail, value + rest))
+            out.extend((action,) + tail
+                       for tail in completions(depth + 1, available - action))
         return tuple(out)
 
     turn = [sequence.index(player) for player in range(n)]
-    return tuple((tuple(choice[t] for t in turn), value)
-                 for choice, value in completions(0, instance.item_ids))
+    return tuple(Profile(tuple(choice[t] for t in turn))
+                 for choice in completions(0, instance.item_ids))
+
+
+def least_sequential_outcome(instance: Instance, factor: Fraction,
+                             budget: SearchBudget) -> tuple[Sets, int]:
+    """The first least-welfare outcome of `enumerate_spe_outcomes` over all
+    orders in `permutations` order: the players' sets and their welfare on
+    the instance's integer weights.
+
+    Orders that give the same sequence of systems have the same outcomes,
+    in the same order, up to relabelling, so only the first order of each
+    class is examined (`_first_orders`), and a strict `<` keeps the first
+    class.  `least(kinds, available)`, memoised on that key across
+    classes, is the least welfare the movers of `kinds` reach from
+    `available`: the minimum, over the first mover's acceptable actions,
+    of the action's value plus the rest's, where a strict `<` keeps the
+    first argmin in depth-first order.  An action whose own value reaches
+    the least so far is skipped without spending a node, since the rest
+    adds a welfare of at least 0; every other action spends one.
+    """
+    # kind[p]: the first player whose system equals p's.
+    kind = [instance.players.index(system) for system in instance.players]
+
+    @cache
+    def least(kinds: tuple[int, ...], available: frozenset[str]
+              ) -> tuple[int, Sets]:
+        if not kinds:
+            return 0, ()
+        found: Optional[tuple[int, Sets]] = None
+        for action, value in _acceptable(instance, kinds[0], available,
+                                         factor, budget):
+            if found is not None and value >= found[0]:
+                continue
+            budget.spend()
+            rest, tail = least(kinds[1:], available - action)
+            if found is None or value + rest < found[0]:
+                found = value + rest, (action,) + tail
+        return found
+
+    found = None
+    for order in _first_orders(kind):
+        value, choice = least(tuple(kind[p] for p in order), instance.item_ids)
+        if found is None or value < found[0]:
+            found = value, order, choice
+    value, order, choice = found
+    return tuple(choice[order.index(player)]
+                 for player in range(instance.n)), value
+
+
+def _first_orders(kind: list[int], order: tuple[int, ...] = ()
+                  ) -> Iterator[tuple[int, ...]]:
+    """The first order of each class of player orders with one sequence of
+    `kind`s, in `permutations` order, extending `order`.
+
+    Each position tries, in player order, the lowest-index unused player
+    of each kind, so no two orders of a class are met and the n! orders
+    are never walked.
+    """
+    if len(order) == len(kind):
+        yield order
+    tried = set()
+    for player in range(len(kind)):
+        if player not in order and kind[player] not in tried:
+            tried.add(kind[player])
+            yield from _first_orders(kind, order + (player,))
+
+
+def _acceptable(instance: Instance, player: int, available: frozenset[str],
+                factor: Fraction, budget: SearchBudget
+                ) -> list[tuple[frozenset[str], int]]:
+    """The sets of `available` the mover may take: `player`'s feasible sets
+    in lexicographic order (the kernel's one-member pre-order), with their
+    integer weights, kept when within a factor alpha of the best."""
+    weight, _ = instance.integer_weights
+    system = instance.players[player]
+    ids = sorted(available & system.universe())
+    weighted = list(walk(ids, [weight[i] for i in ids], [system.is_member],
+                         budget))
+    node_optimum = max(value for _, value in weighted)
+    return [(action, value) for (action,), value in weighted
+            if within_alpha(factor, value, node_optimum)]
 
 
 def verify_spe_outcome(instance: Instance, profile: Profile,

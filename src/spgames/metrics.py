@@ -5,11 +5,11 @@ is the first of least welfare in the order of `enumerate_nash`, found by
 the branch and bound of `equilibria.worst_equilibrium` without listing
 the others; the Nash measurement is the collusion one at k = 1.  The
 worst sequential outcome is the first of least welfare over all orders,
-in `permutations` order, and its welfare is the integer sum that
-`equilibria.sequential_outcomes` carries with each outcome.  Correctness
-of "worst" is the point, so no heuristics are used.  The practical
-envelope for the exhaustive operations is small instances (around n <= 4
-and |J| <= 16).
+in `permutations` order, found by the min recursion of
+`equilibria.least_sequential_outcome` without listing any outcome.
+Correctness of "worst" is the point, so no heuristics are used.  The
+practical envelope for the exhaustive operations is small instances
+(around n <= 4 and |J| <= 16).
 
 The optimum is branch and bound on the search kernel (`search.py`).
 Its tie-break is the first maximum in the kernel's post-order, which
@@ -20,16 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import permutations
 from math import factorial
-from operator import itemgetter
 from typing import Iterable, Optional, Union
 
 from .budget import SearchBudget
 from .best_response import check_alpha
 from .bounds import (RationalInterval, bound_collusion, bound_nash,
                      bound_sequential_symmetric, ratio_within_sequential_bound)
-from .equilibria import check_k, sequential_outcomes, worst_equilibrium
+from .equilibria import check_k, least_sequential_outcome, worst_equilibrium
 # Unused here, but `perfbench/selftest.py` checks that this binding is traced.
 from .equilibria import enumerate_nash  # noqa: F401
 from .model import Instance, Profile, restrict_available
@@ -111,17 +109,17 @@ def empirical_sequential_poa(instance: Instance, alpha,
                              ) -> PoAResult:
     """Worst ratio over all player orders and all sequential outcomes.
 
-    Always checked against alpha + 1; for instances built on a shared
-    symmetric base, additionally against the certified enclosure of
-    exp(1/alpha) / (exp(1/alpha) - 1).
+    The worst outcome comes from `equilibria.least_sequential_outcome`,
+    which examines one order per class of orders that give the players'
+    systems in one sequence; every order is covered, so `orders_examined`
+    is n!.  Always checked against alpha + 1; for instances built on a
+    shared symmetric base, additionally against the certified enclosure
+    of exp(1/alpha) / (exp(1/alpha) - 1).
     """
     factor = check_alpha(alpha)
     shared = SearchBudget.ensure(budget)
     _, scale = instance.integer_weights
-    sets, least = min(
-        (outcome for order in permutations(range(instance.n))
-         for outcome in sequential_outcomes(instance, order, factor, shared)),
-        key=itemgetter(1))
+    sets, least = least_sequential_outcome(instance, factor, shared)
     worst_profile, worst_value = Profile(sets), Fraction(least, scale)
     opt_profile, opt_value = compute_opt(instance, shared)
     ratio = _ratio(opt_value, worst_value)

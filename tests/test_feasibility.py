@@ -3,7 +3,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,13 +12,20 @@ from spgames import (BudgetExceededError, ExplicitSystem, ScheduleWitness,
                      IdenticalMachinesSystem, InputError, JobWindow,
                      SearchBudget, SharedSymmetricSystem, SingleMachineSystem,
                      TimeWindow, UnrelatedMachinesSystem, antichain_violation,
-                     compute_opt, empirical_poa, empirical_sequential_poa,
+                     compute_opt, empirical_poa, enumerate_spe_outcomes,
                      ex_asym, ex_seq, ex_sym, feasible_subsets,
                      max_cardinality_feasible, random_symmetric,
                      validate_downward_closed, validate_witness)
 
 from oracles import (all_subsets, brute_max_cardinality_scan,
                      brute_partition, edf_checks, schedulable_by_permutations)
+
+
+def every_outcome_and_opt(instance, alpha, budget):
+    """Every sequential outcome of every order, then the optimum."""
+    for order in permutations(range(instance.n)):
+        enumerate_spe_outcomes(instance, order, alpha, budget)
+    compute_opt(instance, budget)
 
 
 def unit_jobs(spec: dict[str, tuple]) -> dict[str, JobWindow]:
@@ -574,11 +581,13 @@ class TestPartition:
     @pytest.mark.parametrize("search, args, nodes", [
         (compute_opt, (ex_asym(3, 2),), 61),
         (empirical_poa, (ex_asym(3, 2), Fraction(3, 2)), 443),
-        (empirical_sequential_poa, (SYMMETRIC, 1), 8_328),
-        (empirical_sequential_poa, (SYMMETRIC, Fraction(3, 2)), 12_936),
+        (every_outcome_and_opt, (SYMMETRIC, 1), 8_328),
+        (every_outcome_and_opt, (SYMMETRIC, Fraction(3, 2)), 12_936),
     ], ids=["opt-asym", "nash-asym", "spe-symmetric-1", "spe-symmetric-1.5"])
     def test_nodes_of_splits_inside_assignment_searches(self, search, args, nodes):
-        # Pinned from the partition search the kernel walk replaced.
+        # Pinned from the partition search the kernel walk replaced; the
+        # SPE pins list every outcome of every order, as the sequential
+        # measurement did then.
         budget = SearchBudget(10**6)
         search(*args, budget)
         assert budget.used == nodes

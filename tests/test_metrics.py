@@ -1,5 +1,6 @@
 """Centralized optimum and the empirical price-of-anarchy measurements."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,8 @@ from spgames import (BudgetExceededError, ExplicitSystem, GeneratorSpec,
                      compute_opt, empirical_collusion_poa, empirical_poa,
                      empirical_sequential_poa, ex_asym, ex_collusion, ex_seq,
                      ex_sym, ex_trivial, generate, greedy_sequential_outcome,
-                     random_explicit, ratio_within_sequential_bound,
+                     random_explicit, random_symmetric,
+                     ratio_within_sequential_bound,
                      reference_profiles, verify_collusion, welfare)
 
 from oracles import (brute_enumerate_nash, brute_first_deviation, brute_opt,
@@ -94,6 +96,21 @@ class TestSequentialPoa:
         result = empirical_sequential_poa(game, 1)
         assert isinstance(result.bound, RationalInterval)
         assert result.bound_satisfied
+
+    # The SPE pins of test_feasibility.py list every outcome of every
+    # order of the same game.  ex_sym's players share one system, so its
+    # n! orders are one class, of 479,001,600 orders at n = 12.
+    @pytest.mark.parametrize("game, alpha, nodes, ratio", [
+        (random_symmetric(n=4, copies=3, seed=2), Fraction(1), 2_103, 1),
+        (random_symmetric(n=4, copies=3, seed=2), Fraction(3, 2), 3_231, 1),
+        (ex_sym(2, 1, 4), Fraction(1), 306, 1),
+        (ex_sym(2, 1, 12), Fraction(1), 181_048, 1),
+    ], ids=["symmetric-1", "symmetric-1.5", "ex_sym-4", "ex_sym-12"])
+    def test_nodes_of_the_least_outcome(self, game, alpha, nodes, ratio):
+        budget = SearchBudget(10**6)
+        result = empirical_sequential_poa(game, alpha, budget)
+        assert (budget.used, result.ratio) == (nodes, ratio)
+        assert result.orders_examined == math.factorial(game.n)
 
 
 class TestCollusionPoa:

@@ -12,7 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 from spgames import (ExplicitSystem, Instance, Item, SearchBudget,
                      best_response, coalition_best_response, compute_opt,
                      empirical_sequential_poa, enumerate_nash,
-                     enumerate_spe_outcomes, feasible_subsets)
+                     enumerate_spe_outcomes, feasible_subsets,
+                     random_symmetric)
 from spgames.equilibria import enumerate_collusion
 from spgames.search import walk
 
@@ -27,9 +28,10 @@ exhaustive = settings(max_examples=150, deadline=None, derandomize=True)
 
 
 @st.composite
-def games(draw, max_set=None, shared=False) -> Instance:
+def games(draw, max_set=None, shared=False, systems=None) -> Instance:
     """`max_set` caps the size of the players' maximal sets; with `shared`
-    every player gets one and the same system."""
+    every player gets one and the same system, and with `systems` each
+    player gets one of that many."""
     ids = IDS[:draw(st.integers(1, len(IDS)))]
     weights = draw(st.lists(st.sampled_from(WEIGHTS), min_size=len(ids),
                             max_size=len(ids)))
@@ -37,8 +39,13 @@ def games(draw, max_set=None, shared=False) -> Instance:
                       min_size=1, max_size=3).map(
                           lambda sets: ExplicitSystem(maximal_sets=tuple(sets)))
     count = draw(st.integers(1, 3))
-    players = [draw(family)] * count if shared else \
-        [draw(family) for _ in range(count)]
+    if shared:
+        players = [draw(family)] * count
+    elif systems:
+        pool = [draw(family) for _ in range(systems)]
+        players = [draw(st.sampled_from(pool)) for _ in range(count)]
+    else:
+        players = [draw(family) for _ in range(count)]
     return Instance(items=tuple(map(Item, ids, weights)), players=tuple(players))
 
 
@@ -120,6 +127,22 @@ def test_spe_outcomes_and_worst_match_oracle_in_order(game, alpha):
     assert result.worst_profile == worst
     assert result.worst_equilibrium_welfare == least
     assert result.ratio == (opt / least if least else 1)
+
+
+@exhaustive
+@given(games(systems=2), st.sampled_from((Fraction(1), Fraction(3, 2))))
+@example(random_symmetric(n=3, copies=3, seed=10), Fraction(3, 2))
+def test_worst_outcome_classes_orders_by_sequence_of_systems(game, alpha):
+    """Orders that give the players' systems in one sequence have one
+    worst outcome up to relabelling; orders that give them in another
+    need not: the example's three systems differ, its worst welfare is
+    27, and the first order alone reaches 28."""
+    outcomes = [profile for order in permutations(range(game.n))
+                for profile in brute_spe_outcomes(game, order, alpha)]
+    worst = min(outcomes, key=lambda p: game.weight_of(p.all_items()))
+    result = empirical_sequential_poa(game, alpha)
+    assert result.worst_profile == worst
+    assert result.worst_equilibrium_welfare == game.weight_of(worst.all_items())
 
 
 @exhaustive
