@@ -89,6 +89,11 @@ def verify_nash(instance: Instance, profile: Profile, alpha,
     return EquilibriumReport("nash", factor, witness is None, total, witness)
 
 
+def _kinds(instance: Instance) -> list[int]:
+    """For each player, the first player whose system equals its own."""
+    return [instance.players.index(system) for system in instance.players]
+
+
 def _equilibria(instance: Instance, factor: Fraction, k: int,
                 budget: SearchBudget, least: list[Optional[int]],
                 interchangeable: bool = False
@@ -97,10 +102,12 @@ def _equilibria(instance: Instance, factor: Fraction, k: int,
     profile (Nash at k = 1) below the welfare `least[0]` (None: no bound),
     which the caller may lower between profiles, in `enumerate_nash` order.
 
-    A branch and bound over the joint tree in post-order.  Call the items
-    before `item` that nobody holds "skipped"; they stay free below the
-    node.  So in any Nash leaf below it, player i holds at least w(S_i)
-    and top(i, skipped | S_i) / alpha, where `top(p, pool)`, memoised per
+    Each distinct system's feasible sets are walked once, as the family
+    of every player of its kind (`_kinds`).  Then a branch and bound over
+    the joint tree in post-order: call the items before `item` that
+    nobody holds "skipped"; they stay free below the node.  So in any
+    Nash leaf below it, player i holds at least w(S_i) and
+    top(i, skipped | S_i) / alpha, where `top(p, pool)`, memoised per
     system, is p's best weight within `pool`.  A node is dropped when some
     player cannot reach alpha-satisfaction even with every undecided item
     it can hold, or when the sum of those lower bounds reaches `least[0]`:
@@ -114,14 +121,16 @@ def _equilibria(instance: Instance, factor: Fraction, k: int,
     ids = instance.ordered_ids
     weight, _ = instance.integer_weights
     weights = [weight[i] for i in ids]
-    owner = [instance.players.index(system) for system in instance.players]
-    families = [{T: value for (T,), value
-                 in walk(ids, weights, [system.is_member], budget)}
-                for system in instance.players]
+    kind = _kinds(instance)
+    families: list[dict[frozenset[str], int]] = []
+    for player, first in enumerate(kind):
+        families.append(families[first] if first < player else {
+            T: value for (T,), value in walk(
+                ids, weights, [instance.players[player].is_member], budget)})
     tops: dict[tuple[int, frozenset[str]], int] = {}
 
     def top(player: int, available: frozenset[str]) -> int:
-        key = owner[player], available
+        key = kind[player], available
         found = tops.get(key)
         if found is None:
             found = tops[key] = max(value for T, value
@@ -194,8 +203,7 @@ def worst_equilibrium(instance: Instance, alpha, k: int = 1,
     """
     factor = check_alpha(alpha)
     least: list[Optional[int]] = [None]
-    interchangeable = all(system == instance.players[0]
-                          for system in instance.players)
+    interchangeable = not any(_kinds(instance))
     found = None
     for sets, value in _equilibria(instance, factor, k,
                                    SearchBudget.ensure(budget), least,
@@ -296,8 +304,7 @@ def least_sequential_outcome(instance: Instance, factor: Fraction,
     the least so far is skipped without spending a node, since the rest
     adds a welfare of at least 0; every other action spends one.
     """
-    # kind[p]: the first player whose system equals p's.
-    kind = [instance.players.index(system) for system in instance.players]
+    kind = _kinds(instance)
 
     @cache
     def least(kinds: tuple[int, ...], available: frozenset[str]

@@ -17,12 +17,9 @@ A machine system whose release dates are all zero caches one integer
 view of its jobs (`IntegerJobs`): every processing time and deadline
 scaled once by the lcm of their denominators, addressed by the job's
 position in the id-sorted `jobs`.  On one such machine, membership is
-the earliest-deadline-first prefix check (Jackson 1955) and, when all
-processing times are equal, the maximum-cardinality scan keeps its jobs
-on integer keys, finish times and slacks, so neither touches a
-`Fraction`.  Their results are item ids, so nothing turns back into
-`Fraction` on those paths; schedule witnesses, whose start times are
-`Fraction`s, are built from the original windows.
+the earliest-deadline-first prefix check (Jackson 1955), which touches
+no `Fraction`; schedule witnesses, whose start times are `Fraction`s,
+are built from the original windows.
 
 A player with several machines splits a set across them by one walk of
 the search kernel, `_first_split`: one member per machine, each decided
@@ -38,12 +35,15 @@ an item may only open the first empty copy; the machines of an
 `IdenticalMachinesSystem` is the shared system of `copies` single
 machines and answers through it.
 
-Subset enumeration and the maximum-cardinality scan run on the search
-kernel (`search.py`), whose one-member pre-order lists a system's sets
-in lexicographic order.  The scan's documented pick is the kernel's
-first maximum over the scan-ordered pool; a greedy scan serves only
-uniform zero-release machines, where every greedily kept set is
-maximum.
+Subset enumeration runs on the search kernel (`search.py`), whose
+one-member pre-order lists a system's sets in lexicographic order.  The
+maximum-cardinality scan has two routes.  On zero-release machines
+with one processing time p (on the integer clock), job k has
+c_k = deadline_k // p slots per machine, and a set fits on m machines
+exactly when, at every level t, at most m * t of its jobs have
+c_k <= t.  So the scan keeps what a greedy pass over slot counts keeps,
+one node per candidate and no membership test.  Every other system
+takes the kernel's first maximum over the scan-ordered pool.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 from .budget import SearchBudget
@@ -221,14 +220,16 @@ class IntegerJobs:
     positions sorts ids.
     """
 
-    __slots__ = ("processing", "deadline", "uniform")
+    __slots__ = ("processing", "deadline", "length")
 
     def __init__(self, windows: Sequence[JobWindow]):
         scaled, _ = integral([w.processing for w in windows]
                              + [w.deadline for w in windows])
         self.processing = tuple(scaled[:len(windows)])
         self.deadline = tuple(scaled[len(windows):])
-        self.uniform = len(set(self.processing)) <= 1
+        lengths = set(self.processing)
+        # The one processing time of every job, or None.
+        self.length = lengths.pop() if len(lengths) == 1 else None
 
     def fits(self, positions: Iterable[int], budget: SearchBudget) -> bool:
         """Whether one machine runs these jobs by their deadlines.
@@ -629,49 +630,48 @@ def feasible_subsets(system: FeasibilitySystem, pool: Iterable[str],
 def _uniform_machine(system: FeasibilitySystem) -> Optional[_JobTable]:
     """The jobs of a zero-release, equal-processing machine system, or None.
 
-    For these, any maximal feasible subset of a pool is also maximum (jobs
-    match to fixed time slots, a transversal structure), so a greedy scan
-    already yields the maximum cardinality.
+    Job k fits into one of the first c_k slots of each machine, so the
+    slot condition of the module docstring is Hall's condition on nested
+    slot sets.  The feasible sets form a matroid: any maximal feasible
+    subset of a pool is also maximum, and a greedy scan yields the
+    maximum cardinality.
     """
     if isinstance(system, SharedSymmetricSystem):
         system = system.base
     if (isinstance(system, _JobTable) and system.integer_view is not None
-            and system.integer_view.uniform):
+            and system.integer_view.length is not None):
         return system
     return None
 
 
-def _greedy_scan_zero_release(jobs: IntegerJobs, positions: Iterable[int],
-                              budget: SearchBudget) -> list[int]:
-    """The jobs of `positions`, in that order, that a greedy scan keeps.
+def _greedy_scan_uniform(view: IntegerJobs, machines: int,
+                         positions: Sequence[int], budget: SearchBudget
+                         ) -> list[int]:
+    """The jobs of `positions`, in that order, that a greedy scan on
+    `machines` machines keeps.
 
-    A job is kept when the kept set stays feasible with it.  Everything
-    here is an integer of the view: kept jobs stay in (deadline,
-    position) order with their finish times and, at each place, the
-    smallest slack (deadline minus finish) from there on.  A candidate
-    inserted at a place pushes every later job back by its processing
-    time, so it fits exactly when it meets its own deadline and that push
-    is at most the smallest later slack.  One budget node per candidate;
-    the caller turns the kept positions back into item ids.
+    `levels` are the distinct slot counts of `positions`, ascending.  The
+    free count of a level is `machines` times the level minus the kept
+    jobs at or below it, and `low[i]` is the least free count from
+    `levels[i]` on.  A candidate fits exactly when `low` is at least 1 at
+    its level; keeping it takes one from `low` there and above, and caps
+    `low` below at the new value.  One budget node per candidate; the
+    caller turns the kept positions back into item ids.
     """
-    deadline, processing = jobs.deadline, jobs.processing
-    keys: list[tuple[int, int]] = []
-    finish: list[int] = []
-    slack: list[int] = []
+    slots = [view.deadline[k] // view.length for k in positions]
+    levels = sorted(set(slots))
+    low = [machines * level for level in levels]
     kept: list[int] = []
-    for k in positions:
+    for k, slot in zip(positions, slots):
         budget.spend()
-        key = (deadline[k], k)
-        at = bisect_left(keys, key)
-        length = processing[k]
-        if (finish[at - 1] if at else 0) + length > key[0]:
+        at = bisect_left(levels, slot)
+        if low[at] < 1:
             continue
-        if at < len(keys) and length > slack[at]:
-            continue
-        keys.insert(at, key)
-        finish = list(accumulate(processing[j] for _, j in keys))
-        gaps = [d - f for (d, _), f in zip(keys, finish)]
-        slack = list(accumulate(reversed(gaps), min))[::-1]
+        low[at:] = [free - 1 for free in low[at:]]
+        i = at - 1
+        while i >= 0 and low[i] > low[at]:
+            low[i] = low[at]
+            i -= 1
         kept.append(k)
     return kept
 
@@ -686,23 +686,23 @@ def max_cardinality_feasible(system: FeasibilitySystem, available: Iterable[str]
     `prefer_largest_deadline` is set, plain item-id order otherwise.  Among
     all maximum-cardinality subsets, the returned one is the set picked by
     a greedy scan that keeps an item whenever the maximum remains
-    reachable with it: the lexicographically first in scan order.  That is
-    the first maximum of the kernel's one-member pre-order over the
-    scan-ordered pool, which one `best` search returns.  Only uniform
-    zero-release machines skip that search: there the set a plain greedy
-    scan keeps, one node per candidate, is maximum, and no feasible set
-    comes before it in scan order.
+    reachable with it: the lexicographically first in scan order.  On
+    zero-release machines with one processing time, on any number of
+    machines, that is the set a plain greedy scan keeps, decided by slot
+    counts (`_uniform_machine`) at one node per candidate.  Everywhere
+    else it is the first maximum of the kernel's one-member pre-order
+    over the scan-ordered pool, which one `best` search returns.
     """
     shared = SearchBudget.ensure(budget)
     machine = _uniform_machine(system)
-    if machine is not None and _machine_count(system) == 1:
+    if machine is not None:
         view, position = machine.integer_view, machine.position
         order = sorted({position[i] for i in available if i in position})
         if prefer_largest_deadline:
             # A stable sort keeps equal deadlines in id order.
             order.sort(key=view.deadline.__getitem__, reverse=True)
-        return tuple(machine.jobs[k][0]
-                     for k in _greedy_scan_zero_release(view, order, shared))
+        return tuple(machine.jobs[k][0] for k in _greedy_scan_uniform(
+            view, _machine_count(system), order, shared))
     pool = sorted(frozenset(available) & system.universe())
     if prefer_largest_deadline:
         deadlines = system.job_deadlines()
@@ -710,13 +710,6 @@ def max_cardinality_feasible(system: FeasibilitySystem, available: Iterable[str]
             raise InputError(
                 "largest-deadline scan requires a scheduling system")
         pool.sort(key=lambda i: (-deadlines[i], i))
-    if machine is not None:
-        greedy: list[str] = []
-        for item in pool:
-            shared.spend()
-            if system.is_member(frozenset(greedy) | {item}, shared):
-                greedy.append(item)
-        return tuple(greedy)
     (chosen,), _ = best(pool, [1] * len(pool), [system.is_member], shared)
     return tuple(item for item in pool if item in chosen)
 

@@ -404,15 +404,22 @@ class TestIntegerView:
             assert (len(scan), budget.used) == (7, 84)
 
 
-def two_machines(kind: str, jobs: dict[str, JobWindow]):
-    """Two machines of one kind that both run every job as `jobs` says."""
+def several_machines(kind: str, jobs: dict[str, JobWindow], count: int = 2):
+    """`count` machines of one kind that all run every job as `jobs` says.
+    "shared-identical" is count / 2 shared copies of two identical
+    machines."""
     if kind == "identical":
-        return IdenticalMachinesSystem(copies=2, jobs=jobs)
+        return IdenticalMachinesSystem(copies=count, jobs=jobs)
     if kind == "shared":
-        return SharedSymmetricSystem(base=SingleMachineSystem(jobs=jobs), copies=2)
+        return SharedSymmetricSystem(base=SingleMachineSystem(jobs=jobs),
+                                     copies=count)
+    if kind == "shared-identical":
+        return SharedSymmetricSystem(
+            base=IdenticalMachinesSystem(copies=2, jobs=jobs), copies=count // 2)
+    machines = tuple(f"m{m}" for m in range(1, count + 1))
     return UnrelatedMachinesSystem(
-        machines=("m1", "m2"),
-        processing={(m, i): w.processing for m in ("m1", "m2")
+        machines=machines,
+        processing={(m, i): w.processing for m in machines
                     for i, w in jobs.items()},
         jobs={i: TimeWindow(w.release, w.deadline) for i, w in jobs.items()})
 
@@ -471,7 +478,7 @@ class TestPartition:
     @pytest.mark.parametrize("kind", ["identical", "shared", "unrelated"])
     def test_a_thousand_jobs_do_not_exhaust_the_stack(self, kind):
         jobs = {f"j{k:04d}": JobWindow(0, 1, 2000) for k in range(1200)}
-        system = two_machines(kind, jobs)
+        system = several_machines(kind, jobs)
         assert system.is_member(jobs)
         witness = system.schedule_witness(jobs)
         assert witness is not None
@@ -596,15 +603,17 @@ class TestPartition:
 @st.composite
 def scan_systems(draw):
     """A system for each route of the maximum-cardinality scan, with up to
-    7 items: an explicit family, one machine, two identical or shared
-    machines, or two unrelated machines.  Half the machine tables have
-    release dates, and half give every job the same processing time."""
-    kind = draw(st.sampled_from(
-        ("explicit", "single", "identical", "shared", "unrelated")))
+    7 items, and whether it is a uniform zero-release machine system: an
+    explicit family, one machine, or two to four identical, shared or
+    unrelated machines, where two or four may also be shared copies of
+    two identical machines.  Half the machine tables have release dates,
+    and half give every job the same processing time."""
+    kind = draw(st.sampled_from(("explicit", "single", "identical", "shared",
+                                 "shared-identical", "unrelated")))
     ids = [f"j{k}" for k in range(draw(st.integers(1, 7)))]
     if kind == "explicit":
-        return ExplicitSystem(maximal_sets=tuple(
-            draw(st.lists(st.frozensets(st.sampled_from(ids)), max_size=4))))
+        sets = draw(st.lists(st.frozensets(st.sampled_from(ids)), max_size=4))
+        return ExplicitSystem(maximal_sets=tuple(sets)), False
     released = draw(st.booleans())
     length = draw(rationals(1, 3)) if draw(st.booleans()) else None
     jobs = {}
@@ -613,16 +622,20 @@ def scan_systems(draw):
         processing = length or draw(rationals(1, 3))
         jobs[i] = JobWindow(release, processing,
                             release + processing + draw(rationals(-1, 6)))
-    if kind == "unrelated":
-        return UnrelatedMachinesSystem(
-            machines=("m1", "m2"),
-            processing={(m, i): draw(rationals(1, 3))
-                        for m in ("m1", "m2") for i in ids
-                        if draw(st.booleans())},
-            jobs={i: TimeWindow(w.release, w.deadline) for i, w in jobs.items()})
+    uniform = not released and length is not None
     if kind == "single":
-        return SingleMachineSystem(jobs)
-    return two_machines(kind, jobs)
+        return SingleMachineSystem(jobs), uniform
+    count = draw(st.sampled_from((2, 4)) if kind == "shared-identical"
+                 else st.integers(2, 4))
+    if kind == "unrelated":
+        machines = tuple(f"m{m}" for m in range(1, count + 1))
+        return UnrelatedMachinesSystem(
+            machines=machines,
+            processing={(m, i): draw(rationals(1, 3))
+                        for m in machines for i in ids if draw(st.booleans())},
+            jobs={i: TimeWindow(w.release, w.deadline) for i, w in jobs.items()}
+        ), False
+    return several_machines(kind, jobs, count), uniform
 
 
 class TestScanRoutes:
@@ -630,7 +643,8 @@ class TestScanRoutes:
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(scan_systems(), st.data())
-    def test_scan_keeps_the_documented_maximum(self, system, data):
+    def test_scan_keeps_the_documented_maximum(self, scanned, data):
+        system, uniform = scanned
         available = frozenset(i for i in sorted(system.universe())
                               if not data.draw(st.booleans(), label=i))
         members = {T for T in all_subsets(available) if system.is_member(T)}
@@ -639,7 +653,25 @@ class TestScanRoutes:
             pool = sorted(available)
             if largest_deadline_first:
                 pool.sort(key=lambda i: -deadlines[i])
+            budget = SearchBudget(10**6)
             scan = max_cardinality_feasible(system, available,
-                                            largest_deadline_first)
+                                            largest_deadline_first, budget)
             assert frozenset(scan) in members
             assert scan == brute_max_cardinality_scan(members.__contains__, pool)
+            if uniform:
+                assert budget.used == len(pool)  # one node per candidate
+
+    def test_nodes_of_a_uniform_scan_on_two_machines(self):
+        # Two unit jobs are due at each of 1..7 and four at 8, so 16 of
+        # the 18 fit.  A greedy scan that asked membership of every
+        # candidate spent 18,848 nodes in id order and 280,939 by
+        # largest deadline first.
+        jobs = {f"j{k:02d}": JobWindow(0, 1, min(k // 2 + 1, 8))
+                for k in range(18)}
+        system = IdenticalMachinesSystem(copies=2, jobs=jobs)
+        for largest_deadline_first in (False, True):
+            budget = SearchBudget(10**6)
+            scan = max_cardinality_feasible(system, jobs,
+                                            largest_deadline_first, budget)
+            assert (len(scan), budget.used) == (16, 18)
+            assert system.is_member(scan)

@@ -67,6 +67,13 @@ class TestEmpiricalPoa:
         assert result.ratio == Fraction(13, 6)
         assert result.bound_satisfied
 
+    def test_players_of_one_system_walk_its_sets_once(self):
+        # The three players share one system, so the Nash walk lists its
+        # feasible sets once; listing them per player spent 3,007 nodes.
+        budget = SearchBudget(10**6)
+        result = empirical_poa(ex_sym(3, 2, 3), 1, budget)
+        assert (budget.used, result.ratio) == (1_759, Fraction(13, 10))
+
 
 class TestSequentialPoa:
     def test_two_item_game_over_both_orders(self):
