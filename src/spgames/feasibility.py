@@ -35,6 +35,21 @@ an item may only open the first empty copy; the machines of an
 `IdenticalMachinesSystem` is the shared system of `copies` single
 machines and answers through it.
 
+Membership of c >= 2 shared copies takes one of three routes:
+
+* covers: over an explicit base with m maximal sets, a set splits into
+  at most c disjoint members exactly when it lies inside the union of
+  min(c, m) maximal sets (give each item to the first that holds it).
+  The system caches those maximal unions once, and membership is one
+  subset test per union, with no budget node.  There are at most
+  C(m, min(c, m)) of them, and a test may scan them all;
+* slot counts: on zero-release jobs with one processing time, the slot
+  condition below decides the set on all its machines, one node per job;
+* the split walk, for every other base.
+
+A schedule witness of several copies always splits; an explicit base
+has none.
+
 Subset enumeration runs on the search kernel (`search.py`), whose
 one-member pre-order lists a system's sets in lexicographic order.  The
 maximum-cardinality scan has two routes.  On zero-release machines
@@ -502,7 +517,14 @@ class SharedSymmetricSystem(FeasibilitySystem):
     """A player holding `copies` instances of one shared base system.
 
     A set is allowed when it splits into at most `copies` disjoint members
-    of the base family (one per machine copy, in scheduling terms).
+    of the base family (one per machine copy, in scheduling terms).  With
+    several copies, membership takes the module docstring's routes in
+    turn: covers of an explicit base (`_covers`), slot counts of a uniform
+    zero-release table (`_uniform_machine`), else the split walk.  The
+    covers cost time in proportion to their number, at most
+    C(m, min(copies, m)) for m base sets.  All 120 pairs of 16 items at
+    4 copies give 12,870 covers: about a second to build, and a test
+    that may scan every one of them.
     """
 
     base: FeasibilitySystem
@@ -531,18 +553,56 @@ class SharedSymmetricSystem(FeasibilitySystem):
                             interchangeable=True)
         return None if sets is None else tuple(filter(None, sets))
 
+    @cached_property
+    def _covers(self) -> Optional[ExplicitSystem]:
+        """The family of this system when the base is explicit, else None.
+
+        Its maximal sets are the maximal unions of min(copies, m) of the
+        base's m maximal sets, built one base set at a time: unite each
+        cover so far with each base set and keep the maximal results.
+        Unions go largest first, so a union is kept unless some kept one
+        holds it, which the bits of `holders` (kept covers per item) tell.
+        """
+        if not isinstance(self.base, ExplicitSystem):
+            return None
+        sets = self.base.maximal_sets
+        covers = sets
+        for _ in range(min(self.copies, len(sets)) - 1):
+            holders = dict.fromkeys(self._ids, 0)
+            kept: list[frozenset[str]] = []
+            for union in sorted({c | s for c in covers for s in sets},
+                                key=len, reverse=True):
+                held = (1 << len(kept)) - 1
+                for item in union:
+                    held &= holders[item]
+                if not held:
+                    for item in union:
+                        holders[item] |= 1 << len(kept)
+                    kept.append(union)
+            covers = tuple(kept)
+        return ExplicitSystem(maximal_sets=covers)
+
     def is_member(self, items, budget=None) -> bool:
         target = frozenset(items)
         if not target <= self.universe():
             return False
         if self.copies == 1:
             return self.base.is_member(target, budget)
-        return self._split(target, SearchBudget.ensure(budget)) is not None
+        if self._covers is not None:
+            return self._covers.is_member(target)
+        shared = SearchBudget.ensure(budget)
+        machine = _uniform_machine(self)
+        if machine is not None:
+            positions = [machine.position[i] for i in target]
+            return len(_greedy_scan_uniform(
+                machine.integer_view, _machine_count(self), positions,
+                shared)) == len(positions)
+        return self._split(target, shared) is not None
 
     def schedule_witness(self, items, budget=None) -> Optional[ScheduleWitness]:
         target = frozenset(items)
-        if not target <= self.universe():
-            return None
+        if isinstance(self.base, ExplicitSystem) or not target <= self.universe():
+            return None  # an explicit base has no schedule semantics
         shared = SearchBudget.ensure(budget)
         if self.copies == 1:
             return self.base.schedule_witness(target, shared)
@@ -551,10 +611,7 @@ class SharedSymmetricSystem(FeasibilitySystem):
             return None
         machines = []
         for part in parts:
-            part_witness = self.base.schedule_witness(part, shared)
-            if part_witness is None:
-                return None  # base has no schedule semantics
-            machines.extend(part_witness.machines)
+            machines.extend(self.base.schedule_witness(part, shared).machines)
         while len(machines) < self.copies:
             machines.append(())
         return ScheduleWitness(machines=tuple(machines))

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spgames import (BudgetExceededError, ExplicitSystem, ScheduleWitness,
-                     IdenticalMachinesSystem, InputError, JobWindow,
-                     SearchBudget, SharedSymmetricSystem, SingleMachineSystem,
-                     TimeWindow, UnrelatedMachinesSystem, antichain_violation,
-                     compute_opt, empirical_poa, enumerate_spe_outcomes,
-                     ex_asym, ex_seq, ex_sym, feasible_subsets,
-                     max_cardinality_feasible, random_symmetric,
-                     validate_downward_closed, validate_witness)
+                     IdenticalMachinesSystem, InputError, Instance, Item,
+                     JobWindow, SearchBudget, SharedSymmetricSystem,
+                     SingleMachineSystem, TimeWindow, UnrelatedMachinesSystem,
+                     antichain_violation, compute_opt, empirical_poa,
+                     enumerate_spe_outcomes, ex_asym, ex_seq, ex_sym,
+                     feasible_subsets, max_cardinality_feasible,
+                     random_symmetric, validate_downward_closed,
+                     validate_witness)
 
 from oracles import (all_subsets, brute_max_cardinality_scan,
                      brute_partition, edf_checks, schedulable_by_permutations)
@@ -139,6 +140,35 @@ class TestMultiCopy:
         assert not shared.is_member({"a", "b", "c", "zzz"})
         single = SharedSymmetricSystem(base=base, copies=1)
         assert not single.is_member({"a", "c"})
+
+    def test_explicit_base_has_no_witness_and_spends_nothing(self):
+        base = ExplicitSystem(maximal_sets=(frozenset({"a", "b"}), frozenset({"c"})))
+        shared = SharedSymmetricSystem(base=base, copies=2)
+        budget = SearchBudget(10**6)
+        assert shared.is_member({"a", "b", "c"}, budget)
+        assert shared.schedule_witness({"a", "b", "c"}, budget) is None
+        assert budget.used == 0
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(st.frozensets(st.sampled_from("abcde")), max_size=4),
+           st.data())
+    def test_explicit_base_matches_every_assignment(self, drawn, data):
+        # Drawn sets reduced to their maximal ones; no set at all is the
+        # family of the empty set alone.
+        sets = [s for s in set(drawn) if not any(s < other for other in drawn)]
+        copies = data.draw(st.integers(1, len(sets) + 2), label="copies")
+        shared = SharedSymmetricSystem(ExplicitSystem(maximal_sets=tuple(sets)),
+                                       copies)
+
+        def fits(p, part):
+            return not part or any(set(part) <= s for s in sets)
+
+        for subset in all_subsets(shared.universe()):
+            budget = SearchBudget(10**6)
+            assert shared.is_member(subset, budget) == brute_partition(
+                subset, copies, fits)
+            assert not shared.is_member(subset | {"x"}, budget)
+            assert budget.used == 0
 
     def test_downward_closure_sampled_on_oracles(self):
         base = self.base()
@@ -568,6 +598,40 @@ class TestPartition:
             tracemalloc.stop()
         assert peak < 100_000
 
+    def test_nodes_of_a_uniform_table_rejected(self):
+        # Two unit jobs are due at each of 1..5 and four at 6, so two
+        # machines hold at most 12 of the 14.  Slot counts reject the
+        # table in one node per job; the split spent 1,727, and a witness
+        # still does.
+        jobs = {f"j{k:02d}": JobWindow(0, 1, min(k // 2 + 1, 6))
+                for k in range(14)}
+        for system in (IdenticalMachinesSystem(2, jobs),
+                       SharedSymmetricSystem(SingleMachineSystem(jobs), 2)):
+            member_budget, witness_budget = SearchBudget(10**6), SearchBudget(10**6)
+            assert not system.is_member(jobs, member_budget)
+            assert system.schedule_witness(jobs, witness_budget) is None
+            assert (member_budget.used, witness_budget.used) == (14, 1_727)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.sampled_from(("identical", "shared", "shared-identical")),
+           st.integers(1, 2), rationals(1, 3), st.data())
+    def test_slot_counts_match_every_assignment(self, kind, half, length, data):
+        # Zero-release jobs with one processing time on 2 or 4 machines.
+        jobs = {f"j{k}": JobWindow(0, length, length * data.draw(
+                    st.integers(-1, 4), label=f"slots of j{k}"))
+                for k in range(data.draw(st.integers(0, 6), label="jobs"))}
+        count = 2 * half
+        system = several_machines(kind, jobs, count)
+        items = data.draw(st.frozensets(st.sampled_from(sorted(jobs) + ["x"])))
+        budget = SearchBudget(10**6)
+        verdict = system.is_member(items, budget)
+        if "x" in items:
+            assert (verdict, budget.used) == (False, 0)
+            return
+        assert verdict == brute_partition(
+            items, count, lambda p, part: fits_by_permutations(jobs, part))
+        assert budget.used == len(items)
+
     @pytest.mark.parametrize("system, items, nodes", [
         (UNRELATED, "abcd", (15, 20)), (UNRELATED, "abc", (11, 15)),
         (UNRELATED, "ad", (5, 7)), (MOVED, "ab", (10, 12)),
@@ -582,15 +646,23 @@ class TestPartition:
             assert budget.used == pinned
 
     # ex_asym's players are one-machine unrelated systems; the symmetric
-    # game's players hold 3, 2, 3 and 2 copies of one explicit base.
+    # game's players hold 3, 2, 3 and 2 copies of one explicit base, whose
+    # covers decide membership without a split.  RELEASED_GAME's first
+    # player splits across two copies of a machine with release dates.
     SYMMETRIC = random_symmetric(n=4, copies=3, seed=2)
+    RELEASED_GAME = Instance(
+        items=tuple(Item(i, w) for i, w in zip("abcd", (3, 2, 2, 1))),
+        players=(SharedSymmetricSystem(SingleMachineSystem(RELEASED), 2),
+                 SharedSymmetricSystem(SingleMachineSystem(RELEASED), 1)))
 
     @pytest.mark.parametrize("search, args, nodes", [
         (compute_opt, (ex_asym(3, 2),), 61),
         (empirical_poa, (ex_asym(3, 2), Fraction(3, 2)), 443),
-        (every_outcome_and_opt, (SYMMETRIC, 1), 8_328),
-        (every_outcome_and_opt, (SYMMETRIC, Fraction(3, 2)), 12_936),
-    ], ids=["opt-asym", "nash-asym", "spe-symmetric-1", "spe-symmetric-1.5"])
+        (every_outcome_and_opt, (SYMMETRIC, 1), 1_626),
+        (every_outcome_and_opt, (SYMMETRIC, Fraction(3, 2)), 4_050),
+        (empirical_poa, (RELEASED_GAME, 1), 256),
+    ], ids=["opt-asym", "nash-asym", "spe-symmetric-1", "spe-symmetric-1.5",
+            "nash-released"])
     def test_nodes_of_splits_inside_assignment_searches(self, search, args, nodes):
         # Pinned from the partition search the kernel walk replaced; the
         # SPE pins list every outcome of every order, as the sequential
