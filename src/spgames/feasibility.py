@@ -39,12 +39,14 @@ Membership of c >= 2 shared copies takes one of three routes:
 
 * covers: over an explicit base with m maximal sets, a set splits into
   at most c disjoint members exactly when it lies inside the union of
-  min(c, m) maximal sets (give each item to the first that holds it).
-  The system caches those maximal unions once, and membership is one
-  subset test per union, with no budget node.  There are at most
-  C(m, min(c, m)) of them, and a test may scan them all;
+  at most min(c, m) maximal sets (give each item to the first that holds
+  it).  The system caches those unions once, and membership is one
+  subset test per union, with no budget node.  There are up to
+  C(m, min(c, m)) maximal ones, so a base whose build would form more
+  than `_COVER_UNIONS` unions takes the split walk instead;
 * slot counts: on zero-release jobs with one processing time, the slot
-  condition below decides the set on all its machines, one node per job;
+  condition below decides the set on all its machines, one node per job
+  up to the first that breaks it;
 * the split walk, for every other base.
 
 A schedule witness of several copies always splits; an explicit base
@@ -73,6 +75,10 @@ from typing import Iterable, Optional, Sequence
 from .budget import SearchBudget
 from .errors import InputError
 from .search import Sets, Test, best, integral, walk
+
+# Most unions `SharedSymmetricSystem._covers` forms before it leaves an
+# explicit base to the split walk, so also most covers a test scans.
+_COVER_UNIONS = 4096
 
 
 def _fraction(value, *, name: str, minimum: Fraction | None = None,
@@ -521,10 +527,9 @@ class SharedSymmetricSystem(FeasibilitySystem):
     several copies, membership takes the module docstring's routes in
     turn: covers of an explicit base (`_covers`), slot counts of a uniform
     zero-release table (`_uniform_machine`), else the split walk.  The
-    covers cost time in proportion to their number, at most
-    C(m, min(copies, m)) for m base sets.  All 120 pairs of 16 items at
-    4 copies give 12,870 covers: about a second to build, and a test
-    that may scan every one of them.
+    covers cost time in proportion to their number, which grows like
+    C(m, min(copies, m)) for m base sets; a base past `_COVER_UNIONS`
+    unions, such as all 120 pairs of 16 items at 4 copies, splits.
     """
 
     base: FeasibilitySystem
@@ -557,29 +562,21 @@ class SharedSymmetricSystem(FeasibilitySystem):
     def _covers(self) -> Optional[ExplicitSystem]:
         """The family of this system when the base is explicit, else None.
 
-        Its maximal sets are the maximal unions of min(copies, m) of the
+        Its sets are the distinct unions of at most min(copies, m) of the
         base's m maximal sets, built one base set at a time: unite each
-        cover so far with each base set and keep the maximal results.
-        Unions go largest first, so a union is kept unless some kept one
-        holds it, which the bits of `holders` (kept covers per item) tell.
+        cover so far with each base set.  The build forms at most
+        `_COVER_UNIONS` unions and gives None before it would pass that,
+        so membership falls back to the split walk and its budget.
         """
         if not isinstance(self.base, ExplicitSystem):
             return None
         sets = self.base.maximal_sets
-        covers = sets
+        covers, formed = sets, 0
         for _ in range(min(self.copies, len(sets)) - 1):
-            holders = dict.fromkeys(self._ids, 0)
-            kept: list[frozenset[str]] = []
-            for union in sorted({c | s for c in covers for s in sets},
-                                key=len, reverse=True):
-                held = (1 << len(kept)) - 1
-                for item in union:
-                    held &= holders[item]
-                if not held:
-                    for item in union:
-                        holders[item] |= 1 << len(kept)
-                    kept.append(union)
-            covers = tuple(kept)
+            formed += len(covers) * len(sets)
+            if formed > _COVER_UNIONS:
+                return None
+            covers = tuple({c | s for c in covers for s in sets})
         return ExplicitSystem(maximal_sets=covers)
 
     def is_member(self, items, budget=None) -> bool:
@@ -593,10 +590,8 @@ class SharedSymmetricSystem(FeasibilitySystem):
         shared = SearchBudget.ensure(budget)
         machine = _uniform_machine(self)
         if machine is not None:
-            positions = [machine.position[i] for i in target]
-            return len(_greedy_scan_uniform(
-                machine.integer_view, _machine_count(self), positions,
-                shared)) == len(positions)
+            return _fits_slots(machine.integer_view, _machine_count(self),
+                               [machine.position[i] for i in target], shared)
         return self._split(target, shared) is not None
 
     def schedule_witness(self, items, budget=None) -> Optional[ScheduleWitness]:
@@ -611,7 +606,10 @@ class SharedSymmetricSystem(FeasibilitySystem):
             return None
         machines = []
         for part in parts:
-            machines.extend(self.base.schedule_witness(part, shared).machines)
+            part_witness = self.base.schedule_witness(part, shared)
+            if part_witness is None:
+                return None  # base has no schedule semantics
+            machines.extend(part_witness.machines)
         while len(machines) < self.copies:
             machines.append(())
         return ScheduleWitness(machines=tuple(machines))
@@ -699,6 +697,23 @@ def _uniform_machine(system: FeasibilitySystem) -> Optional[_JobTable]:
             and system.integer_view.length is not None):
         return system
     return None
+
+
+def _fits_slots(view: IntegerJobs, machines: int, positions: Iterable[int],
+                budget: SearchBudget) -> bool:
+    """Whether the jobs of `positions` fit on `machines` machines.
+
+    The slot condition of the module docstring, taken over the slot
+    counts in ascending order: the i-th of them (from 1) must be at least
+    i / `machines`.  One budget node per job looked at; the first job
+    over its level's count ends the scan.
+    """
+    slots = sorted(view.deadline[k] // view.length for k in positions)
+    for count, slot in enumerate(slots, 1):
+        budget.spend()
+        if count > machines * slot:
+            return False
+    return True
 
 
 def _greedy_scan_uniform(view: IntegerJobs, machines: int,

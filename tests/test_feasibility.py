@@ -4,13 +4,14 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spgames import (BudgetExceededError, ExplicitSystem, ScheduleWitness,
+from spgames import (BudgetExceededError, ExplicitSystem, FeasibilitySystem,
                      IdenticalMachinesSystem, InputError, Instance, Item,
-                     JobWindow, SearchBudget, SharedSymmetricSystem,
+                     JobWindow, ScheduleWitness, SearchBudget, SharedSymmetricSystem,
                      SingleMachineSystem, TimeWindow, UnrelatedMachinesSystem,
                      antichain_violation, compute_opt, empirical_poa,
                      enumerate_spe_outcomes, ex_asym, ex_seq, ex_sym,
@@ -154,21 +155,52 @@ class TestMultiCopy:
            st.data())
     def test_explicit_base_matches_every_assignment(self, drawn, data):
         # Drawn sets reduced to their maximal ones; no set at all is the
-        # family of the empty set alone.
+        # family of the empty set alone.  `split` builds its covers under
+        # a cap of no unions, so with two or more base sets and copies it
+        # takes the split walk.
         sets = [s for s in set(drawn) if not any(s < other for other in drawn)]
         copies = data.draw(st.integers(1, len(sets) + 2), label="copies")
-        shared = SharedSymmetricSystem(ExplicitSystem(maximal_sets=tuple(sets)),
-                                       copies)
+        base = ExplicitSystem(maximal_sets=tuple(sets))
+        shared = SharedSymmetricSystem(base, copies)
+        split = SharedSymmetricSystem(base, copies)
+        with mock.patch("spgames.feasibility._COVER_UNIONS", 0):
+            split._covers
 
         def fits(p, part):
             return not part or any(set(part) <= s for s in sets)
 
         for subset in all_subsets(shared.universe()):
             budget = SearchBudget(10**6)
-            assert shared.is_member(subset, budget) == brute_partition(
-                subset, copies, fits)
+            expected = brute_partition(subset, copies, fits)
+            assert shared.is_member(subset, budget) == expected
             assert not shared.is_member(subset | {"x"}, budget)
             assert budget.used == 0
+            assert split.is_member(subset) == expected
+
+    def test_explicit_base_past_the_union_cap_splits(self):
+        # Forty disjoint pairs at twenty copies have about C(40, 20)
+        # covers; the build stops at its cap and the split walk answers
+        # within the caller's budget, as it does without the covers.
+        pairs = tuple(frozenset({f"a{k:02d}", f"b{k:02d}"}) for k in range(40))
+        shared = SharedSymmetricSystem(ExplicitSystem(maximal_sets=pairs), 20)
+        budget = SearchBudget(10**6)
+        assert shared.is_member({"a00", "b00"}, budget)
+        assert budget.used == 2
+        too_many = {f"{side}{k:02d}" for side in "ab" for k in range(21)}
+        assert not shared.is_member(too_many, SearchBudget(10**6))
+        with pytest.raises(BudgetExceededError):
+            shared.is_member(too_many, SearchBudget(100))
+
+    def test_base_without_schedules_has_no_witness(self):
+        class Pairs(FeasibilitySystem):
+            _ids = frozenset("abcd")
+
+            def is_member(self, items, budget=None):
+                return len(frozenset(items)) <= 2
+
+        shared = SharedSymmetricSystem(base=Pairs(), copies=2)
+        assert shared.is_member("abcd")
+        assert shared.schedule_witness("abcd") is None
 
     def test_downward_closure_sampled_on_oracles(self):
         base = self.base()
@@ -600,17 +632,21 @@ class TestPartition:
 
     def test_nodes_of_a_uniform_table_rejected(self):
         # Two unit jobs are due at each of 1..5 and four at 6, so two
-        # machines hold at most 12 of the 14.  Slot counts reject the
-        # table in one node per job; the split spent 1,727, and a witness
-        # still does.
-        jobs = {f"j{k:02d}": JobWindow(0, 1, min(k // 2 + 1, 6))
-                for k in range(14)}
-        for system in (IdenticalMachinesSystem(2, jobs),
-                       SharedSymmetricSystem(SingleMachineSystem(jobs), 2)):
-            member_budget, witness_budget = SearchBudget(10**6), SearchBudget(10**6)
-            assert not system.is_member(jobs, member_budget)
-            assert system.schedule_witness(jobs, witness_budget) is None
-            assert (member_budget.used, witness_budget.used) == (14, 1_727)
+        # machines hold at most 12 of the 14.  Slot counts stop at the
+        # 13th job by slot count; the split spent 1,727, and a witness
+        # still does.  A job due before its length ends stops them at
+        # once, where the split spent 2.
+        tight = {f"j{k:02d}": JobWindow(0, 1, min(k // 2 + 1, 6))
+                 for k in range(14)}
+        late = {"a": JobWindow(0, 2, 1), "b": JobWindow(0, 2, 4),
+                "c": JobWindow(0, 2, 4), "d": JobWindow(0, 2, 4)}
+        for jobs, count, nodes in ((tight, 2, (13, 1_727)), (late, 4, (1, 2))):
+            for system in (IdenticalMachinesSystem(count, jobs),
+                           SharedSymmetricSystem(SingleMachineSystem(jobs), count)):
+                member_budget, witness_budget = SearchBudget(10**6), SearchBudget(10**6)
+                assert not system.is_member(jobs, member_budget)
+                assert system.schedule_witness(jobs, witness_budget) is None
+                assert (member_budget.used, witness_budget.used) == nodes
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.sampled_from(("identical", "shared", "shared-identical")),
@@ -619,18 +655,19 @@ class TestPartition:
         # Zero-release jobs with one processing time on 2 or 4 machines.
         jobs = {f"j{k}": JobWindow(0, length, length * data.draw(
                     st.integers(-1, 4), label=f"slots of j{k}"))
-                for k in range(data.draw(st.integers(0, 6), label="jobs"))}
+                for k in range(data.draw(st.integers(1, 6), label="jobs"))}
         count = 2 * half
         system = several_machines(kind, jobs, count)
-        items = data.draw(st.frozensets(st.sampled_from(sorted(jobs) + ["x"])))
+        items = data.draw(st.frozensets(st.sampled_from(sorted(jobs)), min_size=1),
+                          label="items")
         budget = SearchBudget(10**6)
+        assert not system.is_member(items | {"x"}, budget)
+        assert budget.used == 0
         verdict = system.is_member(items, budget)
-        if "x" in items:
-            assert (verdict, budget.used) == (False, 0)
-            return
         assert verdict == brute_partition(
             items, count, lambda p, part: fits_by_permutations(jobs, part))
-        assert budget.used == len(items)
+        # A rejected set stops at the first job over its slot count.
+        assert budget.used == len(items) if verdict else budget.used <= len(items)
 
     @pytest.mark.parametrize("system, items, nodes", [
         (UNRELATED, "abcd", (15, 20)), (UNRELATED, "abc", (11, 15)),
