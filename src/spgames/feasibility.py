@@ -10,16 +10,17 @@ allowed selection for a player?  Two representations are supported:
   machine(s).
 
 Both representations are downward closed: removing items from an allowed
-set keeps it allowed.  Scheduling oracles with release dates fall back to
-a budget-guarded exact search.
+set keeps it allowed.
 
-A machine system whose release dates are all zero caches one integer
-view of its jobs (`IntegerJobs`): every processing time and deadline
+Every machine system caches one integer view of its jobs
+(`IntegerJobs`): every release date, processing time and deadline
 scaled once by the lcm of their denominators, addressed by the job's
-position in the id-sorted `jobs`.  On one such machine, membership is
-the earliest-deadline-first prefix check (Jackson 1955), which touches
-no `Fraction`; schedule witnesses, whose start times are `Fraction`s,
-are built from the original windows.
+position in the id-sorted `jobs`.  It is the only single-machine
+scheduler, and it touches no `Fraction`.  A set without release dates is
+decided by the earliest-deadline-first prefix check (Jackson 1955); a
+release date in the set only switches that check to an exact dynamic
+program over its subsets, under the budget.  A schedule witness maps
+each integer start back to a `Fraction` by the view's scale.
 
 A player with several machines splits a set across them by one walk of
 the search kernel, `_first_split`: one member per machine, each decided
@@ -70,7 +71,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .budget import SearchBudget
 from .errors import InputError
@@ -162,110 +163,88 @@ def _normalize_job_map(jobs, window_type=JobWindow
     return tuple(out)
 
 
-def _schedule_one_machine(jobs: list[tuple[str, JobWindow]],
-                          budget: SearchBudget) -> Optional[list[tuple[str, Fraction]]]:
-    """Exact single-machine schedule for the given jobs, or None.
-
-    Zero release dates: order by deadline and check every prefix load.
-    General release dates: dynamic program over job subsets minimizing the
-    completion time, which is exact because starting earlier never hurts.
-    """
-    if not jobs:
-        return []
-    if all(window.release == 0 for _, window in jobs):
-        ordered = sorted(jobs, key=lambda p: (p[1].deadline, p[0]))
-        schedule = []
-        clock = Fraction(0)
-        for item_id, window in ordered:
-            budget.spend()
-            start = clock
-            clock = start + window.processing
-            if clock > window.deadline:
-                return None
-            schedule.append((item_id, start))
-        return schedule
-
-    indexed = sorted(jobs, key=lambda p: p[0])
-    n = len(indexed)
-    if n > 24:
-        budget.require(1 << n)  # subset DP is hopeless here; fail loudly
-    finish: dict[int, Fraction] = {0: Fraction(0)}
-    parent: dict[int, tuple[int, int]] = {}
-    for mask in range(1, 1 << n):
-        budget.spend()
-        best = None
-        choice = None
-        for j in range(n):
-            bit = 1 << j
-            if not mask & bit:
-                continue
-            prev = finish.get(mask ^ bit)
-            if prev is None:
-                continue
-            window = indexed[j][1]
-            start = max(prev, window.release)
-            end = start + window.processing
-            if end > window.deadline:
-                continue
-            if best is None or end < best:
-                best = end
-                choice = j
-        if best is not None:
-            finish[mask] = best
-            parent[mask] = (mask ^ (1 << choice), choice)
-    full = (1 << n) - 1
-    if full not in finish:
-        return None
-    order: list[int] = []
-    mask = full
-    while mask:
-        mask, j = parent[mask]
-        order.append(j)
-    order.reverse()
-    schedule = []
-    clock = Fraction(0)
-    for j in order:
-        item_id, window = indexed[j]
-        start = max(clock, window.release)
-        clock = start + window.processing
-        schedule.append((item_id, start))
-    return schedule
-
-
 class IntegerJobs:
-    """Zero-release jobs of one machine kind on an integer clock.
+    """The jobs of one machine kind on an integer clock.
 
-    Processing times and deadlines are scaled once by the lcm of their
-    denominators, which keeps every comparison exact.  Jobs are addressed
-    by their position in the owner's id-sorted `jobs`, so sorting
-    positions sorts ids.
+    Release dates, processing times and deadlines are scaled once by the
+    lcm of their denominators, `scale`, which keeps every comparison
+    exact.  Jobs are addressed by their position in the owner's id-sorted
+    `jobs`, so sorting positions sorts ids.
     """
 
-    __slots__ = ("processing", "deadline", "length")
+    __slots__ = ("release", "processing", "deadline", "scale", "released",
+                 "length")
 
     def __init__(self, windows: Sequence[JobWindow]):
-        scaled, _ = integral([w.processing for w in windows]
-                             + [w.deadline for w in windows])
-        self.processing = tuple(scaled[:len(windows)])
-        self.deadline = tuple(scaled[len(windows):])
+        scaled, self.scale = integral([w.release for w in windows]
+                                      + [w.processing for w in windows]
+                                      + [w.deadline for w in windows])
+        count = len(windows)
+        self.release = tuple(scaled[:count])
+        self.processing = tuple(scaled[count:2 * count])
+        self.deadline = tuple(scaled[2 * count:])
+        # Positions of the jobs with a release date.
+        self.released = frozenset(k for k, r in enumerate(self.release) if r)
         lengths = set(self.processing)
-        # The one processing time of every job, or None.
-        self.length = lengths.pop() if len(lengths) == 1 else None
+        # The one processing time of every job, or None; None too when
+        # a job has a release date, which slot counts do not model.
+        self.length = (lengths.pop() if len(lengths) == 1
+                       and not self.released else None)
 
-    def fits(self, positions: Iterable[int], budget: SearchBudget) -> bool:
-        """Whether one machine runs these jobs by their deadlines.
+    def schedule(self, positions: Iterable[int], budget: SearchBudget
+                 ) -> Optional[Iterator[tuple[int, int]]]:
+        """(position, start) of each job in run order, or None.
 
-        Earliest deadline first, ties by id, is optimal without release
-        dates, so checking each prefix load decides the set.  One budget
-        node per job checked.
+        Without release dates, earliest deadline first, ties by id, is
+        optimal, so checking each prefix load decides the set: one budget
+        node per job checked.  With one in the set, a dynamic program over
+        the subsets keeps the least completion time of each, which is
+        exact because starting earlier never hurts; ties go to the job of
+        least id last.  It requires its one node per nonempty subset up
+        front.  Start times are computed as the pairs are read, so a
+        membership test pays for none.
         """
-        clock = 0
-        for k in sorted(sorted(positions), key=self.deadline.__getitem__):
+        jobs = sorted(positions)
+        if self.released.isdisjoint(jobs):
+            order, clock = sorted(jobs, key=self.deadline.__getitem__), 0
+            for k in order:
+                budget.spend()
+                clock += self.processing[k]
+                if clock > self.deadline[k]:
+                    return None
+            return self._timed(order)
+
+        full = (1 << len(jobs)) - 1
+        budget.require(full)
+        finish: list[Optional[int]] = [0] + [None] * full
+        last = [0] * (full + 1)
+        for mask in range(1, full + 1):
             budget.spend()
-            clock += self.processing[k]
-            if clock > self.deadline[k]:
-                return False
-        return True
+            for j, k in enumerate(jobs):
+                if not mask >> j & 1:
+                    continue
+                prev = finish[mask ^ (1 << j)]
+                if prev is None:
+                    continue
+                end = max(prev, self.release[k]) + self.processing[k]
+                if end <= self.deadline[k] and (finish[mask] is None
+                                                or end < finish[mask]):
+                    finish[mask], last[mask] = end, j
+        if finish[full] is None:
+            return None
+        order, mask = [], full
+        while mask:
+            order.append(jobs[last[mask]])
+            mask ^= 1 << last[mask]
+        return self._timed(reversed(order))
+
+    def _timed(self, order: Iterable[int]) -> Iterator[tuple[int, int]]:
+        """Each job of `order` with its start, run as early as it may."""
+        clock = 0
+        for k in order:
+            start = max(clock, self.release[k])
+            clock = start + self.processing[k]
+            yield k, start
 
 
 def _first_split(target: frozenset[str], tests: Sequence[Test],
@@ -360,12 +339,9 @@ class _JobTable:
         return {item: k for k, (item, _) in enumerate(self.jobs)}
 
     @cached_property
-    def integer_view(self) -> Optional[IntegerJobs]:
-        """The jobs on an integer clock when every release is 0, else None."""
-        windows = [w for _, w in self.jobs]
-        if any(w.release != 0 for w in windows):
-            return None
-        return IntegerJobs(windows)
+    def integer_view(self) -> IntegerJobs:
+        """The jobs on an integer clock."""
+        return IntegerJobs([w for _, w in self.jobs])
 
     def window(self, item: str) -> Optional[JobWindow]:
         k = self.position.get(item)
@@ -388,23 +364,22 @@ class SingleMachineSystem(_JobTable, FeasibilitySystem):
     def __post_init__(self):
         object.__setattr__(self, "jobs", _normalize_job_map(self.jobs))
 
-    def is_member(self, items, budget=None) -> bool:
-        if self.integer_view is None:
-            return self.schedule_witness(items, budget) is not None
+    def _schedule(self, items, budget) -> Optional[Iterator[tuple[int, int]]]:
         positions = {self.position.get(i) for i in items}
-        return None not in positions and self.integer_view.fits(
-            positions, SearchBudget.ensure(budget))
+        if None in positions:
+            return None
+        return self.integer_view.schedule(positions, SearchBudget.ensure(budget))
+
+    def is_member(self, items, budget=None) -> bool:
+        return self._schedule(items, budget) is not None
 
     def schedule_witness(self, items, budget=None) -> Optional[ScheduleWitness]:
-        target = frozenset(items)
-        if not target <= self.universe():
-            return None
-        schedule = _schedule_one_machine(
-            [(i, self.window(i)) for i in sorted(target)],
-            SearchBudget.ensure(budget))
+        schedule = self._schedule(items, budget)
         if schedule is None:
             return None
-        return ScheduleWitness(machines=(tuple(schedule),))
+        scale = self.integer_view.scale
+        return ScheduleWitness(machines=(tuple(
+            (self.jobs[k][0], Fraction(start, scale)) for k, start in schedule),))
 
 
 @dataclass(frozen=True)
@@ -693,8 +668,7 @@ def _uniform_machine(system: FeasibilitySystem) -> Optional[_JobTable]:
     """
     if isinstance(system, SharedSymmetricSystem):
         system = system.base
-    if (isinstance(system, _JobTable) and system.integer_view is not None
-            and system.integer_view.length is not None):
+    if isinstance(system, _JobTable) and system.integer_view.length is not None:
         return system
     return None
 

@@ -38,22 +38,36 @@ def parse_rational(value, field: str = "value") -> Fraction:
     if not isinstance(value, str) or not _RATIONAL_RE.match(value.strip()):
         raise InputError(
             f"{field}: expected an integer or 'p/q' string, got {value!r}")
-    text = value.strip()
-    if "/" in text:
-        numerator, denominator = text.split("/")
-        if int(denominator) == 0:
-            raise InputError(f"{field}: zero denominator in {value!r}")
-        return Fraction(int(numerator), int(denominator))
-    return Fraction(int(text))
+    numerator, _, denominator = value.strip().partition("/")
+    try:
+        numerator, denominator = int(numerator), int(denominator or 1)
+    except ValueError as exc:  # past the interpreter's digit limit
+        raise InputError(f"{field}: {exc}") from exc
+    if denominator == 0:
+        raise InputError(f"{field}: zero denominator in {value!r}")
+    return Fraction(numerator, denominator)
 
 
 def rational_str(value: Fraction) -> str:
-    return str(Fraction(value))
+    try:
+        return str(Fraction(value))
+    except ValueError as exc:  # past the interpreter's digit limit
+        raise InputError(f"rational too long to print: {exc}") from exc
 
 
 def decimal_str(value: Fraction, digits: int = 6) -> str:
-    """Presentation-only decimal rendering of an exact rational."""
-    return f"{float(value):.{digits}f}"
+    """Presentation-only decimal rendering of an exact rational.
+
+    A value in float range is rounded as its float; a larger one is
+    rounded exactly, half to even.
+    """
+    try:
+        return f"{float(value):.{digits}f}"
+    except OverflowError:
+        scaled = round(Fraction(value) * 10 ** digits)
+        whole, part = divmod(abs(scaled), 10 ** digits)
+        return ("-" if scaled < 0 else "") + rational_str(whole) + (
+            f".{part:0{digits}d}" if digits else "")
 
 
 def _window_doc(window: JobWindow) -> dict[str, str]:
@@ -306,5 +320,7 @@ def dumps_document(doc) -> str:
 def loads_document(text: str):
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and numbers past the
+        # interpreter's digit limit.
         raise InputError(f"malformed JSON: {exc}") from exc

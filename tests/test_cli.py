@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -234,6 +235,72 @@ class TestQueries:
             "players": [{"kind": "explicit", "maximal_sets": maximal_sets}]}))
         code, out = run_cli(["opt", "--instance", str(document)], capsys)
         assert code == 2 and out == ""
+
+
+# Most digits the interpreter converts between an int and a string, or 0
+# for no limit.  Python 3.10 before 3.10.7 has no limit and no getter.
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    not DIGIT_LIMIT, reason="the interpreter has no digit limit")
+POWER_400 = "1" + "0" * 400
+
+
+def two_item_game(path, weight) -> str:
+    """Items a (weight `weight`) and b (weight 1); player 1 takes {a} or
+    {b}, player 2 takes {b}."""
+    path.write_text(json.dumps({
+        "items": [{"id": "a", "weight": weight}, {"id": "b", "weight": "1"}],
+        "players": [{"kind": "explicit", "maximal_sets": [["a"], ["b"]]},
+                    {"kind": "explicit", "maximal_sets": [["b"]]}]}))
+    return str(path)
+
+
+class TestHugeRationals:
+    """Exit 1 means refuted, so a number past what the interpreter
+    converts is an input error, not a traceback."""
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("as_number", [False, True])
+    def test_weight_past_the_digit_limit_exits_two(self, tmp_path, capsys,
+                                                   as_number):
+        digits = "1" + "0" * DIGIT_LIMIT
+        game = two_item_game(tmp_path / "game.json", digits)
+        if as_number:
+            text = Path(game).read_text()
+            Path(game).write_text(text.replace(f'"{digits}"', digits))
+        code, out = run_cli(["opt", "--instance", game], capsys)
+        assert code == 2 and out == ""
+
+    @needs_digit_limit
+    def test_alpha_past_the_digit_limit_exits_two(self, trivial_files, capsys):
+        code, out = run_cli(["poa", "--instance", trivial_files["instance"],
+                             "--concept", "nash",
+                             "--alpha", "1" + "0" * DIGIT_LIMIT], capsys)
+        assert code == 2 and out == ""
+
+    @pytest.mark.skipif(not 0 < DIGIT_LIMIT < 4810,
+                        reason="the bound prints within the digit limit")
+    def test_bound_past_the_digit_limit_exits_two(self, tmp_path, capsys):
+        # At alpha 10^400 the ends of the SPE bound enclosure have up to
+        # 4,810 digits.
+        code, _ = run_cli(["generate", "random_symmetric", "--n", "2",
+                           "--copies", "1", "--seed", "1",
+                           "--out", str(tmp_path)], capsys)
+        assert code == 0
+        code, out = run_cli(["poa", "--instance", str(tmp_path / "instance.json"),
+                             "--concept", "spe", "--alpha", POWER_400], capsys)
+        assert code == 2 and out == ""
+
+    def test_ratio_past_float_range_prints_exactly(self, tmp_path, capsys):
+        # Player 1 taking b is a 10^400-approximate equilibrium, so the
+        # ratio is 10^400 + 1, which no float holds.
+        game = two_item_game(tmp_path / "game.json", POWER_400)
+        code, out = run_cli(["poa", "--instance", game, "--concept", "nash",
+                             "--alpha", POWER_400], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["ratio"] == POWER_400[:-1] + "1"
+        assert doc["ratio_decimal"] == POWER_400[:-1] + "1.000000"
 
 
 class TestReport:

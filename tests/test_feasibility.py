@@ -466,6 +466,74 @@ class TestIntegerView:
             assert (len(scan), budget.used) == (7, 84)
 
 
+@st.composite
+def released_machines(draw):
+    """One machine with 1 to 6 jobs whose rational release dates are
+    often, but not always, 0.  A deadline is its job's release and
+    processing time plus a slack that may be negative."""
+    jobs = {}
+    for k in range(draw(st.integers(1, 6))):
+        release, processing = draw(rationals(0, 4)), draw(rationals(1, 6))
+        jobs[f"j{k}"] = JobWindow(release, processing,
+                                  release + processing + draw(rationals(-1, 8)))
+    return SingleMachineSystem(jobs), jobs
+
+
+class TestReleaseDates:
+    """One machine with release dates, against brute force."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(released_machines(), st.data())
+    def test_verdicts_witnesses_and_nodes(self, machine, data):
+        system, jobs = machine
+        items = data.draw(st.frozensets(st.sampled_from(sorted(jobs))))
+        member_budget, witness_budget = SearchBudget(10**6), SearchBudget(10**6)
+        verdict = system.is_member(items, member_budget)
+        assert verdict == schedulable_by_permutations(
+            [(jobs[i].release, jobs[i].processing, jobs[i].deadline)
+             for i in items])
+        witness = system.schedule_witness(items, witness_budget)
+        assert (witness is not None) == verdict
+        if verdict:
+            assert validate_witness(system, items, witness)
+            assert witness.scheduled_items() == items
+        if any(jobs[i].release for i in items):
+            nodes = 2 ** len(items) - 1  # one per nonempty subset
+        else:
+            nodes = edf_checks(
+                [(i, jobs[i].processing, jobs[i].deadline) for i in items])
+        assert member_budget.used == witness_budget.used == nodes
+
+    def test_witness_of_fractional_windows_is_exact(self):
+        # Of the orders that end by 23/12, the subset program keeps b, c,
+        # a; d waits for its release.
+        system = SingleMachineSystem(jobs={
+            "a": JobWindow(Fraction(1, 2), Fraction(2, 3), 3),
+            "b": JobWindow(0, Fraction(3, 4), Fraction(5, 4)),
+            "c": JobWindow(Fraction(1, 3), Fraction(1, 2), 2),
+            "d": JobWindow(Fraction(5, 2), Fraction(1, 6), Fraction(17, 6))})
+        budget = SearchBudget(100)
+        witness = system.schedule_witness("abcd", budget)
+        assert witness == ScheduleWitness(((
+            ("b", Fraction(0)), ("c", Fraction(3, 4)),
+            ("a", Fraction(5, 4)), ("d", Fraction(5, 2))),))
+        assert all(type(start) is Fraction for _, start in witness.machines[0])
+        assert budget.used == 15
+
+    def test_subset_program_requires_its_nodes_up_front(self):
+        jobs = {f"j{k:02d}": JobWindow(Fraction(k, 2), 1, 40) for k in range(18)}
+        budget = SearchBudget(100_000)
+        with pytest.raises(BudgetExceededError):
+            SingleMachineSystem(jobs).is_member(set(jobs), budget)
+        assert budget.used == 0
+
+    def test_subset_program_fits_an_exact_budget(self):
+        jobs = {f"j{k}": JobWindow(Fraction(k, 2), 1, 20) for k in range(10)}
+        budget = SearchBudget(2 ** 10 - 1)
+        assert SingleMachineSystem(jobs).is_member(set(jobs), budget)
+        assert budget.used == 1023
+
+
 def several_machines(kind: str, jobs: dict[str, JobWindow], count: int = 2):
     """`count` machines of one kind that all run every job as `jobs` says.
     "shared-identical" is count / 2 shared copies of two identical

@@ -45,6 +45,15 @@ class TestRationalStrings:
     def test_decimal_rendering_is_presentation_only(self):
         assert decimal_str(Fraction(5, 2)) == "2.500000"
 
+    def test_decimal_rendering_past_float_range_is_exact(self):
+        # In range, the float's own digits stay; past it, exact digits
+        # rounded half to even.
+        assert decimal_str(Fraction(10**300)) == f"{1e300:.6f}"
+        huge = 10**400
+        assert decimal_str(huge + Fraction(1, 3)) == f"{huge}.333333"
+        assert decimal_str(-huge - Fraction(5, 10**7)) == f"-{huge}.000000"
+        assert decimal_str(huge + Fraction(15, 10**7)) == f"{huge}.000002"
+
 
 @pytest.mark.parametrize("spec", ROUND_TRIP_SPECS, ids=str)
 class TestInstanceRoundTrip:
