@@ -41,21 +41,34 @@ def _write(text: str) -> None:
     sys.stdout.write(text)
 
 
-def _load_instance(path: str) -> Instance:
+def _read(path: str, what: str) -> str:
+    """The UTF-8 text of the `what` file at `path`."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def _write_files(out: str, texts: dict[str, str]) -> Path:
+    """Write each text to its file name in the directory `out`, made if
+    missing, and return that directory."""
+    out_dir = Path(out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in texts.items():
+            (out_dir / name).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise InputError(f"cannot read instance file {path}: {exc}") from exc
-    instance, _ = document_to_instance(loads_document(text))
+        raise InputError(f"cannot write to {out}: {exc}") from exc
+    return out_dir
+
+
+def _load_instance(path: str) -> Instance:
+    instance, _ = document_to_instance(loads_document(_read(path, "instance")))
     return instance
 
 
 def _load_profile(path: str, instance: Instance) -> Profile:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read profile file {path}: {exc}") from exc
-    return document_to_profile(loads_document(text), instance)
+    return document_to_profile(loads_document(_read(path, "profile")), instance)
 
 
 def _budget(args) -> int | None:
@@ -109,16 +122,11 @@ def _cmd_generate(args) -> int:
         profiles = {name: profile_to_document(profile)
                     for name, profile in reference_profiles(spec).items()}
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "instance.json").write_text(dumps_document(instance_doc),
-                                               encoding="utf-8")
-        for name, doc in profiles.items():
-            (out_dir / f"profile_{name}.json").write_text(dumps_document(doc),
-                                                          encoding="utf-8")
-        _write(dumps_document({"written": sorted(
-            ["instance.json"] + [f"profile_{name}.json" for name in profiles]),
-            "out": str(out_dir)}))
+        texts = {"instance.json": dumps_document(instance_doc)}
+        texts.update((f"profile_{name}.json", dumps_document(doc))
+                     for name, doc in profiles.items())
+        out_dir = _write_files(args.out, texts)
+        _write(dumps_document({"written": sorted(texts), "out": str(out_dir)}))
     else:
         _write(dumps_document({"instance": instance_doc, "profiles": profiles}))
     return EXIT_OK
@@ -210,10 +218,7 @@ def _cmd_report(args) -> int:
     tsv = rows_to_tsv(rows)
     doc = dumps_document(rows_to_json(rows))
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "report.tsv").write_text(tsv, encoding="utf-8")
-        (out_dir / "report.json").write_text(doc, encoding="utf-8")
+        _write_files(args.out, {"report.tsv": tsv, "report.json": doc})
     _write(tsv)
     return EXIT_OK if all(row.satisfied for row in rows) else EXIT_REFUTED
 

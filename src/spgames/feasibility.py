@@ -22,16 +22,28 @@ release date in the set only switches that check to an exact dynamic
 program over its subsets, under the budget.  A schedule witness maps
 each integer start back to a `Fraction` by the view's scale.
 
+Every system fits a set by one private `_fit(target, budget)`: each
+machine's run order as lazy (item id, start) pairs, or None when the set
+is not a member.  Membership asks whether a fit exists, and pays for no
+start time.  `FeasibilitySystem.schedule_witness` reads the same fit, so
+the schedule that decided membership is the witness: no part is
+scheduled twice, and a witness spends exactly the nodes membership
+spends.  A witness lists `_machine_count(system)` machines, idle ones
+empty; shared copies list theirs copy by copy, each copy all of its
+base's machines in turn.  A system without deadlines (an explicit
+family) fits a member on no machine and has no witness.
+
 A player with several machines splits a set across them by one walk of
 the search kernel, `_first_split`: one member per machine, each decided
-by a one-machine membership test, the items in id order with unit
-weights, and a prune that drops every node that left an item out.  The
-split is the first node that holds every item.  Every attempt to put an
-item into a machine's set spends one budget node, on top of what that
-test spends; with several machines the kernel asks each machine's test
-once per set, so a set met again spends only its one node.  The copies
-of a `SharedSymmetricSystem` are walked as interchangeable members, so
-an item may only open the first empty copy; the machines of an
+by that machine's `_fit`, the items in id order with unit weights, and a
+prune that drops every node that left an item out.  The split is the
+first node that holds every item, and its fit is the fits the walk's own
+tests found for the final parts.  Every attempt to put an item into a
+machine's set spends one budget node, on top of what that test spends;
+with several machines the kernel asks each machine's test once per set,
+so a set met again spends only its one node.  The copies of a
+`SharedSymmetricSystem` are walked as interchangeable members, so an
+item may only open the first empty copy; the machines of an
 `UnrelatedMachinesSystem` are distinct single machines.
 `IdenticalMachinesSystem` is the shared system of `copies` single
 machines and answers through it.
@@ -47,11 +59,9 @@ Membership of c >= 2 shared copies takes one of three routes:
   than `_COVER_UNIONS` unions takes the split walk instead;
 * slot counts: on zero-release jobs with one processing time, the slot
   condition below decides the set on all its machines, one node per job
-  up to the first that breaks it;
+  up to the first that breaks it, and its fit is the round-robin
+  schedule the condition guarantees;
 * the split walk, for every other base.
-
-A schedule witness of several copies always splits; an explicit base
-has none.
 
 Subset enumeration runs on the search kernel (`search.py`), whose
 one-member pre-order lists a system's sets in lexicographic order.  The
@@ -71,11 +81,12 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .budget import SearchBudget
 from .errors import InputError
-from .search import Sets, Test, best, integral, walk
+from .search import Test, best, integral, walk
 
 # Most unions `SharedSymmetricSystem._covers` forms before it leaves an
 # explicit base to the split walk, so also most covers a test scans.
@@ -132,10 +143,12 @@ class TimeWindow:
 
 @dataclass(frozen=True)
 class ScheduleWitness:
-    """A concrete schedule certifying membership of a job set.
+    """The schedule that decided membership of a job set.
 
-    One entry per machine (or machine copy): an ordered sequence of
-    (item id, start time) pairs.
+    One entry per machine of the system, `_machine_count` of them, idle
+    ones empty: an ordered sequence of (item id, start time) pairs.  The
+    machines of shared copies come copy by copy, each copy listing all of
+    its base's machines in turn.
     """
 
     machines: tuple[tuple[tuple[str, Fraction], ...], ...]
@@ -247,21 +260,45 @@ class IntegerJobs:
             yield k, start
 
 
-def _first_split(target: frozenset[str], tests: Sequence[Test],
-                 budget: SearchBudget, interchangeable: bool = False
-                 ) -> Optional[Sets]:
-    """`target` split into one set per test, each accepted by its test, or None.
+# Each machine's run order of a set as lazy (item id, start) pairs.
+Fit = tuple[Iterable[tuple[str, Fraction]], ...]
+
+
+def _padded(fit: Fit, width: int) -> Fit:
+    """`fit` with idle machines appended up to `width` machines."""
+    return fit + ((),) * (width - len(fit))
+
+
+def _first_split(target: frozenset[str],
+                 fits: Sequence[Callable[..., Optional[Fit]]],
+                 budget: SearchBudget, interchangeable: bool = False,
+                 width: int = 1) -> Optional[Fit]:
+    """`target` split into one part per member, each fitted by its member's
+    `fits` entry, or None.
 
     The split is the first node of the kernel's pre-order, over the items
     in id order with unit weights, that holds every item.  A node that
-    left an item out is pruned: no node below it holds that item.
+    left an item out is pruned: no node below it holds that item.  The
+    result is the fits the walk's tests found for the final parts, member
+    by member, each padded with idle machines to `width`.
     """
     ids = sorted(target)
-    for sets, value in walk(ids, [1] * len(ids), tests, budget,
-                            prune=lambda sets, value, item: value < item,
+    found: list[dict[frozenset[str], Optional[Fit]]] = [{} for _ in fits]
+
+    def test(member: int) -> Test:
+        def fitted(part: frozenset[str], budget: SearchBudget) -> bool:
+            fit = found[member][part] = fits[member](part, budget)
+            return fit is not None
+        return fitted
+
+    for sets, value in walk(ids, [1] * len(ids),
+                            [test(member) for member in range(len(fits))],
+                            budget, prune=lambda sets, value, item: value < item,
                             interchangeable=interchangeable):
         if value == len(ids):
-            return sets
+            return tuple(machine for member, part in enumerate(sets)
+                         for machine in _padded(found[member].get(part, ()),
+                                                width))
     return None
 
 
@@ -285,15 +322,28 @@ class FeasibilitySystem:
         """
         raise NotImplementedError
 
+    def _fit(self, target: frozenset[str], budget: SearchBudget
+             ) -> Optional[Fit]:
+        """Each machine's run order of `target`, or None when it is not a
+        member.  A system without schedules fits a member on no machine.
+        """
+        return () if self.is_member(target, budget) else None
+
     def schedule_witness(self, items: Iterable[str],
                          budget: int | SearchBudget | None = None
                          ) -> Optional[ScheduleWitness]:
-        """A concrete schedule for `items`, or None.
+        """The schedule that decides `items` a member, or None.
 
         None means either the set is not a member or the system has no
-        schedule semantics (explicit families).
+        deadlines (explicit families).  The witness is the system's fit,
+        padded with idle machines to `_machine_count`.
         """
-        return None
+        target = frozenset(items)
+        if self.job_deadlines() is None or not target <= self.universe():
+            return None
+        fit = self._fit(target, SearchBudget.ensure(budget))
+        return None if fit is None else ScheduleWitness(_padded(
+            tuple(tuple(run) for run in fit), _machine_count(self)))
 
     def job_deadlines(self) -> Optional[dict[str, Fraction]]:
         """Deadline per item for scheduling systems, None otherwise."""
@@ -343,6 +393,13 @@ class _JobTable:
         """The jobs on an integer clock."""
         return IntegerJobs([w for _, w in self.jobs])
 
+    def _named(self, schedule: Iterable[tuple[int, int]]
+               ) -> Iterator[tuple[str, Fraction]]:
+        """Each (position, integer start) of `schedule` as (item id, start)."""
+        scale = self.integer_view.scale
+        for k, start in schedule:
+            yield self.jobs[k][0], Fraction(start, scale)
+
     def window(self, item: str) -> Optional[JobWindow]:
         k = self.position.get(item)
         return None if k is None else self.jobs[k][1]
@@ -364,22 +421,15 @@ class SingleMachineSystem(_JobTable, FeasibilitySystem):
     def __post_init__(self):
         object.__setattr__(self, "jobs", _normalize_job_map(self.jobs))
 
-    def _schedule(self, items, budget) -> Optional[Iterator[tuple[int, int]]]:
-        positions = {self.position.get(i) for i in items}
+    def _fit(self, target, budget) -> Optional[Fit]:
+        positions = {self.position.get(i) for i in target}
         if None in positions:
             return None
-        return self.integer_view.schedule(positions, SearchBudget.ensure(budget))
+        schedule = self.integer_view.schedule(positions, budget)
+        return None if schedule is None else (self._named(schedule),)
 
     def is_member(self, items, budget=None) -> bool:
-        return self._schedule(items, budget) is not None
-
-    def schedule_witness(self, items, budget=None) -> Optional[ScheduleWitness]:
-        schedule = self._schedule(items, budget)
-        if schedule is None:
-            return None
-        scale = self.integer_view.scale
-        return ScheduleWitness(machines=(tuple(
-            (self.jobs[k][0], Fraction(start, scale)) for k, start in schedule),))
+        return self._fit(items, SearchBudget.ensure(budget)) is not None
 
 
 @dataclass(frozen=True)
@@ -387,7 +437,7 @@ class IdenticalMachinesSystem(_JobTable, FeasibilitySystem):
     """Jobs allowed when they split across `copies` identical machines.
 
     This is the family of `copies` shared copies of one machine, so
-    membership and witnesses are that shared system's.
+    membership and fits are that shared system's.
     """
 
     copies: int
@@ -406,8 +456,8 @@ class IdenticalMachinesSystem(_JobTable, FeasibilitySystem):
     def is_member(self, items, budget=None) -> bool:
         return self._as_shared.is_member(items, budget)
 
-    def schedule_witness(self, items, budget=None) -> Optional[ScheduleWitness]:
-        return self._as_shared.schedule_witness(items, budget)
+    def _fit(self, target, budget) -> Optional[Fit]:
+        return self._as_shared._fit(target, budget)
 
 
 @dataclass(frozen=True)
@@ -465,29 +515,16 @@ class UnrelatedMachinesSystem(FeasibilitySystem):
     def _ids(self) -> frozenset[str]:
         return frozenset(item for item, _ in self.jobs)
 
-    def _split(self, target: frozenset[str], budget: SearchBudget
-               ) -> Optional[Sets]:
-        """One set per machine, in machine order, or None."""
-        return _first_split(target, [machine.is_member
+    def _fit(self, target, budget) -> Optional[Fit]:
+        """One run order per machine, in machine order, or None."""
+        return _first_split(target, [machine._fit
                                      for machine in self._single_machines],
                             budget)
 
     def is_member(self, items, budget=None) -> bool:
         target = frozenset(items)
-        return target <= self.universe() and self._split(
+        return target <= self.universe() and self._fit(
             target, SearchBudget.ensure(budget)) is not None
-
-    def schedule_witness(self, items, budget=None) -> Optional[ScheduleWitness]:
-        target = frozenset(items)
-        if not target <= self.universe():
-            return None
-        shared = SearchBudget.ensure(budget)
-        parts = self._split(target, shared)
-        if parts is None:
-            return None
-        return ScheduleWitness(machines=tuple(
-            machine.schedule_witness(part, shared).machines[0]
-            for machine, part in zip(self._single_machines, parts)))
 
     def job_deadlines(self) -> dict[str, Fraction]:
         return {i: w.deadline for i, w in self.jobs}
@@ -521,18 +558,6 @@ class SharedSymmetricSystem(FeasibilitySystem):
     def _ids(self) -> frozenset[str]:
         return self.base.universe()
 
-    def _split(self, target: frozenset[str], budget: SearchBudget
-               ) -> Optional[Sets]:
-        """The nonempty sets of a split into interchangeable copies, or None.
-
-        No more copies than items are walked, so a huge `copies` costs
-        nothing.
-        """
-        sets = _first_split(target, [self.base.is_member]
-                            * min(self.copies, len(target)), budget,
-                            interchangeable=True)
-        return None if sets is None else tuple(filter(None, sets))
-
     @cached_property
     def _covers(self) -> Optional[ExplicitSystem]:
         """The family of this system when the base is explicit, else None.
@@ -562,32 +587,24 @@ class SharedSymmetricSystem(FeasibilitySystem):
             return self.base.is_member(target, budget)
         if self._covers is not None:
             return self._covers.is_member(target)
-        shared = SearchBudget.ensure(budget)
+        return self._fit(target, SearchBudget.ensure(budget)) is not None
+
+    def _fit(self, target, budget) -> Optional[Fit]:
+        """The base's fit for one copy, slot counts for a uniform table,
+        else the split walk.
+
+        No more copies than items are walked, so a huge `copies` costs
+        nothing.
+        """
+        if self.copies == 1:
+            return self.base._fit(target, budget)
         machine = _uniform_machine(self)
         if machine is not None:
-            return _fits_slots(machine.integer_view, _machine_count(self),
-                               [machine.position[i] for i in target], shared)
-        return self._split(target, shared) is not None
-
-    def schedule_witness(self, items, budget=None) -> Optional[ScheduleWitness]:
-        target = frozenset(items)
-        if isinstance(self.base, ExplicitSystem) or not target <= self.universe():
-            return None  # an explicit base has no schedule semantics
-        shared = SearchBudget.ensure(budget)
-        if self.copies == 1:
-            return self.base.schedule_witness(target, shared)
-        parts = self._split(target, shared)
-        if parts is None:
-            return None
-        machines = []
-        for part in parts:
-            part_witness = self.base.schedule_witness(part, shared)
-            if part_witness is None:
-                return None  # base has no schedule semantics
-            machines.extend(part_witness.machines)
-        while len(machines) < self.copies:
-            machines.append(())
-        return ScheduleWitness(machines=tuple(machines))
+            return _fits_slots(machine, _machine_count(self), target, budget)
+        return _first_split(target, [self.base._fit]
+                            * min(self.copies, len(target)), budget,
+                            interchangeable=True,
+                            width=_machine_count(self.base))
 
     def job_deadlines(self) -> Optional[dict[str, Fraction]]:
         return self.base.job_deadlines()
@@ -673,21 +690,28 @@ def _uniform_machine(system: FeasibilitySystem) -> Optional[_JobTable]:
     return None
 
 
-def _fits_slots(view: IntegerJobs, machines: int, positions: Iterable[int],
-                budget: SearchBudget) -> bool:
-    """Whether the jobs of `positions` fit on `machines` machines.
+def _fits_slots(machine: _JobTable, machines: int, target: Iterable[str],
+                budget: SearchBudget) -> Optional[Fit]:
+    """The round-robin schedule of `target` on `machines` machines, or None.
 
-    The slot condition of the module docstring, taken over the slot
-    counts in ascending order: the i-th of them (from 1) must be at least
-    i / `machines`.  One budget node per job looked at; the first job
-    over its level's count ends the scan.
+    The slot condition of the module docstring, taken over the jobs in
+    deadline order, ties by id: the i-th of them (from 1) must have at
+    least i / `machines` slots.  One budget node per job looked at; the
+    first job over its level's count ends the scan.  The condition keeps
+    job i (from 0) inside its deadline when it runs on machine
+    i mod `machines`, starting at length * (i // `machines`).
     """
-    slots = sorted(view.deadline[k] // view.length for k in positions)
-    for count, slot in enumerate(slots, 1):
+    view = machine.integer_view
+    order = sorted(sorted(map(machine.position.__getitem__, target)),
+                   key=view.deadline.__getitem__)
+    for count, k in enumerate(order, 1):
         budget.spend()
-        if count > machines * slot:
-            return False
-    return True
+        if count > machines * (view.deadline[k] // view.length):
+            return None
+    return tuple(
+        machine._named((k, view.length * turn) for turn, k in enumerate(
+            islice(order, first, None, machines)))
+        for first in range(min(machines, len(order))))
 
 
 def _greedy_scan_uniform(view: IntegerJobs, machines: int,
@@ -788,8 +812,6 @@ def validate_witness(system: FeasibilitySystem, items: Iterable[str],
                      witness: ScheduleWitness) -> bool:
     """Re-check a schedule witness against the system's raw parameters."""
     if witness.scheduled_items() != frozenset(items):
-        return False
-    if isinstance(system, SingleMachineSystem) and len(witness.machines) != 1:
         return False
     if len(witness.machines) > _machine_count(system):
         return False

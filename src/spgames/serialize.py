@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import fields
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -101,20 +102,21 @@ def _system_descriptor(system: FeasibilitySystem) -> dict[str, Any]:
     raise InputError(f"cannot serialize feasibility system {type(system).__name__}")
 
 
-def _parse_jobs(doc, field: str) -> dict[str, JobWindow]:
+def _parse_jobs(doc, field: str, window_type=JobWindow
+                ) -> dict[str, JobWindow | TimeWindow]:
+    """Each job's window of `window_type`, its fields read in their order;
+    a missing release is 0."""
     if not isinstance(doc, dict):
         raise InputError(f"{field}: jobs must be an object")
     out = {}
     for item_id, window in doc.items():
         if not isinstance(window, dict):
             raise InputError(f"{field}: job {item_id!r} must be an object")
-        out[str(item_id)] = JobWindow(
-            release=parse_rational(window.get("release", "0"),
-                                   f"{field}.{item_id}.release"),
-            processing=parse_rational(window.get("processing"),
-                                      f"{field}.{item_id}.processing"),
-            deadline=parse_rational(window.get("deadline"),
-                                    f"{field}.{item_id}.deadline"))
+        out[str(item_id)] = window_type(**{
+            name: parse_rational(window.get(name, "0" if name == "release"
+                                            else None),
+                                 f"{field}.{item_id}.{name}")
+            for name in (entry.name for entry in fields(window_type))})
     return out
 
 
@@ -152,20 +154,9 @@ def _parse_descriptor(doc, field: str,
             for item, duration in per_item.items():
                 processing[(str(machine), str(item))] = parse_rational(
                     duration, f"{field}.processing.{machine}.{item}")
-        jobs_doc = doc.get("jobs")
-        if not isinstance(jobs_doc, dict):
-            raise InputError(f"{field}: jobs must be an object")
-        jobs = {}
-        for item_id, window in jobs_doc.items():
-            if not isinstance(window, dict):
-                raise InputError(f"{field}: job {item_id!r} must be an object")
-            jobs[str(item_id)] = TimeWindow(
-                release=parse_rational(window.get("release", "0"),
-                                       f"{field}.{item_id}.release"),
-                deadline=parse_rational(window.get("deadline"),
-                                        f"{field}.{item_id}.deadline"))
-        return UnrelatedMachinesSystem(machines=tuple(str(m) for m in machines),
-                                       processing=processing, jobs=jobs)
+        return UnrelatedMachinesSystem(
+            machines=tuple(str(m) for m in machines), processing=processing,
+            jobs=_parse_jobs(doc.get("jobs"), field, TimeWindow))
     if kind == "shared_symmetric":
         if base is None:
             raise InputError(

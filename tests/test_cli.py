@@ -224,6 +224,19 @@ class TestQueries:
         code, _ = run_cli(["opt", "--instance", "/nonexistent.json"], capsys)
         assert code == 2
 
+    def test_instance_that_is_not_utf8_exits_two(self, tmp_path, capsys):
+        binary = tmp_path / "instance.json"
+        binary.write_bytes(b'{"items": "\xff"}')
+        code, out = run_cli(["opt", "--instance", str(binary)], capsys)
+        assert code == 2 and out == ""
+
+    def test_output_inside_a_file_exits_two(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, out = run_cli(["generate", "ex_trivial",
+                             "--out", str(blocker / "sub")], capsys)
+        assert code == 2 and out == ""
+
     @pytest.mark.parametrize("maximal_sets", [[5], ["ab"]])
     def test_maximal_sets_that_are_not_lists_exit_two(self, tmp_path, capsys,
                                                       maximal_sets):
@@ -304,6 +317,13 @@ class TestHugeRationals:
 
 
 class TestReport:
+    def test_output_that_is_a_file_exits_two(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, out = run_cli(["report", "--suite", "paper",
+                             "--out", str(blocker)], capsys)
+        assert code == 2 and out == ""
+
     def test_paper_suite_writes_tables_and_passes(self, tmp_path, capsys):
         code, out = run_cli(["report", "--suite", "paper",
                              "--out", str(tmp_path)], capsys)

@@ -18,6 +18,7 @@ from spgames import (BudgetExceededError, ExplicitSystem, FeasibilitySystem,
                      feasible_subsets, max_cardinality_feasible,
                      random_symmetric, validate_downward_closed,
                      validate_witness)
+from spgames.feasibility import _machine_count
 
 from oracles import (all_subsets, brute_max_cardinality_scan,
                      brute_partition, edf_checks, schedulable_by_permutations)
@@ -556,15 +557,19 @@ def several_machines(kind: str, jobs: dict[str, JobWindow], count: int = 2):
 
 @st.composite
 def multi_machine_systems(draw):
-    """Jobs on 1 to 3 machines of one kind, and a brute-force test of one
-    machine's part.  Half the tables are packings: each of two machines
-    gets a full load of up to three jobs due at one deadline, and the
-    jobs are listed in a drawn order, so the first machine a job fits on
-    is often the wrong one and the search must go back.  The other half
-    draw up to 5 jobs with release dates and their own deadlines.  On
-    unrelated machines outside packings, a job has its own time on each
-    machine, or none."""
-    kind = draw(st.sampled_from(("identical", "shared", "unrelated")))
+    """Jobs on machines of one kind, the number of machines a witness
+    lists, and a brute-force test of one machine's part.  The kinds are
+    1 to 3 identical, shared or unrelated machines, and 1 to 3 shared
+    copies of two identical or two unrelated machines.  Half the tables
+    are packings: each of two machines gets a full load of up to three
+    jobs due at one deadline, and the jobs are listed in a drawn order, so
+    the first machine a job fits on is often the wrong one and the search
+    must go back.  The other half draw up to 5 jobs with release dates and
+    their own deadlines.  On unrelated machines outside packings, a job
+    has its own time on each machine, or none."""
+    kind = draw(st.sampled_from(("identical", "shared", "unrelated",
+                                 "shared-identical", "shared-unrelated")))
+    over = kind.startswith("shared-")  # copies of a two-machine base
     packing = draw(st.booleans())
     if packing:
         count, horizon = 2, draw(st.integers(3, 6))
@@ -574,13 +579,13 @@ def multi_machine_systems(draw):
             pieces += [b - a for a, b in zip([0] + cuts, cuts + [horizon])]
         windows = [(0, piece, horizon) for piece in draw(st.permutations(pieces))]
     else:
-        count, windows = draw(st.integers(1, 3)), []
+        count, windows = 2 if over else draw(st.integers(1, 3)), []
         for _ in range(draw(st.integers(1, 5))):
             release = draw(st.sampled_from((0, 0, 1, Fraction(3, 2))))
             windows.append((release, draw(rationals(1, 3)),
                             release + draw(rationals(2, 12))))
     jobs = {f"j{k}": JobWindow(*window) for k, window in enumerate(windows)}
-    if kind == "unrelated":
+    if kind.endswith("unrelated"):
         machines = tuple(f"m{m}" for m in range(count))
         processing = {(m, i): w.processing if packing else draw(rationals(1, 3))
                       for m in machines for i, w in jobs.items()
@@ -591,9 +596,14 @@ def multi_machine_systems(draw):
         durations = [{i: t for (m, i), t in processing.items() if m == machine}
                      for machine in machines]
     else:
-        system = (IdenticalMachinesSystem(count, jobs) if kind == "identical"
+        system = (IdenticalMachinesSystem(count, jobs) if kind.endswith("identical")
                   else SharedSymmetricSystem(SingleMachineSystem(jobs), count))
         durations = [{i: w.processing for i, w in jobs.items()}] * count
+    if over:
+        # Witness machine p is base machine p mod 2 of copy p // 2.
+        copies = 1 if packing else draw(st.integers(1, 3))
+        system = SharedSymmetricSystem(system, copies)
+        count, durations = count * copies, durations * copies
 
     def fits(p: int, part: list[str]) -> bool:
         return all(i in durations[p] for i in part) and schedulable_by_permutations(
@@ -626,7 +636,7 @@ class TestPartition:
         assert system.is_member(items) == member
         witness = system.schedule_witness(items)
         if member:
-            assert len(witness.machines) == count
+            assert len(witness.machines) == count == _machine_count(system)
             assert validate_witness(system, items, witness)
         else:
             assert witness is None
@@ -640,18 +650,20 @@ class TestPartition:
                         "d": (0, 2, 6), "e": (0, 2, 6)})
 
     @pytest.mark.parametrize("jobs, copies, items, member, nodes", [
-        (JOBS, 2, "abc", True, (10, 13)),
+        (JOBS, 2, "abc", True, (10, 10)),
         (JOBS, 2, "abd", False, (13, 13)),
-        (JOBS, 3, "abcde", True, (23, 28)),
-        (RELEASED, 2, "abcd", True, (20, 28)),
-        (RELEASED, 2, "abc", True, (12, 16)),
-        (PACKED, 2, "abcde", True, (46, 51)),
+        (JOBS, 3, "abcde", True, (23, 23)),
+        (RELEASED, 2, "abcd", True, (20, 20)),
+        (RELEASED, 2, "abc", True, (12, 12)),
+        (PACKED, 2, "abcde", True, (46, 46)),
     ])
     def test_nodes_of_shared_copies(self, jobs, copies, items, member, nodes):
-        # (membership, witness) nodes, pinned from the recursive searches
-        # this one replaced.  Identical machines are the shared copies of
-        # one machine, node for node; their membership used to build a
-        # witness and spent the witness count.
+        # (membership, witness) nodes.  The membership counts are pinned
+        # from the recursive searches this one replaced.  A witness is the
+        # split's own fit, so it spends what membership spends; when it
+        # scheduled each part again, it spent 13, 28, 28, 16 and 51 on
+        # the members.  Identical machines are the shared copies of one
+        # machine, node for node.
         for system in (SharedSymmetricSystem(SingleMachineSystem(jobs), copies),
                        IdenticalMachinesSystem(copies, jobs)):
             member_budget, witness_budget = SearchBudget(10**6), SearchBudget(10**6)
@@ -701,14 +713,14 @@ class TestPartition:
     def test_nodes_of_a_uniform_table_rejected(self):
         # Two unit jobs are due at each of 1..5 and four at 6, so two
         # machines hold at most 12 of the 14.  Slot counts stop at the
-        # 13th job by slot count; the split spent 1,727, and a witness
-        # still does.  A job due before its length ends stops them at
-        # once, where the split spent 2.
+        # 13th job by slot count, for membership and witness alike; the
+        # split spent 1,727.  A job due before its length ends stops them
+        # at once, where the split spent 2.
         tight = {f"j{k:02d}": JobWindow(0, 1, min(k // 2 + 1, 6))
                  for k in range(14)}
         late = {"a": JobWindow(0, 2, 1), "b": JobWindow(0, 2, 4),
                 "c": JobWindow(0, 2, 4), "d": JobWindow(0, 2, 4)}
-        for jobs, count, nodes in ((tight, 2, (13, 1_727)), (late, 4, (1, 2))):
+        for jobs, count, nodes in ((tight, 2, (13, 13)), (late, 4, (1, 1))):
             for system in (IdenticalMachinesSystem(count, jobs),
                            SharedSymmetricSystem(SingleMachineSystem(jobs), count)):
                 member_budget, witness_budget = SearchBudget(10**6), SearchBudget(10**6)
@@ -738,13 +750,13 @@ class TestPartition:
         assert budget.used == len(items) if verdict else budget.used <= len(items)
 
     @pytest.mark.parametrize("system, items, nodes", [
-        (UNRELATED, "abcd", (15, 20)), (UNRELATED, "abc", (11, 15)),
-        (UNRELATED, "ad", (5, 7)), (MOVED, "ab", (10, 12)),
-        (MOVED, "abc", (14, 17)), (RECALLED, "abc", (19, 22))])
+        (UNRELATED, "abcd", (15, 15)), (UNRELATED, "abc", (11, 11)),
+        (UNRELATED, "ad", (5, 5)), (MOVED, "ab", (10, 10)),
+        (MOVED, "abc", (14, 14)), (RECALLED, "abc", (19, 19))])
     def test_nodes_of_unrelated_machines(self, system, items, nodes):
-        # Membership is the split alone; a witness also schedules each
-        # machine.  The witness counts are pinned from the recursive
-        # search this one replaced.
+        # (membership, witness) nodes.  A witness is the fit the split
+        # found, so it spends what membership spends; when it scheduled
+        # each machine again, it spent 20, 15, 7, 12, 17 and 22.
         for method, pinned in zip(("is_member", "schedule_witness"), nodes):
             budget = SearchBudget(10**6)
             assert getattr(system, method)(set(items), budget)
@@ -775,6 +787,60 @@ class TestPartition:
         budget = SearchBudget(10**6)
         search(*args, budget)
         assert budget.used == nodes
+
+
+@st.composite
+def witnessed_systems(draw):
+    """A system of any of the five kinds over 1 to 5 items, and the number
+    of machines its witness lists: an explicit family, one machine, or 1
+    to 3 identical or unrelated machines, each perhaps as 1 to 3 shared
+    copies.  Half the machine tables have release dates, and half give
+    every job one processing time, so slot counts, the subset program and
+    the split walk are all drawn."""
+    ids = [f"j{k}" for k in range(draw(st.integers(1, 5)))]
+    kind = draw(st.sampled_from(("explicit", "single", "identical", "unrelated")))
+    count = 1
+    if kind == "explicit":
+        sets = draw(st.lists(st.frozensets(st.sampled_from(ids)), max_size=3))
+        system = ExplicitSystem(maximal_sets=tuple(sets))
+    else:
+        released = draw(st.booleans())
+        length = draw(rationals(1, 3)) if draw(st.booleans()) else None
+        jobs = {}
+        for i in ids:
+            release = draw(st.sampled_from((0, 1, Fraction(3, 2)))) if released else 0
+            processing = length or draw(rationals(1, 3))
+            jobs[i] = JobWindow(release, processing,
+                                release + processing + draw(rationals(-1, 6)))
+        if kind == "single":
+            system = SingleMachineSystem(jobs)
+        else:
+            count = draw(st.integers(1, 3))
+            system = several_machines(kind, jobs, count)
+    if draw(st.booleans()):
+        copies = draw(st.integers(1, 3))
+        system, count = SharedSymmetricSystem(system, copies), count * copies
+    return system, count
+
+
+class TestWitnessIsTheFit:
+    """A witness is the schedule that decided membership."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(witnessed_systems(), st.data())
+    def test_witness_exactly_when_member_at_the_same_cost(self, drawn, data):
+        system, count = drawn
+        items = data.draw(st.frozensets(
+            st.sampled_from(sorted(system.universe()) + ["x"])), label="items")
+        member_budget, witness_budget = SearchBudget(10**6), SearchBudget(10**6)
+        member = system.is_member(items, member_budget)
+        witness = system.schedule_witness(items, witness_budget)
+        if member and system.job_deadlines() is not None:
+            assert len(witness.machines) == count
+            assert validate_witness(system, items, witness)
+        else:
+            assert witness is None
+        assert member_budget.used == witness_budget.used
 
 
 @st.composite

@@ -128,3 +128,26 @@ class TestStrictParsing:
                "players": [{"kind": "explicit", "maximal_sets": [["a"]]}]}
         with pytest.raises(InputError):
             document_to_instance(doc)
+
+
+JOB_TABLES = {
+    "single_machine": {"kind": "single_machine"},
+    "unrelated_machines": {"kind": "unrelated_machines", "machines": ["m1"],
+                           "processing": {"m1": {"a": "1"}}},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(JOB_TABLES))
+@pytest.mark.parametrize("jobs, message", [
+    (["a"], "player 1: jobs must be an object"),
+    ({"a": "0-2"}, "player 1: job 'a' must be an object"),
+    ({"a": {"processing": "1", "deadline": 1.5}},
+     "player 1.a.deadline: expected an integer or 'p/q' string, got 1.5"),
+], ids=["jobs", "window", "deadline"])
+def test_job_window_errors_name_their_field(kind, jobs, message):
+    # Both kinds read their jobs through one parser, so one message each.
+    doc = {"items": [{"id": "a", "weight": "1"}],
+           "players": [{**JOB_TABLES[kind], "jobs": jobs}]}
+    with pytest.raises(InputError) as caught:
+        document_to_instance(doc)
+    assert str(caught.value) == message
