@@ -14,10 +14,13 @@ point.  Ties are resolved deterministically:
   single-player search.
 
 One alpha rule, `within_alpha`, decides every concept: alpha times the
-held weight must reach the best reply's weight, ties passing.  `deviation`
-asks `best_response` for one member and `coalition_best_response` for
-more, so the k = 1 collusion check is the Nash check.  An integer budget
-is one `SearchBudget` per call; with none, one-player replies are memoised.
+held weight must reach the best reply's weight, ties passing.  Scaling
+every weight by one constant keeps that rule, so the verifiers compare
+weights on the instance's integer scale (`Instance.integer_weights`)
+and build `Fraction`s only for returned values and witnesses.
+`deviation` asks one search, `_reply`, for one member or more, so the
+k = 1 collusion check is the Nash check.  An integer budget is one
+`SearchBudget` per call; with none, one-player replies are memoised.
 """
 
 from __future__ import annotations
@@ -58,33 +61,45 @@ def check_alpha(alpha) -> Fraction:
 
 
 def within_alpha(factor: Fraction, held, best) -> bool:
-    """Whether `held` is within `factor` of `best`, ties included."""
+    """Whether `held` is within `factor` of `best`, ties included; the two
+    weights on one scale."""
     return factor.numerator * held >= best * factor.denominator
 
 
 def _joint_best(instance: Instance, members: tuple[int, ...],
                 available: Iterable[str], budget: SearchBudget
-                ) -> tuple[tuple[frozenset[str], ...], Fraction]:
-    """Best disjoint member sets from `available` by branch and bound.
+                ) -> tuple[tuple[frozenset[str], ...], int]:
+    """Best disjoint member sets from `available` by branch and bound, and
+    their weight on the instance's integer scale.
 
     One member takes the first best set in pre-order, the lexicographically
     smallest; several compare the tuple of sorted sets on ties.
     """
     ids = sorted(available)
-    weight, scale = instance.integer_weights
+    weight, _ = instance.integer_weights
     tests = [instance.players[m].is_member for m in members]
     key = None if len(members) == 1 else (
         lambda sets: tuple(tuple(sorted(s)) for s in sets))
-    sets, value = best(ids, [weight[i] for i in ids], tests, budget, key=key)
-    return sets, Fraction(value, scale)
+    return best(ids, [weight[i] for i in ids], tests, budget, key=key)
 
 
 @lru_cache(maxsize=1 << 16)
 def _best_response_cached(instance: Instance, player: int,
                           available: frozenset[str]
-                          ) -> tuple[frozenset[str], Fraction]:
+                          ) -> tuple[frozenset[str], int]:
     (chosen,), value = _joint_best(instance, (player,), available, SearchBudget())
     return chosen, value
+
+
+def _reply(instance: Instance, members: tuple[int, ...],
+           pool: frozenset[str], budget: int | SearchBudget | None
+           ) -> tuple[tuple[frozenset[str], ...], int]:
+    """The members' best sets in `pool` and their integer-scaled weight;
+    memoised for one member when `budget` is None."""
+    if budget is None and len(members) == 1:
+        chosen, value = _best_response_cached(instance, members[0], pool)
+        return (chosen,), value
+    return _joint_best(instance, members, pool, SearchBudget.ensure(budget))
 
 
 def best_response(instance: Instance, player: int, available: Iterable[str],
@@ -93,32 +108,32 @@ def best_response(instance: Instance, player: int, available: Iterable[str],
     """Maximum-weight feasible subset of `available` for one player.
 
     Returns the set and its weight.  With the default budget, results are
-    memoized per (instance, player, availability), for the verifiers
-    called without one: `verify_nash`, `verify_spe_outcome` and
-    `is_alpha_best_response`.
+    memoized per (instance, player, availability), in the memo that the
+    verifiers called without one share: `verify_nash`,
+    `verify_spe_outcome` and `is_alpha_best_response`.
     """
     _check_player_index(instance, player)
     pool = restrict_available(instance, available)
-    if budget is None:
-        return _best_response_cached(instance, player, pool)
-    (chosen,), value = _joint_best(instance, (player,), pool,
-                                   SearchBudget.ensure(budget))
-    return chosen, value
+    (chosen,), value = _reply(instance, (player,), pool, budget)
+    return chosen, Fraction(value, instance.integer_weights[1])
 
 
 def deviation(instance: Instance, members: tuple[int, ...],
-              pool: Iterable[str], held: Fraction, factor: Fraction,
+              pool: frozenset[str], held: int, factor: Fraction,
               budget: SearchBudget | None) -> Optional[DeviationWitness]:
     """The members' best reply in `pool` when it beats `factor` times
-    their `held` weight, else None."""
-    if len(members) == 1:
-        chosen, value = best_response(instance, members[0], pool, budget)
-        proposed = (chosen,)
-    else:
-        proposed, value = coalition_best_response(instance, members, pool, budget)
+    their `held` weight, else None.
+
+    `held` is an integer on the scale of `Instance.integer_weights` (as
+    `scaled_weight_of` gives it); the witness carries both weights as
+    `Fraction`s.
+    """
+    proposed, value = _reply(instance, members, pool, budget)
     if within_alpha(factor, held, value):
         return None
-    return DeviationWitness(members, proposed, held, value)
+    scale = instance.integer_weights[1]
+    return DeviationWitness(members, proposed, Fraction(held, scale),
+                            Fraction(value, scale))
 
 
 def is_alpha_best_response(instance: Instance, player: int,
@@ -139,8 +154,8 @@ def is_alpha_best_response(instance: Instance, player: int,
         raise InputError(
             f"chosen set {sorted(held)} is not feasible for player {player + 1}")
     pool = restrict_available(instance, available) | held
-    return deviation(instance, (player,), pool, instance.weight_of(held),
-                     factor, budget) or True
+    return deviation(instance, (player,), pool,
+                     instance.scaled_weight_of(held), factor, budget) or True
 
 
 def coalition_best_response(instance: Instance, coalition: Iterable[int],
@@ -158,5 +173,7 @@ def coalition_best_response(instance: Instance, coalition: Iterable[int],
         raise InputError("coalition must be nonempty")
     for member in members:
         _check_player_index(instance, member)
-    return _joint_best(instance, members, restrict_available(instance, available),
-                       SearchBudget.ensure(budget))
+    proposed, value = _joint_best(
+        instance, members, restrict_available(instance, available),
+        SearchBudget.ensure(budget))
+    return proposed, Fraction(value, instance.integer_weights[1])

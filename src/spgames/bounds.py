@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 
 from .errors import InputError
 from .best_response import check_alpha
@@ -64,21 +66,27 @@ def exp_enclosure(t: Fraction, terms: int = 25) -> RationalInterval:
 
     Lower endpoint: the truncated series.  Upper endpoint: adds the tail
     bound t^terms / terms! * 1 / (1 - t / (terms + 1)), valid because the
-    tail is dominated by that geometric series.
+    tail is dominated by that geometric series.  For t = p/q and N terms
+    both sums are taken on integers over q^N N!: the series is
+    sum_{i<N} p^i q^(N-i) N!/i!, and the tail's first term is p^N.
     """
     t = Fraction(t)
     if not 0 <= t <= 1:
         raise InputError("exp enclosure implemented for 0 <= t <= 1 only")
     if terms < 2:
         raise InputError("need at least two series terms")
-    partial = Fraction(0)
-    term = Fraction(1)
-    for i in range(terms):
-        partial += term
-        term = term * t / (i + 1)
-    # `term` is now t^terms / terms!
-    tail = term / (1 - t / (terms + 1))
-    return RationalInterval(lo=partial, hi=partial + tail)
+    p, q = t.numerator, t.denominator
+    powers = list(accumulate(repeat(p, terms), mul, initial=1))
+    partial, scale = 0, 1
+    for i in range(terms - 1, -1, -1):
+        scale *= q * (i + 1)  # q^(N-i) N!/i!
+        partial += powers[i] * scale
+    # 1 - t / (N + 1) = rest / ((N + 1) q)
+    rest = (terms + 1) * q - p
+    return RationalInterval(
+        lo=Fraction(partial, scale),
+        hi=Fraction(partial * rest + powers[terms] * (terms + 1) * q,
+                    scale * rest))
 
 
 def bound_sequential_symmetric(alpha,

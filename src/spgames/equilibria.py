@@ -25,9 +25,11 @@ assignments once when all players share one system.
 
 Every verifier asks `best_response.deviation`, the one alpha rule (a
 tie passes), for a reply from the items no outsider holds (Nash,
-collusion) or those left when the player moves (SPE).  For one player
-the former are its own items plus the unclaimed ones, so the Nash check
-is the collusion check at k = 1.  An integer budget becomes one
+collusion) or those left when the player moves (SPE).  It compares
+weights on the instance's integer scale (`Instance.scaled_weight_of`);
+only the welfare and a witness's values are built as `Fraction`s.  For
+one player the former are its own items plus the unclaimed ones, so the
+Nash check is the collusion check at k = 1.  An integer budget becomes one
 `SearchBudget` per call; with none, one-player replies are memoised and
 the searches of one `verify_collusion` call share one default budget.
 """
@@ -381,7 +383,7 @@ def verify_spe_outcome(instance: Instance, profile: Profile,
     for player in sequence:
         chosen = profile.items_of(player)
         witness = deviation(instance, (player,), available,
-                            instance.weight_of(chosen), factor, budget)
+                            instance.scaled_weight_of(chosen), factor, budget)
         if witness:
             break
         available -= chosen
@@ -399,7 +401,8 @@ def _first_deviation(instance: Instance, profile: Profile, start: int, k: int,
         for coalition in combinations(range(instance.n), size):
             held = frozenset().union(*map(profile.items_of, coalition))
             witness = deviation(instance, coalition, held | unclaimed,
-                                instance.weight_of(held), factor, budget)
+                                instance.scaled_weight_of(held), factor,
+                                budget)
             if witness:
                 return witness
     return None

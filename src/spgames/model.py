@@ -1,9 +1,12 @@
 """Core data model: items, instances, strategy profiles, payoffs, welfare.
 
 All weights and values are exact rationals (`fractions.Fraction`); no
-floating point enters any comparison made here.  Every type is an
-immutable value object, so instances and profiles can be shared freely
-and all operations are pure functions.
+floating point enters any comparison made here.  Each instance also
+scales its weights to integers by one constant (`integer_weights`), so
+sums and comparisons run on integers: `scaled_weight_of` is the integer
+form of `weight_of`, and a `Fraction` is built only for a value that is
+returned.  Every type is an immutable value object, so instances and
+profiles can be shared freely and all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -115,14 +118,19 @@ class Instance:
     def ordered_ids(self) -> tuple[str, ...]:
         return tuple(sorted(self.weights))
 
-    def weight_of(self, items: Iterable[str]) -> Fraction:
-        total = Fraction(0)
+    def scaled_weight_of(self, items: Iterable[str]) -> int:
+        """The weight of `items` on the scale of `integer_weights`."""
+        weight, _ = self.integer_weights
+        total = 0
         for item_id in items:
-            weight = self.weights.get(item_id)
-            if weight is None:
+            scaled = weight.get(item_id)
+            if scaled is None:
                 raise InputError(f"unknown item id {item_id!r}")
-            total += weight
+            total += scaled
         return total
+
+    def weight_of(self, items: Iterable[str]) -> Fraction:
+        return Fraction(self.scaled_weight_of(items), self.integer_weights[1])
 
 
 @dataclass(frozen=True)
@@ -272,10 +280,8 @@ def welfare(instance: Instance, profile: Profile,
     violations = validate_profile(instance, profile, budget)
     if violations:
         raise InputError(f"profile is not valid: {violations}")
-    total = Fraction(0)
-    for selected in profile.sets:
-        total += instance.weight_of(selected)
-    return total
+    return Fraction(sum(map(instance.scaled_weight_of, profile.sets)),
+                    instance.integer_weights[1])
 
 
 def restrict_available(instance: Instance, available: Iterable[str]) -> frozenset[str]:

@@ -13,6 +13,12 @@ from itertools import combinations, permutations, product
 from spgames import DeviationWitness, Instance, Profile, validate_profile
 
 
+def weight_of(instance: Instance, items) -> Fraction:
+    """Total `Item.weight` of `items`, summed as `Fraction`s."""
+    weights = {item.id: item.weight for item in instance.items}
+    return sum((weights[i] for i in items), Fraction(0))
+
+
 def all_subsets(pool):
     items = sorted(pool)
     for size in range(len(items) + 1):
@@ -34,7 +40,7 @@ def brute_best_response(instance: Instance, player: int, available
     for T in all_subsets(available):
         if not system.is_member(T):
             continue
-        value = instance.weight_of(T)
+        value = weight_of(instance, T)
         key = (-value, tuple(sorted(T)))
         if best is None or key < best[0]:
             best = (key, T, value)
@@ -142,7 +148,7 @@ def brute_first_deviation(instance: Instance, profile: Profile, alpha, pools):
             proposed = (chosen,)
         else:
             proposed, value = brute_coalition(instance, members, pool)
-        held = sum((instance.weight_of(profile.sets[m]) for m in members),
+        held = sum((weight_of(instance, profile.sets[m]) for m in members),
                    Fraction(0))
         if value > Fraction(alpha) * held:
             return DeviationWitness(tuple(members), proposed, held, value)
@@ -195,9 +201,9 @@ def brute_spe_outcomes(instance: Instance, order, alpha) -> list[Profile]:
             return
         player = order[depth]
         moves = [T for T in tables[player] if T <= left]
-        top = max(instance.weight_of(T) for T in moves)
+        top = max(weight_of(instance, T) for T in moves)
         for T in moves:
-            if factor * instance.weight_of(T) >= top:
+            if factor * weight_of(instance, T) >= top:
                 sets[player] = T
                 walk(depth + 1, left - T)
         sets[player] = frozenset()
@@ -307,6 +313,17 @@ def simulate_deadline_rounds(n: int, alpha: Fraction) -> list[int]:
     return allocations
 
 
+def series_exp_enclosure(t: Fraction, terms: int) -> tuple[Fraction, Fraction]:
+    """The truncated exponential series of t and that sum plus the tail
+    bound t^terms / terms! / (1 - t / (terms + 1)), term by term."""
+    partial = Fraction(0)
+    term = Fraction(1)
+    for i in range(terms):
+        partial += term
+        term = term * t / (i + 1)
+    return partial, partial + term / (1 - t / (terms + 1))
+
+
 def replay_deviation(instance: Instance, profile: Profile, witness,
                      alpha) -> bool:
     """Re-verify a deviation witness from first principles."""
@@ -324,8 +341,8 @@ def replay_deviation(instance: Instance, profile: Profile, witness,
         if not instance.players[player].is_member(proposed):
             return False
         taken |= proposed
-        old_value += instance.weight_of(profile.items_of(player))
-        new_value += instance.weight_of(proposed)
+        old_value += weight_of(instance, profile.items_of(player))
+        new_value += weight_of(instance, proposed)
     if old_value != witness.old_value or new_value != witness.new_value:
         return False
     return new_value > factor * old_value

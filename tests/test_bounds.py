@@ -10,6 +10,8 @@ from spgames import (GeneratorSpec, InputError, bound_collusion, bound_nash,
                      enumerate_spe_outcomes, exp_enclosure, generate,
                      ratio_within_sequential_bound, welfare)
 
+from oracles import series_exp_enclosure
+
 ALPHAS = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3))
 
 
@@ -41,6 +43,13 @@ class TestEnclosures:
             "271828182845904523536028747135266249775724709369995/" +
             "1" + "0" * 50)
         assert e.lo <= known <= e.hi
+
+    @pytest.mark.parametrize("t", [Fraction(0), Fraction(1, 7), Fraction(1, 2),
+                                   Fraction(2, 3), Fraction(1)])
+    def test_exp_enclosure_equals_the_series_term_by_term(self, t):
+        for terms in range(2, 61):
+            e = exp_enclosure(t, terms)
+            assert (e.lo, e.hi) == series_exp_enclosure(t, terms)
 
     def test_sequential_bound_interval_is_tight(self):
         for alpha in ALPHAS:

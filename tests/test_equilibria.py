@@ -9,16 +9,18 @@ from hypothesis import example, given, settings, strategies as st
 
 from spgames import (BudgetExceededError, ExplicitSystem, GeneratorSpec,
                      InputError, Instance, Item, Profile, SearchBudget,
-                     enumerate_nash, enumerate_spe_outcomes,
-                     ex_asym, ex_collusion, ex_seq, ex_sym, ex_trivial,
-                     generate, greedy_sequential_outcome, reference_profiles,
+                     best_response, coalition_best_response, enumerate_nash,
+                     enumerate_spe_outcomes, ex_asym, ex_collusion, ex_seq,
+                     ex_sym, ex_trivial, generate, greedy_sequential_outcome,
+                     is_alpha_best_response, reference_profiles,
                      verify_collusion, verify_nash, verify_spe_outcome,
                      welfare)
 
-from oracles import (brute_enumerate_nash, brute_first_deviation,
+from oracles import (brute_best_response, brute_coalition,
+                     brute_enumerate_nash, brute_first_deviation,
                      collusion_pools, nash_pools, replay_deviation,
                      simulate_deadline_rounds, spe_pools)
-from test_search import games
+from test_search import WEIGHTS, games
 
 
 def sets_of(profile: Profile) -> list[list[str]]:
@@ -304,12 +306,12 @@ COLLUSION_SPEC = GeneratorSpec.make("ex_collusion", n=3, k=2, alpha=Fraction(1))
 
 
 @st.composite
-def games_with_profile(draw) -> tuple[Instance, Profile]:
-    """A game and a valid profile: half the time a Nash profile, so
-    that larger coalitions get to deviate; otherwise each player in turn
-    takes one of its maximal sets or a part of it, less the items taken
-    before it."""
-    game = draw(games(max_set=3))
+def games_with_profile(draw, weights=WEIGHTS) -> tuple[Instance, Profile]:
+    """A game with item weights from `weights` and a valid profile: half
+    the time a Nash profile, so that larger coalitions get to deviate;
+    otherwise each player in turn takes one of its maximal sets or a part
+    of it, less the items taken before it."""
+    game = draw(games(max_set=3, weights=weights))
     stable = enumerate_nash(game, 1)
     if stable and draw(st.booleans()):
         return game, draw(st.sampled_from(stable))
@@ -335,10 +337,18 @@ def games_with_profile(draw) -> tuple[Instance, Profile]:
           reference_profiles(COLLUSION_SPEC)["bad_equilibrium"]), Fraction(1))
 def test_verifiers_match_the_oracles(game_profile, alpha):
     game, profile = game_profile
+    assert_verifiers_match_the_oracles(game, profile, alpha)
+
+
+def assert_verifiers_match_the_oracles(game, profile, alpha):
+    """Every verdict and witness of the three verifiers is the oracles';
+    returns the reports."""
+    reports = []
 
     def expect(report, pools):
         witness = brute_first_deviation(game, profile, alpha, pools)
         assert (report.verdict, report.witness) == (witness is None, witness)
+        reports.append(report)
 
     nash = verify_nash(game, profile, alpha)
     expect(nash, nash_pools(game, profile))
@@ -351,6 +361,46 @@ def test_verifiers_match_the_oracles(game_profile, alpha):
     for order in permutations(range(game.n)):
         expect(verify_spe_outcome(game, profile, order, alpha),
                spe_pools(game, profile, order))
+    return reports
+
+
+# Denominators 3, 2, 6 and 4 put the weights on a scale of up to 12, so
+# sums cross denominators.
+FINE_WEIGHTS = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(5, 6),
+                Fraction(7, 4), Fraction(3))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(games_with_profile(FINE_WEIGHTS),
+       st.sampled_from((Fraction(1), Fraction(3, 2), Fraction(2))))
+def test_verifiers_match_the_oracles_across_denominators(game_profile, alpha):
+    """The verifiers and the best responses return the oracles' values as
+    `Fraction`s, for weights whose sums cross denominators."""
+    game, profile = game_profile
+    for report in assert_verifiers_match_the_oracles(game, profile, alpha):
+        assert type(report.welfare) is Fraction
+        if report.witness:
+            witness = report.witness
+            assert type(witness.old_value) is type(witness.new_value) is Fraction
+            # An SPE reply may take a later mover's items, so it replays
+            # only through the oracle above.
+            assert report.concept == "spe" or replay_deviation(
+                game, profile, witness, alpha)
+    for (player,), pool in nash_pools(game, profile):
+        chosen, value = best_response(game, player, pool)
+        assert type(value) is Fraction
+        assert (chosen, value) == brute_best_response(game, player, pool)
+        found = is_alpha_best_response(game, player, pool - profile.sets[player],
+                                       profile.sets[player], alpha)
+        witness = brute_first_deviation(game, profile, alpha,
+                                        [((player,), pool)])
+        assert found == (witness or True)
+        if witness:
+            assert type(found.old_value) is type(found.new_value) is Fraction
+    for coalition, pool in collusion_pools(game, profile, game.n):
+        proposed, value = coalition_best_response(game, coalition, pool)
+        assert type(value) is Fraction
+        assert (proposed, value) == brute_coalition(game, coalition, pool)
 
 
 class TestPriceOfStability:

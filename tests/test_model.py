@@ -10,6 +10,8 @@ from spgames import (INFEASIBLE, InputError, Instance, Item, Payoff, Profile,
                      ExplicitSystem, SharedSymmetricSystem, ex_seq, ex_trivial,
                      payoff, validate_profile, welfare)
 
+from oracles import weight_of
+
 
 def two_item_game() -> Instance:
     return ex_trivial()
@@ -88,7 +90,25 @@ class TestWelfare:
             profile = Profile(tuple(sets))
             if validate_profile(game, profile):
                 continue
-            assert welfare(game, profile) == game.weight_of(profile.all_items())
+            assert welfare(game, profile) == weight_of(game, profile.all_items())
+
+
+class TestWeightOf:
+    def test_scaled_weight_is_the_weight_times_the_scale(self):
+        game = Instance(items=(Item("a", Fraction(1, 3)), Item("b", Fraction(1, 2)),
+                               Item("c", 0)),
+                        players=(ExplicitSystem(maximal_sets=(frozenset("abc"),)),))
+        assert game.integer_weights[1] == 6
+        assert game.scaled_weight_of(["a", "b", "c"]) == 5
+        assert game.weight_of(["a", "b"]) == Fraction(5, 6)
+        assert game.weight_of([]) == 0
+
+    def test_unknown_item_is_an_input_error(self):
+        game = two_item_game()
+        with pytest.raises(InputError, match="unknown item id '7'"):
+            game.scaled_weight_of(["1", "7"])
+        with pytest.raises(InputError, match="unknown item id '7'"):
+            game.weight_of(["7"])
 
 
 class TestValidateProfile:

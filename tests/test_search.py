@@ -28,13 +28,14 @@ exhaustive = settings(max_examples=150, deadline=None, derandomize=True)
 
 
 @st.composite
-def games(draw, max_set=None, shared=False, systems=None) -> Instance:
-    """`max_set` caps the size of the players' maximal sets; with `shared`
-    every player gets one and the same system, and with `systems` each
-    player gets one of that many."""
+def games(draw, max_set=None, shared=False, systems=None,
+          weights=WEIGHTS) -> Instance:
+    """Item weights come from `weights`; `max_set` caps the size of the
+    players' maximal sets; with `shared` every player gets one and the
+    same system, and with `systems` each player gets one of that many."""
     ids = IDS[:draw(st.integers(1, len(IDS)))]
-    weights = draw(st.lists(st.sampled_from(WEIGHTS), min_size=len(ids),
-                            max_size=len(ids)))
+    drawn = draw(st.lists(st.sampled_from(weights), min_size=len(ids),
+                          max_size=len(ids)))
     family = st.lists(st.frozensets(st.sampled_from(ids), max_size=max_set),
                       min_size=1, max_size=3).map(
                           lambda sets: ExplicitSystem(maximal_sets=tuple(sets)))
@@ -46,7 +47,7 @@ def games(draw, max_set=None, shared=False, systems=None) -> Instance:
         players = [draw(st.sampled_from(pool)) for _ in range(count)]
     else:
         players = [draw(family) for _ in range(count)]
-    return Instance(items=tuple(map(Item, ids, weights)), players=tuple(players))
+    return Instance(items=tuple(map(Item, ids, drawn)), players=tuple(players))
 
 
 @st.composite
