@@ -32,6 +32,7 @@ from typing import Iterable, Optional, Union
 
 from .budget import SearchBudget
 from .errors import InputError
+from .feasibility import _fraction
 from .model import Instance, _check_player_index, restrict_available
 from .search import best
 
@@ -51,13 +52,7 @@ class DeviationWitness:
 
 
 def check_alpha(alpha) -> Fraction:
-    try:
-        out = Fraction(alpha)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise InputError(f"alpha is not a rational: {alpha!r}") from exc
-    if out < 1:
-        raise InputError(f"alpha must be >= 1, got {out}")
-    return out
+    return _fraction(alpha, name="alpha", minimum=1)
 
 
 def within_alpha(factor: Fraction, held, best) -> bool:

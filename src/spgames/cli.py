@@ -19,7 +19,8 @@ from .equilibria import (enumerate_collusion, enumerate_nash,
                          enumerate_spe_outcomes, verify_collusion, verify_nash,
                          verify_spe_outcome)
 from .errors import BudgetExceededError, InputError
-from .factory import GeneratorSpec, generate, reference_profiles
+from .factory import (FAMILIES, PAPER_FAMILIES, PARAMETERS, GeneratorSpec,
+                      generate, reference_profiles)
 from .metrics import (compute_opt, empirical_collusion_poa, empirical_poa,
                       empirical_sequential_poa)
 from .model import Instance, Profile
@@ -33,8 +34,6 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
-
-PAPER_FAMILIES = ("ex_trivial", "ex_asym", "ex_sym", "ex_seq", "ex_collusion")
 
 
 def _write(text: str) -> None:
@@ -100,13 +99,10 @@ def _parse_order(text: str, instance: Instance) -> tuple[int, ...]:
 
 
 def _generator_spec(args) -> GeneratorSpec:
-    params = {}
-    for name in ("p", "q", "n", "k", "items", "max_weight", "seed", "copies"):
-        value = getattr(args, name, None)
-        if value is not None:
-            params[name] = value
-    if getattr(args, "alpha", None) is not None:
-        params["alpha"] = parse_rational(args.alpha, "--alpha")
+    params = {name: getattr(args, name) for name in PARAMETERS
+              if getattr(args, name) is not None}
+    if "alpha" in params:
+        params["alpha"] = parse_rational(params["alpha"], "--alpha")
     return GeneratorSpec.make(args.family, **params)
 
 
@@ -231,17 +227,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="generate an instance family")
-    gen.add_argument("family", choices=list(PAPER_FAMILIES)
-                     + ["random_explicit", "random_symmetric"])
-    gen.add_argument("--p", type=int)
-    gen.add_argument("--q", type=int)
-    gen.add_argument("--n", type=int)
-    gen.add_argument("--k", type=int)
-    gen.add_argument("--alpha")
-    gen.add_argument("--items", type=int)
-    gen.add_argument("--max-weight", dest="max_weight", type=int)
-    gen.add_argument("--seed", type=int)
-    gen.add_argument("--copies", type=int)
+    gen.add_argument("family", choices=FAMILIES)
+    for name in PARAMETERS:
+        # alpha is a rational, parsed exactly; every other is an integer.
+        gen.add_argument("--" + name.replace("_", "-"), dest=name,
+                         type=None if name == "alpha" else int)
     gen.add_argument("--out")
     gen.set_defaults(func=_cmd_generate)
 

@@ -4,6 +4,10 @@ The `ex_*` families reproduce the known tight lower-bound constructions
 for the three equilibrium concepts; the `random_*` families produce
 seeded instances for property suites.  Every generator is pure: the same
 parameters (and seed) always yield the identical instance.
+
+One table, `_FAMILIES`, holds each family's builder, parameter names
+and reference-profile builder.  Reference profiles read item ids from
+the generated instance, so each id format is written once.
 """
 
 from __future__ import annotations
@@ -20,9 +24,6 @@ from .feasibility import (ExplicitSystem, JobWindow, SharedSymmetricSystem,
                           SingleMachineSystem, TimeWindow,
                           UnrelatedMachinesSystem)
 from .model import Instance, Item, Profile
-
-FAMILIES = ("ex_trivial", "ex_asym", "ex_sym", "ex_seq", "ex_collusion",
-            "random_explicit", "random_symmetric")
 
 
 @dataclass(frozen=True)
@@ -149,6 +150,23 @@ def ex_seq(n: int) -> Instance:
     return Instance(items=items, players=players, symmetric=True)
 
 
+def _collusion_bundles(n: int) -> tuple[tuple[frozenset[str], frozenset[str]], ...]:
+    """Each player's optimum and equilibrium bundle in `ex_collusion` with n
+    players.
+
+    Item x<i>_<j> (j != i, j >= 1) is player i's in the optimum and
+    player j's in the equilibrium; x<i>_<0> is player i's private item.
+    """
+    width = _pad(n)
+
+    def item(i: int, j: int) -> str:
+        return f"x{i:0{width}d}_{j:0{width}d}"
+
+    return tuple((frozenset(item(i, j) for j in range(n + 1) if j != i),
+                  frozenset(item(j, i) for j in range(1, n + 1) if j != i))
+                 for i in range(1, n + 1))
+
+
 def ex_collusion(n: int, k: int, alpha) -> Instance:
     """Explicit-family instance where coalition-proofness is exactly tight.
 
@@ -163,30 +181,13 @@ def ex_collusion(n: int, k: int, alpha) -> Instance:
         raise InputError("ex_collusion requires n >= 2")
     if not 1 <= k <= n:
         raise InputError(f"ex_collusion requires 1 <= k <= n, got k={k}")
-    width = _pad(n)
     private_weight = Fraction(n - k) + (n - 1) * (factor - 1)
-
-    def shared_id(i: int, j: int) -> str:
-        return f"x{i:0{width}d}_{j:0{width}d}"
-
-    def private_id(i: int) -> str:
-        return f"x{i:0{width}d}_{0:0{width}d}"
-
-    items = []
-    for i in range(1, n + 1):
-        items.append(Item(private_id(i), private_weight))
-        for j in range(1, n + 1):
-            if i != j:
-                items.append(Item(shared_id(i, j), Fraction(1)))
-    items.sort(key=lambda item: item.id)
-
-    players = []
-    for i in range(1, n + 1):
-        opt_bundle = frozenset({shared_id(i, j) for j in range(1, n + 1) if j != i}
-                               | {private_id(i)})
-        eq_bundle = frozenset({shared_id(j, i) for j in range(1, n + 1) if j != i})
-        players.append(ExplicitSystem(maximal_sets=(opt_bundle, eq_bundle)))
-    return Instance(items=tuple(items), players=tuple(players))
+    bundles = _collusion_bundles(n)
+    shared = frozenset().union(*(eq for _, eq in bundles))
+    items = tuple(Item(i, Fraction(1) if i in shared else private_weight)
+                  for i in sorted(frozenset().union(*(opt for opt, _ in bundles))))
+    players = tuple(ExplicitSystem(maximal_sets=bundle) for bundle in bundles)
+    return Instance(items=items, players=players)
 
 
 def random_explicit(n: int, items: int, max_weight: int, seed: int) -> Instance:
@@ -228,100 +229,99 @@ def random_symmetric(n: int, copies: int, seed: int) -> Instance:
     return Instance(items=ground, players=players, symmetric=True)
 
 
+def _trivial_references(game: Instance) -> dict[str, Profile]:
+    return {"opt": Profile((frozenset({"1"}), frozenset({"2"}))),
+            "bad_equilibrium": Profile((frozenset({"2"}), frozenset()))}
+
+
+def _prefixed(game: Instance, prefix: str) -> list[str]:
+    return [i for i in game.ordered_ids if i.startswith(prefix)]
+
+
+def _asym_references(game: Instance, q: int, **_) -> dict[str, Profile]:
+    """The fast machine takes every p-job and each slow one a q-job, or
+    the fast machine takes every q-job."""
+    q_ids = _prefixed(game, "q")
+    return {"opt": Profile((frozenset(_prefixed(game, "p")),)
+                           + tuple(frozenset({i}) for i in q_ids)),
+            "bad_equilibrium": Profile((frozenset(q_ids),)
+                                       + (frozenset(),) * q)}
+
+
+def _sym_references(game: Instance, q: int, n: int, **_) -> dict[str, Profile]:
+    """One player takes every light job and each other a heavy one, or
+    each player takes q light jobs."""
+    light = _prefixed(game, "q")
+    return {"opt": Profile((frozenset(light),) + tuple(
+                frozenset({i}) for i in _prefixed(game, "p"))),
+            "bad_equilibrium": Profile(tuple(
+                frozenset(light[q * player: q * (player + 1)])
+                for player in range(n)))}
+
+
+def _seq_references(game: Instance, n: int) -> dict[str, Profile]:
+    """Player p takes copy p of each deadline class, or the outcome of
+    sequential play that prefers large deadlines."""
+    return {"opt": Profile(tuple(frozenset(game.ordered_ids[player::n])
+                                 for player in range(n))),
+            "bad_equilibrium": greedy_sequential_outcome(
+                game, range(n), Fraction(1), selector="deadline")}
+
+
+def _collusion_references(game: Instance, n: int, **_) -> dict[str, Profile]:
+    """Each player takes its optimum bundle, or its equilibrium bundle."""
+    bundles = _collusion_bundles(n)
+    return {"opt": Profile(tuple(opt for opt, _ in bundles)),
+            "bad_equilibrium": Profile(tuple(eq for _, eq in bundles))}
+
+
+# Family name: builder, parameter names in the order they are read, and
+# reference-profile builder.  `ex_collusion` reads alpha first, so a
+# missing alpha is reported before n and k.
+_FAMILIES = {
+    "ex_trivial": (ex_trivial, (), _trivial_references),
+    "ex_asym": (ex_asym, ("p", "q"), _asym_references),
+    "ex_sym": (ex_sym, ("p", "q", "n"), _sym_references),
+    "ex_seq": (ex_seq, ("n",), _seq_references),
+    "ex_collusion": (ex_collusion, ("alpha", "n", "k"), _collusion_references),
+    "random_explicit": (random_explicit, ("n", "items", "max_weight", "seed"),
+                        None),
+    "random_symmetric": (random_symmetric, ("n", "copies", "seed"), None),
+}
+
+FAMILIES = tuple(_FAMILIES)
+# The families with reference profiles: the paper's constructions.
+PAPER_FAMILIES = tuple(name for name, (_, _, references) in _FAMILIES.items()
+                       if references is not None)
+# Every parameter name, in order of first use.
+PARAMETERS = tuple(dict.fromkeys(name for _, names, _ in _FAMILIES.values()
+                                 for name in names))
+
+
+def _arguments(spec: GeneratorSpec) -> dict[str, object]:
+    """The parameters the spec's family reads, in reading order: `alpha`
+    as given, `seed` an integer >= 0 and every other an integer >= 1.  A
+    missing alpha is reported as any missing parameter is."""
+    params = spec.param_map
+    return {name: params[name] if name == "alpha" and name in params
+            else _positive_int(params, name, minimum=int(name != "seed"))
+            for name in _FAMILIES[spec.family][1]}
+
+
 def generate(spec: GeneratorSpec) -> Instance:
     """Build the instance addressed by a generator spec."""
-    params = spec.param_map
-    if spec.family == "ex_trivial":
-        return ex_trivial()
-    if spec.family == "ex_asym":
-        return ex_asym(_positive_int(params, "p"), _positive_int(params, "q"))
-    if spec.family == "ex_sym":
-        return ex_sym(_positive_int(params, "p"), _positive_int(params, "q"),
-                      _positive_int(params, "n"))
-    if spec.family == "ex_seq":
-        return ex_seq(_positive_int(params, "n"))
-    if spec.family == "ex_collusion":
-        if "alpha" not in params:
-            raise InputError("missing generator parameter 'alpha'")
-        return ex_collusion(_positive_int(params, "n"),
-                            _positive_int(params, "k"), params["alpha"])
-    if spec.family == "random_explicit":
-        return random_explicit(_positive_int(params, "n"),
-                               _positive_int(params, "items"),
-                               _positive_int(params, "max_weight"),
-                               _positive_int(params, "seed", minimum=0))
-    if spec.family == "random_symmetric":
-        return random_symmetric(_positive_int(params, "n"),
-                                _positive_int(params, "copies"),
-                                _positive_int(params, "seed", minimum=0))
-    raise InputError(f"unknown instance family {spec.family!r}")
+    return _FAMILIES[spec.family][0](**_arguments(spec))
 
 
 def reference_profiles(spec: GeneratorSpec) -> dict[str, Profile]:
     """The named optimum and worst-equilibrium profiles of a paper family.
 
-    Not available for the random families.
+    Not available for the random families.  The instance is generated
+    once, and the profiles read its item ids.
     """
-    params = spec.param_map
-    if spec.family == "ex_trivial":
-        return {
-            "opt": Profile((frozenset({"1"}), frozenset({"2"}))),
-            "bad_equilibrium": Profile((frozenset({"2"}), frozenset())),
-        }
-    if spec.family == "ex_asym":
-        p = _positive_int(params, "p")
-        q = _positive_int(params, "q")
-        instance = ex_asym(p, q)
-        p_ids = sorted(i for i in instance.item_ids if i.startswith("p"))
-        q_ids = sorted(i for i in instance.item_ids if i.startswith("q"))
-        opt_sets = [frozenset(p_ids)]
-        for index in range(q):
-            opt_sets.append(frozenset({q_ids[index]}))
-        bad_sets = [frozenset(q_ids)] + [frozenset() for _ in range(q)]
-        return {"opt": Profile(tuple(opt_sets)),
-                "bad_equilibrium": Profile(tuple(bad_sets))}
-    if spec.family == "ex_sym":
-        p = _positive_int(params, "p")
-        q = _positive_int(params, "q")
-        n = _positive_int(params, "n")
-        instance = ex_sym(p, q, n)
-        light = sorted(i for i in instance.item_ids if i.startswith("q"))
-        heavy = sorted(i for i in instance.item_ids if i.startswith("p"))
-        opt_sets = [frozenset(light)]
-        for index in range(n - 1):
-            opt_sets.append(frozenset({heavy[index]}))
-        bad_sets = [frozenset(light[q * index: q * (index + 1)])
-                    for index in range(n)]
-        return {"opt": Profile(tuple(opt_sets)),
-                "bad_equilibrium": Profile(tuple(bad_sets))}
-    if spec.family == "ex_seq":
-        n = _positive_int(params, "n")
-        instance = ex_seq(n)
-        width = _pad(n)
-        opt_sets = []
-        for player in range(1, n + 1):
-            opt_sets.append(frozenset(
-                f"d{deadline:0{width}d}_{player:0{width}d}"
-                for deadline in range(1, n + 1)))
-        bad = greedy_sequential_outcome(instance, range(n), Fraction(1),
-                                        selector="deadline")
-        return {"opt": Profile(tuple(opt_sets)), "bad_equilibrium": bad}
-    if spec.family == "ex_collusion":
-        n = _positive_int(params, "n")
-        k = _positive_int(params, "k")
-        if "alpha" not in params:
-            raise InputError("missing generator parameter 'alpha'")
-        instance = ex_collusion(n, k, params["alpha"])
-        width = _pad(n)
-        opt_sets = []
-        bad_sets = []
-        for i in range(1, n + 1):
-            opt_sets.append(frozenset(
-                {f"x{i:0{width}d}_{j:0{width}d}" for j in range(1, n + 1) if j != i}
-                | {f"x{i:0{width}d}_{0:0{width}d}"}))
-            bad_sets.append(frozenset(
-                f"x{j:0{width}d}_{i:0{width}d}" for j in range(1, n + 1) if j != i))
-        return {"opt": Profile(tuple(opt_sets)),
-                "bad_equilibrium": Profile(tuple(bad_sets))}
-    raise InputError(
-        f"reference profiles are not defined for family {spec.family!r}")
+    builder, _, references = _FAMILIES[spec.family]
+    if references is None:
+        raise InputError(
+            f"reference profiles are not defined for family {spec.family!r}")
+    arguments = _arguments(spec)
+    return references(builder(**arguments), **arguments)

@@ -38,17 +38,19 @@ the search kernel, `_first_split`: one member per machine, each decided
 by that machine's `_fit`, the items in id order with unit weights, and a
 prune that drops every node that left an item out.  The split is the
 first node that holds every item, and its fit is the fits the walk's own
-tests found for the final parts.  Every attempt to put an item into a
-machine's set spends one budget node, on top of what that test spends;
-with several machines the kernel asks each machine's test once per set,
-so a set met again spends only its one node.  The copies of a
+tests found for the final parts.  One member takes the whole set, so
+its own fit decides it, with no walk.  Every attempt to put an item
+into a machine's set spends one budget node, on top of what that test
+spends; with several machines the kernel asks each machine's test once
+per set, so a set met again spends only its one node.  The copies of a
 `SharedSymmetricSystem` are walked as interchangeable members, so an
 item may only open the first empty copy; the machines of an
 `UnrelatedMachinesSystem` are distinct single machines.
 `IdenticalMachinesSystem` is the shared system of `copies` single
 machines and answers through it.
 
-Membership of c >= 2 shared copies takes one of three routes:
+Membership of c shared copies, one copy included, takes one of three
+routes:
 
 * covers: over an explicit base with m maximal sets, a set splits into
   at most c disjoint members exactly when it lies inside the union of
@@ -61,7 +63,7 @@ Membership of c >= 2 shared copies takes one of three routes:
   condition below decides the set on all its machines, one node per job
   up to the first that breaks it, and its fit is the round-robin
   schedule the condition guarantees;
-* the split walk, for every other base.
+* the split walk, for every other base; one copy is the base's fit.
 
 Subset enumeration runs on the search kernel (`search.py`), whose
 one-member pre-order lists a system's sets in lexicographic order.  The
@@ -95,9 +97,12 @@ _COVER_UNIONS = 4096
 
 def _fraction(value, *, name: str, minimum: Fraction | None = None,
               strict: bool = False) -> Fraction:
+    """`value` as an exact rational, at least (or with `strict`, above)
+    `minimum`; anything else, infinities and nan included, is an input
+    error."""
     try:
         out = Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise InputError(f"{name} is not a rational: {value!r}") from exc
     if minimum is not None:
         if strict and out <= minimum:
@@ -280,8 +285,12 @@ def _first_split(target: frozenset[str],
     in id order with unit weights, that holds every item.  A node that
     left an item out is pruned: no node below it holds that item.  The
     result is the fits the walk's tests found for the final parts, member
-    by member, each padded with idle machines to `width`.
+    by member, each padded with idle machines to `width`.  A single
+    member holds the whole set, so its fit decides with no walk.
     """
+    if len(fits) == 1:
+        fit = fits[0](target, budget)
+        return None if fit is None else _padded(fit, width)
     ids = sorted(target)
     found: list[dict[frozenset[str], Optional[Fit]]] = [{} for _ in fits]
 
@@ -535,13 +544,13 @@ class SharedSymmetricSystem(FeasibilitySystem):
     """A player holding `copies` instances of one shared base system.
 
     A set is allowed when it splits into at most `copies` disjoint members
-    of the base family (one per machine copy, in scheduling terms).  With
-    several copies, membership takes the module docstring's routes in
-    turn: covers of an explicit base (`_covers`), slot counts of a uniform
-    zero-release table (`_uniform_machine`), else the split walk.  The
-    covers cost time in proportion to their number, which grows like
-    C(m, min(copies, m)) for m base sets; a base past `_COVER_UNIONS`
-    unions, such as all 120 pairs of 16 items at 4 copies, splits.
+    of the base family (one per machine copy, in scheduling terms).
+    Membership takes the module docstring's routes in turn: covers of an
+    explicit base (`_covers`), slot counts of a uniform zero-release table
+    (`_uniform_machine`), else the split walk.  The covers cost time in
+    proportion to their number, which grows like C(m, min(copies, m)) for
+    m base sets; a base past `_COVER_UNIONS` unions, such as all 120 pairs
+    of 16 items at 4 copies, splits.
     """
 
     base: FeasibilitySystem
@@ -583,21 +592,16 @@ class SharedSymmetricSystem(FeasibilitySystem):
         target = frozenset(items)
         if not target <= self.universe():
             return False
-        if self.copies == 1:
-            return self.base.is_member(target, budget)
         if self._covers is not None:
             return self._covers.is_member(target)
         return self._fit(target, SearchBudget.ensure(budget)) is not None
 
     def _fit(self, target, budget) -> Optional[Fit]:
-        """The base's fit for one copy, slot counts for a uniform table,
-        else the split walk.
+        """Slot counts for a uniform table, else the split walk.
 
         No more copies than items are walked, so a huge `copies` costs
-        nothing.
+        nothing, and one copy is the base's own fit.
         """
-        if self.copies == 1:
-            return self.base._fit(target, budget)
         machine = _uniform_machine(self)
         if machine is not None:
             return _fits_slots(machine, _machine_count(self), target, budget)

@@ -18,15 +18,12 @@ from typing import Iterable, Optional
 
 from .budget import SearchBudget
 from .errors import InputError
-from .feasibility import FeasibilitySystem, SharedSymmetricSystem
+from .feasibility import FeasibilitySystem, SharedSymmetricSystem, _fraction
 from .search import integral
 
 
 def _weight(value) -> Fraction:
-    try:
-        out = Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise InputError(f"weight is not a rational: {value!r}") from exc
+    out = _fraction(value, name="weight")
     if out < 0:
         raise InputError(f"item weights must be nonnegative, got {out}")
     return out

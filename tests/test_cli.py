@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from spgames.cli import main
+from spgames.factory import FAMILIES, PARAMETERS
+from spgames.report import paper_suite_rows
 
 
 def run_cli(args, capsys) -> tuple[int, str]:
@@ -48,6 +51,14 @@ class TestGenerate:
         assert first == second
         assert first.endswith("\n")
 
+    def test_families_and_flags_come_from_the_factory(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["generate", "--help"])
+        text = capsys.readouterr().out
+        assert "{" + ",".join(FAMILIES) + "}" in text
+        for name in PARAMETERS:
+            assert f"--{name.replace('_', '-')} {name.upper()}" in text
+
     def test_bad_parameters_exit_two(self, capsys):
         code, _ = run_cli(["generate", "ex_asym", "--p", "1", "--q", "2"], capsys)
         assert code == 2
@@ -59,6 +70,44 @@ class TestGenerate:
         second = subprocess.run(args, capture_output=True)
         assert first.returncode == 0
         assert first.stdout == second.stdout
+
+    # One spec per family, `spg generate` stdout with no --out.
+    DIGESTS = {
+        "ex_trivial":
+            "012ce8a4a3eff03de8005aac1f29571b778294f35eb3a76c013503e88f0ad8f2",
+        "ex_asym --p 3 --q 2":
+            "7fce6f2b15bdf60169a915b3e31643d7f86cd45de38b19beb90f7267aee4922e",
+        "ex_sym --p 2 --q 1 --n 4":
+            "5085977fc422141b400d476a35d56b0406dba1fdf58c54d570b531a2c1ca81e3",
+        "ex_seq --n 4":
+            "a9fff2b568c00d243285b8564e9806d05de90f56dbd9ade99f6652b3eb4ff443",
+        "ex_collusion --n 4 --k 2 --alpha 3/2":
+            "54709e032308a72852c212154e688900e811415c6a78f9dddd49e7cdc84a9a8e",
+        "random_explicit --n 3 --items 6 --max-weight 8 --seed 5":
+            "f61dd520c0f508f17d7b40afbc750f16eefbd8b261210f7f11060bd67e04bc76",
+        "random_symmetric --n 3 --copies 3 --seed 2":
+            "a7bd19f09ae7c91d7bbe6e7c14943998f2ff7c2495dd84eb34a8836e3095e5fd",
+    }
+
+    @pytest.mark.parametrize("args, digest", DIGESTS.items(), ids=list(DIGESTS))
+    def test_generate_bytes_are_pinned(self, capsys, args, digest):
+        code, out = run_cli(["generate"] + args.split(), capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    def test_pinned_bytes_do_not_depend_on_the_hash_seed(self):
+        script = ("import contextlib, hashlib, io, sys\n"
+                  "from spgames.cli import main\n"
+                  "for args in sys.argv[1:]:\n"
+                  "    out = io.StringIO()\n"
+                  "    with contextlib.redirect_stdout(out):\n"
+                  "        main(['generate'] + args.split())\n"
+                  "    print(hashlib.sha256(out.getvalue().encode()).hexdigest())\n")
+        for seed in ("1", "2"):
+            run = subprocess.run([sys.executable, "-c", script, *self.DIGESTS],
+                                 capture_output=True, text=True, check=True,
+                                 env={**os.environ, "PYTHONHASHSEED": seed})
+            assert run.stdout.split() == list(self.DIGESTS.values())
 
 
 class TestVerify:
@@ -317,6 +366,13 @@ class TestHugeRationals:
 
 
 class TestReport:
+    def test_rows_do_not_depend_on_the_budget(self):
+        # The collusion rows choose their method by the default budget,
+        # so a caller's budget only limits the searches.
+        rows = paper_suite_rows()
+        assert paper_suite_rows(10**5) == rows
+        assert paper_suite_rows(2 * 10**11) == rows
+
     def test_output_that_is_a_file_exits_two(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")

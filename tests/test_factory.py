@@ -132,3 +132,16 @@ class TestSpecValidation:
                                         alpha=Fraction(1, 2)))
         with pytest.raises(InputError):
             generate(GeneratorSpec.make("ex_asym", p=3))  # q missing
+
+    @pytest.mark.parametrize("params", [
+        {}, {"n": 3}, {"n": "x", "k": 2}, {"n": 0, "k": 2, "alpha": 1},
+        {"n": 3, "k": 2, "alpha": "x"}, {"n": 3, "k": 4, "alpha": 1}], ids=str)
+    def test_references_report_what_generate_reports(self, params):
+        # ex_collusion reads alpha first, for its instance and its
+        # references alike.
+        spec = GeneratorSpec.make("ex_collusion", **params)
+        with pytest.raises(InputError) as generated:
+            generate(spec)
+        with pytest.raises(InputError) as referenced:
+            reference_profiles(spec)
+        assert str(referenced.value) == str(generated.value)

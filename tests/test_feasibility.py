@@ -240,6 +240,39 @@ class TestUnrelated:
                   "b": TimeWindow(Fraction(0), Fraction(1))})
         assert not only_m1.is_member({"b"})
 
+    def test_one_machine_spends_one_node_per_job(self):
+        # A split into one member is that member's fit, so earliest
+        # deadline first checks each job once.
+        ids = [f"j{k:03d}" for k in range(800)]
+        system = UnrelatedMachinesSystem(("m",), {("m", i): 1 for i in ids},
+                                         {i: TimeWindow(0, 800) for i in ids})
+        budget = SearchBudget(10**6)
+        assert system.is_member(ids, budget)
+        assert budget.used == 800
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_one_machine_is_its_single_machine_table(self, data):
+        ids = [f"j{k}" for k in range(data.draw(st.integers(1, 5)))]
+        jobs = {}
+        for i in ids:
+            release = data.draw(st.sampled_from((0, 0, 1, Fraction(3, 2))))
+            processing = data.draw(rationals(1, 3))
+            jobs[i] = JobWindow(release, processing,
+                                release + processing + data.draw(rationals(-1, 4)))
+        single = SingleMachineSystem(jobs)
+        unrelated = UnrelatedMachinesSystem(
+            ("m",), {("m", i): w.processing for i, w in jobs.items()},
+            {i: TimeWindow(w.release, w.deadline) for i, w in jobs.items()})
+        items = data.draw(st.frozensets(st.sampled_from(ids)))
+        for system in (unrelated, SharedSymmetricSystem(unrelated, 1)):
+            for method in ("is_member", "schedule_witness"):
+                spent = []
+                for own in (single, system):
+                    budget = SearchBudget(10**6)
+                    spent.append((getattr(own, method)(items, budget), budget.used))
+                assert spent[0] == spent[1]
+
 
 class TestWitness:
     def test_witness_revalidates_on_scheduling_systems(self):
@@ -773,17 +806,19 @@ class TestPartition:
                  SharedSymmetricSystem(SingleMachineSystem(RELEASED), 1)))
 
     @pytest.mark.parametrize("search, args, nodes", [
-        (compute_opt, (ex_asym(3, 2),), 61),
-        (empirical_poa, (ex_asym(3, 2), Fraction(3, 2)), 443),
+        (compute_opt, (ex_asym(3, 2),), 26),
+        (empirical_poa, (ex_asym(3, 2), Fraction(3, 2)), 247),
         (every_outcome_and_opt, (SYMMETRIC, 1), 1_626),
         (every_outcome_and_opt, (SYMMETRIC, Fraction(3, 2)), 4_050),
-        (empirical_poa, (RELEASED_GAME, 1), 256),
+        (empirical_poa, (RELEASED_GAME, 1), 251),
     ], ids=["opt-asym", "nash-asym", "spe-symmetric-1", "spe-symmetric-1.5",
             "nash-released"])
     def test_nodes_of_splits_inside_assignment_searches(self, search, args, nodes):
         # Pinned from the partition search the kernel walk replaced; the
         # SPE pins list every outcome of every order, as the sequential
-        # measurement did then.
+        # measurement did then.  A split into one member is that member's
+        # fit, with no walk: ex_asym's one-machine players and one-item
+        # sets of RELEASED_GAME's two copies.
         budget = SearchBudget(10**6)
         search(*args, budget)
         assert budget.used == nodes

@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from spgames import (INFEASIBLE, InputError, Instance, Item, Payoff, Profile,
-                     ExplicitSystem, SharedSymmetricSystem, ex_seq, ex_trivial,
-                     payoff, validate_profile, welfare)
+from spgames import (INFEASIBLE, InputError, Instance, Item, JobWindow, Payoff,
+                     Profile, ExplicitSystem, SharedSymmetricSystem, TimeWindow,
+                     UnrelatedMachinesSystem, ex_seq, ex_trivial, payoff,
+                     validate_profile, welfare)
+from spgames.best_response import check_alpha
 
 from oracles import weight_of
 
@@ -156,6 +158,21 @@ class TestValidateProfile:
 
 
 class TestConstruction:
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"),
+                                       float("nan")], ids=str)
+    @pytest.mark.parametrize("build", [
+        lambda v: JobWindow(v, 1, 1), lambda v: JobWindow(0, v, 1),
+        lambda v: JobWindow(0, 1, v), lambda v: TimeWindow(v, 1),
+        lambda v: TimeWindow(0, v),
+        lambda v: UnrelatedMachinesSystem(("m",), {("m", "a"): v},
+                                          {"a": TimeWindow(0, 1)}),
+        lambda v: Item("a", v), check_alpha,
+    ], ids=["release", "processing", "deadline", "window-release",
+            "window-deadline", "unrelated-processing", "weight", "alpha"])
+    def test_non_finite_numbers_are_input_errors(self, build, value):
+        with pytest.raises(InputError, match="is not a rational"):
+            build(value)
+
     def test_negative_weight_rejected(self):
         with pytest.raises(InputError):
             Item("a", Fraction(-1))
