@@ -230,8 +230,10 @@ def random_symmetric(n: int, copies: int, seed: int) -> Instance:
 
 
 def _trivial_references(game: Instance) -> dict[str, Profile]:
-    return {"opt": Profile((frozenset({"1"}), frozenset({"2"}))),
-            "bad_equilibrium": Profile((frozenset({"2"}), frozenset()))}
+    """Each player takes its own item, or player 1 takes player 2's."""
+    one, two = (frozenset({i}) for i in game.ordered_ids)
+    return {"opt": Profile((one, two)),
+            "bad_equilibrium": Profile((two, frozenset()))}
 
 
 def _prefixed(game: Instance, prefix: str) -> list[str]:
@@ -298,14 +300,19 @@ PARAMETERS = tuple(dict.fromkeys(name for _, names, _ in _FAMILIES.values()
                                  for name in names))
 
 
+def _argument(params: Mapping[str, object], name: str) -> object:
+    """Parameter `name`: `alpha` as given, `seed` an integer >= 0 and
+    every other an integer >= 1.  A missing alpha is reported as any
+    missing parameter is."""
+    if name == "alpha" and name in params:
+        return params[name]
+    return _positive_int(params, name, minimum=0 if name == "seed" else 1)
+
+
 def _arguments(spec: GeneratorSpec) -> dict[str, object]:
-    """The parameters the spec's family reads, in reading order: `alpha`
-    as given, `seed` an integer >= 0 and every other an integer >= 1.  A
-    missing alpha is reported as any missing parameter is."""
+    """The parameters the spec's family reads, in reading order."""
     params = spec.param_map
-    return {name: params[name] if name == "alpha" and name in params
-            else _positive_int(params, name, minimum=int(name != "seed"))
-            for name in _FAMILIES[spec.family][1]}
+    return {name: _argument(params, name) for name in _FAMILIES[spec.family][1]}
 
 
 def generate(spec: GeneratorSpec) -> Instance:

@@ -38,19 +38,17 @@ the search kernel, `_first_split`: one member per machine, each decided
 by that machine's `_fit`, the items in id order with unit weights, and a
 prune that drops every node that left an item out.  The split is the
 first node that holds every item, and its fit is the fits the walk's own
-tests found for the final parts.  One member takes the whole set, so
-its own fit decides it, with no walk.  Every attempt to put an item
-into a machine's set spends one budget node, on top of what that test
-spends; with several machines the kernel asks each machine's test once
-per set, so a set met again spends only its one node.  The copies of a
+tests found for the final parts.  Every attempt to put an item into a
+machine's set spends one budget node, on top of what that test spends;
+with several machines the kernel asks each machine's test once per set,
+so a set met again spends only its one node.  The copies of a
 `SharedSymmetricSystem` are walked as interchangeable members, so an
 item may only open the first empty copy; the machines of an
 `UnrelatedMachinesSystem` are distinct single machines.
 `IdenticalMachinesSystem` is the shared system of `copies` single
 machines and answers through it.
 
-Membership of c shared copies, one copy included, takes one of three
-routes:
+Membership of c >= 2 shared copies takes one of three routes:
 
 * covers: over an explicit base with m maximal sets, a set splits into
   at most c disjoint members exactly when it lies inside the union of
@@ -63,7 +61,7 @@ routes:
   condition below decides the set on all its machines, one node per job
   up to the first that breaks it, and its fit is the round-robin
   schedule the condition guarantees;
-* the split walk, for every other base; one copy is the base's fit.
+* the split walk, for every other base.
 
 Subset enumeration runs on the search kernel (`search.py`), whose
 one-member pre-order lists a system's sets in lexicographic order.  The
@@ -218,9 +216,12 @@ class IntegerJobs:
         node per job checked.  With one in the set, a dynamic program over
         the subsets keeps the least completion time of each, which is
         exact because starting earlier never hurts; ties go to the job of
-        least id last.  It requires its one node per nonempty subset up
-        front.  Start times are computed as the pairs are read, so a
-        membership test pays for none.
+        least id last.  It runs in blocks, one per job in id order: block
+        k holds the subsets whose greatest job is the k-th, requires its
+        one node per subset up front and ends at the set of the first k
+        jobs.  When that set has no schedule, no superset has one, so the
+        program stops there.  Start times are computed as the pairs are
+        read, so a membership test pays for none.
         """
         jobs = sorted(positions)
         if self.released.isdisjoint(jobs):
@@ -232,25 +233,29 @@ class IntegerJobs:
                     return None
             return self._timed(order)
 
-        full = (1 << len(jobs)) - 1
-        budget.require(full)
-        finish: list[Optional[int]] = [0] + [None] * full
-        last = [0] * (full + 1)
-        for mask in range(1, full + 1):
-            budget.spend()
-            for j, k in enumerate(jobs):
-                if not mask >> j & 1:
-                    continue
-                prev = finish[mask ^ (1 << j)]
-                if prev is None:
-                    continue
-                end = max(prev, self.release[k]) + self.processing[k]
-                if end <= self.deadline[k] and (finish[mask] is None
-                                                or end < finish[mask]):
-                    finish[mask], last[mask] = end, j
-        if finish[full] is None:
-            return None
-        order, mask = [], full
+        finish: list[Optional[int]] = [0]
+        last = [0]
+        for size in range(1, len(jobs) + 1):
+            budget.require(1 << size - 1)
+            prefix = tuple(enumerate(jobs[:size]))
+            for mask in range(1 << size - 1, 1 << size):
+                budget.spend()
+                best = choice = None
+                for j, k in prefix:
+                    if not mask >> j & 1:
+                        continue
+                    prev = finish[mask ^ (1 << j)]
+                    if prev is None:
+                        continue
+                    end = max(prev, self.release[k]) + self.processing[k]
+                    if end <= self.deadline[k] and (best is None
+                                                    or end < best):
+                        best, choice = end, j
+                finish.append(best)
+                last.append(choice)
+            if finish[-1] is None:
+                return None
+        order, mask = [], len(finish) - 1
         while mask:
             order.append(jobs[last[mask]])
             mask ^= 1 << last[mask]
@@ -285,12 +290,8 @@ def _first_split(target: frozenset[str],
     in id order with unit weights, that holds every item.  A node that
     left an item out is pruned: no node below it holds that item.  The
     result is the fits the walk's tests found for the final parts, member
-    by member, each padded with idle machines to `width`.  A single
-    member holds the whole set, so its fit decides with no walk.
+    by member, each padded with idle machines to `width`.
     """
-    if len(fits) == 1:
-        fit = fits[0](target, budget)
-        return None if fit is None else _padded(fit, width)
     ids = sorted(target)
     found: list[dict[frozenset[str], Optional[Fit]]] = [{} for _ in fits]
 
@@ -544,13 +545,13 @@ class SharedSymmetricSystem(FeasibilitySystem):
     """A player holding `copies` instances of one shared base system.
 
     A set is allowed when it splits into at most `copies` disjoint members
-    of the base family (one per machine copy, in scheduling terms).
-    Membership takes the module docstring's routes in turn: covers of an
-    explicit base (`_covers`), slot counts of a uniform zero-release table
-    (`_uniform_machine`), else the split walk.  The covers cost time in
-    proportion to their number, which grows like C(m, min(copies, m)) for
-    m base sets; a base past `_COVER_UNIONS` unions, such as all 120 pairs
-    of 16 items at 4 copies, splits.
+    of the base family (one per machine copy, in scheduling terms).  With
+    several copies, membership takes the module docstring's routes in
+    turn: covers of an explicit base (`_covers`), slot counts of a uniform
+    zero-release table (`_uniform_machine`), else the split walk.  The
+    covers cost time in proportion to their number, which grows like
+    C(m, min(copies, m)) for m base sets; a base past `_COVER_UNIONS`
+    unions, such as all 120 pairs of 16 items at 4 copies, splits.
     """
 
     base: FeasibilitySystem
@@ -592,16 +593,21 @@ class SharedSymmetricSystem(FeasibilitySystem):
         target = frozenset(items)
         if not target <= self.universe():
             return False
+        if self.copies == 1:
+            return self.base.is_member(target, budget)
         if self._covers is not None:
             return self._covers.is_member(target)
         return self._fit(target, SearchBudget.ensure(budget)) is not None
 
     def _fit(self, target, budget) -> Optional[Fit]:
-        """Slot counts for a uniform table, else the split walk.
+        """The base's fit for one copy, slot counts for a uniform table,
+        else the split walk.
 
         No more copies than items are walked, so a huge `copies` costs
-        nothing, and one copy is the base's own fit.
+        nothing.
         """
+        if self.copies == 1:
+            return self.base._fit(target, budget)
         machine = _uniform_machine(self)
         if machine is not None:
             return _fits_slots(machine, _machine_count(self), target, budget)

@@ -4,10 +4,10 @@ One row per (family, parameters, concept, alpha, k).  Most rows are
 measured by an exhaustive worst-equilibrium search (method "enumerated").
 A collusion family with more than `DEFAULT_NODE_BUDGET` (n+1)^|J|
 assignments is measured on its constructed worst equilibrium, certified
-by the coalition verifier (method "constructed").  The search no longer
-needs that route; it is kept so that the published rows and bytes stay
-the same.  The route does not depend on the caller's budget, so the
-rows do not either: a budget only limits the searches.
+by the coalition verifier (method "constructed").  The branch and bound
+reaches n = 4 as well, so the route is no search limit and ignores the
+caller's budget: it is kept so that the published rows and bytes stay
+the same whatever the budget.
 """
 
 from __future__ import annotations
@@ -69,9 +69,6 @@ def _collusion_row(n: int, k: int, alpha: Fraction, budget) -> ReportRow:
     spec = GeneratorSpec.make("ex_collusion", n=n, k=k, alpha=alpha)
     instance = generate(spec)
     params = f"n={n},k={k},alpha={rational_str(alpha)}"
-    # The branch and bound of `empirical_collusion_poa` reaches n = 4 as
-    # well.  This route test is no search limit: it is kept so that the
-    # suite's rows and bytes stay as published.
     if (instance.n + 1) ** len(instance.item_ids) <= DEFAULT_NODE_BUDGET:
         return _row_from_poa("ex_collusion", params,
                              empirical_collusion_poa(instance, k, alpha, budget))

@@ -240,39 +240,6 @@ class TestUnrelated:
                   "b": TimeWindow(Fraction(0), Fraction(1))})
         assert not only_m1.is_member({"b"})
 
-    def test_one_machine_spends_one_node_per_job(self):
-        # A split into one member is that member's fit, so earliest
-        # deadline first checks each job once.
-        ids = [f"j{k:03d}" for k in range(800)]
-        system = UnrelatedMachinesSystem(("m",), {("m", i): 1 for i in ids},
-                                         {i: TimeWindow(0, 800) for i in ids})
-        budget = SearchBudget(10**6)
-        assert system.is_member(ids, budget)
-        assert budget.used == 800
-
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(st.data())
-    def test_one_machine_is_its_single_machine_table(self, data):
-        ids = [f"j{k}" for k in range(data.draw(st.integers(1, 5)))]
-        jobs = {}
-        for i in ids:
-            release = data.draw(st.sampled_from((0, 0, 1, Fraction(3, 2))))
-            processing = data.draw(rationals(1, 3))
-            jobs[i] = JobWindow(release, processing,
-                                release + processing + data.draw(rationals(-1, 4)))
-        single = SingleMachineSystem(jobs)
-        unrelated = UnrelatedMachinesSystem(
-            ("m",), {("m", i): w.processing for i, w in jobs.items()},
-            {i: TimeWindow(w.release, w.deadline) for i, w in jobs.items()})
-        items = data.draw(st.frozensets(st.sampled_from(ids)))
-        for system in (unrelated, SharedSymmetricSystem(unrelated, 1)):
-            for method in ("is_member", "schedule_witness"):
-                spent = []
-                for own in (single, system):
-                    budget = SearchBudget(10**6)
-                    spent.append((getattr(own, method)(items, budget), budget.used))
-                assert spent[0] == spent[1]
-
 
 class TestWitness:
     def test_witness_revalidates_on_scheduling_systems(self):
@@ -532,7 +499,15 @@ class TestReleaseDates:
             assert validate_witness(system, items, witness)
             assert witness.scheduled_items() == items
         if any(jobs[i].release for i in items):
-            nodes = 2 ** len(items) - 1  # one per nonempty subset
+            # One node per nonempty subset of the first k jobs, for the
+            # least k whose jobs have no schedule, else for all of them.
+            ids = sorted(items)
+            size = next((k for k in range(1, len(ids))
+                         if not schedulable_by_permutations(
+                             [(jobs[i].release, jobs[i].processing,
+                               jobs[i].deadline) for i in ids[:k]])),
+                        len(ids))
+            nodes = 2 ** size - 1
         else:
             nodes = edf_checks(
                 [(i, jobs[i].processing, jobs[i].deadline) for i in items])
@@ -554,12 +529,35 @@ class TestReleaseDates:
         assert all(type(start) is Fraction for _, start in witness.machines[0])
         assert budget.used == 15
 
-    def test_subset_program_requires_its_nodes_up_front(self):
+    def test_subset_program_requires_each_block_up_front(self):
+        # Blocks of 1, 2, ..., 2**15 subsets spend 2**16 - 1 nodes; the
+        # block of 2**16 does not fit in what remains and spends none.
         jobs = {f"j{k:02d}": JobWindow(Fraction(k, 2), 1, 40) for k in range(18)}
         budget = SearchBudget(100_000)
         with pytest.raises(BudgetExceededError):
             SingleMachineSystem(jobs).is_member(set(jobs), budget)
-        assert budget.used == 0
+        assert budget.used == 2 ** 16 - 1
+
+    @pytest.mark.parametrize("machine, nodes", [("single", 3), ("unrelated", 5)])
+    def test_subset_program_stops_at_the_first_prefix_without_a_schedule(
+            self, machine, nodes):
+        # j00 and j01 both end by 2 but need 1.5 each, so the first two
+        # jobs have no schedule: blocks of 1 and 2 subsets, not 2**24 - 1
+        # nodes.  One unrelated machine walks the id-prefixes instead:
+        # {j00} and {j00, j01} have no release date, so each costs its
+        # walk node and its earliest-deadline-first checks, 2 + 3 nodes.
+        jobs = {f"j{k:02d}": JobWindow(Fraction(k, 2), Fraction(3, 2), 40)
+                for k in range(24)}
+        jobs["j00"] = jobs["j01"] = JobWindow(0, Fraction(3, 2), 2)
+        if machine == "single":
+            system = SingleMachineSystem(jobs)
+        else:
+            system = UnrelatedMachinesSystem(
+                ("m",), {("m", i): w.processing for i, w in jobs.items()},
+                {i: TimeWindow(w.release, w.deadline) for i, w in jobs.items()})
+        budget = SearchBudget()
+        assert not system.is_member(set(jobs), budget)
+        assert budget.used == nodes
 
     def test_subset_program_fits_an_exact_budget(self):
         jobs = {f"j{k}": JobWindow(Fraction(k, 2), 1, 20) for k in range(10)}
@@ -806,19 +804,17 @@ class TestPartition:
                  SharedSymmetricSystem(SingleMachineSystem(RELEASED), 1)))
 
     @pytest.mark.parametrize("search, args, nodes", [
-        (compute_opt, (ex_asym(3, 2),), 26),
-        (empirical_poa, (ex_asym(3, 2), Fraction(3, 2)), 247),
+        (compute_opt, (ex_asym(3, 2),), 61),
+        (empirical_poa, (ex_asym(3, 2), Fraction(3, 2)), 443),
         (every_outcome_and_opt, (SYMMETRIC, 1), 1_626),
         (every_outcome_and_opt, (SYMMETRIC, Fraction(3, 2)), 4_050),
-        (empirical_poa, (RELEASED_GAME, 1), 251),
+        (empirical_poa, (RELEASED_GAME, 1), 256),
     ], ids=["opt-asym", "nash-asym", "spe-symmetric-1", "spe-symmetric-1.5",
             "nash-released"])
     def test_nodes_of_splits_inside_assignment_searches(self, search, args, nodes):
         # Pinned from the partition search the kernel walk replaced; the
         # SPE pins list every outcome of every order, as the sequential
-        # measurement did then.  A split into one member is that member's
-        # fit, with no walk: ex_asym's one-machine players and one-item
-        # sets of RELEASED_GAME's two copies.
+        # measurement did then.
         budget = SearchBudget(10**6)
         search(*args, budget)
         assert budget.used == nodes
