@@ -31,8 +31,7 @@ from functools import lru_cache
 from typing import Iterable, Optional, Union
 
 from .budget import SearchBudget
-from .errors import InputError
-from .feasibility import _fraction
+from .errors import InputError, _fraction
 from .model import Instance, _check_player_index, restrict_available
 from .search import best
 
@@ -163,11 +162,10 @@ def coalition_best_response(instance: Instance, coalition: Iterable[int],
     player order, maximizing the joint weight.  Exhaustive item-to-member
     assignment search with infeasible-set and remaining-weight pruning.
     """
-    members = tuple(sorted(set(int(i) for i in coalition)))
+    members = tuple(sorted({_check_player_index(instance, member)
+                            for member in coalition}))
     if not members:
         raise InputError("coalition must be nonempty")
-    for member in members:
-        _check_player_index(instance, member)
     proposed, value = _joint_best(
         instance, members, restrict_available(instance, available),
         SearchBudget.ensure(budget))

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
 
-from .errors import InputError
+from .errors import InputError, _integer
 from .best_response import check_alpha
 
 DEFAULT_INTERVAL_WIDTH = Fraction(1, 10 ** 12)
@@ -54,9 +54,8 @@ def bound_collusion(alpha, n: int, k: int) -> Fraction:
     Undefined for n = 1 (callers should report the plain ratio there).
     """
     factor = check_alpha(alpha)
-    if n < 2:
-        raise InputError("collusion bound needs n >= 2")
-    if not 1 <= k <= n:
+    _integer(n, name="n", minimum=2)
+    if not 1 <= _integer(k, name="k") <= n:
         raise InputError(f"k must be between 1 and {n}, got {k}")
     return factor + Fraction(n - k, n - 1)
 
@@ -73,8 +72,7 @@ def exp_enclosure(t: Fraction, terms: int = 25) -> RationalInterval:
     t = Fraction(t)
     if not 0 <= t <= 1:
         raise InputError("exp enclosure implemented for 0 <= t <= 1 only")
-    if terms < 2:
-        raise InputError("need at least two series terms")
+    _integer(terms, name="terms", minimum=2)
     p, q = t.numerator, t.denominator
     powers = list(accumulate(repeat(p, terms), mul, initial=1))
     partial, scale = 0, 1
@@ -137,9 +135,6 @@ def bound_series_b(alpha, x: int) -> Fraction:
     games and starts at alpha for x = 1.
     """
     factor = check_alpha(alpha)
-    if int(x) < 1:
-        raise InputError(f"x must be a positive integer, got {x}")
-    x = int(x)
-    gamma = x * factor
+    gamma = _integer(x, name="x", minimum=1) * factor
     top = gamma ** x
     return top / (top - (gamma - 1) ** x)

@@ -7,7 +7,7 @@ silently returning a wrong or partial answer.
 
 from __future__ import annotations
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, _integer
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -22,9 +22,7 @@ class SearchBudget:
     __slots__ = ("limit", "used")
 
     def __init__(self, limit: int = DEFAULT_NODE_BUDGET):
-        if limit <= 0:
-            raise ValueError("budget limit must be positive")
-        self.limit = limit
+        self.limit = _integer(limit, name="budget limit", minimum=1)
         self.used = 0
 
     def spend(self, amount: int = 1) -> None:
@@ -48,4 +46,4 @@ class SearchBudget:
             return cls()
         if isinstance(budget, SearchBudget):
             return budget
-        return cls(int(budget))
+        return cls(budget)

@@ -18,7 +18,7 @@ from pathlib import Path
 from .equilibria import (enumerate_collusion, enumerate_nash,
                          enumerate_spe_outcomes, verify_collusion, verify_nash,
                          verify_spe_outcome)
-from .errors import BudgetExceededError, InputError
+from .errors import BudgetExceededError, InputError, _integer
 from .factory import (FAMILIES, PAPER_FAMILIES, PARAMETERS, GeneratorSpec,
                       generate, reference_profiles)
 from .metrics import (compute_opt, empirical_collusion_poa, empirical_poa,
@@ -72,18 +72,14 @@ def _load_profile(path: str, instance: Instance) -> Profile:
 
 def _budget(args) -> int | None:
     if getattr(args, "budget", None) is not None:
-        if args.budget <= 0:
-            raise InputError("--budget must be positive")
-        return args.budget
+        return _integer(args.budget, name="--budget", minimum=1)
     env = os.environ.get("SPG_BUDGET")
     if env:
         try:
             value = int(env)
         except ValueError as exc:
             raise InputError(f"SPG_BUDGET is not an integer: {env!r}") from exc
-        if value <= 0:
-            raise InputError("SPG_BUDGET must be positive")
-        return value
+        return _integer(value, name="SPG_BUDGET", minimum=1)
     return None
 
 

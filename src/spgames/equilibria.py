@@ -44,7 +44,7 @@ from itertools import accumulate, combinations
 from typing import Iterable, Iterator, Optional
 
 from .budget import SearchBudget
-from .errors import InputError
+from .errors import InputError, _integer
 from .best_response import (DeviationWitness, best_response, check_alpha,
                             deviation, within_alpha)
 from .feasibility import max_cardinality_feasible
@@ -69,7 +69,7 @@ class EquilibriumReport:
 
 
 def check_order(instance: Instance, order: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(int(i) for i in order)
+    out = tuple(_integer(i, name="order entry") for i in order)
     if sorted(out) != list(range(instance.n)):
         raise InputError(
             f"order {out} is not a permutation of 0..{instance.n - 1}")
@@ -77,7 +77,7 @@ def check_order(instance: Instance, order: Iterable[int]) -> tuple[int, ...]:
 
 
 def check_k(instance: Instance, k: int) -> None:
-    if not 1 <= k <= instance.n:
+    if not 1 <= _integer(k, name="k") <= instance.n:
         raise InputError(f"k must be between 1 and {instance.n}, got {k}")
 
 
@@ -204,6 +204,7 @@ def worst_equilibrium(instance: Instance, alpha, k: int = 1,
     among those walked.
     """
     factor = check_alpha(alpha)
+    check_k(instance, k)
     least: list[Optional[int]] = [None]
     interchangeable = not any(_kinds(instance))
     found = None

@@ -7,7 +7,9 @@ parameters (and seed) always yield the identical instance.
 
 One table, `_FAMILIES`, holds each family's builder, parameter names
 and reference-profile builder.  Reference profiles read item ids from
-the generated instance, so each id format is written once.
+the generated instance, so each id format is written once.  Builders
+check their own parameters, so `generate` passes each value as given and
+only reports a missing one: a direct call and a spec fail the same way.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
-from .errors import InputError
+from .errors import InputError, _integer
 from .best_response import check_alpha
 from .equilibria import greedy_sequential_outcome
 from .feasibility import (ExplicitSystem, JobWindow, SharedSymmetricSystem,
@@ -47,18 +48,6 @@ class GeneratorSpec:
         return dict(self.params)
 
 
-def _positive_int(params: Mapping[str, object], name: str, minimum: int = 1) -> int:
-    if name not in params:
-        raise InputError(f"missing generator parameter {name!r}")
-    try:
-        value = int(params[name])
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"parameter {name!r} must be an integer") from exc
-    if value < minimum:
-        raise InputError(f"parameter {name!r} must be >= {minimum}, got {value}")
-    return value
-
-
 def _pad(count: int) -> int:
     return max(2, len(str(count)))
 
@@ -79,8 +68,8 @@ def ex_asym(p: int, q: int) -> Instance:
     and a p-job in time 2 (never).  The worst Nash profile at
     alpha = p/q parks all q-jobs on player 1.
     """
-    if not (isinstance(p, int) and isinstance(q, int)) or q < 1 or p < q:
-        raise InputError("ex_asym requires integers p >= q >= 1")
+    _integer(q, name="q", minimum=1)
+    _integer(p, name="p", minimum=q)
     width = _pad(max(p, q))
     p_ids = [f"p{i:0{width}d}" for i in range(1, p + 1)]
     q_ids = [f"q{i:0{width}d}" for i in range(1, q + 1)]
@@ -107,10 +96,9 @@ def ex_sym(p: int, q: int, n: int) -> Instance:
     q(n-1) + p light jobs (weight 1) each take a 1/(q(n-1)+p) sliver of
     the unit window; n-1 heavy jobs (weight p) fill the whole window.
     """
-    if not (isinstance(p, int) and isinstance(q, int)) or q < 1 or p < q:
-        raise InputError("ex_sym requires integers p >= q >= 1")
-    if n < 2:
-        raise InputError("ex_sym requires n >= 2")
+    _integer(q, name="q", minimum=1)
+    _integer(p, name="p", minimum=q)
+    _integer(n, name="n", minimum=2)
     light_count = q * (n - 1) + p
     heavy_count = n - 1
     width = _pad(max(light_count, heavy_count))
@@ -134,8 +122,7 @@ def ex_seq(n: int) -> Instance:
     optimum gives each player one job per class; sequential play that
     prefers large deadlines wastes the tight-deadline classes.
     """
-    if n < 1:
-        raise InputError("ex_seq requires n >= 1")
+    _integer(n, name="n", minimum=1)
     width = _pad(n)
     jobs = {}
     ids = []
@@ -177,9 +164,8 @@ def ex_collusion(n: int, k: int, alpha) -> Instance:
     of its equilibrium bundle, never a mix.
     """
     factor = check_alpha(alpha)
-    if n < 2:
-        raise InputError("ex_collusion requires n >= 2")
-    if not 1 <= k <= n:
+    _integer(n, name="n", minimum=2)
+    if not 1 <= _integer(k, name="k") <= n:
         raise InputError(f"ex_collusion requires 1 <= k <= n, got k={k}")
     private_weight = Fraction(n - k) + (n - 1) * (factor - 1)
     bundles = _collusion_bundles(n)
@@ -192,8 +178,10 @@ def ex_collusion(n: int, k: int, alpha) -> Instance:
 
 def random_explicit(n: int, items: int, max_weight: int, seed: int) -> Instance:
     """Seeded random instance with explicit per-player families."""
-    if n < 1 or items < 1 or max_weight < 1:
-        raise InputError("random_explicit requires n, items, max_weight >= 1")
+    _integer(n, name="n", minimum=1)
+    _integer(items, name="items", minimum=1)
+    _integer(max_weight, name="max_weight", minimum=1)
+    _integer(seed, name="seed", minimum=0)
     rng = random.Random(seed)
     width = _pad(items)
     ids = [f"i{index:0{width}d}" for index in range(1, items + 1)]
@@ -212,8 +200,9 @@ def random_explicit(n: int, items: int, max_weight: int, seed: int) -> Instance:
 
 def random_symmetric(n: int, copies: int, seed: int) -> Instance:
     """Seeded random instance on a shared explicit base family."""
-    if n < 1 or copies < 1:
-        raise InputError("random_symmetric requires n, copies >= 1")
+    _integer(n, name="n", minimum=1)
+    _integer(copies, name="copies", minimum=1)
+    _integer(seed, name="seed", minimum=0)
     rng = random.Random(seed)
     item_count = 6
     ids = [f"i{index:02d}" for index in range(1, item_count + 1)]
@@ -300,19 +289,15 @@ PARAMETERS = tuple(dict.fromkeys(name for _, names, _ in _FAMILIES.values()
                                  for name in names))
 
 
-def _argument(params: Mapping[str, object], name: str) -> object:
-    """Parameter `name`: `alpha` as given, `seed` an integer >= 0 and
-    every other an integer >= 1.  A missing alpha is reported as any
-    missing parameter is."""
-    if name == "alpha" and name in params:
-        return params[name]
-    return _positive_int(params, name, minimum=0 if name == "seed" else 1)
-
-
 def _arguments(spec: GeneratorSpec) -> dict[str, object]:
-    """The parameters the spec's family reads, in reading order."""
+    """The parameters the spec's family reads, in reading order, as given:
+    the first missing one is an error, and the builder checks the rest."""
     params = spec.param_map
-    return {name: _argument(params, name) for name in _FAMILIES[spec.family][1]}
+    names = _FAMILIES[spec.family][1]
+    for name in names:
+        if name not in params:
+            raise InputError(f"missing generator parameter {name!r}")
+    return {name: params[name] for name in names}
 
 
 def generate(spec: GeneratorSpec) -> Instance:

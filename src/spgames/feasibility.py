@@ -85,29 +85,12 @@ from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .budget import SearchBudget
-from .errors import InputError
+from .errors import InputError, _fraction, _integer
 from .search import Test, best, integral, walk
 
 # Most unions `SharedSymmetricSystem._covers` forms before it leaves an
 # explicit base to the split walk, so also most covers a test scans.
 _COVER_UNIONS = 4096
-
-
-def _fraction(value, *, name: str, minimum: Fraction | None = None,
-              strict: bool = False) -> Fraction:
-    """`value` as an exact rational, at least (or with `strict`, above)
-    `minimum`; anything else, infinities and nan included, is an input
-    error."""
-    try:
-        out = Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
-        raise InputError(f"{name} is not a rational: {value!r}") from exc
-    if minimum is not None:
-        if strict and out <= minimum:
-            raise InputError(f"{name} must be > {minimum}, got {out}")
-        if not strict and out < minimum:
-            raise InputError(f"{name} must be >= {minimum}, got {out}")
-    return out
 
 
 @dataclass(frozen=True)
@@ -454,9 +437,7 @@ class IdenticalMachinesSystem(_JobTable, FeasibilitySystem):
     jobs: tuple[tuple[str, JobWindow], ...]
 
     def __post_init__(self):
-        if int(self.copies) < 1:
-            raise InputError("machine copies must be >= 1")
-        object.__setattr__(self, "copies", int(self.copies))
+        _integer(self.copies, name="machine copies", minimum=1)
         object.__setattr__(self, "jobs", _normalize_job_map(self.jobs))
 
     @cached_property
@@ -558,9 +539,7 @@ class SharedSymmetricSystem(FeasibilitySystem):
     copies: int
 
     def __post_init__(self):
-        if int(self.copies) < 1:
-            raise InputError("copies must be >= 1")
-        object.__setattr__(self, "copies", int(self.copies))
+        _integer(self.copies, name="copies", minimum=1)
         if isinstance(self.base, SharedSymmetricSystem):
             raise InputError("shared symmetric systems cannot nest")
 
@@ -655,6 +634,7 @@ def validate_downward_closed(system: FeasibilitySystem, samples: int = 100,
     by one, asserting membership persists all the way down to the empty
     set.
     """
+    _integer(samples, name="samples", minimum=0)
     shared = SearchBudget.ensure(budget)
     target = system.base if isinstance(system, SharedSymmetricSystem) else system
     if isinstance(target, ExplicitSystem):
@@ -820,8 +800,14 @@ def _window_for(system: FeasibilitySystem, machine: int, item: str
 
 def validate_witness(system: FeasibilitySystem, items: Iterable[str],
                      witness: ScheduleWitness) -> bool:
-    """Re-check a schedule witness against the system's raw parameters."""
-    if witness.scheduled_items() != frozenset(items):
+    """Re-check a schedule witness against the system's raw parameters.
+
+    Every item of `items` runs exactly once: the witness schedules that
+    set, with as many (item, start) pairs as it has items.
+    """
+    items = frozenset(items)
+    if (witness.scheduled_items() != items
+            or sum(map(len, witness.machines)) != len(items)):
         return False
     if len(witness.machines) > _machine_count(system):
         return False

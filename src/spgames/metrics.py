@@ -27,7 +27,7 @@ from .budget import SearchBudget
 from .best_response import check_alpha
 from .bounds import (RationalInterval, bound_collusion, bound_nash,
                      bound_sequential_symmetric, ratio_within_sequential_bound)
-from .equilibria import check_k, least_sequential_outcome, worst_equilibrium
+from .equilibria import least_sequential_outcome, worst_equilibrium
 # Unused here, but `perfbench/selftest.py` checks that this binding is traced.
 from .equilibria import enumerate_nash  # noqa: F401
 from .model import Instance, Profile, restrict_available
@@ -146,7 +146,6 @@ def empirical_collusion_poa(instance: Instance, k: int, alpha,
     reported.
     """
     factor = check_alpha(alpha)
-    check_k(instance, k)
     shared = SearchBudget.ensure(budget)
     worst_profile, worst_value = worst_equilibrium(instance, factor, k, shared)
     opt_profile, opt_value = compute_opt(instance, shared)

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, total_ordering
 from typing import Iterable, Optional
 
 from .budget import SearchBudget
-from .errors import InputError
-from .feasibility import FeasibilitySystem, SharedSymmetricSystem, _fraction
+from .errors import InputError, _fraction, _integer
+from .feasibility import FeasibilitySystem, SharedSymmetricSystem
 from .search import integral
 
 
@@ -154,6 +154,7 @@ class Profile:
         return frozenset(out)
 
 
+@total_ordering
 @dataclass(frozen=True)
 class Payoff:
     """Either a finite rational payoff or the distinguished infeasible
@@ -179,15 +180,6 @@ class Payoff:
     def __lt__(self, other: "Payoff") -> bool:
         return self._key() < other._key()
 
-    def __le__(self, other: "Payoff") -> bool:
-        return self._key() <= other._key()
-
-    def __gt__(self, other: "Payoff") -> bool:
-        return self._key() > other._key()
-
-    def __ge__(self, other: "Payoff") -> bool:
-        return self._key() >= other._key()
-
 
 INFEASIBLE = Payoff()
 
@@ -205,9 +197,10 @@ class Violation:
     items: frozenset[str] = frozenset()
 
 
-def _check_player_index(instance: Instance, player: int) -> None:
-    if not 0 <= player < instance.n:
+def _check_player_index(instance: Instance, player: int) -> int:
+    if not 0 <= _integer(player, name="player index") < instance.n:
         raise InputError(f"player index {player} out of range for n={instance.n}")
+    return player
 
 
 def payoff(instance: Instance, profile: Profile, player: int) -> Payoff:

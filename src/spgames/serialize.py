@@ -15,7 +15,7 @@ from typing import Any, Optional
 
 from .bounds import RationalInterval
 from .equilibria import EquilibriumReport
-from .errors import InputError
+from .errors import InputError, _integer
 from .best_response import DeviationWitness
 from .feasibility import (ExplicitSystem, FeasibilitySystem,
                           IdenticalMachinesSystem, JobWindow,
@@ -135,11 +135,10 @@ def _parse_descriptor(doc, field: str,
     if kind == "single_machine":
         return SingleMachineSystem(jobs=_parse_jobs(doc.get("jobs"), field))
     if kind == "identical_machines":
-        copies = doc.get("copies")
-        if not isinstance(copies, int) or isinstance(copies, bool):
-            raise InputError(f"{field}: copies must be an integer")
-        return IdenticalMachinesSystem(copies=copies,
-                                       jobs=_parse_jobs(doc.get("jobs"), field))
+        return IdenticalMachinesSystem(
+            copies=_integer(doc.get("copies"), name=f"{field}: copies",
+                            minimum=1),
+            jobs=_parse_jobs(doc.get("jobs"), field))
     if kind == "unrelated_machines":
         machines = doc.get("machines")
         if not isinstance(machines, list) or not machines:
@@ -161,10 +160,9 @@ def _parse_descriptor(doc, field: str,
         if base is None:
             raise InputError(
                 f"{field}: shared_symmetric needs a symmetric_base section")
-        copies = doc.get("copies")
-        if not isinstance(copies, int) or isinstance(copies, bool):
-            raise InputError(f"{field}: copies must be an integer")
-        return SharedSymmetricSystem(base=base, copies=copies)
+        return SharedSymmetricSystem(
+            base=base, copies=_integer(doc.get("copies"),
+                                       name=f"{field}: copies", minimum=1))
     raise InputError(f"{field}: unknown feasibility kind {kind!r}")
 
 

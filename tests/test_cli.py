@@ -9,9 +9,12 @@ from pathlib import Path
 
 import pytest
 
+from spgames import IdenticalMachinesSystem
 from spgames.cli import main
 from spgames.factory import FAMILIES, PARAMETERS
 from spgames.report import paper_suite_rows
+from spgames.serialize import (document_to_instance, dumps_document,
+                               instance_to_document, loads_document)
 
 
 def run_cli(args, capsys) -> tuple[int, str]:
@@ -250,6 +253,30 @@ class TestQueries:
                            "--concept", "nash", "--alpha", "1"], capsys)
         assert code == 3
 
+    @pytest.mark.parametrize("args, env, code", [
+        (["poa", "--concept", "collusion", "--k", "2"], None, 0),
+        (["poa", "--concept", "collusion"], None, 2),
+        (["verify", "--concept", "collusion"], None, 2),
+        (["spe", "--order", "1,x"], None, 2),
+        (["spe", "--order", "1,1"], None, 2),
+        (["opt", "--budget", "0"], None, 2),
+        (["opt"], "0", 2),
+        (["opt"], "x", 2),
+    ], ids=["poa-collusion", "poa-collusion-without-k",
+            "verify-collusion-without-k", "order-not-integers",
+            "order-not-a-permutation", "budget-zero", "env-budget-zero",
+            "env-budget-not-integer"])
+    def test_exit_codes_of_argument_checks(self, trivial_files, capsys,
+                                           monkeypatch, args, env, code):
+        if env is not None:
+            monkeypatch.setenv("SPG_BUDGET", env)
+        if args[0] == "verify":
+            args = args + ["--profile", trivial_files["bad"]]
+        status, out = run_cli(
+            args + ["--instance", trivial_files["instance"]], capsys)
+        assert status == code
+        assert (out == "") == (code == 2)
+
     @pytest.mark.parametrize("error", [RecursionError, MemoryError])
     def test_exhausted_resources_exit_three(self, trivial_files, capsys,
                                             monkeypatch, error):
@@ -365,7 +392,110 @@ class TestHugeRationals:
         assert doc["ratio_decimal"] == POWER_400[:-1] + "1.000000"
 
 
+# Two unit jobs due at 1 on two identical machines, each player's own.
+IDENTICAL = {
+    "items": [{"id": "a", "weight": "1"}, {"id": "b", "weight": "2"}],
+    "players": [{"kind": "identical_machines", "copies": 2, "jobs": {
+        "a": {"release": "0", "processing": "1", "deadline": "1"},
+        "b": {"release": "0", "processing": "1", "deadline": "1"}}}] * 2,
+}
+
+
+def with_copies(copies) -> dict:
+    player = dict(IDENTICAL["players"][0], copies=copies)
+    return dict(IDENTICAL, players=[player] * 2)
+
+
+class TestIdenticalMachinesDocuments:
+    def test_round_trip_to_equal_bytes(self):
+        text = dumps_document(IDENTICAL)
+        instance, _ = document_to_instance(loads_document(text))
+        assert isinstance(instance.players[0], IdenticalMachinesSystem)
+        assert dumps_document(instance_to_document(instance)) == text
+
+    def test_nash_price_of_anarchy(self, tmp_path, capsys):
+        path = tmp_path / "instance.json"
+        path.write_text(dumps_document(IDENTICAL))
+        code, out = run_cli(["poa", "--instance", str(path),
+                             "--concept", "nash"], capsys)
+        assert code == 0
+        assert json.loads(out)["ratio"] == "1"
+
+    @pytest.mark.parametrize("copies, message", [
+        (True, "must be an integer, got True"),
+        (2.5, "must be an integer, got 2.5"),
+        ("3", "must be an integer, got '3'"),
+        (0, "must be >= 1, got 0"),
+    ], ids=["bool", "float", "string", "zero"])
+    def test_copies_that_are_not_positive_integers_exit_two(
+            self, tmp_path, capsys, copies, message):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(with_copies(copies)))
+        assert main(["poa", "--instance", str(path), "--concept", "nash"]) == 2
+        assert capsys.readouterr() == ("", f"error: player 1: copies {message}\n")
+
+
+def unrelated(**fields) -> dict:
+    """An instance of one unrelated-machines player over item a, with
+    `fields` replacing fields of its descriptor."""
+    player = {"kind": "unrelated_machines", "machines": ["m"],
+              "processing": {"m": {"a": "1"}},
+              "jobs": {"a": {"release": "0", "deadline": "1"}}}
+    return {"items": [{"id": "a", "weight": "1"}],
+            "players": [dict(player, **fields)]}
+
+
+EXPLICIT = {"items": [{"id": "a", "weight": "1"}],
+            "players": [{"kind": "explicit", "maximal_sets": [["a"]]}]}
+
+
+class TestDocumentErrors:
+    @pytest.mark.parametrize("instance, profile, message", [
+        (dict(EXPLICIT, players=[5]), None,
+         "player 1: descriptor must be an object"),
+        (unrelated(machines=[]), None,
+         "player 1: machines must be a nonempty list"),
+        ({"items": EXPLICIT["items"],
+          "symmetric_base": EXPLICIT["players"][0],
+          "players": [{"kind": "shared_symmetric", "copies": "2"}]}, None,
+         "player 1: copies must be an integer, got '2'"),
+        (unrelated(processing=[]), None,
+         "player 1: processing must be an object"),
+        (unrelated(processing={"m": 5}), None,
+         "player 1: processing.m must be an object"),
+        ([EXPLICIT], None, "instance document must be a JSON object"),
+        (dict(EXPLICIT, items={}), None,
+         "instance document needs an 'items' array"),
+        (dict(EXPLICIT, items=[5]), None, "malformed item entry: 5"),
+        (dict(EXPLICIT, players=[]), None,
+         "instance document needs a nonempty 'players' array"),
+        (dict(EXPLICIT, meta="x"), None, "'meta' must be an object"),
+        (EXPLICIT, [["a"]], "profile document must be a JSON object"),
+        (EXPLICIT, {"1": "a"}, "player 1: item list expected"),
+    ], ids=["descriptor-not-object", "empty-machines", "shared-copies",
+            "processing-not-object", "machine-processing-not-object",
+            "document-not-object", "items-not-list", "malformed-item",
+            "empty-players", "meta-not-object", "profile-not-object",
+            "player-entry-not-list"])
+    def test_reader_input_errors_exit_two(self, tmp_path, capsys, instance,
+                                          profile, message):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(instance))
+        args = ["opt", "--instance", str(path)]
+        if profile is not None:
+            profile_path = tmp_path / "profile.json"
+            profile_path.write_text(json.dumps(profile))
+            args = ["verify", "--instance", str(path), "--profile",
+                    str(profile_path), "--concept", "nash"]
+        assert main(args) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 class TestReport:
+    def test_unknown_suite_exits_two(self, capsys):
+        code, out = run_cli(["report", "--suite", "extended"], capsys)
+        assert code == 2 and out == ""
+
     def test_rows_do_not_depend_on_the_budget(self):
         # The collusion rows choose their method by the default budget,
         # so a caller's budget only limits the searches.

@@ -305,6 +305,31 @@ class TestWitness:
             shared, jobs, ScheduleWitness(witness.machines + ((),)))
 
 
+    # Job a is due at 3, job b is released at 1 and due at 3; both take 1.
+    TWO_JOBS = {"a": (0, 1, 3), "b": (1, 1, 3)}
+
+    @pytest.mark.parametrize("sequence, items, valid", [
+        ((("a", 0), ("b", 1)), {"a", "b"}, True),
+        ((("a", 0), ("a", 1), ("b", 2)), {"a", "b"}, False),
+        ((("a", 0), ("b", 1)), {"a"}, False),
+        ((("b", 0), ("a", 1)), {"a", "b"}, False),
+        ((("a", 0), ("b", Fraction(5, 2))), {"a", "b"}, False),
+        ((("b", 1), ("a", Fraction(3, 2))), {"a", "b"}, False),
+    ], ids=["valid", "run-twice", "other-items", "before-release",
+            "past-deadline", "overlap"])
+    def test_each_rejection_on_one_machine(self, sequence, items, valid):
+        system = SingleMachineSystem(jobs=unit_jobs(self.TWO_JOBS))
+        assert validate_witness(system, items,
+                                ScheduleWitness((sequence,))) is valid
+
+    def test_a_job_on_two_identical_machines_is_rejected(self):
+        system = IdenticalMachinesSystem(copies=2, jobs=unit_jobs(self.TWO_JOBS))
+        once = (("a", 0), ("b", 1))
+        assert validate_witness(system, {"a", "b"}, ScheduleWitness((once, ())))
+        assert not validate_witness(system, {"a", "b"},
+                                    ScheduleWitness((once, (("a", 0),))))
+
+
 class TestMaxCardinality:
     def test_largest_deadline_first_keeps_loose_jobs(self):
         game = ex_seq(5)

@@ -6,11 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from spgames import (INFEASIBLE, InputError, Instance, Item, JobWindow, Payoff,
-                     Profile, ExplicitSystem, SharedSymmetricSystem, TimeWindow,
-                     UnrelatedMachinesSystem, ex_seq, ex_trivial, payoff,
-                     validate_profile, welfare)
+from spgames import (INFEASIBLE, GeneratorSpec, IdenticalMachinesSystem,
+                     InputError, Instance, Item, JobWindow, Payoff, Profile,
+                     ExplicitSystem, SearchBudget, SharedSymmetricSystem,
+                     TimeWindow, UnrelatedMachinesSystem, best_response,
+                     bound_collusion, bound_series_b, coalition_best_response,
+                     empirical_collusion_poa, ex_asym, ex_seq, ex_trivial,
+                     exp_enclosure, generate, payoff, validate_profile,
+                     verify_collusion, verify_nash, welfare)
 from spgames.best_response import check_alpha
+from spgames.equilibria import check_order, enumerate_collusion
 
 from oracles import weight_of
 
@@ -55,6 +60,13 @@ class TestPayoff:
         assert Payoff.finite(Fraction(1, 3)) < Payoff.finite(Fraction(1, 2))
         assert not INFEASIBLE < INFEASIBLE
         assert INFEASIBLE <= INFEASIBLE
+
+    def test_all_four_comparisons_follow_one_order(self):
+        ordered = [INFEASIBLE, Payoff.finite(0), Payoff.finite(1)]
+        for i, left in enumerate(ordered):
+            for j, right in enumerate(ordered):
+                assert (left < right, left <= right, left > right,
+                        left >= right) == (i < j, i <= j, i > j, i >= j)
 
 
 class TestWelfare:
@@ -172,6 +184,43 @@ class TestConstruction:
     def test_non_finite_numbers_are_input_errors(self, build, value):
         with pytest.raises(InputError, match="is not a rational"):
             build(value)
+
+    # Each returned a value, or raised TypeError or ValueError, before
+    # every integer argument was read by one reader.
+    @pytest.mark.parametrize("call", [
+        lambda g, p: generate(GeneratorSpec.make("ex_seq", n=2.5)),
+        lambda g, p: generate(GeneratorSpec.make("ex_seq", n=True)),
+        lambda g, p: generate(GeneratorSpec.make(
+            "random_explicit", n=1, items=2, max_weight=2, seed=-0.5)),
+        lambda g, p: ex_asym(True, True),
+        lambda g, p: verify_collusion(g, p, True, 1),
+        lambda g, p: check_order(g, [0.5, 1.2]),
+        lambda g, p: coalition_best_response(g, [0.7], g.item_ids),
+        lambda g, p: SearchBudget.ensure("5"),
+        lambda g, p: SearchBudget.ensure(2.9),
+        lambda g, p: IdenticalMachinesSystem(copies="3",
+                                             jobs={"a": JobWindow(0, 1, 1)}),
+        lambda g, p: SharedSymmetricSystem(g.players[0], 2.5),
+        lambda g, p: bound_series_b(1, 2.5),
+        lambda g, p: ex_seq(2.5),
+        lambda g, p: enumerate_collusion(g, 1.5, 1),
+        lambda g, p: empirical_collusion_poa(g, 2.0, 1),
+        lambda g, p: best_response(g, 0.0, g.item_ids),
+        lambda g, p: bound_collusion(1, 3, 1.5),
+        lambda g, p: exp_enclosure(Fraction(1, 2), 2.5),
+        lambda g, p: verify_nash(g, p, 1, budget=0),
+    ], ids=["generate-float", "generate-bool", "generate-seed",
+            "ex_asym-bool", "verify_collusion-k", "check_order",
+            "coalition-member", "ensure-str", "ensure-float",
+            "identical-copies", "shared-copies", "series-x", "ex_seq-float",
+            "enumerate_collusion-k", "collusion_poa-k", "best_response-player",
+            "bound_collusion-k", "exp_enclosure-terms", "verify_nash-budget"])
+    def test_integer_arguments_are_input_errors(self, call):
+        game = two_item_game()
+        profile = Profile((frozenset({"1"}), frozenset({"2"})))
+        with pytest.raises(InputError,
+                           match=r"must be (an integer|>= 1), got "):
+            call(game, profile)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(InputError):
