@@ -6,8 +6,12 @@ once a player moves, rational later players cannot touch its items, so a
 node's value for the mover is decided by the per-node optimum and
 backward induction collapses to forward branching over the actions that
 are within a factor alpha of that optimum (`_acceptable`, the one rule
-for a node's actions).  `enumerate_spe_outcomes` lists every outcome of
-one order.  `least_sequential_outcome`, the worst outcome of
+for a node's actions).  Each instance remembers these actions for its
+life (`Instance._memo`), keyed on the mover's kind, the items left as a
+mask and alpha, and charges a repeat the nodes its walk spent, so every
+node count and budget error is as if the walk ran again.
+`enumerate_spe_outcomes` lists every outcome of one order.
+`least_sequential_outcome`, the worst outcome of
 `metrics.empirical_sequential_poa`, lists none: it takes a minimum over
 the same branching, memoised on the sequence of systems still to move,
 and examines one order per class of orders with the same sequence.
@@ -91,11 +95,6 @@ def verify_nash(instance: Instance, profile: Profile, alpha,
     return EquilibriumReport("nash", factor, witness is None, total, witness)
 
 
-def _kinds(instance: Instance) -> list[int]:
-    """For each player, the first player whose system equals its own."""
-    return [instance.players.index(system) for system in instance.players]
-
-
 def _equilibria(instance: Instance, factor: Fraction, k: int,
                 budget: SearchBudget, least: list[Optional[int]],
                 interchangeable: bool = False
@@ -104,12 +103,12 @@ def _equilibria(instance: Instance, factor: Fraction, k: int,
     profile (Nash at k = 1) below the welfare `least[0]` (None: no bound),
     which the caller may lower between profiles, in `enumerate_nash` order.
 
-    Each distinct system's feasible sets are walked once, as the family
-    of every player of its kind (`_kinds`).  Then a branch and bound over
-    the joint tree in post-order: call the items before `item` that
-    nobody holds "skipped"; they stay free below the node.  So in any
-    Nash leaf below it, player i holds at least w(S_i) and
-    top(i, skipped | S_i) / alpha, where `top(p, pool)`, memoised per
+    Each distinct system's feasible sets are walked once, as the family of
+    every player of its kind (`kinds` of the instance's memo).  Then a
+    branch and bound over the joint tree in post-order: call the items
+    before `item` that nobody holds "skipped"; they stay free below the
+    node.  So in any Nash leaf below it, player i holds at least w(S_i)
+    and top(i, skipped | S_i) / alpha, where `top(p, pool)`, memoised per
     system, is p's best weight within `pool`.  A node is dropped when some
     player cannot reach alpha-satisfaction even with every undecided item
     it can hold, or when the sum of those lower bounds reaches `least[0]`:
@@ -123,7 +122,7 @@ def _equilibria(instance: Instance, factor: Fraction, k: int,
     ids = instance.ordered_ids
     weight, _ = instance.integer_weights
     weights = [weight[i] for i in ids]
-    kind = _kinds(instance)
+    kind = instance._memo.kinds
     families: list[dict[frozenset[str], int]] = []
     for player, first in enumerate(kind):
         families.append(families[first] if first < player else {
@@ -206,7 +205,7 @@ def worst_equilibrium(instance: Instance, alpha, k: int = 1,
     factor = check_alpha(alpha)
     check_k(instance, k)
     least: list[Optional[int]] = [None]
-    interchangeable = not any(_kinds(instance))
+    interchangeable = not any(instance._memo.kinds)
     found = None
     for sets, value in _equilibria(instance, factor, k,
                                    SearchBudget.ensure(budget), least,
@@ -266,7 +265,9 @@ def enumerate_spe_outcomes(instance: Instance, order: Iterable[int], alpha,
     items whose weight is within a factor alpha of the node optimum
     (`_acceptable`); the outcomes of all such choice combinations are
     collected depth first, actions in lexicographic order.  Subtrees are
-    shared across nodes with equal remaining-item sets.
+    shared across nodes with equal remaining-item sets within the call;
+    a node's actions are remembered on the instance across calls and
+    orders, each reuse spending the nodes of the walk it replaces.
     """
     sequence = check_order(instance, order)
     factor = check_alpha(alpha)
@@ -307,7 +308,7 @@ def least_sequential_outcome(instance: Instance, factor: Fraction,
     the least so far is skipped without spending a node, since the rest
     adds a welfare of at least 0; every other action spends one.
     """
-    kind = _kinds(instance)
+    kind = instance._memo.kinds
 
     @cache
     def least(kinds: tuple[int, ...], available: frozenset[str]
@@ -358,15 +359,37 @@ def _acceptable(instance: Instance, player: int, available: frozenset[str],
                 ) -> list[tuple[frozenset[str], int]]:
     """The sets of `available` the mover may take: `player`'s feasible sets
     in lexicographic order (the kernel's one-member pre-order), with their
-    integer weights, kept when within a factor alpha of the best."""
+    integer weights, kept when within a factor alpha of the best.
+
+    The instance's memo (`Instance._memo`) keeps each walk's answer, for
+    the life of the instance, under (the player's kind, `available` as a
+    mask over `ordered_ids`, alpha's numerator, alpha's denominator),
+    with the nodes the walk spent.  A repeat spends those nodes at once
+    and walks nothing, so a budget counts, and runs out, as if it walked.
+    """
+    memo = instance._memo
+    bit = memo.bit
+    key = (memo.kinds[player], sum(map(bit.__getitem__, available)),
+           factor.numerator, factor.denominator)
+    found = memo.acceptable.get(key)
+    if found is not None:
+        cost, kept = found
+        budget.spend(cost)
+        ids = instance.ordered_ids
+        return [(frozenset(ids[j] for j in range(mask.bit_length())
+                           if mask >> j & 1), value) for mask, value in kept]
+    before = budget.used
     weight, _ = instance.integer_weights
     system = instance.players[player]
     ids = sorted(available & system.universe())
     weighted = list(walk(ids, [weight[i] for i in ids], [system.is_member],
                          budget))
     node_optimum = max(value for _, value in weighted)
-    return [(action, value) for (action,), value in weighted
-            if within_alpha(factor, value, node_optimum)]
+    out = [(action, value) for (action,), value in weighted
+           if within_alpha(factor, value, node_optimum)]
+    memo.acceptable[key] = budget.used - before, tuple(
+        (sum(map(bit.__getitem__, action)), value) for action, value in out)
+    return out
 
 
 def verify_spe_outcome(instance: Instance, profile: Profile,

@@ -291,12 +291,17 @@ PARAMETERS = tuple(dict.fromkeys(name for _, names, _ in _FAMILIES.values()
 
 def _arguments(spec: GeneratorSpec) -> dict[str, object]:
     """The parameters the spec's family reads, in reading order, as given:
-    the first missing one is an error, and the builder checks the rest."""
+    the first missing one is an error, then any the family does not read,
+    and the builder checks the rest."""
     params = spec.param_map
     names = _FAMILIES[spec.family][1]
     for name in names:
         if name not in params:
             raise InputError(f"missing generator parameter {name!r}")
+    unread = sorted(params.keys() - set(names))
+    if unread:
+        raise InputError(f"unread generator parameters for family "
+                         f"{spec.family!r}: {', '.join(map(repr, unread))}")
     return {name: params[name] for name in names}
 
 

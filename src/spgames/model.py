@@ -85,10 +85,16 @@ class Instance:
         # Computed once per object: it rehashes every weight and system.
         return hash((self.items, self.players, self.symmetric))
 
+    @cached_property
+    def _memo(self) -> "_Memo":
+        return _Memo(self)
+
     def __getstate__(self) -> dict:
         # String hashes differ between processes: a pickle leaves the
-        # cached hash out, and the copy computes its own.
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+        # cached hash out, and the copy computes its own.  The memo stays
+        # with this object too, so a copy starts with none.
+        return {k: v for k, v in self.__dict__.items()
+                if k not in ("_hash", "_memo")}
 
     @property
     def n(self) -> int:
@@ -128,6 +134,29 @@ class Instance:
 
     def weight_of(self, items: Iterable[str]) -> Fraction:
         return Fraction(self.scaled_weight_of(items), self.integer_weights[1])
+
+
+class _Memo:
+    """What the searches keep of one instance, for as long as it lives
+    (`Instance._memo`): not a field, so eq, hash and repr ignore it, and
+    neither a pickle nor a copy carries it.
+
+    `kinds[p]` is the first player whose system equals player p's; the
+    players of one kind answer every search alike.  `bit` maps each item
+    id to its bit in a mask over `ordered_ids`.  `acceptable` maps (kind,
+    mask of the pool, alpha's numerator, alpha's denominator) to the nodes
+    the walk of `equilibria._acceptable` spent there and the (action mask,
+    integer weight) pairs it kept, in pre-order.
+    """
+
+    __slots__ = ("kinds", "bit", "acceptable")
+
+    def __init__(self, instance: Instance):
+        players = instance.players
+        self.kinds = tuple(map(players.index, players))
+        self.bit = {i: 1 << j for j, i in enumerate(instance.ordered_ids)}
+        self.acceptable: dict[tuple[int, int, int, int],
+                              tuple[int, tuple[tuple[int, int], ...]]] = {}
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,14 @@ class TestGenerate:
         code, _ = run_cli(["generate", "ex_asym", "--p", "1", "--q", "2"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("extra", [["--k", "3"], ["--k", "3", "--seed", "9"]])
+    def test_parameters_the_family_does_not_read_exit_two(self, tmp_path,
+                                                          capsys, extra):
+        code, out = run_cli(["generate", "ex_seq", "--n", "1", *extra,
+                             "--out", str(tmp_path)], capsys)
+        assert code == 2 and out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_byte_identical_across_processes(self, tmp_path):
         args = [sys.executable, "-m", "spgames", "generate", "random_explicit",
                 "--n", "2", "--items", "4", "--max-weight", "8", "--seed", "7"]

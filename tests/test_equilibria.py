@@ -9,17 +9,18 @@ from hypothesis import example, given, settings, strategies as st
 
 from spgames import (BudgetExceededError, ExplicitSystem, GeneratorSpec,
                      InputError, Instance, Item, Profile, SearchBudget,
-                     best_response, coalition_best_response, enumerate_nash,
+                     best_response, coalition_best_response,
+                     empirical_sequential_poa, enumerate_nash,
                      enumerate_spe_outcomes, ex_asym, ex_collusion, ex_seq,
                      ex_sym, ex_trivial, generate, greedy_sequential_outcome,
-                     is_alpha_best_response, reference_profiles,
-                     verify_collusion, verify_nash, verify_spe_outcome,
-                     welfare)
+                     is_alpha_best_response, random_explicit,
+                     random_symmetric, reference_profiles, verify_collusion,
+                     verify_nash, verify_spe_outcome, welfare)
 
 from oracles import (brute_best_response, brute_coalition,
                      brute_enumerate_nash, brute_first_deviation,
-                     collusion_pools, nash_pools, replay_deviation,
-                     simulate_deadline_rounds, spe_pools)
+                     brute_spe_outcomes, collusion_pools, nash_pools,
+                     replay_deviation, simulate_deadline_rounds, spe_pools)
 from test_search import WEIGHTS, games
 
 
@@ -197,6 +198,47 @@ class TestSpeOutcomes:
                 for alpha in (1, Fraction(3, 2), 2):
                     for profile in enumerate_spe_outcomes(game, order, alpha):
                         assert verify_nash(game, profile, alpha).verdict
+
+
+ALPHAS = (Fraction(1), Fraction(3, 2), Fraction(2))
+
+
+@st.composite
+def seeded_games(draw) -> tuple:
+    """A small seeded random game, symmetric or explicit, as its builder
+    and arguments, so that a test can build fresh copies."""
+    n, seed = draw(st.integers(1, 3)), draw(st.integers(0, 10**6))
+    if draw(st.booleans()):
+        return random_symmetric, {"n": n, "copies": draw(st.integers(1, 3)),
+                                  "seed": seed}
+    return random_explicit, {"n": n, "items": draw(st.integers(1, 5)),
+                             "max_weight": 4, "seed": seed}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seeded_games(), st.sampled_from(ALPHAS))
+def test_remembered_spe_actions_answer_and_spend_as_a_walk(built, alpha):
+    """A fresh instance lists the oracle's outcomes in every order.  One
+    that has already run the sequential PoA and every order, at every
+    alpha, lists the same and spends as many nodes: a budget one node
+    short of a fresh call's spending runs out on it too."""
+    build, params = built
+    warm = build(**params)
+    orders = list(permutations(range(warm.n)))
+    for factor in ALPHAS:
+        empirical_sequential_poa(warm, factor)
+        for order in orders:
+            enumerate_spe_outcomes(warm, order, factor)
+    for order in orders:
+        game, budget = build(**params), SearchBudget()
+        cold = enumerate_spe_outcomes(game, order, alpha, budget)
+        assert list(cold) == brute_spe_outcomes(game, order, alpha)
+        spent = SearchBudget()
+        assert enumerate_spe_outcomes(warm, order, alpha, spent) == cold
+        assert spent.used == budget.used
+        if budget.used > 1:
+            with pytest.raises(BudgetExceededError):
+                enumerate_spe_outcomes(warm, order, alpha, budget.used - 1)
 
 
 class TestVerifyCollusion:

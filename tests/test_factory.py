@@ -133,6 +133,18 @@ class TestSpecValidation:
         with pytest.raises(InputError):
             generate(GeneratorSpec.make("ex_asym", p=3))  # q missing
 
+    @pytest.mark.parametrize("family, params, unread", [
+        ("ex_seq", {"n": 1, "k": 3, "seed": 9}, "'k', 'seed'"),
+        ("ex_trivial", {"n": 2}, "'n'"),
+        ("ex_sym", {"p": 2, "q": 1, "n": 3, "seed": 0}, "'seed'")], ids=str)
+    def test_parameters_the_family_does_not_read(self, family, params, unread):
+        # Recorded in the meta of `spg generate`, an unread parameter
+        # would claim a game it did not shape.
+        spec = GeneratorSpec.make(family, **params)
+        for build in (generate, reference_profiles):
+            with pytest.raises(InputError, match=unread):
+                build(spec)
+
     @pytest.mark.parametrize("params", [
         {}, {"n": 3}, {"n": "x", "k": 2}, {"n": 0, "k": 2, "alpha": 1},
         {"n": 3, "k": 2, "alpha": "x"}, {"n": 3, "k": 4, "alpha": 1}], ids=str)

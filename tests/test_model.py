@@ -1,8 +1,12 @@
 """Core model: payoffs, welfare, profile validation, exact arithmetic."""
 
+import copy
+import gc
 import pickle
 import random
+import weakref
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -11,9 +15,10 @@ from spgames import (INFEASIBLE, GeneratorSpec, IdenticalMachinesSystem,
                      ExplicitSystem, SearchBudget, SharedSymmetricSystem,
                      TimeWindow, UnrelatedMachinesSystem, best_response,
                      bound_collusion, bound_series_b, coalition_best_response,
-                     empirical_collusion_poa, ex_asym, ex_seq, ex_trivial,
-                     exp_enclosure, generate, payoff, validate_profile,
-                     verify_collusion, verify_nash, welfare)
+                     empirical_collusion_poa, empirical_sequential_poa,
+                     enumerate_spe_outcomes, ex_asym, ex_seq, ex_trivial,
+                     exp_enclosure, generate, payoff, random_symmetric,
+                     validate_profile, verify_collusion, verify_nash, welfare)
 from spgames.best_response import check_alpha
 from spgames.equilibria import check_order, enumerate_collusion
 
@@ -289,6 +294,37 @@ class TestInstanceHash:
         copy = pickle.loads(pickle.dumps(game))
         assert copy == game and hash(copy) == first
         assert CountedSystem.hashes == before + 2
+
+
+class TestInstanceMemo:
+    """The memo of the SPE searches (`Instance._memo`) lives and dies with
+    its instance."""
+
+    @staticmethod
+    def searched():
+        game = random_symmetric(n=3, copies=2, seed=4)
+        for alpha in (1, Fraction(3, 2)):
+            empirical_sequential_poa(game, alpha)
+            for order in permutations(range(game.n)):
+                enumerate_spe_outcomes(game, order, alpha)
+        assert game._memo.acceptable
+        return game
+
+    def test_memo_dies_with_its_instance(self):
+        game = self.searched()
+        ref = weakref.ref(game)
+        del game
+        gc.collect()
+        assert ref() is None
+
+    @pytest.mark.parametrize("dup", [lambda g: pickle.loads(pickle.dumps(g)),
+                                     copy.copy], ids=["pickle", "copy"])
+    def test_a_copy_carries_no_memo(self, dup):
+        game = self.searched()
+        twin = dup(game)
+        assert twin == game and hash(twin) == hash(game)
+        assert "_memo" not in twin.__dict__ and "_memo" in game.__dict__
+        assert twin._memo is not game._memo and not twin._memo.acceptable
 
 
 class TestExactArithmetic:
