@@ -16,9 +16,8 @@ from .feasibility import (ExplicitSystem, FeasibilitySystem,
                           IdenticalMachinesSystem, JobWindow, ScheduleWitness,
                           SharedSymmetricSystem, SingleMachineSystem,
                           TimeWindow, UnrelatedMachinesSystem,
-                          antichain_violation, feasible_subsets,
-                          max_cardinality_feasible, validate_downward_closed,
-                          validate_witness)
+                          feasible_subsets, max_cardinality_feasible,
+                          validate_downward_closed, validate_witness)
 from .best_response import (DeviationWitness, best_response,
                             coalition_best_response, is_alpha_best_response)
 from .equilibria import (EquilibriumReport, enumerate_nash,
@@ -42,8 +41,8 @@ __all__ = [
     "Instance", "Item", "JobWindow", "Payoff", "PoAResult", "Profile",
     "RationalInterval", "ScheduleWitness", "SearchBudget",
     "SharedSymmetricSystem", "SingleMachineSystem", "TimeWindow",
-    "UnrelatedMachinesSystem", "Violation", "antichain_violation",
-    "best_response", "bound_collusion", "bound_nash",
+    "UnrelatedMachinesSystem", "Violation", "best_response",
+    "bound_collusion", "bound_nash",
     "bound_sequential_symmetric", "bound_series_b", "coalition_best_response",
     "compute_opt", "empirical_collusion_poa", "empirical_poa",
     "empirical_sequential_poa", "enumerate_nash", "enumerate_spe_outcomes",

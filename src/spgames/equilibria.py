@@ -6,10 +6,11 @@ once a player moves, rational later players cannot touch its items, so a
 node's value for the mover is decided by the per-node optimum and
 backward induction collapses to forward branching over the actions that
 are within a factor alpha of that optimum (`_acceptable`, the one rule
-for a node's actions).  Each instance remembers these actions for its
-life (`Instance._memo`), keyed on the mover's kind, the items left as a
-mask and alpha, and charges a repeat the nodes its walk spent, so every
-node count and budget error is as if the walk ran again.
+for a node's actions).  Each instance remembers the walk behind these
+actions for its life (`Instance._memo`), keyed on the mover's kind and
+the items left as a mask; alpha only filters the walk's sets.  A repeat
+is charged the nodes its walk spent, so every node count and budget
+error is as if the walk ran again.
 `enumerate_spe_outcomes` lists every outcome of one order.
 `least_sequential_outcome`, the worst outcome of
 `metrics.empirical_sequential_poa`, lists none: it takes a minimum over
@@ -361,35 +362,39 @@ def _acceptable(instance: Instance, player: int, available: frozenset[str],
     in lexicographic order (the kernel's one-member pre-order), with their
     integer weights, kept when within a factor alpha of the best.
 
-    The instance's memo (`Instance._memo`) keeps each walk's answer, for
-    the life of the instance, under (the player's kind, `available` as a
-    mask over `ordered_ids`, alpha's numerator, alpha's denominator),
-    with the nodes the walk spent.  A repeat spends those nodes at once
-    and walks nothing, so a budget counts, and runs out, as if it walked.
+    The walk does not depend on alpha; only the filter after it does.  So
+    the instance's memo (`Instance._memo`) keeps each walk, for the life
+    of the instance, under (the player's kind, `available` as a mask over
+    `ordered_ids`): the nodes it spent, its optimum and every (set mask,
+    integer weight) pair in pre-order.  A repeat the budget can pay for
+    spends those nodes at once and walks nothing; one it cannot walks
+    again.  So a budget counts, and runs out, as if every repeat walked.
+    Every call filters the pairs by alpha, then decodes the kept masks.
     """
     memo = instance._memo
     bit = memo.bit
-    key = (memo.kinds[player], sum(map(bit.__getitem__, available)),
-           factor.numerator, factor.denominator)
+    key = memo.kinds[player], sum(map(bit.__getitem__, available))
     found = memo.acceptable.get(key)
-    if found is not None:
-        cost, kept = found
-        budget.spend(cost)
-        ids = instance.ordered_ids
-        return [(frozenset(ids[j] for j in range(mask.bit_length())
-                           if mask >> j & 1), value) for mask, value in kept]
-    before = budget.used
-    weight, _ = instance.integer_weights
-    system = instance.players[player]
-    ids = sorted(available & system.universe())
-    weighted = list(walk(ids, [weight[i] for i in ids], [system.is_member],
-                         budget))
-    node_optimum = max(value for _, value in weighted)
-    out = [(action, value) for (action,), value in weighted
-           if within_alpha(factor, value, node_optimum)]
-    memo.acceptable[key] = budget.used - before, tuple(
-        (sum(map(bit.__getitem__, action)), value) for action, value in out)
-    return out
+    if found is not None and found[0] <= budget.limit - budget.used:
+        budget.spend(found[0])
+    else:
+        # A walk the budget cannot pay for runs again, so it fails where
+        # and how the walk fails.
+        before = budget.used
+        weight, _ = instance.integer_weights
+        system = instance.players[player]
+        ids = sorted(available & system.universe())
+        walked = tuple((sum(map(bit.__getitem__, action)), value)
+                       for (action,), value in walk(
+                           ids, [weight[i] for i in ids], [system.is_member],
+                           budget))
+        found = memo.acceptable[key] = (
+            budget.used - before, max(value for _, value in walked), walked)
+    _, optimum, walked = found
+    ids = instance.ordered_ids
+    return [(frozenset(ids[j] for j in range(mask.bit_length())
+                       if mask >> j & 1), value)
+            for mask, value in walked if within_alpha(factor, value, optimum)]
 
 
 def verify_spe_outcome(instance: Instance, profile: Profile,

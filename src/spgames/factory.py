@@ -192,9 +192,7 @@ def random_explicit(n: int, items: int, max_weight: int, seed: int) -> Instance:
         for _ in range(rng.randint(1, 3)):
             size = rng.randint(1, min(4, items))
             sets.add(frozenset(rng.sample(ids, size)))
-        maximal = [s for s in sets
-                   if not any(s < other for other in sets)]
-        players.append(ExplicitSystem(maximal_sets=tuple(maximal)))
+        players.append(ExplicitSystem(maximal_sets=tuple(sets)))
     return Instance(items=ground, players=tuple(players))
 
 
@@ -211,8 +209,7 @@ def random_symmetric(n: int, copies: int, seed: int) -> Instance:
     for _ in range(rng.randint(2, 3)):
         size = rng.randint(1, 3)
         sets.add(frozenset(rng.sample(ids, size)))
-    maximal = tuple(s for s in sets if not any(s < other for other in sets))
-    base = ExplicitSystem(maximal_sets=maximal)
+    base = ExplicitSystem(maximal_sets=tuple(sets))
     players = tuple(SharedSymmetricSystem(base=base, copies=rng.randint(1, copies))
                     for _ in range(n))
     return Instance(items=ground, players=players, symmetric=True)

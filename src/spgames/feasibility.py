@@ -3,14 +3,16 @@
 A feasibility system answers one question: is a given set of items an
 allowed selection for a player?  Two representations are supported:
 
-* explicit families, stored as their maximal sets (an antichain), where
-  membership is a subset test, and
+* explicit families, reduced at construction to their maximal sets, so
+  no stored set lies inside another, where membership is a subset test,
+  and
 * machine-scheduling oracles, where a set of jobs is allowed exactly when
   it can be scheduled inside the jobs' time windows on the player's
   machine(s).
 
-Both representations are downward closed: removing items from an allowed
-set keeps it allowed.
+Both representations are downward closed by construction: removing items
+from an allowed set keeps it allowed.  `validate_downward_closed` decides
+the property exactly, for user-defined systems.
 
 Every machine system caches one integer view of its jobs
 (`IntegerJobs`): every release date, processing time and deadline
@@ -76,7 +78,6 @@ takes the kernel's first maximum over the scan-ordered pool.
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -298,6 +299,11 @@ def _first_split(target: frozenset[str],
 class FeasibilitySystem:
     """Base interface: a downward-closed family of item sets.
 
+    Subclasses must be downward closed: every search extends members one
+    item at a time, and is exhaustive only because of it.  The built-in
+    systems are closed by construction; `validate_downward_closed` checks
+    a user-defined one exactly, over every subset of its universe.
+
     Each system computes its item ids once, as the cached property
     `_ids`: not a field, so eq, hash and repr ignore it.
     """
@@ -345,21 +351,26 @@ class FeasibilitySystem:
 
 @dataclass(frozen=True)
 class ExplicitSystem(FeasibilitySystem):
-    """A family given by its maximal sets; membership is a subset test.
+    """The family of every subset of the given sets; membership is a subset
+    test.
 
-    The representation is expected to be an antichain (no maximal set
-    contains another) but this is checked by `validate_downward_closed`,
-    not enforced at construction.
+    Construction reduces the given sets to their maximal members, sorted
+    by their sorted items, so two spellings of one family store, compare
+    and write alike; with no set given, the family holds the empty set
+    alone.
     """
 
     maximal_sets: tuple[frozenset[str], ...]
 
     def __post_init__(self):
-        sets = tuple(sorted({frozenset(str(i) for i in s) for s in self.maximal_sets},
-                            key=lambda s: tuple(sorted(s))))
-        if not sets:
-            sets = (frozenset(),)
-        object.__setattr__(self, "maximal_sets", sets)
+        kept: list[frozenset[str]] = []
+        # Largest first: a set is dominated exactly when a kept one holds it.
+        for s in sorted({frozenset(map(str, given))
+                         for given in self.maximal_sets}, key=len, reverse=True):
+            if not any(s <= maximal for maximal in kept):
+                kept.append(s)
+        object.__setattr__(self, "maximal_sets", tuple(
+            sorted(kept, key=lambda s: tuple(sorted(s)))) or (frozenset(),))
 
     @cached_property
     def _ids(self) -> frozenset[str]:
@@ -551,11 +562,12 @@ class SharedSymmetricSystem(FeasibilitySystem):
     def _covers(self) -> Optional[ExplicitSystem]:
         """The family of this system when the base is explicit, else None.
 
-        Its sets are the distinct unions of at most min(copies, m) of the
-        base's m maximal sets, built one base set at a time: unite each
-        cover so far with each base set.  The build forms at most
-        `_COVER_UNIONS` unions and gives None before it would pass that,
-        so membership falls back to the split walk and its budget.
+        Its sets are the unions of at most min(copies, m) of the base's m
+        maximal sets, built one base set at a time: unite each cover so
+        far with each base set; the family keeps the maximal ones.  The
+        build forms at most `_COVER_UNIONS` unions and gives None before
+        it would pass that, so membership falls back to the split walk and
+        its budget.
         """
         if not isinstance(self.base, ExplicitSystem):
             return None
@@ -599,54 +611,30 @@ class SharedSymmetricSystem(FeasibilitySystem):
         return self.base.job_deadlines()
 
 
-def antichain_violation(maximal_sets: Iterable[frozenset[str]]
-                        ) -> Optional[tuple[frozenset[str], frozenset[str]]]:
-    """A pair (smaller, larger) with smaller <= larger, or None."""
-    sets = sorted({frozenset(s) for s in maximal_sets}, key=len)
-    for i, small in enumerate(sets):
-        for large in sets[i + 1:]:
-            if small <= large and small != large:
-                return (small, large)
-    return None
-
-
-def _random_feasible_set(system: FeasibilitySystem, rng: random.Random,
-                         budget: SearchBudget) -> set[str]:
-    chosen: set[str] = set()
-    pool = sorted(system.universe())
-    rng.shuffle(pool)
-    for item in pool:
-        if rng.random() < 0.4:
-            continue
-        if system.is_member(chosen | {item}, budget):
-            chosen.add(item)
-    return chosen
-
-
-def validate_downward_closed(system: FeasibilitySystem, samples: int = 100,
-                             seed: int = 0,
+def validate_downward_closed(system: FeasibilitySystem,
                              budget: int | SearchBudget | None = None) -> bool:
-    """Check the downward-closure contract of a system.
+    """Whether every subset of each member of `system` is a member.
 
-    Explicit families (also as the base of a shared symmetric system) get
-    an exact antichain check of their representation.  Scheduling oracles
-    get a randomized spot check: draw feasible sets and strip elements one
-    by one, asserting membership persists all the way down to the empty
-    set.
+    Built-in systems are closed by construction; the check exists for
+    user-defined `FeasibilitySystem` subclasses.  It visits every subset
+    of the sorted universe as a bitmask in increasing order, one budget
+    node each, on the budget its `is_member` calls also spend; a universe
+    too large for the budget raises `BudgetExceededError`.  A subset's
+    one-smaller subsets have smaller masks, so their verdicts are known:
+    the first member with a one-smaller subset that is not a member gives
+    False.  When there is none, by induction every subset of a member is
+    a member.
     """
-    _integer(samples, name="samples", minimum=0)
     shared = SearchBudget.ensure(budget)
-    target = system.base if isinstance(system, SharedSymmetricSystem) else system
-    if isinstance(target, ExplicitSystem):
-        return antichain_violation(target.maximal_sets) is None
-
-    rng = random.Random(seed)
-    for _ in range(samples):
-        current = _random_feasible_set(system, rng, shared)
-        while current:
-            current.remove(rng.choice(sorted(current)))
-            if not system.is_member(current, shared):
-                return False
+    ids = sorted(system.universe())
+    member = bytearray()
+    for mask in range(1 << len(ids)):
+        shared.spend()
+        bits = [j for j in range(len(ids)) if mask >> j & 1]
+        verdict = system.is_member(frozenset(ids[j] for j in bits), shared)
+        if verdict and not all(member[mask ^ 1 << j] for j in bits):
+            return False
+        member.append(verdict)
     return True
 
 

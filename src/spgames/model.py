@@ -144,9 +144,9 @@ class _Memo:
     `kinds[p]` is the first player whose system equals player p's; the
     players of one kind answer every search alike.  `bit` maps each item
     id to its bit in a mask over `ordered_ids`.  `acceptable` maps (kind,
-    mask of the pool, alpha's numerator, alpha's denominator) to the nodes
-    the walk of `equilibria._acceptable` spent there and the (action mask,
-    integer weight) pairs it kept, in pre-order.
+    mask of the pool) to the nodes the walk of `equilibria._acceptable`
+    spent there, its optimum and every (action mask, integer weight) pair
+    it met, in pre-order; each alpha filters the pairs on reading.
     """
 
     __slots__ = ("kinds", "bit", "acceptable")
@@ -155,8 +155,8 @@ class _Memo:
         players = instance.players
         self.kinds = tuple(map(players.index, players))
         self.bit = {i: 1 << j for j, i in enumerate(instance.ordered_ids)}
-        self.acceptable: dict[tuple[int, int, int, int],
-                              tuple[int, tuple[tuple[int, int], ...]]] = {}
+        self.acceptable: dict[tuple[int, int], tuple[
+            int, int, tuple[tuple[int, int], ...]]] = {}
 
 
 @dataclass(frozen=True)

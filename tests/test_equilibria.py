@@ -241,6 +241,37 @@ def test_remembered_spe_actions_answer_and_spend_as_a_walk(built, alpha):
                 enumerate_spe_outcomes(warm, order, alpha, budget.used - 1)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seeded_games(), st.sampled_from(ALPHAS), st.data())
+def test_remembered_spe_actions_run_out_as_a_walk(built, alpha, data):
+    """Under a budget too small for the call, an instance that has already
+    run every order at every alpha fails as a fresh one does: with the
+    same message, after the same nodes."""
+    build, params = built
+    warm = build(**params)
+    for factor in ALPHAS:
+        empirical_sequential_poa(warm, factor)
+        for order in permutations(range(warm.n)):
+            enumerate_spe_outcomes(warm, order, factor)
+    order = data.draw(st.permutations(range(warm.n)), label="order")
+    for call in (lambda game, budget: empirical_sequential_poa(
+                     game, alpha, budget),
+                 lambda game, budget: enumerate_spe_outcomes(
+                     game, order, alpha, budget)):
+        full = SearchBudget()
+        call(build(**params), full)
+        if full.used < 2:
+            continue
+        limit = data.draw(st.integers(1, full.used - 1), label="limit")
+        failures = []
+        for game in (build(**params), warm):
+            budget = SearchBudget(limit)
+            with pytest.raises(BudgetExceededError) as caught:
+                call(game, budget)
+            failures.append((budget.used, str(caught.value)))
+        assert failures[0] == failures[1]
+
+
 class TestVerifyCollusion:
     def test_pair_can_rescue_the_blocked_optimum(self):
         game = ex_trivial()

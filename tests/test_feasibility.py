@@ -13,8 +13,8 @@ from spgames import (BudgetExceededError, ExplicitSystem, FeasibilitySystem,
                      IdenticalMachinesSystem, InputError, Instance, Item,
                      JobWindow, ScheduleWitness, SearchBudget, SharedSymmetricSystem,
                      SingleMachineSystem, TimeWindow, UnrelatedMachinesSystem,
-                     antichain_violation, compute_opt, empirical_poa,
-                     enumerate_spe_outcomes, ex_asym, ex_seq, ex_sym,
+                     compute_opt, empirical_poa, enumerate_spe_outcomes,
+                     ex_asym, ex_seq, ex_sym,
                      feasible_subsets, max_cardinality_feasible,
                      random_symmetric, validate_downward_closed,
                      validate_witness)
@@ -36,6 +36,15 @@ def unit_jobs(spec: dict[str, tuple]) -> dict[str, JobWindow]:
             for name, (r, p, d) in spec.items()}
 
 
+class Pairs(FeasibilitySystem):
+    """A user-defined oracle: at most two of four items."""
+
+    _ids = frozenset("abcd")
+
+    def is_member(self, items, budget=None):
+        return len(frozenset(items)) <= 2
+
+
 class TestExplicit:
     def test_membership_is_subset_of_some_maximal(self):
         system = ExplicitSystem(maximal_sets=(frozenset({"a", "b"}), frozenset({"c"})))
@@ -47,13 +56,88 @@ class TestExplicit:
 
     def test_antichain_accepted(self):
         system = ExplicitSystem(maximal_sets=(frozenset({"1"}), frozenset({"2"})))
+        budget = SearchBudget(10**6)
+        assert validate_downward_closed(system, budget)
+        assert budget.used == 4
+
+    def test_nested_sets_reduced(self):
+        system = ExplicitSystem(maximal_sets=(frozenset({"1"}), frozenset({"1", "2"})))
+        assert system.maximal_sets == (frozenset({"1", "2"}),)
+        assert system == ExplicitSystem(maximal_sets=(frozenset({"1", "2"}),))
         assert validate_downward_closed(system)
 
-    def test_nested_sets_rejected(self):
-        system = ExplicitSystem(maximal_sets=(frozenset({"1"}), frozenset({"1", "2"})))
-        assert not validate_downward_closed(system)
-        assert antichain_violation(system.maximal_sets) == (
-            frozenset({"1"}), frozenset({"1", "2"}))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.frozensets(st.sampled_from("abcde")), max_size=5))
+    def test_construction_keeps_the_maximal_sets(self, drawn):
+        # Drawn families hold dominated sets, duplicates, the empty set or
+        # no set at all; no set at all is the family of the empty set.
+        system = ExplicitSystem(maximal_sets=tuple(drawn))
+        for subset in all_subsets("abcde"):
+            assert system.is_member(subset) == any(
+                subset <= d for d in drawn or [frozenset()])
+        kept = system.maximal_sets
+        assert all(not a <= b for a in kept for b in kept if a is not b)
+        assert list(kept) == sorted(set(kept), key=lambda s: sorted(s))
+
+        respelled = ExplicitSystem(maximal_sets=tuple(reversed(drawn)) + tuple(
+            d - {min(d)} for d in drawn if d) + tuple(drawn) + (frozenset(),))
+        assert respelled == system and respelled.maximal_sets == kept
+        game = Instance(items=tuple(Item(i, 1) for i in "abcde"),
+                        players=(system, respelled))
+        assert game._memo.kinds == (0, 0)
+
+
+class TestDownwardClosure:
+    class Even(FeasibilitySystem):
+        _ids = frozenset("abcd")
+
+        def is_member(self, items, budget=None):
+            return len(frozenset(items)) % 2 == 0
+
+    class PairsWithoutC(FeasibilitySystem):
+        _ids = frozenset("abcd")
+
+        def is_member(self, items, budget=None):
+            items = frozenset(items)
+            return len(items) <= 2 and items != {"c"}
+
+    def test_even_sets_are_not_closed(self):
+        # {a, b} is a member and {b}, its subset of mask 2, is not: the
+        # check stops at mask 3, after four nodes.
+        budget = SearchBudget(10**6)
+        assert not validate_downward_closed(self.Even(), budget)
+        assert budget.used == 4
+
+    def test_a_dropped_singleton_is_found(self):
+        assert not validate_downward_closed(self.PairsWithoutC())
+
+    def test_user_oracle_visits_every_subset(self):
+        budget = SearchBudget(10**6)
+        assert validate_downward_closed(Pairs(), budget)
+        assert budget.used == 16
+
+    def test_universe_past_the_budget_raises(self):
+        class Twelve(Pairs):
+            _ids = frozenset("abcdefghijkl")
+
+        with pytest.raises(BudgetExceededError):
+            validate_downward_closed(Twelve(), budget=100)
+        with pytest.raises(BudgetExceededError):
+            validate_downward_closed(Twelve(), budget=2**12 - 1)
+        assert validate_downward_closed(Twelve(), budget=2**12)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sets(st.frozensets(st.sampled_from("abcd"))))
+    def test_matches_brute_force_over_any_family(self, family):
+        class Listed(FeasibilitySystem):
+            _ids = frozenset("abcd")
+
+            def is_member(self, items, budget=None):
+                return frozenset(items) in family
+
+        closed = all(below in family for members in family
+                     for below in all_subsets(members))
+        assert validate_downward_closed(Listed()) == closed
 
 
 class TestSingleMachine:
@@ -155,20 +239,19 @@ class TestMultiCopy:
     @given(st.lists(st.frozensets(st.sampled_from("abcde")), max_size=4),
            st.data())
     def test_explicit_base_matches_every_assignment(self, drawn, data):
-        # Drawn sets reduced to their maximal ones; no set at all is the
-        # family of the empty set alone.  `split` builds its covers under
-        # a cap of no unions, so with two or more base sets and copies it
-        # takes the split walk.
-        sets = [s for s in set(drawn) if not any(s < other for other in drawn)]
-        copies = data.draw(st.integers(1, len(sets) + 2), label="copies")
-        base = ExplicitSystem(maximal_sets=tuple(sets))
+        # No set at all is the family of the empty set alone.  `split`
+        # builds its covers under a cap of no unions, so with two or more
+        # base sets and copies it takes the split walk.
+        base = ExplicitSystem(maximal_sets=tuple(drawn))
+        copies = data.draw(st.integers(1, len(base.maximal_sets) + 2),
+                           label="copies")
         shared = SharedSymmetricSystem(base, copies)
         split = SharedSymmetricSystem(base, copies)
         with mock.patch("spgames.feasibility._COVER_UNIONS", 0):
             split._covers
 
         def fits(p, part):
-            return not part or any(set(part) <= s for s in sets)
+            return not part or any(set(part) <= s for s in drawn)
 
         for subset in all_subsets(shared.universe()):
             budget = SearchBudget(10**6)
@@ -193,21 +276,17 @@ class TestMultiCopy:
             shared.is_member(too_many, SearchBudget(100))
 
     def test_base_without_schedules_has_no_witness(self):
-        class Pairs(FeasibilitySystem):
-            _ids = frozenset("abcd")
-
-            def is_member(self, items, budget=None):
-                return len(frozenset(items)) <= 2
-
         shared = SharedSymmetricSystem(base=Pairs(), copies=2)
         assert shared.is_member("abcd")
         assert shared.schedule_witness("abcd") is None
 
-    def test_downward_closure_sampled_on_oracles(self):
+    def test_downward_closure_exact_on_oracles(self):
         base = self.base()
-        assert validate_downward_closed(base, samples=200, seed=1)
         doubled = IdenticalMachinesSystem(copies=2, jobs=base.jobs)
-        assert validate_downward_closed(doubled, samples=100, seed=2)
+        for system in (base, doubled):
+            budget = SearchBudget(10**6)
+            assert validate_downward_closed(system, budget)
+            assert budget.used >= 2 ** 4
 
     def test_closure_property_random_removals(self):
         game = ex_asym(3, 2)

@@ -119,6 +119,14 @@ class TestStrictParsing:
         with pytest.raises(InputError, match="^symmetric_base: "):
             document_to_instance(doc)
 
+    def test_dominated_sets_are_not_written_back(self):
+        doc = {"items": [{"id": "a", "weight": "1"}, {"id": "b", "weight": "1"}],
+               "players": [{"kind": "explicit",
+                            "maximal_sets": [["a"], ["a", "b"]]}]}
+        game, _ = document_to_instance(doc)
+        written = instance_to_document(game)
+        assert written["players"][0]["maximal_sets"] == [["a", "b"]]
+
     def test_malformed_json_rejected(self):
         with pytest.raises(InputError):
             loads_document("{not json")
