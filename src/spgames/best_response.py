@@ -19,15 +19,17 @@ every weight by one constant keeps that rule, so the verifiers compare
 weights on the instance's integer scale (`Instance.integer_weights`)
 and build `Fraction`s only for returned values and witnesses.
 `deviation` asks one search, `_reply`, for one member or more, so the
-k = 1 collusion check is the Nash check.  An integer budget is one
-`SearchBudget` per call; with none, one-player replies are memoised.
+k = 1 collusion check is the Nash check.  Every call spends one
+`SearchBudget`, the caller's or a default one.  Each instance remembers
+its replies for its life (`Instance._memo`), for any number of members
+and under any budget; a repeat is charged the nodes its search spent, so
+every node count and budget error is as if the search ran again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Optional, Union
 
 from .budget import SearchBudget
@@ -69,6 +71,7 @@ def _joint_best(instance: Instance, members: tuple[int, ...],
     One member takes the first best set in pre-order, the lexicographically
     smallest; several compare the tuple of sorted sets on ties.
     """
+    _best_response_cached.misses += 1
     ids = sorted(available)
     weight, _ = instance.integer_weights
     tests = [instance.players[m].is_member for m in members]
@@ -77,23 +80,38 @@ def _joint_best(instance: Instance, members: tuple[int, ...],
     return best(ids, [weight[i] for i in ids], tests, budget, key=key)
 
 
-@lru_cache(maxsize=1 << 16)
-def _best_response_cached(instance: Instance, player: int,
-                          available: frozenset[str]
-                          ) -> tuple[frozenset[str], int]:
-    (chosen,), value = _joint_best(instance, (player,), available, SearchBudget())
-    return chosen, value
+class _ReplyCounts:
+    """How many replies `_reply` gave in this process and how many of them
+    `_joint_best` searched: two integers, referencing no instance."""
+
+    asked = misses = 0
+
+    @property
+    def hits(self) -> int:
+        return self.asked - self.misses
+
+    def cache_info(self) -> "_ReplyCounts":
+        return self
+
+
+# Read only by `perfbench/tracing.py`, which looks up this name and calls
+# `cache_info()`, as it would on an `lru_cache`.
+_best_response_cached = _ReplyCounts()
 
 
 def _reply(instance: Instance, members: tuple[int, ...],
-           pool: frozenset[str], budget: int | SearchBudget | None
+           pool: frozenset[str], budget: SearchBudget
            ) -> tuple[tuple[frozenset[str], ...], int]:
-    """The members' best sets in `pool` and their integer-scaled weight;
-    memoised for one member when `budget` is None."""
-    if budget is None and len(members) == 1:
-        chosen, value = _best_response_cached(instance, members[0], pool)
-        return (chosen,), value
-    return _joint_best(instance, members, pool, SearchBudget.ensure(budget))
+    """The members' best sets in `pool` and their integer-scaled weight,
+    recalled from the instance's memo (`_Memo.recall`, table `replies`)
+    under the members' kinds and the pool: players of one kind have equal
+    systems, so their searches spend alike and return alike."""
+    memo = instance._memo
+    _best_response_cached.asked += 1
+    return memo.recall(
+        memo.replies, (tuple(map(memo.kinds.__getitem__, members)),
+                       memo.mask(pool)), budget,
+        lambda: _joint_best(instance, members, pool, budget))
 
 
 def best_response(instance: Instance, player: int, available: Iterable[str],
@@ -101,20 +119,20 @@ def best_response(instance: Instance, player: int, available: Iterable[str],
                   ) -> tuple[frozenset[str], Fraction]:
     """Maximum-weight feasible subset of `available` for one player.
 
-    Returns the set and its weight.  With the default budget, results are
-    memoized per (instance, player, availability), in the memo that the
-    verifiers called without one share: `verify_nash`,
-    `verify_spe_outcome` and `is_alpha_best_response`.
+    Returns the set and its weight.  The instance remembers the reply
+    (`_reply`) for its life, so a repeat, here or in any verifier, is
+    charged the nodes of the search it replaces.
     """
     _check_player_index(instance, player)
     pool = restrict_available(instance, available)
-    (chosen,), value = _reply(instance, (player,), pool, budget)
+    (chosen,), value = _reply(instance, (player,), pool,
+                              SearchBudget.ensure(budget))
     return chosen, Fraction(value, instance.integer_weights[1])
 
 
 def deviation(instance: Instance, members: tuple[int, ...],
               pool: frozenset[str], held: int, factor: Fraction,
-              budget: SearchBudget | None) -> Optional[DeviationWitness]:
+              budget: SearchBudget) -> Optional[DeviationWitness]:
     """The members' best reply in `pool` when it beats `factor` times
     their `held` weight, else None.
 
@@ -142,7 +160,7 @@ def is_alpha_best_response(instance: Instance, player: int,
     """
     _check_player_index(instance, player)
     factor = check_alpha(alpha)
-    budget = budget if budget is None else SearchBudget.ensure(budget)
+    budget = SearchBudget.ensure(budget)
     held = restrict_available(instance, chosen)
     if not instance.players[player].is_member(held, budget):
         raise InputError(
@@ -160,13 +178,14 @@ def coalition_best_response(instance: Instance, coalition: Iterable[int],
 
     Returns pairwise-disjoint feasible sets, one per member in ascending
     player order, maximizing the joint weight.  Exhaustive item-to-member
-    assignment search with infeasible-set and remaining-weight pruning.
+    assignment search with infeasible-set and remaining-weight pruning,
+    remembered on the instance as `best_response` replies are (`_reply`).
     """
     members = tuple(sorted({_check_player_index(instance, member)
                             for member in coalition}))
     if not members:
         raise InputError("coalition must be nonempty")
-    proposed, value = _joint_best(
+    proposed, value = _reply(
         instance, members, restrict_available(instance, available),
         SearchBudget.ensure(budget))
     return proposed, Fraction(value, instance.integer_weights[1])

@@ -17,6 +17,8 @@ class SearchBudget:
 
     A single budget object is shared by all searches spawned from one
     top-level call, so the cap applies per call, not per recursion level.
+    A search an instance remembers (`model._Memo.recall`) is charged, on
+    each repeat, the nodes it spent when it ran.
     """
 
     __slots__ = ("limit", "used")

@@ -34,9 +34,10 @@ collusion) or those left when the player moves (SPE).  It compares
 weights on the instance's integer scale (`Instance.scaled_weight_of`);
 only the welfare and a witness's values are built as `Fraction`s.  For
 one player the former are its own items plus the unclaimed ones, so the
-Nash check is the collusion check at k = 1.  An integer budget becomes one
-`SearchBudget` per call; with none, one-player replies are memoised and
-the searches of one `verify_collusion` call share one default budget.
+Nash check is the collusion check at k = 1.  Each verifier spends one
+`SearchBudget` per call, the caller's or a default one, on its validation
+and on every reply.  The instance remembers the replies as it does the
+SPE actions, and charges a repeat the same way.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def verify_nash(instance: Instance, profile: Profile, alpha,
                 budget: int | SearchBudget | None = None) -> EquilibriumReport:
     """Check the approximate unilateral-deviation condition for every player."""
     factor = check_alpha(alpha)
-    budget = budget if budget is None else SearchBudget.ensure(budget)
+    budget = SearchBudget.ensure(budget)
     total = welfare(instance, profile, budget)
     witness = _first_deviation(instance, profile, 1, 1, factor, budget)
     return EquilibriumReport("nash", factor, witness is None, total, witness)
@@ -363,34 +364,24 @@ def _acceptable(instance: Instance, player: int, available: frozenset[str],
     integer weights, kept when within a factor alpha of the best.
 
     The walk does not depend on alpha; only the filter after it does.  So
-    the instance's memo (`Instance._memo`) keeps each walk, for the life
-    of the instance, under (the player's kind, `available` as a mask over
-    `ordered_ids`): the nodes it spent, its optimum and every (set mask,
-    integer weight) pair in pre-order.  A repeat the budget can pay for
-    spends those nodes at once and walks nothing; one it cannot walks
-    again.  So a budget counts, and runs out, as if every repeat walked.
-    Every call filters the pairs by alpha, then decodes the kept masks.
+    the instance's memo recalls each walk (`_Memo.recall`, table
+    `acceptable`) under the player's kind and `available`: its optimum
+    and every (set mask, integer weight) pair in pre-order.  Every call
+    filters the pairs by alpha, then decodes the kept masks.
     """
     memo = instance._memo
-    bit = memo.bit
-    key = memo.kinds[player], sum(map(bit.__getitem__, available))
-    found = memo.acceptable.get(key)
-    if found is not None and found[0] <= budget.limit - budget.used:
-        budget.spend(found[0])
-    else:
-        # A walk the budget cannot pay for runs again, so it fails where
-        # and how the walk fails.
-        before = budget.used
-        weight, _ = instance.integer_weights
-        system = instance.players[player]
+    weight, _ = instance.integer_weights
+    system = instance.players[player]
+
+    def search() -> tuple[int, tuple[tuple[int, int], ...]]:
         ids = sorted(available & system.universe())
-        walked = tuple((sum(map(bit.__getitem__, action)), value)
-                       for (action,), value in walk(
-                           ids, [weight[i] for i in ids], [system.is_member],
-                           budget))
-        found = memo.acceptable[key] = (
-            budget.used - before, max(value for _, value in walked), walked)
-    _, optimum, walked = found
+        walked = tuple((memo.mask(action), value) for (action,), value in walk(
+            ids, [weight[i] for i in ids], [system.is_member], budget))
+        return max(value for _, value in walked), walked
+
+    optimum, walked = memo.recall(
+        memo.acceptable, (memo.kinds[player], memo.mask(available)), budget,
+        search)
     ids = instance.ordered_ids
     return [(frozenset(ids[j] for j in range(mask.bit_length())
                        if mask >> j & 1), value)
@@ -406,7 +397,7 @@ def verify_spe_outcome(instance: Instance, profile: Profile,
     of its node optimum along the play path."""
     sequence = check_order(instance, order)
     factor = check_alpha(alpha)
-    budget = budget if budget is None else SearchBudget.ensure(budget)
+    budget = SearchBudget.ensure(budget)
     total = welfare(instance, profile, budget)
     available = instance.item_ids
     for player in sequence:
@@ -421,7 +412,7 @@ def verify_spe_outcome(instance: Instance, profile: Profile,
 
 
 def _first_deviation(instance: Instance, profile: Profile, start: int, k: int,
-                     factor: Fraction, budget: SearchBudget | None
+                     factor: Fraction, budget: SearchBudget
                      ) -> Optional[DeviationWitness]:
     """The first deviation of a coalition of `start` to k players, by size
     then in order."""

@@ -71,14 +71,18 @@ def compute_opt(instance: Instance,
     (players in index order before "nobody"), which the search's
     post-order visits first.
     `available` restricts the assignable items (the full ground set by
-    default).
+    default).  The instance remembers the optimum of each item set
+    (`_Memo.recall`, table `optima`) and charges a repeat the nodes of
+    the search it replaces.
     """
     shared = SearchBudget.ensure(budget)
     ids = (instance.ordered_ids if available is None
            else sorted(restrict_available(instance, available)))
     weight, scale = instance.integer_weights
     tests = [system.is_member for system in instance.players]
-    sets, value = best(ids, [weight[i] for i in ids], tests, shared, post=True)
+    memo = instance._memo
+    sets, value = memo.recall(memo.optima, memo.mask(ids), shared, lambda: best(
+        ids, [weight[i] for i in ids], tests, shared, post=True))
     return Profile(sets), Fraction(value, scale)
 
 

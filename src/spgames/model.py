@@ -14,12 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, total_ordering
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional, TypeVar
 
 from .budget import SearchBudget
 from .errors import InputError, _fraction, _integer
 from .feasibility import FeasibilitySystem, SharedSymmetricSystem
 from .search import integral
+
+T = TypeVar("T")
 
 
 def _weight(value) -> Fraction:
@@ -142,21 +144,53 @@ class _Memo:
     neither a pickle nor a copy carries it.
 
     `kinds[p]` is the first player whose system equals player p's; the
-    players of one kind answer every search alike.  `bit` maps each item
-    id to its bit in a mask over `ordered_ids`.  `acceptable` maps (kind,
-    mask of the pool) to the nodes the walk of `equilibria._acceptable`
-    spent there, its optimum and every (action mask, integer weight) pair
-    it met, in pre-order; each alpha filters the pairs on reading.
+    players of one kind answer every search alike, so the tables key on
+    kinds, not players.  `mask(items)` is an item set as a mask over
+    `ordered_ids`.  Each table maps a key to the nodes its search spent
+    and the search's result, and `recall` is the one way to read one:
+
+    * `acceptable`: (kind, pool mask) to the optimum and every (set mask,
+      integer weight) pair of the mover's walk in `equilibria._acceptable`,
+      in pre-order; each alpha filters the pairs on reading;
+    * `replies`: (the members' kinds, pool mask) to the members' best sets
+      and their integer weight (`best_response._reply`);
+    * `optima`: the mask of the assignable items to the sets and integer
+      welfare of `metrics.compute_opt`.
     """
 
-    __slots__ = ("kinds", "bit", "acceptable")
+    __slots__ = ("kinds", "bit", "acceptable", "replies", "optima")
 
     def __init__(self, instance: Instance):
         players = instance.players
         self.kinds = tuple(map(players.index, players))
         self.bit = {i: 1 << j for j, i in enumerate(instance.ordered_ids)}
-        self.acceptable: dict[tuple[int, int], tuple[
-            int, int, tuple[tuple[int, int], ...]]] = {}
+        self.acceptable: dict[tuple[int, int], tuple[int, object]] = {}
+        self.replies: dict[tuple[tuple[int, ...], int], tuple[int, object]] = {}
+        self.optima: dict[int, tuple[int, object]] = {}
+
+    def mask(self, items: Iterable[str]) -> int:
+        return sum(map(self.bit.__getitem__, items))
+
+    @staticmethod
+    def recall(table: dict, key, budget: SearchBudget,
+               search: Callable[[], T]) -> T:
+        """What `search()`, run on `budget`, returns for `key`.
+
+        A result the table holds and the budget can pay for spends the
+        nodes its search spent, in one `spend`, and searches nothing.  Any
+        other runs `search` and stores its nodes and result; so a repeat
+        the budget cannot pay for fails where and how a fresh search
+        fails, and a budget counts, and runs out, as if every repeat
+        searched.
+        """
+        found = table.get(key)
+        if found is not None and found[0] <= budget.limit - budget.used:
+            budget.spend(found[0])
+            return found[1]
+        before = budget.used
+        result = search()
+        table[key] = budget.used - before, result
+        return result
 
 
 @dataclass(frozen=True)

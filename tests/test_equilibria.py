@@ -2,20 +2,22 @@
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from spgames import (BudgetExceededError, ExplicitSystem, GeneratorSpec,
                      InputError, Instance, Item, Profile, SearchBudget,
-                     best_response, coalition_best_response,
-                     empirical_sequential_poa, enumerate_nash,
-                     enumerate_spe_outcomes, ex_asym, ex_collusion, ex_seq,
-                     ex_sym, ex_trivial, generate, greedy_sequential_outcome,
-                     is_alpha_best_response, random_explicit,
-                     random_symmetric, reference_profiles, verify_collusion,
-                     verify_nash, verify_spe_outcome, welfare)
+                     best_response, coalition_best_response, compute_opt,
+                     empirical_collusion_poa, empirical_sequential_poa,
+                     enumerate_nash, enumerate_spe_outcomes, ex_asym,
+                     ex_collusion, ex_seq, ex_sym, ex_trivial, generate,
+                     greedy_sequential_outcome, is_alpha_best_response,
+                     random_explicit, random_symmetric, reference_profiles,
+                     verify_collusion, verify_nash, verify_spe_outcome,
+                     welfare)
+from spgames.equilibria import enumerate_collusion
 
 from oracles import (brute_best_response, brute_coalition,
                      brute_enumerate_nash, brute_first_deviation,
@@ -270,6 +272,83 @@ def test_remembered_spe_actions_run_out_as_a_walk(built, alpha, data):
                 call(game, budget)
             failures.append((budget.used, str(caught.value)))
         assert failures[0] == failures[1]
+
+
+def _same_as_fresh(build, params, warm, call):
+    """`call(game, budget)` on `warm` answers as on a fresh instance and
+    spends as many nodes, twice over (the second a repeat), and a budget
+    one node short runs out on both; returns the answer."""
+    budget = SearchBudget()
+    cold = call(build(**params), budget)
+    for _ in range(2):
+        spent = SearchBudget()
+        assert call(warm, spent) == cold
+        assert spent.used == budget.used
+    if budget.used > 1:
+        for game in (build(**params), warm):
+            with pytest.raises(BudgetExceededError):
+                call(game, budget.used - 1)
+    return cold
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seeded_games(), st.sampled_from(ALPHAS), st.data())
+def test_remembered_replies_answer_and_spend_as_searches(built, alpha, data):
+    """An instance that has measured its collusion PoA at every k and
+    alpha in {1, 3/2} answers every reply, verifier and optimum as a fresh
+    one does and spends as many nodes; the replies are the oracles'."""
+    build, params = built
+    warm = build(**params)
+    for k in range(1, warm.n + 1):
+        for factor in (Fraction(1), Fraction(3, 2)):
+            empirical_collusion_poa(warm, k, factor)
+    fresh = build(**params)
+    profile = data.draw(st.sampled_from(
+        enumerate_nash(fresh, alpha) + (compute_opt(fresh)[0],)),
+        label="profile")
+    ids = sorted(warm.item_ids)
+    pools = [warm.item_ids, data.draw(st.frozensets(st.sampled_from(ids))
+                                      if ids else st.just(frozenset()),
+                                      label="pool")]
+    same = lambda call: _same_as_fresh(build, params, warm, call)  # noqa: E731
+
+    same(lambda game, b: verify_nash(game, profile, alpha, b))
+    for k in range(1, warm.n + 1):
+        same(lambda game, b: verify_collusion(game, profile, k, alpha, b))
+    same(lambda game, b: compute_opt(game, b))
+    for pool in pools:
+        same(lambda game, b: compute_opt(game, b, pool))
+        for player in range(warm.n):
+            assert same(lambda game, b: best_response(game, player, pool, b)
+                        ) == brute_best_response(fresh, player, pool)
+        for size in range(1, warm.n + 1):
+            for coalition in combinations(range(warm.n), size):
+                assert same(lambda game, b: coalition_best_response(
+                    game, coalition, pool, b)) == brute_coalition(
+                        fresh, coalition, pool)
+
+
+def test_players_of_one_kind_share_one_reply():
+    game = random_symmetric(n=3, copies=1, seed=4)
+    memo = game._memo
+    assert memo.kinds == (0, 0, 0)
+    replies = [best_response(game, player, game.item_ids)
+               for player in range(3)]
+    assert replies[1:] == replies[:2] and len(memo.replies) == 1
+    pairs = [coalition_best_response(game, pair, game.item_ids)
+             for pair in combinations(range(3), 2)]
+    assert pairs[1:] == pairs[:2] and len(memo.replies) == 2
+
+
+def test_collusion_listings_of_the_four_player_construction():
+    """The listings of `ex_collusion(4, 2, 3/2)` at alpha 3/2: every joint
+    reply a Nash leaf asks is paid for, and k = 3 fits the default
+    budget."""
+    game = ex_collusion(4, 2, Fraction(3, 2))
+    for k, count, nodes in ((2, 2_402, 2_711_311), (3, 2_401, 9_978_226)):
+        budget = SearchBudget()
+        assert len(enumerate_collusion(game, k, Fraction(3, 2), budget)) == count
+        assert budget.used == nodes
 
 
 class TestVerifyCollusion:

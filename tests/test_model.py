@@ -15,10 +15,12 @@ from spgames import (INFEASIBLE, GeneratorSpec, IdenticalMachinesSystem,
                      ExplicitSystem, SearchBudget, SharedSymmetricSystem,
                      TimeWindow, UnrelatedMachinesSystem, best_response,
                      bound_collusion, bound_series_b, coalition_best_response,
-                     empirical_collusion_poa, empirical_sequential_poa,
-                     enumerate_spe_outcomes, ex_asym, ex_seq, ex_trivial,
-                     exp_enclosure, generate, payoff, random_symmetric,
-                     validate_profile, verify_collusion, verify_nash, welfare)
+                     compute_opt, empirical_collusion_poa,
+                     empirical_sequential_poa, enumerate_spe_outcomes,
+                     ex_asym, ex_seq, ex_trivial, exp_enclosure, generate,
+                     is_alpha_best_response, payoff, random_symmetric,
+                     validate_profile, verify_collusion, verify_nash,
+                     verify_spe_outcome, welfare)
 from spgames.best_response import check_alpha
 from spgames.equilibria import check_order, enumerate_collusion
 
@@ -297,8 +299,8 @@ class TestInstanceHash:
 
 
 class TestInstanceMemo:
-    """The memo of the SPE searches (`Instance._memo`) lives and dies with
-    its instance."""
+    """The memo of the searches (`Instance._memo`) lives and dies with its
+    instance, and nothing else keeps an instance alive."""
 
     @staticmethod
     def searched():
@@ -312,6 +314,24 @@ class TestInstanceMemo:
 
     def test_memo_dies_with_its_instance(self):
         game = self.searched()
+        ref = weakref.ref(game)
+        del game
+        gc.collect()
+        assert ref() is None
+
+    @pytest.mark.parametrize("call", [
+        lambda g, p: best_response(g, 0, g.item_ids),
+        lambda g, p: is_alpha_best_response(g, 0, g.item_ids, p.sets[0], 1),
+        lambda g, p: verify_nash(g, p, 1),
+        lambda g, p: verify_spe_outcome(g, p, range(g.n), 1),
+        lambda g, p: verify_collusion(g, p, 2, 1),
+        lambda g, p: compute_opt(g)],
+        ids=["best_response", "is_alpha_best_response", "verify_nash",
+             "verify_spe_outcome", "verify_collusion", "compute_opt"])
+    def test_no_call_without_a_budget_keeps_its_instance(self, call):
+        game = random_symmetric(n=3, copies=2, seed=4)
+        call(game, compute_opt(game)[0])
+        assert game._memo.replies or game._memo.optima
         ref = weakref.ref(game)
         del game
         gc.collect()
