@@ -367,7 +367,8 @@ def _acceptable(instance: Instance, player: int, available: frozenset[str],
     the instance's memo recalls each walk (`_Memo.recall`, table
     `acceptable`) under the player's kind and `available`: its optimum
     and every (set mask, integer weight) pair in pre-order.  Every call
-    filters the pairs by alpha, then decodes the kept masks.
+    keeps the pairs of weight at least ceil(optimum / alpha), which is
+    `within_alpha` on integers, then decodes the kept masks.
     """
     memo = instance._memo
     weight, _ = instance.integer_weights
@@ -382,10 +383,11 @@ def _acceptable(instance: Instance, player: int, available: frozenset[str],
     optimum, walked = memo.recall(
         memo.acceptable, (memo.kinds[player], memo.mask(available)), budget,
         search)
+    least = -(-optimum * factor.denominator // factor.numerator)
     ids = instance.ordered_ids
     return [(frozenset(ids[j] for j in range(mask.bit_length())
                        if mask >> j & 1), value)
-            for mask, value in walked if within_alpha(factor, value, optimum)]
+            for mask, value in walked if value >= least]
 
 
 def verify_spe_outcome(instance: Instance, profile: Profile,

@@ -112,7 +112,7 @@ def ex_sym(p: int, q: int, n: int) -> Instance:
                  for i in heavy})
     base = SingleMachineSystem(jobs=jobs)
     players = tuple(SharedSymmetricSystem(base=base, copies=1) for _ in range(n))
-    return Instance(items=items, players=players, symmetric=True)
+    return Instance(items=items, players=players)
 
 
 def ex_seq(n: int) -> Instance:
@@ -134,7 +134,7 @@ def ex_seq(n: int) -> Instance:
     items = tuple(Item(i, Fraction(1)) for i in sorted(ids))
     base = SingleMachineSystem(jobs=jobs)
     players = tuple(SharedSymmetricSystem(base=base, copies=1) for _ in range(n))
-    return Instance(items=items, players=players, symmetric=True)
+    return Instance(items=items, players=players)
 
 
 def _collusion_bundles(n: int) -> tuple[tuple[frozenset[str], frozenset[str]], ...]:
@@ -212,7 +212,7 @@ def random_symmetric(n: int, copies: int, seed: int) -> Instance:
     base = ExplicitSystem(maximal_sets=tuple(sets))
     players = tuple(SharedSymmetricSystem(base=base, copies=rng.randint(1, copies))
                     for _ in range(n))
-    return Instance(items=ground, players=players, symmetric=True)
+    return Instance(items=ground, players=players)
 
 
 def _trivial_references(game: Instance) -> dict[str, Profile]:

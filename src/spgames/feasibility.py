@@ -21,19 +21,21 @@ position in the id-sorted `jobs`.  It is the only single-machine
 scheduler, and it touches no `Fraction`.  A set without release dates is
 decided by the earliest-deadline-first prefix check (Jackson 1955); a
 release date in the set only switches that check to an exact dynamic
-program over its subsets, under the budget.  A schedule witness maps
-each integer start back to a `Fraction` by the view's scale.
+program over its subsets, under the budget.
 
 Every system fits a set by one private `_fit(target, budget)`: each
-machine's run order as lazy (item id, start) pairs, or None when the set
-is not a member.  Membership asks whether a fit exists, and pays for no
-start time.  `FeasibilitySystem.schedule_witness` reads the same fit, so
-the schedule that decided membership is the witness: no part is
-scheduled twice, and a witness spends exactly the nodes membership
-spends.  A witness lists `_machine_count(system)` machines, idle ones
-empty; shared copies list theirs copy by copy, each copy all of its
-base's machines in turn.  A system without deadlines (an explicit
-family) fits a member on no machine and has no witness.
+machine's run order as job positions in that machine's table
+(`_table_for`), or None when the set is not a member.  Membership asks
+whether a fit exists, and pays for no start time.
+`FeasibilitySystem.schedule_witness` reads the same fit and is the one
+place start times are computed: it runs each order as early as it
+allows, from the windows `validate_witness` checks.  So the schedule
+that decided membership is the witness: no part is scheduled twice, and
+a witness spends exactly the nodes membership spends.  A witness lists
+`_machine_count(system)` machines, idle ones empty; shared copies list
+theirs copy by copy, each copy all of its base's machines in turn.  A
+system without deadlines (an explicit family) fits a member on no
+machine and has no witness.
 
 A player with several machines splits a set across them by one walk of
 the search kernel, `_first_split`: one member per machine, each decided
@@ -61,8 +63,8 @@ Membership of c >= 2 shared copies takes one of three routes:
   than `_COVER_UNIONS` unions takes the split walk instead;
 * slot counts: on zero-release jobs with one processing time, the slot
   condition below decides the set on all its machines, one node per job
-  up to the first that breaks it, and its fit is the round-robin
-  schedule the condition guarantees;
+  up to the first that breaks it, and its fit deals the jobs in deadline
+  order round-robin over the machines, which the condition guarantees;
 * the split walk, for every other base.
 
 Subset enumeration runs on the search kernel (`search.py`), whose
@@ -82,8 +84,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .budget import SearchBudget
 from .errors import InputError, _fraction, _integer
@@ -133,9 +134,10 @@ class ScheduleWitness:
     """The schedule that decided membership of a job set.
 
     One entry per machine of the system, `_machine_count` of them, idle
-    ones empty: an ordered sequence of (item id, start time) pairs.  The
-    machines of shared copies come copy by copy, each copy listing all of
-    its base's machines in turn.
+    ones empty: an ordered sequence of (item id, start time) pairs, each
+    job started as early as its release and the job before it allow.
+    The machines of shared copies come copy by copy, each copy listing
+    all of its base's machines in turn.
     """
 
     machines: tuple[tuple[tuple[str, Fraction], ...], ...]
@@ -167,18 +169,18 @@ class IntegerJobs:
     """The jobs of one machine kind on an integer clock.
 
     Release dates, processing times and deadlines are scaled once by the
-    lcm of their denominators, `scale`, which keeps every comparison
-    exact.  Jobs are addressed by their position in the owner's id-sorted
-    `jobs`, so sorting positions sorts ids.
+    lcm of their denominators, which keeps every comparison exact.  Jobs
+    are addressed by their position in the owner's id-sorted `jobs`, so
+    sorting positions sorts ids.  The view decides sets and orders them;
+    it computes no start time.
     """
 
-    __slots__ = ("release", "processing", "deadline", "scale", "released",
-                 "length")
+    __slots__ = ("release", "processing", "deadline", "released", "length")
 
     def __init__(self, windows: Sequence[JobWindow]):
-        scaled, self.scale = integral([w.release for w in windows]
-                                      + [w.processing for w in windows]
-                                      + [w.deadline for w in windows])
+        scaled, _ = integral([w.release for w in windows]
+                             + [w.processing for w in windows]
+                             + [w.deadline for w in windows])
         count = len(windows)
         self.release = tuple(scaled[:count])
         self.processing = tuple(scaled[count:2 * count])
@@ -192,8 +194,9 @@ class IntegerJobs:
                        and not self.released else None)
 
     def schedule(self, positions: Iterable[int], budget: SearchBudget
-                 ) -> Optional[Iterator[tuple[int, int]]]:
-        """(position, start) of each job in run order, or None.
+                 ) -> Optional[list[int]]:
+        """The positions of `positions` in a run order that meets every
+        deadline, or None.
 
         Without release dates, earliest deadline first, ties by id, is
         optimal, so checking each prefix load decides the set: one budget
@@ -204,8 +207,8 @@ class IntegerJobs:
         k holds the subsets whose greatest job is the k-th, requires its
         one node per subset up front and ends at the set of the first k
         jobs.  When that set has no schedule, no superset has one, so the
-        program stops there.  Start times are computed as the pairs are
-        read, so a membership test pays for none.
+        program stops there.  The order is the deadline-sorted list, or
+        the program's choices backtracked from the whole set, reversed.
         """
         jobs = sorted(positions)
         if self.released.isdisjoint(jobs):
@@ -215,7 +218,7 @@ class IntegerJobs:
                 clock += self.processing[k]
                 if clock > self.deadline[k]:
                     return None
-            return self._timed(order)
+            return order
 
         finish: list[Optional[int]] = [0]
         last = [0]
@@ -243,19 +246,13 @@ class IntegerJobs:
         while mask:
             order.append(jobs[last[mask]])
             mask ^= 1 << last[mask]
-        return self._timed(reversed(order))
-
-    def _timed(self, order: Iterable[int]) -> Iterator[tuple[int, int]]:
-        """Each job of `order` with its start, run as early as it may."""
-        clock = 0
-        for k in order:
-            start = max(clock, self.release[k])
-            clock = start + self.processing[k]
-            yield k, start
+        order.reverse()
+        return order
 
 
-# Each machine's run order of a set as lazy (item id, start) pairs.
-Fit = tuple[Iterable[tuple[str, Fraction]], ...]
+# Each machine's run order of a set: positions in that machine's job
+# table (`_table_for`), first job first.
+Fit = tuple[Sequence[int], ...]
 
 
 def _padded(fit: Fit, width: int) -> Fit:
@@ -335,14 +332,25 @@ class FeasibilitySystem:
 
         None means either the set is not a member or the system has no
         deadlines (explicit families).  The witness is the system's fit,
-        padded with idle machines to `_machine_count`.
+        padded with idle machines to `_machine_count`, each job started at
+        the later of its release and the end of the job before it.
         """
         target = frozenset(items)
         if self.job_deadlines() is None or not target <= self.universe():
             return None
         fit = self._fit(target, SearchBudget.ensure(budget))
-        return None if fit is None else ScheduleWitness(_padded(
-            tuple(tuple(run) for run in fit), _machine_count(self)))
+        if fit is None:
+            return None
+        machines = []
+        for machine, order in enumerate(_padded(fit, _machine_count(self))):
+            table, run, end = _table_for(self, machine), [], Fraction(0)
+            for k in order:
+                item, window = table.jobs[k]
+                start = max(end, window.release)
+                end = start + window.processing
+                run.append((item, start))
+            machines.append(tuple(run))
+        return ScheduleWitness(tuple(machines))
 
     def job_deadlines(self) -> Optional[dict[str, Fraction]]:
         """Deadline per item for scheduling systems, None otherwise."""
@@ -397,13 +405,6 @@ class _JobTable:
         """The jobs on an integer clock."""
         return IntegerJobs([w for _, w in self.jobs])
 
-    def _named(self, schedule: Iterable[tuple[int, int]]
-               ) -> Iterator[tuple[str, Fraction]]:
-        """Each (position, integer start) of `schedule` as (item id, start)."""
-        scale = self.integer_view.scale
-        for k, start in schedule:
-            yield self.jobs[k][0], Fraction(start, scale)
-
     def window(self, item: str) -> Optional[JobWindow]:
         k = self.position.get(item)
         return None if k is None else self.jobs[k][1]
@@ -429,8 +430,8 @@ class SingleMachineSystem(_JobTable, FeasibilitySystem):
         positions = {self.position.get(i) for i in target}
         if None in positions:
             return None
-        schedule = self.integer_view.schedule(positions, budget)
-        return None if schedule is None else (self._named(schedule),)
+        order = self.integer_view.schedule(positions, budget)
+        return None if order is None else (order,)
 
     def is_member(self, items, budget=None) -> bool:
         return self._fit(items, SearchBudget.ensure(budget)) is not None
@@ -670,7 +671,7 @@ def _uniform_machine(system: FeasibilitySystem) -> Optional[_JobTable]:
 
 def _fits_slots(machine: _JobTable, machines: int, target: Iterable[str],
                 budget: SearchBudget) -> Optional[Fit]:
-    """The round-robin schedule of `target` on `machines` machines, or None.
+    """Each machine's round-robin run order of `target`, or None.
 
     The slot condition of the module docstring, taken over the jobs in
     deadline order, ties by id: the i-th of them (from 1) must have at
@@ -686,10 +687,8 @@ def _fits_slots(machine: _JobTable, machines: int, target: Iterable[str],
         budget.spend()
         if count > machines * (view.deadline[k] // view.length):
             return None
-    return tuple(
-        machine._named((k, view.length * turn) for turn, k in enumerate(
-            islice(order, first, None, machines)))
-        for first in range(min(machines, len(order))))
+    return tuple(order[first::machines]
+                 for first in range(min(machines, len(order))))
 
 
 def _greedy_scan_uniform(view: IntegerJobs, machines: int,
@@ -773,17 +772,16 @@ def _machine_count(system: FeasibilitySystem) -> int:
     return 1
 
 
-def _window_for(system: FeasibilitySystem, machine: int, item: str
-                ) -> Optional[JobWindow]:
-    """The window of `item` on witness machine `machine`, or None."""
+def _table_for(system: FeasibilitySystem, machine: int
+               ) -> Optional[_JobTable]:
+    """The job table of witness machine `machine`, or None for a system
+    without schedules."""
     if isinstance(system, SharedSymmetricSystem):
         # Each copy of the base lists all of the base's machines in turn.
-        return _window_for(system.base, machine % _machine_count(system.base), item)
+        return _table_for(system.base, machine % _machine_count(system.base))
     if isinstance(system, UnrelatedMachinesSystem):
-        system = system._single_machines[machine]
-    if isinstance(system, _JobTable):
-        return system.window(item)
-    return None
+        return system._single_machines[machine]
+    return system if isinstance(system, _JobTable) else None
 
 
 def validate_witness(system: FeasibilitySystem, items: Iterable[str],
@@ -801,9 +799,9 @@ def validate_witness(system: FeasibilitySystem, items: Iterable[str],
         return False
 
     for machine, sequence in enumerate(witness.machines):
-        clock = None
+        table, clock = _table_for(system, machine), None
         for item, start in sequence:
-            window = _window_for(system, machine, item)
+            window = None if table is None else table.window(item)
             if window is None:
                 return False
             if start < window.release:

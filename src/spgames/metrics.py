@@ -129,7 +129,9 @@ def empirical_sequential_poa(instance: Instance, alpha,
     ratio = _ratio(opt_value, worst_value)
     if instance.symmetric:
         bound: Bound = bound_sequential_symmetric(factor)
-        satisfied = ratio_within_sequential_bound(ratio, factor)
+        # The enclosure decides most ratios; only one inside it is refined.
+        satisfied = ratio <= bound.lo or (
+            ratio < bound.hi and ratio_within_sequential_bound(ratio, factor))
     else:
         bound = bound_nash(factor)
         satisfied = ratio <= bound

@@ -48,15 +48,10 @@ class Item:
 class Instance:
     """A set packing game: a ground set of items plus one feasibility
     system per player.
-
-    `symmetric` marks instances built from a single shared base family
-    (all players are `SharedSymmetricSystem` views of the same base); it
-    is set by construction, never inferred.
     """
 
     items: tuple[Item, ...]
     players: tuple[FeasibilitySystem, ...]
-    symmetric: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "items", tuple(self.items))
@@ -72,12 +67,6 @@ class Instance:
             if unknown:
                 raise InputError(
                     f"player {index + 1} references unknown items: {sorted(unknown)}")
-        if self.symmetric:
-            if not all(isinstance(s, SharedSymmetricSystem) for s in self.players):
-                raise InputError("symmetric instances require shared-base players")
-            # Equality, not a set: hashing a base rehashes every job window.
-            if any(s.base != self.players[0].base for s in self.players):
-                raise InputError("symmetric instances require one shared base")
 
     def __hash__(self) -> int:
         return self._hash
@@ -85,7 +74,16 @@ class Instance:
     @cached_property
     def _hash(self) -> int:
         # Computed once per object: it rehashes every weight and system.
-        return hash((self.items, self.players, self.symmetric))
+        return hash((self.items, self.players))
+
+    @cached_property
+    def symmetric(self) -> bool:
+        """Whether every player is a `SharedSymmetricSystem` view of one
+        base family: the symmetric games of the sequential bound."""
+        if not all(isinstance(s, SharedSymmetricSystem) for s in self.players):
+            return False
+        # Equality, not a set: hashing a base rehashes every job window.
+        return all(s.base == self.players[0].base for s in self.players)
 
     @cached_property
     def _memo(self) -> "_Memo":

@@ -208,13 +208,10 @@ def document_to_instance(doc) -> tuple[Instance, dict]:
         base = _parse_descriptor(doc["symmetric_base"], "symmetric_base", None)
     players = tuple(_parse_descriptor(entry, f"player {index + 1}", base)
                     for index, entry in enumerate(players_doc))
-    symmetric = bool(players) and all(
-        isinstance(p, SharedSymmetricSystem) for p in players)
     meta = doc.get("meta") or {}
     if not isinstance(meta, dict):
         raise InputError("'meta' must be an object")
-    return Instance(items=tuple(items), players=players,
-                    symmetric=symmetric), meta
+    return Instance(items=tuple(items), players=players), meta
 
 
 def profile_to_document(profile: Profile) -> dict[str, list[str]]:

@@ -17,6 +17,7 @@ from spgames import (BudgetExceededError, ExplicitSystem, GeneratorSpec,
                      random_explicit, random_symmetric, reference_profiles,
                      verify_collusion, verify_nash, verify_spe_outcome,
                      welfare)
+from spgames.best_response import within_alpha
 from spgames.equilibria import enumerate_collusion
 
 from oracles import (brute_best_response, brute_coalition,
@@ -215,6 +216,24 @@ def seeded_games(draw) -> tuple:
                                   "seed": seed}
     return random_explicit, {"n": n, "items": draw(st.integers(1, 5)),
                              "max_weight": 4, "seed": seed}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.builds(Fraction, st.integers(0, 12), st.integers(1, 3)),
+                min_size=1, max_size=6),
+       st.sampled_from(ALPHAS))
+def test_spe_actions_are_the_sets_within_alpha(weights, alpha):
+    """A lone mover over singletons may take exactly the sets, the empty
+    one first, whose weight `within_alpha` keeps, ties included: the
+    least weight the actions are filtered by is exact."""
+    ids = [f"i{k}" for k in range(len(weights))]
+    game = Instance(items=tuple(map(Item, ids, weights)), players=(
+        ExplicitSystem(maximal_sets=tuple(frozenset({i}) for i in ids)),))
+    actions = [(frozenset(), 0)] + [(frozenset({i}), w)
+                                    for i, w in zip(ids, weights)]
+    assert [outcome.sets[0] for outcome in enumerate_spe_outcomes(
+        game, (0,), alpha)] == [action for action, weight in actions
+                                if within_alpha(alpha, weight, max(weights))]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

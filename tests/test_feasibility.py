@@ -979,6 +979,76 @@ class TestWitnessIsTheFit:
 
 
 @st.composite
+def replayed_systems(draw):
+    """A machine system over 1 to 5 jobs, their windows, and the time of
+    each job on each machine a witness lists, where it can run there: one
+    machine, or 1 to 3 identical or unrelated machines, perhaps as shared
+    copies, 4 machines at most.  Half the tables have release dates, and
+    half give every job one processing time.  Unrelated machines give a
+    job its own time on each, or none."""
+    ids = [f"j{k}" for k in range(draw(st.integers(1, 5)))]
+    released = draw(st.booleans())
+    length = draw(rationals(1, 3)) if draw(st.booleans()) else None
+    jobs = {}
+    for i in ids:
+        release = draw(st.sampled_from((0, 1, Fraction(3, 2)))) if released else 0
+        processing = length or draw(rationals(1, 3))
+        jobs[i] = JobWindow(release, processing,
+                            release + processing + draw(rationals(-1, 6)))
+    kind = draw(st.sampled_from(("single", "identical", "unrelated")))
+    count = 1 if kind == "single" else draw(st.integers(1, 3))
+    if kind == "unrelated":
+        machines = tuple(f"m{m}" for m in range(count))
+        processing = {(m, i): draw(rationals(1, 3)) for m in machines
+                      for i in ids if draw(st.booleans())}
+        system = UnrelatedMachinesSystem(
+            machines, processing,
+            {i: TimeWindow(w.release, w.deadline) for i, w in jobs.items()})
+        times = [{i: t for (m, i), t in processing.items() if m == machine}
+                 for machine in machines]
+    else:
+        system = (SingleMachineSystem(jobs) if kind == "single"
+                  else IdenticalMachinesSystem(count, jobs))
+        times = [{i: w.processing for i, w in jobs.items()}] * count
+    if draw(st.booleans()):
+        copies = draw(st.integers(1, 4 // count))
+        system, times = SharedSymmetricSystem(system, copies), times * copies
+    return system, jobs, times
+
+
+class TestWitnessReplaysItsOrder:
+    """A witness starts each job as early as its machine's order allows."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(replayed_systems(), st.data())
+    def test_each_start_is_the_later_of_release_and_previous_end(self, drawn,
+                                                                 data):
+        system, jobs, times = drawn
+        items = data.draw(st.frozensets(st.sampled_from(sorted(jobs))),
+                          label="items")
+        member_budget, witness_budget = SearchBudget(10**6), SearchBudget(10**6)
+        member = system.is_member(items, member_budget)
+        witness = system.schedule_witness(items, witness_budget)
+        assert member_budget.used == witness_budget.used
+
+        def fits(p: int, part: list[str]) -> bool:
+            return all(i in times[p] for i in part) and schedulable_by_permutations(
+                [(jobs[i].release, times[p][i], jobs[i].deadline) for i in part])
+
+        assert member == brute_partition(items, len(times), fits)
+        if not member:
+            assert witness is None
+            return
+        assert len(witness.machines) == len(times)
+        assert validate_witness(system, items, witness)
+        for machine, run in zip(times, witness.machines):
+            end = Fraction(0)
+            for item, start in run:
+                assert start == max(end, jobs[item].release)
+                end = start + machine[item]
+
+
+@st.composite
 def scan_systems(draw):
     """A system for each route of the maximum-cardinality scan, with up to
     7 items, and whether it is a uniform zero-release machine system: an

@@ -14,6 +14,7 @@ from spgames import (BudgetExceededError, ExplicitSystem, GeneratorSpec,
                      random_explicit, random_symmetric,
                      ratio_within_sequential_bound,
                      reference_profiles, verify_collusion, welfare)
+from spgames import metrics
 
 from oracles import (brute_enumerate_nash, brute_first_deviation, brute_opt,
                      collusion_pools)
@@ -103,6 +104,24 @@ class TestSequentialPoa:
         result = empirical_sequential_poa(game, 1)
         assert isinstance(result.bound, RationalInterval)
         assert result.bound_satisfied
+
+    @pytest.mark.parametrize("wide", [False, True])
+    @pytest.mark.parametrize("least", [1, 2, 3, 4])
+    def test_verdict_is_the_certified_decision(self, monkeypatch, least, wide):
+        # No symmetric game exceeds the bound, so the least welfare is
+        # forced: ex_seq(2)'s optimum 4 over 1..4 gives ratios on both
+        # sides of it.  A wide enclosure puts 4/3 and 2 inside it, where
+        # the verdict must refine it.
+        game, real = ex_seq(2), metrics.least_sequential_outcome
+        monkeypatch.setattr(metrics, "least_sequential_outcome",
+                            lambda *args: (real(*args)[0], least))
+        if wide:
+            monkeypatch.setattr(metrics, "bound_sequential_symmetric",
+                                lambda alpha: RationalInterval(1, 3))
+        result = empirical_sequential_poa(game, 1)
+        assert result.ratio == Fraction(4, least)
+        assert result.bound_satisfied == ratio_within_sequential_bound(
+            result.ratio, 1) == (least >= 3)
 
     # The SPE pins of test_feasibility.py list every outcome of every
     # order of the same game.  ex_sym's players share one system, so its

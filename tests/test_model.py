@@ -23,6 +23,8 @@ from spgames import (INFEASIBLE, GeneratorSpec, IdenticalMachinesSystem,
                      verify_spe_outcome, welfare)
 from spgames.best_response import check_alpha
 from spgames.equilibria import check_order, enumerate_collusion
+from spgames.serialize import (document_to_instance, dumps_document,
+                               instance_to_document, loads_document)
 
 from oracles import weight_of
 
@@ -250,19 +252,31 @@ class TestConstruction:
         with pytest.raises(InputError):
             Instance(items=(Item("a", 1),), players=())
 
-    def test_symmetric_players_share_one_base(self):
+    def test_symmetric_exactly_when_every_player_shares_one_base(self):
         items = (Item("a", 1), Item("b", 1))
 
-        def view(*sets):
-            base = ExplicitSystem(maximal_sets=tuple(map(frozenset, sets)))
-            return SharedSymmetricSystem(base=base, copies=1)
+        def base(*sets):
+            return ExplicitSystem(maximal_sets=tuple(map(frozenset, sets)))
 
-        game = Instance(items=items, players=(view("a", "b"), view("b", "a")),
-                        symmetric=True)
-        assert game.n == 2
-        with pytest.raises(InputError):
-            Instance(items=items, players=(view("a", "b"), view("a")),
-                     symmetric=True)
+        def game(*players):
+            return Instance(items=items, players=players)
+
+        # Two spellings of one family are one base; copies may differ.
+        one = game(SharedSymmetricSystem(base("a", "b"), 1),
+                   SharedSymmetricSystem(base("b", "a"), 2))
+        assert one.symmetric
+        assert not game(SharedSymmetricSystem(base("a", "b"), 1),
+                        base("a", "b")).symmetric
+        two = game(SharedSymmetricSystem(base("a", "b"), 1),
+                   SharedSymmetricSystem(base("a"), 1))
+        assert not two.symmetric
+        with pytest.raises(InputError, match="one shared base"):
+            instance_to_document(two)
+        for original in (one, game(base("a", "b"), base("a"))):
+            parsed, _ = document_to_instance(
+                loads_document(dumps_document(instance_to_document(original))))
+            assert parsed == original
+            assert parsed.symmetric == original.symmetric
 
 
 class CountedSystem(ExplicitSystem):
