@@ -2,7 +2,12 @@
 
 Every combinatorial search in this package counts the nodes it expands
 against a budget and fails loudly (`BudgetExceededError`) instead of
-silently returning a wrong or partial answer.
+silently returning a wrong or partial answer.  A search may charge
+many nodes in one spend for work it knows the count of but skips (a
+remembered search, the candidates a scan no longer needs to look at),
+and does so only through `try_spend`: when the budget cannot pay, the
+search runs node by node instead, so it fails at the same node, with the
+same message and count, as if nothing had been skipped.
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ class SearchBudget:
     A single budget object is shared by all searches spawned from one
     top-level call, so the cap applies per call, not per recursion level.
     A search an instance remembers (`model._Memo.recall`) is charged, on
-    each repeat, the nodes it spent when it ran.
+    each repeat, the nodes it spent when it ran, and the greedy deadline
+    scan charges the candidates it skips; both pay through `try_spend`.
     """
 
     __slots__ = ("limit", "used")
@@ -33,6 +39,14 @@ class SearchBudget:
             raise BudgetExceededError(
                 f"search budget of {self.limit} nodes exceeded"
             )
+
+    def try_spend(self, amount: int) -> bool:
+        """Spend `amount` nodes and return True when the budget can pay
+        them all; otherwise spend nothing and return False."""
+        if amount > self.limit - self.used:
+            return False
+        self.used += amount
+        return True
 
     def require(self, amount: int) -> None:
         """Fail upfront when a search is known to need `amount` nodes."""

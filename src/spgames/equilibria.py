@@ -228,7 +228,12 @@ def greedy_sequential_outcome(instance: Instance, order: Iterable[int],
     remaining items.  selector "deadline": each player scans remaining
     jobs by decreasing deadline, determines the maximum allocatable count
     m, and takes the first ceil(m / alpha) jobs of that scan; this
-    requires a scheduling instance with equal item weights.
+    requires a scheduling instance with equal item weights, compared on
+    the instance's `integer_weights`.  On zero-release machines with one
+    processing time the scan stops once the player's machines are full
+    and charges the jobs it skips in one spend
+    (`max_cardinality_feasible`), so a budget still counts one node per
+    job left for each player.
     """
     sequence = check_order(instance, order)
     factor = check_alpha(alpha)
@@ -242,7 +247,7 @@ def greedy_sequential_outcome(instance: Instance, order: Iterable[int],
             sets[player] = chosen
             remaining -= chosen
     elif selector == "deadline":
-        if len({instance.weights[i] for i in instance.item_ids}) > 1:
+        if len(set(instance.integer_weights[0].values())) > 1:
             raise InputError("deadline selector requires equal item weights")
         for player in sequence:
             scan = max_cardinality_feasible(instance.players[player],

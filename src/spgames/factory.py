@@ -106,10 +106,11 @@ def ex_sym(p: int, q: int, n: int) -> Instance:
     heavy = [f"p{i:0{width}d}" for i in range(1, heavy_count + 1)]
     items = tuple([Item(i, Fraction(1)) for i in light]
                   + [Item(i, Fraction(p)) for i in heavy])
-    jobs = {i: JobWindow(Fraction(0), Fraction(1, light_count), Fraction(1))
-            for i in light}
-    jobs.update({i: JobWindow(Fraction(0), Fraction(1), Fraction(1))
-                 for i in heavy})
+    # Windows are immutable values, so one of each kind serves every job.
+    sliver = JobWindow(Fraction(0), Fraction(1, light_count), Fraction(1))
+    whole = JobWindow(Fraction(0), Fraction(1), Fraction(1))
+    jobs = dict.fromkeys(light, sliver)
+    jobs.update(dict.fromkeys(heavy, whole))
     base = SingleMachineSystem(jobs=jobs)
     players = tuple(SharedSymmetricSystem(base=base, copies=1) for _ in range(n))
     return Instance(items=items, players=players)
@@ -127,10 +128,12 @@ def ex_seq(n: int) -> Instance:
     jobs = {}
     ids = []
     for deadline in range(1, n + 1):
+        # One window per class, shared by its n jobs.
+        window = JobWindow(Fraction(0), Fraction(1), Fraction(deadline))
         for copy in range(1, n + 1):
             item_id = f"d{deadline:0{width}d}_{copy:0{width}d}"
             ids.append(item_id)
-            jobs[item_id] = JobWindow(Fraction(0), Fraction(1), Fraction(deadline))
+            jobs[item_id] = window
     items = tuple(Item(i, Fraction(1)) for i in sorted(ids))
     base = SingleMachineSystem(jobs=jobs)
     players = tuple(SharedSymmetricSystem(base=base, copies=1) for _ in range(n))

@@ -74,8 +74,10 @@ with one processing time p (on the integer clock), job k has
 c_k = deadline_k // p slots per machine, and a set fits on m machines
 exactly when, at every level t, at most m * t of its jobs have
 c_k <= t.  So the scan keeps what a greedy pass over slot counts keeps,
-one node per candidate and no membership test.  Every other system
-takes the kernel's first maximum over the scan-ordered pool.
+with no membership test.  It looks at candidates only until every slot
+is taken and charges the ones it skips in one spend, so its count stays
+one node per candidate.  Every other system takes the kernel's first
+maximum over the scan-ordered pool.
 """
 
 from __future__ import annotations
@@ -702,14 +704,21 @@ def _greedy_scan_uniform(view: IntegerJobs, machines: int,
     jobs at or below it, and `low[i]` is the least free count from
     `levels[i]` on.  A candidate fits exactly when `low` is at least 1 at
     its level; keeping it takes one from `low` there and above, and caps
-    `low` below at the new value.  One budget node per candidate; the
-    caller turns the kept positions back into item ids.
+    `low` below at the new value.  `low[-1]`, the free count of the top
+    level, bounds every other, so once it is below 1 no candidate left
+    fits, in any order: the scan stops there and charges the rest in one
+    `SearchBudget.try_spend`.  When the budget cannot pay them, it goes
+    on one node at a time, so a budget counts, and runs out, at one node
+    per candidate either way.  The caller turns the kept positions back
+    into item ids.
     """
     slots = [view.deadline[k] // view.length for k in positions]
     levels = sorted(set(slots))
     low = [machines * level for level in levels]
     kept: list[int] = []
-    for k, slot in zip(positions, slots):
+    for index, (k, slot) in enumerate(zip(positions, slots)):
+        if low[-1] < 1 and budget.try_spend(len(positions) - index):
+            break
         budget.spend()
         at = bisect_left(levels, slot)
         if low[at] < 1:
@@ -736,7 +745,8 @@ def max_cardinality_feasible(system: FeasibilitySystem, available: Iterable[str]
     reachable with it: the lexicographically first in scan order.  On
     zero-release machines with one processing time, on any number of
     machines, that is the set a plain greedy scan keeps, decided by slot
-    counts (`_uniform_machine`) at one node per candidate.  Everywhere
+    counts (`_uniform_machine`): one node per candidate, charged at once
+    for the candidates after the machines are full.  Everywhere
     else it is the first maximum of the kernel's one-member pre-order
     over the scan-ordered pool, which one `best` search returns.
     """

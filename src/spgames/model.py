@@ -174,16 +174,15 @@ class _Memo:
                search: Callable[[], T]) -> T:
         """What `search()`, run on `budget`, returns for `key`.
 
-        A result the table holds and the budget can pay for spends the
-        nodes its search spent, in one `spend`, and searches nothing.  Any
-        other runs `search` and stores its nodes and result; so a repeat
-        the budget cannot pay for fails where and how a fresh search
-        fails, and a budget counts, and runs out, as if every repeat
-        searched.
+        A result the table holds spends the nodes its search spent, in one
+        `SearchBudget.try_spend`, and searches nothing when the budget can
+        pay them.  Any other runs `search` and stores its nodes and
+        result; so a repeat the budget cannot pay for fails where and how
+        a fresh search fails, and a budget counts, and runs out, as if
+        every repeat searched.
         """
         found = table.get(key)
-        if found is not None and found[0] <= budget.limit - budget.used:
-            budget.spend(found[0])
+        if found is not None and budget.try_spend(found[0]):
             return found[1]
         before = budget.used
         result = search()

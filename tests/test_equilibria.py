@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from spgames import (BudgetExceededError, ExplicitSystem, GeneratorSpec,
-                     InputError, Instance, Item, Profile, SearchBudget,
-                     best_response, coalition_best_response, compute_opt,
+                     InputError, Instance, Item, JobWindow, Profile,
+                     SearchBudget, SingleMachineSystem, best_response,
+                     coalition_best_response, compute_opt,
                      empirical_collusion_poa, empirical_sequential_poa,
                      enumerate_nash, enumerate_spe_outcomes, ex_asym,
                      ex_collusion, ex_seq, ex_sym, ex_trivial, generate,
@@ -138,9 +139,12 @@ class TestGreedySequential:
         with pytest.raises(InputError):
             greedy_sequential_outcome(ex_trivial(), (0, 1), 1, "fancy")
 
-    # The scan spends one node per candidate.  The counts are pinned, so
-    # a faster scan cannot move the point where a budget stops it.
-    @pytest.mark.parametrize("n, nodes", [(6, 140), (9, 465), (12, 1098)])
+    # The scan spends one node per candidate, the ones after a full
+    # machine in one spend.  The counts are pinned, so a faster scan
+    # cannot move the point where a budget stops it.  n = 31 is the
+    # largest size the benchmark plays.
+    @pytest.mark.parametrize("n, nodes", [(6, 140), (9, 465), (12, 1098),
+                                          (31, 18834)])
     def test_budget_stops_the_deadline_scan(self, n, nodes):
         game = ex_seq(n)
         counted = SearchBudget(10**9)
@@ -152,6 +156,34 @@ class TestGreedySequential:
                                       budget=nodes - 1)
         assert greedy_sequential_outcome(game, range(n), 1, "deadline",
                                          budget=nodes) == outcome
+        # A budget that runs out mid-game stops on the node after its
+        # last, as a scan that looked at every candidate would: charging
+        # a full machine's leftovers at once must not overshoot it.
+        short = SearchBudget(nodes // 2)
+        with pytest.raises(BudgetExceededError,
+                           match=f"budget of {nodes // 2} nodes exceeded"):
+            greedy_sequential_outcome(game, range(n), 1, "deadline",
+                                      budget=short)
+        assert short.used == short.limit + 1
+
+    def test_deadline_selector_compares_exact_weights(self):
+        # Equal weights that are not integers still pass; unequal ones
+        # whose integer forms differ are refused.
+        def unit_jobs_weighing(*weights):
+            jobs = {f"j{k}": JobWindow(0, 1, k + 1)
+                    for k in range(len(weights))}
+            return Instance(
+                items=tuple(Item(f"j{k}", weight)
+                            for k, weight in enumerate(weights)),
+                players=(SingleMachineSystem(jobs=jobs),) * 2)
+
+        thirds = unit_jobs_weighing(Fraction(1, 3), Fraction(1, 3),
+                                    Fraction(1, 3))
+        outcome = greedy_sequential_outcome(thirds, (0, 1), 1, "deadline")
+        assert sets_of(outcome) == [["j0", "j1", "j2"], []]
+        mixed = unit_jobs_weighing(Fraction(1, 3), Fraction(1, 2))
+        with pytest.raises(InputError, match="equal item weights"):
+            greedy_sequential_outcome(mixed, (0, 1), 1, "deadline")
 
 
 class TestSpeOutcomes:

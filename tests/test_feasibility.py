@@ -519,6 +519,22 @@ def fits_by_permutations(jobs, items) -> bool:
         [(Fraction(0), jobs[i].processing, jobs[i].deadline) for i in items])
 
 
+def assert_short_budget_stops_the_scan(system, available,
+                                       largest_deadline_first, data):
+    """A slot-count scan under a drawn limit below its one node per
+    candidate fails on the node after the limit, even where it charges
+    the candidates after a full machine at once."""
+    if len(available) < 2:
+        return
+    short = SearchBudget(data.draw(st.integers(1, len(available) - 1),
+                                   label="limit"))
+    with pytest.raises(BudgetExceededError,
+                       match=f"budget of {short.limit} nodes exceeded"):
+        max_cardinality_feasible(system, available, largest_deadline_first,
+                                 short)
+    assert short.used == short.limit + 1
+
+
 class TestIntegerView:
     """Zero-release machines, decided on integer times, against brute force."""
 
@@ -557,6 +573,8 @@ class TestIntegerView:
             assert scan == brute_max_cardinality_scan(members.__contains__, pool)
             if len({jobs[i].processing for i in jobs}) <= 1:
                 assert budget.used == len(pool)  # one node per candidate
+                assert_short_budget_stops_the_scan(
+                    system, available, largest_deadline_first, data)
 
     def test_nodes_of_a_scan_by_the_kernel(self):
         # ex_sym mixes processing times, so the scan is one kernel search
@@ -1108,6 +1126,8 @@ class TestScanRoutes:
             assert scan == brute_max_cardinality_scan(members.__contains__, pool)
             if uniform:
                 assert budget.used == len(pool)  # one node per candidate
+                assert_short_budget_stops_the_scan(
+                    system, available, largest_deadline_first, data)
 
     def test_nodes_of_a_uniform_scan_on_two_machines(self):
         # Two unit jobs are due at each of 1..7 and four at 8, so 16 of
