@@ -69,7 +69,9 @@ def _joint_best(instance: Instance, members: tuple[int, ...],
     their weight on the instance's integer scale.
 
     One member takes the first best set in pre-order, the lexicographically
-    smallest; several compare the tuple of sorted sets on ties.
+    smallest; several compare the tuple of sorted sets on ties.  Either is
+    the leader of its orbit of repeated items, so the walk meets one set
+    per orbit (`_Memo.previous`).
     """
     _best_response_cached.misses += 1
     ids = sorted(available)
@@ -77,7 +79,8 @@ def _joint_best(instance: Instance, members: tuple[int, ...],
     tests = [instance.players[m].is_member for m in members]
     key = None if len(members) == 1 else (
         lambda sets: tuple(tuple(sorted(s)) for s in sets))
-    return best(ids, [weight[i] for i in ids], tests, budget, key=key)
+    return best(ids, [weight[i] for i in ids], tests, budget, key=key,
+                previous=instance._memo.previous(ids))
 
 
 class _ReplyCounts:

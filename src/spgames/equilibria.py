@@ -25,8 +25,9 @@ some player can no longer be alpha-satisfied, or where every leaf reaches
 a caller's bound on welfare.  Asked after an assignment's last item, the
 prune is the Nash test, then asks the coalitions of 2..k players.
 `enumerate_nash` and `enumerate_collusion` list the profiles;
-`worst_equilibrium` lowers the bound to each one, and walks relabelled
-assignments once when all players share one system.
+`worst_equilibrium` lowers the bound to each one, walks relabelled
+assignments once when all players share one system, and walks
+assignments that permute repeated items once (`model._Memo`).
 
 Every verifier asks `best_response.deviation`, the one alpha rule (a
 tie passes), for a reply from the items no outsider holds (Nash,
@@ -99,7 +100,8 @@ def verify_nash(instance: Instance, profile: Profile, alpha,
 
 def _equilibria(instance: Instance, factor: Fraction, k: int,
                 budget: SearchBudget, least: list[Optional[int]],
-                interchangeable: bool = False
+                interchangeable: bool = False,
+                previous: Optional[list[int]] = None
                 ) -> Iterator[tuple[Sets, int]]:
     """Yield (sets, integer welfare) of every approximate k-collusion
     profile (Nash at k = 1) below the welfare `least[0]` (None: no bound),
@@ -119,7 +121,9 @@ def _equilibria(instance: Instance, factor: Fraction, k: int,
     undecided and `skipped` is every free item, so the prune is the Nash
     test and the welfare bound; a node passing both then faces the
     coalitions of 2..k players (k >= 2).  `interchangeable` (all players
-    have one system) walks relabelled assignments once.
+    have one system) walks relabelled assignments once, and `previous`
+    (`_Memo.previous`) walks assignments that permute repeated items
+    once.
     """
     ids = instance.ordered_ids
     weight, _ = instance.integer_weights
@@ -167,7 +171,7 @@ def _equilibria(instance: Instance, factor: Fraction, k: int,
 
     tests = [lambda T, _, family=family: T in family for family in families]
     yield from walk(ids, weights, tests, budget, post=True, prune=prune,
-                    interchangeable=interchangeable)
+                    interchangeable=interchangeable, previous=previous)
 
 
 def enumerate_nash(instance: Instance, alpha,
@@ -200,18 +204,20 @@ def worst_equilibrium(instance: Instance, alpha, k: int = 1,
 
     `_equilibria` with its bound lowered to each profile it yields, so the
     last one yielded is the answer.  When every player has the same
-    system, relabelled assignments are walked once; the first
-    least-welfare profile is the first of its relabellings, so it is
-    among those walked.
+    system, relabelled assignments are walked once, and assignments that
+    permute repeated items are walked once (`_Memo.previous`).  Both are
+    symmetries of the game, so the first least-welfare profile is the
+    first of its orbit under them, and it is among those walked.
     """
     factor = check_alpha(alpha)
     check_k(instance, k)
     least: list[Optional[int]] = [None]
-    interchangeable = not any(instance._memo.kinds)
+    memo = instance._memo
     found = None
     for sets, value in _equilibria(instance, factor, k,
                                    SearchBudget.ensure(budget), least,
-                                   interchangeable):
+                                   not any(memo.kinds),
+                                   memo.previous(instance.ordered_ids)):
         least[0], found = value, sets
     if found is None:
         raise RuntimeError("no equilibrium found, though one always exists")
@@ -313,7 +319,11 @@ def least_sequential_outcome(instance: Instance, factor: Fraction,
     of the action's value plus the rest's, where a strict `<` keeps the
     first argmin in depth-first order.  An action whose own value reaches
     the least so far is skipped without spending a node, since the rest
-    adds a welfare of at least 0; every other action spends one.
+    adds a welfare of at least 0; every other action spends one.  Only
+    actions that take the lowest-id available items of each class of
+    repeated items are tried (`_acceptable` with `leaders`): swapping two
+    class-mates in `available` maps the subgame onto itself, and moves the
+    first argmin earlier unless it already takes the lower one.
     """
     kind = instance._memo.kinds
 
@@ -324,7 +334,7 @@ def least_sequential_outcome(instance: Instance, factor: Fraction,
             return 0, ()
         found: Optional[tuple[int, Sets]] = None
         for action, value in _acceptable(instance, kinds[0], available,
-                                         factor, budget):
+                                         factor, budget, leaders=True):
             if found is not None and value >= found[0]:
                 continue
             budget.spend()
@@ -362,7 +372,7 @@ def _first_orders(kind: list[int], order: tuple[int, ...] = ()
 
 
 def _acceptable(instance: Instance, player: int, available: frozenset[str],
-                factor: Fraction, budget: SearchBudget
+                factor: Fraction, budget: SearchBudget, leaders: bool = False
                 ) -> list[tuple[frozenset[str], int]]:
     """The sets of `available` the mover may take: `player`'s feasible sets
     in lexicographic order (the kernel's one-member pre-order), with their
@@ -370,29 +380,47 @@ def _acceptable(instance: Instance, player: int, available: frozenset[str],
 
     The walk does not depend on alpha; only the filter after it does.  So
     the instance's memo recalls each walk (`_Memo.recall`, table
-    `acceptable`) under the player's kind and `available`: its optimum
-    and every (set mask, integer weight) pair in pre-order.  Every call
-    keeps the pairs of weight at least ceil(optimum / alpha), which is
-    `within_alpha` on integers, then decodes the kept masks.
+    `acceptable`) under the player's kind and `available`: its optimum,
+    every (set mask, integer weight) pair in pre-order, and the pairs of
+    the sets that lead their orbit.  A set leads when it holds the
+    class-mate before each of its items in `available` (`_Memo.previous`):
+    it takes the lowest-id items of each class.  Without repeated items
+    every set leads, and the two tuples are one.  Every call keeps the
+    pairs of weight at least ceil(optimum / alpha), which is
+    `within_alpha` on integers, from the leaders with `leaders` and from
+    every set without it (the listing of every outcome), then decodes the
+    kept masks.
     """
     memo = instance._memo
     weight, _ = instance.integer_weights
     system = instance.players[player]
 
-    def search() -> tuple[int, tuple[tuple[int, int], ...]]:
+    def search() -> tuple[int, tuple[tuple[int, int], ...],
+                          tuple[tuple[int, int], ...]]:
+        # Class-mates are both inside the system's universe or both
+        # outside it, so the walk's pool keeps every class-mate that counts.
         ids = sorted(available & system.universe())
-        walked = tuple((memo.mask(action), value) for (action,), value in walk(
-            ids, [weight[i] for i in ids], [system.is_member], budget))
-        return max(value for _, value in walked), walked
+        mates = [(ids[j], ids[mate])
+                 for j, mate in enumerate(memo.previous(ids) or ()) if mate >= 0]
+        walked, led = [], []
+        for (action,), value in walk(ids, [weight[i] for i in ids],
+                                     [system.is_member], budget):
+            walked.append((memo.mask(action), value))
+            if mates and all(mate in action for item, mate in mates
+                             if item in action):
+                led.append(walked[-1])
+        walked = tuple(walked)
+        return (max(value for _, value in walked), walked,
+                tuple(led) if mates else walked)
 
-    optimum, walked = memo.recall(
+    optimum, walked, led = memo.recall(
         memo.acceptable, (memo.kinds[player], memo.mask(available)), budget,
         search)
     least = -(-optimum * factor.denominator // factor.numerator)
     ids = instance.ordered_ids
     return [(frozenset(ids[j] for j in range(mask.bit_length())
                        if mask >> j & 1), value)
-            for mask, value in walked if value >= least]
+            for mask, value in (led if leaders else walked) if value >= least]
 
 
 def verify_spe_outcome(instance: Instance, profile: Profile,

@@ -83,9 +83,11 @@ maximum over the scan-ordered pool.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
 
 from .budget import SearchBudget
@@ -358,6 +360,19 @@ class FeasibilitySystem:
         """Deadline per item for scheduling systems, None otherwise."""
         return None
 
+    def _swap_key(self, item: str) -> object:
+        """A value that two items share whenever exchanging them maps the
+        family onto itself (`_swaps`), so only items of one key need be
+        compared.  A user-defined system keys each item by itself, and so
+        forgoes the searches' walk over item orbits (`model._Memo`).
+        """
+        return item
+
+    def _swaps(self, a: str, b: str) -> bool:
+        """Whether exchanging items a and b maps the family onto itself,
+        decided exactly: by equal keys, unless a system overrides it."""
+        return self._swap_key(a) == self._swap_key(b)
+
 
 @dataclass(frozen=True)
 class ExplicitSystem(FeasibilitySystem):
@@ -390,6 +405,25 @@ class ExplicitSystem(FeasibilitySystem):
         target = frozenset(items)
         return any(target <= maximal for maximal in self.maximal_sets)
 
+    @cached_property
+    def _holders(self) -> Counter:
+        """How many maximal sets hold each item."""
+        return Counter(chain.from_iterable(self.maximal_sets))
+
+    @cached_property
+    def _maximal(self) -> frozenset[frozenset[str]]:
+        return frozenset(self.maximal_sets)
+
+    def _swap_key(self, item) -> int:
+        return self._holders[item]
+
+    def _swaps(self, a, b) -> bool:
+        # The swap moves only the maximal sets that hold one of the two,
+        # each to a set that must be maximal too.
+        pair = {a, b}
+        return all(s ^ pair in self._maximal for s in self.maximal_sets
+                   if len(s & pair) == 1)
+
 
 class _JobTable:
     """Id lookup and integer view shared by the single and identical
@@ -417,6 +451,9 @@ class _JobTable:
 
     def job_deadlines(self) -> dict[str, Fraction]:
         return {i: w.deadline for i, w in self.jobs}
+
+    def _swap_key(self, item) -> Optional[JobWindow]:
+        return self.window(item)
 
 
 @dataclass(frozen=True)
@@ -520,6 +557,18 @@ class UnrelatedMachinesSystem(FeasibilitySystem):
     def _ids(self) -> frozenset[str]:
         return frozenset(item for item, _ in self.jobs)
 
+    @cached_property
+    def _rows(self) -> dict[str, tuple]:
+        """Each job's window and its processing time on each machine,
+        None where it cannot run."""
+        times = dict(self.processing)
+        return {item: (window, tuple(times.get((machine, item))
+                                     for machine in self.machines))
+                for item, window in self.jobs}
+
+    def _swap_key(self, item) -> Optional[tuple]:
+        return self._rows.get(item)
+
     def _fit(self, target, budget) -> Optional[Fit]:
         """One run order per machine, in machine order, or None."""
         return _first_split(target, [machine._fit
@@ -612,6 +661,12 @@ class SharedSymmetricSystem(FeasibilitySystem):
 
     def job_deadlines(self) -> Optional[dict[str, Fraction]]:
         return self.base.job_deadlines()
+
+    def _swap_key(self, item) -> object:
+        return self.base._swap_key(item)
+
+    def _swaps(self, a, b) -> bool:
+        return self.base._swaps(a, b)
 
 
 def validate_downward_closed(system: FeasibilitySystem,

@@ -9,7 +9,10 @@ in `permutations` order, found by the min recursion of
 `equilibria.least_sequential_outcome` without listing any outcome.
 Correctness of "worst" is the point, so no heuristics are used.  The
 practical envelope for the exhaustive operations is small instances
-(around n <= 4 and |J| <= 16).
+(around n <= 4 and |J| <= 16).  Repeated items widen it: items that
+weigh the same and that every system treats alike are walked once per
+orbit, not once per relabelling (`model._Memo`), so `ex_seq(4)`, 16 jobs
+in four classes, takes its worst Nash profile in about 54k nodes.
 
 The optimum is branch and bound on the search kernel (`search.py`).
 Its tie-break is the first maximum in the kernel's post-order, which
@@ -69,7 +72,8 @@ def compute_opt(instance: Instance,
     bound at a node is its weight plus that of the items not yet decided.
     Ties are broken by the lexicographically smallest assignment vector
     (players in index order before "nobody"), which the search's
-    post-order visits first.
+    post-order visits first, so the walk meets one assignment per orbit
+    of repeated items (`_Memo.previous`).
     `available` restricts the assignable items (the full ground set by
     default).  The instance remembers the optimum of each item set
     (`_Memo.recall`, table `optima`) and charges a repeat the nodes of
@@ -82,7 +86,8 @@ def compute_opt(instance: Instance,
     tests = [system.is_member for system in instance.players]
     memo = instance._memo
     sets, value = memo.recall(memo.optima, memo.mask(ids), shared, lambda: best(
-        ids, [weight[i] for i in ids], tests, shared, post=True))
+        ids, [weight[i] for i in ids], tests, shared, post=True,
+        previous=memo.previous(ids)))
     return Profile(sets), Fraction(value, scale)
 
 

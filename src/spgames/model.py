@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, total_ordering
-from typing import Callable, Iterable, Optional, TypeVar
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from .budget import SearchBudget
 from .errors import InputError, _fraction, _integer
@@ -141,30 +141,79 @@ class _Memo:
     (`Instance._memo`): not a field, so eq, hash and repr ignore it, and
     neither a pickle nor a copy carries it.
 
-    `kinds[p]` is the first player whose system equals player p's; the
-    players of one kind answer every search alike, so the tables key on
-    kinds, not players.  `mask(items)` is an item set as a mask over
-    `ordered_ids`.  Each table maps a key to the nodes its search spent
-    and the search's result, and `recall` is the one way to read one:
+    Its symmetry record is computed once, with the memo:
 
-    * `acceptable`: (kind, pool mask) to the optimum and every (set mask,
+    * `kinds[p]` is the first player whose system equals player p's; the
+      players of one kind answer every search alike, so the tables key on
+      kinds, not players;
+    * `mates` maps each item that has a class-mate to the first item of
+      its class.  Two items are class-mates when they have one integer
+      weight and swapping them maps every distinct system's family onto
+      itself (`FeasibilitySystem._swaps`, tried only between items of
+      equal `_swap_key`s).  Such swaps compose, so the classes partition
+      the items, and a game without repeated items has no `mates`.
+      `previous(ids)` reads the record for one pool.
+
+    `mask(items)` is an item set as a mask over `ordered_ids`.  Each table
+    maps a key to the nodes its search spent and the search's result, and
+    `recall` is the one way to read one:
+
+    * `acceptable`: (kind, pool mask) to the optimum, every (set mask,
       integer weight) pair of the mover's walk in `equilibria._acceptable`,
-      in pre-order; each alpha filters the pairs on reading;
+      in pre-order, and the pairs of the sets that lead their orbit; each
+      alpha filters the pairs on reading;
     * `replies`: (the members' kinds, pool mask) to the members' best sets
       and their integer weight (`best_response._reply`);
     * `optima`: the mask of the assignable items to the sets and integer
       welfare of `metrics.compute_opt`.
     """
 
-    __slots__ = ("kinds", "bit", "acceptable", "replies", "optima")
+    __slots__ = ("kinds", "mates", "bit", "acceptable", "replies", "optima")
 
     def __init__(self, instance: Instance):
         players = instance.players
         self.kinds = tuple(map(players.index, players))
+        systems = [players[kind] for kind in sorted(set(self.kinds))]
+        weight, _ = instance.integer_weights
+        by_weight: dict[int, list[str]] = {}
+        for item in instance.ordered_ids:
+            by_weight.setdefault(weight[item], []).append(item)
+        self.mates: dict[str, str] = {}
+        for group in by_weight.values():
+            if len(group) == 1:
+                continue
+            # The first item of each class so far, by swap keys: swaps
+            # compose, so an item need only be tried against those.
+            firsts: dict[tuple, list[str]] = {}
+            for item in group:
+                same = firsts.setdefault(tuple(
+                    [system._swap_key(item) for system in systems]), [])
+                for first in same:
+                    if all(system._swaps(first, item) for system in systems):
+                        self.mates[item] = self.mates[first] = first
+                        break
+                else:
+                    same.append(item)
         self.bit = {i: 1 << j for j, i in enumerate(instance.ordered_ids)}
         self.acceptable: dict[tuple[int, int], tuple[int, object]] = {}
         self.replies: dict[tuple[tuple[int, ...], int], tuple[int, object]] = {}
         self.optima: dict[int, tuple[int, object]] = {}
+
+    def previous(self, ids: Sequence[str]) -> Optional[list[int]]:
+        """For each item of the pool `ids`, in id order, the index in `ids`
+        of the class-mate before it, or -1: what `search.walk` takes to
+        walk one assignment per orbit.  None when no item of the pool has
+        a class-mate in it, so such a walk pays nothing per attempt."""
+        if not self.mates:
+            return None
+        last: dict[str, int] = {}
+        out = []
+        for index, item in enumerate(ids):
+            first = self.mates.get(item)
+            out.append(-1 if first is None else last.get(first, -1))
+            if first is not None:
+                last[first] = index
+        return out if any(mate >= 0 for mate in out) else None
 
     def mask(self, items: Iterable[str]) -> int:
         return sum(map(self.bit.__getitem__, items))

@@ -29,8 +29,16 @@ search for a least-value node bounds from below, and the last ask
 filters the nodes the walk yields.  Members with one and the same test
 can be walked as interchangeable: a member opens its set only after the
 member before it has, so of the assignments that relabel members into
-each other only the first in post-order is met.  Splitting a set across
-a player's machines is a walk too: one member per machine, and a prune
+each other only the first in post-order is met.  Items can be walked
+once per orbit the same way (`previous`): when swapping two items maps
+every member's family onto itself, an item may join a member only if
+the class-mate before it is held by that member or an earlier one,
+nobody counting as the last.  Of the assignments that permute the items
+of a class only the lexicographic leader is then met: the first in
+post-order, and the first of one member's sets in pre-order.  This is
+the lex-leader rule of Crawford, Ginsberg, Luks and Roy (1996).  Both
+restrictions may hold at once, and neither spends a node on an attempt
+it skips.  Splitting a set across a player's machines is a walk too: one member per machine, and a prune
 that drops every node that left an item out.
 """
 
@@ -56,7 +64,9 @@ def walk(ids: Sequence[str], weights: Sequence[int], tests: Sequence[Test],
          budget: SearchBudget, post: bool = False,
          floor: Optional[list[int]] = None,
          prune: Optional[Callable[[Sets, int, int], bool]] = None,
-         interchangeable: bool = False) -> Iterator[tuple[Sets, int]]:
+         interchangeable: bool = False,
+         previous: Optional[Sequence[int]] = None
+         ) -> Iterator[tuple[Sets, int]]:
     """Yield (member sets, value) for every node, in pre- or post-order.
 
     `tests[m]` decides member m's sets.  Every attempt to put an item into
@@ -68,8 +78,11 @@ def walk(ids: Sequence[str], weights: Sequence[int], tests: Sequence[Test],
     subtree and, in post-order, the node itself.  With
     `interchangeable`, a member with an empty set takes an item only if
     the member before it holds one, so of the assignments that relabel
-    members into each other only the first in post-order is walked; a
-    skipped attempt spends no node.
+    members into each other only the first in post-order is walked.
+    With `previous`, `previous[item]` is the index of the item's class-mate
+    before it, or -1: the item may join member m only if that class-mate
+    is held by a member <= m, so a class-mate held by nobody keeps the
+    item out of every set.  A skipped attempt spends no node.
     """
     size, width = len(ids), len(tests)
     if floor is not None:
@@ -96,6 +109,15 @@ def walk(ids: Sequence[str], weights: Sequence[int], tests: Sequence[Test],
             # are too: move on to the next item.
             frame[2] = attempt - member + width
             continue
+        if previous and not member and previous[item] >= 0:
+            # Start at the class-mate's member; past the last when nobody
+            # holds it.
+            mate = ids[previous[item]]
+            holder = next((m for m, held in enumerate(sets) if mate in held),
+                          width)
+            if holder:
+                frame[2] = attempt + holder
+                continue
         frame[2] = attempt + 1
         budget.spend()
         grown = sets[member] | {ids[item]}
@@ -115,15 +137,19 @@ def walk(ids: Sequence[str], weights: Sequence[int], tests: Sequence[Test],
 
 def best(ids: Sequence[str], weights: Sequence[int], tests: Sequence[Test],
          budget: SearchBudget, post: bool = False,
-         key: Optional[Callable[[Sets], tuple]] = None) -> tuple[Sets, int]:
+         key: Optional[Callable[[Sets], tuple]] = None,
+         previous: Optional[Sequence[int]] = None) -> tuple[Sets, int]:
     """The first node of maximum value in the walk's order.
 
     With `key`, the maximum-value node of smallest key instead: ties are
-    then explored, and their keys compared, rather than pruned.
+    then explored, and their keys compared, rather than pruned.  The walk
+    takes `previous` as it is: the first maximum, and the one of smallest
+    key, is the leader of its orbit.
     """
     floor = [0]
     found: Optional[tuple[Sets, int]] = None
-    for sets, value in walk(ids, weights, tests, budget, post, floor):
+    for sets, value in walk(ids, weights, tests, budget, post, floor,
+                            previous=previous):
         if found is None or value > found[1] or (
                 key and value == found[1] and key(sets) < key(found[0])):
             found = sets, value

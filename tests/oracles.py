@@ -8,6 +8,7 @@ machinery of the package search paths, so agreement is meaningful.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from spgames import DeviationWitness, Instance, Profile, validate_profile
@@ -26,19 +27,31 @@ def all_subsets(pool):
             yield frozenset(combo)
 
 
-def feasible_table(instance: Instance, player: int) -> set[frozenset[str]]:
+@lru_cache(maxsize=16)
+def feasible_table(instance: Instance, player: int) -> frozenset[frozenset[str]]:
+    """Every member of the player's family, asked subset by subset; kept
+    for the last few instances, since every oracle below reads it."""
     system = instance.players[player]
-    return {T for T in all_subsets(instance.item_ids) if system.is_member(T)}
+    return frozenset(T for T in all_subsets(instance.item_ids)
+                     if system.is_member(T))
 
 
 def brute_best_response(instance: Instance, player: int, available
                         ) -> tuple[frozenset[str], Fraction]:
     """Max-weight feasible subset; ties to the set smallest in item-id
     lexicographic order (compared as sorted tuples)."""
-    system = instance.players[player]
+    return _brute_best(instance, player, frozenset(available))
+
+
+@lru_cache(maxsize=1024)
+def _brute_best(instance: Instance, player: int, available: frozenset[str]
+                ) -> tuple[frozenset[str], Fraction]:
+    """`brute_best_response`, kept per pool: the Nash checks of many
+    profiles ask the same pool."""
+    table = feasible_table(instance, player)
     best = None
     for T in all_subsets(available):
-        if not system.is_member(T):
+        if T not in table:
             continue
         value = weight_of(instance, T)
         key = (-value, tuple(sorted(T)))
@@ -81,7 +94,14 @@ def brute_coalition(instance: Instance, coalition, pool
                     ) -> tuple[tuple[frozenset[str], ...], Fraction]:
     """Full joint enumeration over item-to-member assignments; ties to the
     smallest tuple of per-member sorted sets."""
-    members = tuple(sorted(coalition))
+    return _brute_joint(instance, tuple(sorted(coalition)), frozenset(pool))
+
+
+@lru_cache(maxsize=1024)
+def _brute_joint(instance: Instance, members: tuple[int, ...],
+                 pool: frozenset[str]
+                 ) -> tuple[tuple[frozenset[str], ...], Fraction]:
+    """`brute_coalition`, kept per pool, as `_brute_best` is."""
     items = sorted(pool)
     tables = [feasible_table(instance, m) for m in members]
     best = None

@@ -926,8 +926,8 @@ class TestPartition:
                  SharedSymmetricSystem(SingleMachineSystem(RELEASED), 1)))
 
     @pytest.mark.parametrize("search, args, nodes", [
-        (compute_opt, (ex_asym(3, 2),), 61),
-        (empirical_poa, (ex_asym(3, 2), Fraction(3, 2)), 443),
+        (compute_opt, (ex_asym(3, 2),), 46),
+        (empirical_poa, (ex_asym(3, 2), Fraction(3, 2)), 374),
         (every_outcome_and_opt, (SYMMETRIC, 1), 1_626),
         (every_outcome_and_opt, (SYMMETRIC, Fraction(3, 2)), 4_050),
         (empirical_poa, (RELEASED_GAME, 1), 256),
@@ -936,7 +936,8 @@ class TestPartition:
     def test_nodes_of_splits_inside_assignment_searches(self, search, args, nodes):
         # Pinned from the partition search the kernel walk replaced; the
         # SPE pins list every outcome of every order, as the sequential
-        # measurement did then.
+        # measurement did then.  ex_asym's p-jobs and q-jobs are walked
+        # once per orbit, which took the two asym pins from 61 and 443.
         budget = SearchBudget(10**6)
         search(*args, budget)
         assert budget.used == nodes
