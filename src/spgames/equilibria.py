@@ -321,7 +321,7 @@ def least_sequential_outcome(instance: Instance, factor: Fraction,
     the least so far is skipped without spending a node, since the rest
     adds a welfare of at least 0; every other action spends one.  Only
     actions that take the lowest-id available items of each class of
-    repeated items are tried (`_acceptable` with `leaders`): swapping two
+    repeated items are walked (`_acceptable` with `leaders`): swapping two
     class-mates in `available` maps the subgame onto itself, and moves the
     first argmin earlier unless it already takes the lower one.
     """
@@ -380,47 +380,42 @@ def _acceptable(instance: Instance, player: int, available: frozenset[str],
 
     The walk does not depend on alpha; only the filter after it does.  So
     the instance's memo recalls each walk (`_Memo.recall`, table
-    `acceptable`) under the player's kind and `available`: its optimum,
-    every (set mask, integer weight) pair in pre-order, and the pairs of
-    the sets that lead their orbit.  A set leads when it holds the
-    class-mate before each of its items in `available` (`_Memo.previous`):
-    it takes the lowest-id items of each class.  Without repeated items
-    every set leads, and the two tuples are one.  Every call keeps the
-    pairs of weight at least ceil(optimum / alpha), which is
-    `within_alpha` on integers, from the leaders with `leaders` and from
-    every set without it (the listing of every outcome), then decodes the
-    kept masks.
+    `acceptable`) under the player's kind and `available`: its optimum
+    and every (set mask, integer weight) pair in pre-order.  Every call
+    keeps the pairs of weight at least ceil(optimum / alpha), which is
+    `within_alpha` on integers, then decodes the kept masks.
+
+    With `leaders`, only the sets that lead their orbit are walked: those
+    that hold the class-mate before each of their items in `available`
+    (`_Memo.previous`), that is, the lowest-id items of each class.  Each
+    set is a swap of one of them of equal weight, so the optimum is the
+    same.  Such a walk has its own memo entry when `available` holds two
+    items of one class, and shares the full listing's entry otherwise.
     """
     memo = instance._memo
     weight, _ = instance.integer_weights
     system = instance.players[player]
+    mask = memo.mask(available)
+    key: tuple = (memo.kinds[player], mask)
+    leaders = leaders and memo.paired(mask)
+    if leaders:
+        key += (True,)
 
-    def search() -> tuple[int, tuple[tuple[int, int], ...],
-                          tuple[tuple[int, int], ...]]:
+    def search() -> tuple[int, tuple[tuple[int, int], ...]]:
         # Class-mates are both inside the system's universe or both
-        # outside it, so the walk's pool keeps every class-mate that counts.
+        # outside it, so the pool keeps every class-mate that counts.
         ids = sorted(available & system.universe())
-        mates = [(ids[j], ids[mate])
-                 for j, mate in enumerate(memo.previous(ids) or ()) if mate >= 0]
-        walked, led = [], []
-        for (action,), value in walk(ids, [weight[i] for i in ids],
-                                     [system.is_member], budget):
-            walked.append((memo.mask(action), value))
-            if mates and all(mate in action for item, mate in mates
-                             if item in action):
-                led.append(walked[-1])
-        walked = tuple(walked)
-        return (max(value for _, value in walked), walked,
-                tuple(led) if mates else walked)
+        walked = tuple((memo.mask(action), value) for (action,), value in walk(
+            ids, [weight[i] for i in ids], [system.is_member], budget,
+            previous=memo.previous(ids) if leaders else None))
+        return max(value for _, value in walked), walked
 
-    optimum, walked, led = memo.recall(
-        memo.acceptable, (memo.kinds[player], memo.mask(available)), budget,
-        search)
+    optimum, walked = memo.recall(memo.acceptable, key, budget, search)
     least = -(-optimum * factor.denominator // factor.numerator)
     ids = instance.ordered_ids
     return [(frozenset(ids[j] for j in range(mask.bit_length())
                        if mask >> j & 1), value)
-            for mask, value in (led if leaders else walked) if value >= least]
+            for mask, value in walked if value >= least]
 
 
 def verify_spe_outcome(instance: Instance, profile: Profile,

@@ -86,7 +86,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -364,7 +364,9 @@ class FeasibilitySystem:
         """A value that two items share whenever exchanging them maps the
         family onto itself (`_swaps`), so only items of one key need be
         compared.  A user-defined system keys each item by itself, and so
-        forgoes the searches' walk over item orbits (`model._Memo`).
+        forgoes the searches' walk over item orbits (`model._Memo`); so
+        does a subclass of a built-in system that redefines its
+        membership (`_keeps_swaps`).
         """
         return item
 
@@ -667,6 +669,35 @@ class SharedSymmetricSystem(FeasibilitySystem):
 
     def _swaps(self, a, b) -> bool:
         return self.base._swaps(a, b)
+
+
+_SWAP_TESTED = (ExplicitSystem, SingleMachineSystem, IdenticalMachinesSystem,
+                UnrelatedMachinesSystem, SharedSymmetricSystem)
+
+
+def _keeps_swaps(system: FeasibilitySystem) -> bool:
+    """Whether the swap test `system` has describes its family.
+
+    A built-in system's test reads its data (windows, times, maximal
+    sets), so it holds only where membership is the built-in's own: a
+    subclass that redefines `is_member`, `_fit`, `universe` or `_ids` may
+    narrow the family and break a class.  Every other system keys each
+    item by itself, which is exact.
+    """
+    return _own_membership(type(system)) and (
+        not isinstance(system, SharedSymmetricSystem)
+        or _own_membership(type(system.base)))
+
+
+@cache
+def _own_membership(cls: type) -> bool:
+    """Whether `cls` decides membership as the built-in class it derives
+    from does (True for a class derived from none)."""
+    for built_in in _SWAP_TESTED:
+        if issubclass(cls, built_in):
+            return all(getattr(cls, name) is getattr(built_in, name)
+                       for name in ("is_member", "_fit", "universe", "_ids"))
+    return True
 
 
 def validate_downward_closed(system: FeasibilitySystem,

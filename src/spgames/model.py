@@ -18,7 +18,8 @@ from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from .budget import SearchBudget
 from .errors import InputError, _fraction, _integer
-from .feasibility import FeasibilitySystem, SharedSymmetricSystem
+from .feasibility import (FeasibilitySystem, SharedSymmetricSystem,
+                          _keeps_swaps)
 from .search import integral
 
 T = TypeVar("T")
@@ -141,7 +142,7 @@ class _Memo:
     (`Instance._memo`): not a field, so eq, hash and repr ignore it, and
     neither a pickle nor a copy carries it.
 
-    Its symmetry record is computed once, with the memo:
+    Its symmetry record is computed once per instance:
 
     * `kinds[p]` is the first player whose system equals player p's; the
       players of one kind answer every search alike, so the tables key on
@@ -150,38 +151,72 @@ class _Memo:
       its class.  Two items are class-mates when they have one integer
       weight and swapping them maps every distinct system's family onto
       itself (`FeasibilitySystem._swaps`, tried only between items of
-      equal `_swap_key`s).  Such swaps compose, so the classes partition
-      the items, and a game without repeated items has no `mates`.
-      `previous(ids)` reads the record for one pool.
+      equal `_swap_key`s, and only for systems that `_keeps_swaps`).
+      Such swaps compose, so the classes partition the items, and a game
+      without repeated items has no `mates`.  `previous(ids)` reads the
+      record for one pool, and `paired(mask)` tells whether an item set
+      holds two items of one class.  The classes are found on the first
+      of those calls, so a game that walks nothing never looks for them.
 
     `mask(items)` is an item set as a mask over `ordered_ids`.  Each table
     maps a key to the nodes its search spent and the search's result, and
     `recall` is the one way to read one:
 
-    * `acceptable`: (kind, pool mask) to the optimum, every (set mask,
-      integer weight) pair of the mover's walk in `equilibria._acceptable`,
-      in pre-order, and the pairs of the sets that lead their orbit; each
-      alpha filters the pairs on reading;
+    * `acceptable`: (kind, pool mask), with True appended for a walk of
+      the orbit leaders alone of a pool with class-mates (`paired`), to
+      the optimum and every (set mask, integer weight) pair of the
+      mover's walk in `equilibria._acceptable`, in pre-order; each alpha
+      filters the pairs on reading;
     * `replies`: (the members' kinds, pool mask) to the members' best sets
       and their integer weight (`best_response._reply`);
     * `optima`: the mask of the assignable items to the sets and integer
       welfare of `metrics.compute_opt`.
     """
 
-    __slots__ = ("kinds", "mates", "bit", "acceptable", "replies", "optima")
+    __slots__ = ("kinds", "_players", "_ids", "_weight", "_record", "_whole",
+                 "bit", "acceptable", "replies", "optima")
 
     def __init__(self, instance: Instance):
         players = instance.players
         self.kinds = tuple(map(players.index, players))
-        systems = [players[kind] for kind in sorted(set(self.kinds))]
-        weight, _ = instance.integer_weights
+        self._players, self._ids = players, instance.ordered_ids
+        self._weight = instance.integer_weights[0]
+        # (mates, the mask of each class), once found.
+        self._record: Optional[tuple[dict[str, str], tuple[int, ...]]] = None
+        # previous(ordered_ids), boxed once known: it may be None.
+        self._whole: Optional[tuple[Optional[list[int]]]] = None
+        self.bit = {i: 1 << j for j, i in enumerate(instance.ordered_ids)}
+        self.acceptable: dict[tuple, tuple[int, object]] = {}
+        self.replies: dict[tuple[tuple[int, ...], int], tuple[int, object]] = {}
+        self.optima: dict[int, tuple[int, object]] = {}
+
+    @property
+    def mates(self) -> dict[str, str]:
+        return self._classes()[0]
+
+    def paired(self, mask: int) -> bool:
+        """Whether two items of one class lie in the item set `mask`."""
+        return any((mask & c) & (mask & c) - 1 for c in self._classes()[1])
+
+    def _classes(self) -> tuple[dict[str, str], tuple[int, ...]]:
+        if self._record is None:
+            mates = self._mates()
+            masks: dict[str, int] = {}
+            for item, first in mates.items():
+                masks[first] = masks.get(first, 0) | self.bit[item]
+            self._record = mates, tuple(masks.values())
+        return self._record
+
+    def _mates(self) -> dict[str, str]:
         by_weight: dict[int, list[str]] = {}
-        for item in instance.ordered_ids:
-            by_weight.setdefault(weight[item], []).append(item)
-        self.mates: dict[str, str] = {}
-        for group in by_weight.values():
-            if len(group) == 1:
-                continue
+        for item in self._ids:
+            by_weight.setdefault(self._weight[item], []).append(item)
+        groups = [group for group in by_weight.values() if len(group) > 1]
+        systems = [self._players[kind] for kind in sorted(set(self.kinds))]
+        mates: dict[str, str] = {}
+        if not groups or not all(map(_keeps_swaps, systems)):
+            return mates
+        for group in groups:
             # The first item of each class so far, by swap keys: swaps
             # compose, so an item need only be tried against those.
             firsts: dict[tuple, list[str]] = {}
@@ -190,30 +225,35 @@ class _Memo:
                     [system._swap_key(item) for system in systems]), [])
                 for first in same:
                     if all(system._swaps(first, item) for system in systems):
-                        self.mates[item] = self.mates[first] = first
+                        mates[item] = mates[first] = first
                         break
                 else:
                     same.append(item)
-        self.bit = {i: 1 << j for j, i in enumerate(instance.ordered_ids)}
-        self.acceptable: dict[tuple[int, int], tuple[int, object]] = {}
-        self.replies: dict[tuple[tuple[int, ...], int], tuple[int, object]] = {}
-        self.optima: dict[int, tuple[int, object]] = {}
+        return mates
 
     def previous(self, ids: Sequence[str]) -> Optional[list[int]]:
         """For each item of the pool `ids`, in id order, the index in `ids`
         of the class-mate before it, or -1: what `search.walk` takes to
         walk one assignment per orbit.  None when no item of the pool has
-        a class-mate in it, so such a walk pays nothing per attempt."""
-        if not self.mates:
-            return None
-        last: dict[str, int] = {}
-        out = []
-        for index, item in enumerate(ids):
-            first = self.mates.get(item)
-            out.append(-1 if first is None else last.get(first, -1))
-            if first is not None:
-                last[first] = index
-        return out if any(mate >= 0 for mate in out) else None
+        a class-mate in it, so such a walk pays nothing per attempt.  The
+        answer for the whole of `ordered_ids` is kept."""
+        whole = ids is self._ids
+        if whole and self._whole is not None:
+            return self._whole[0]
+        mates, out = self.mates, None
+        if mates:
+            last: dict[str, int] = {}
+            out = []
+            for index, item in enumerate(ids):
+                first = mates.get(item)
+                out.append(-1 if first is None else last.get(first, -1))
+                if first is not None:
+                    last[first] = index
+            if all(mate < 0 for mate in out):
+                out = None
+        if whole:
+            self._whole = out,
+        return out
 
     def mask(self, items: Iterable[str]) -> int:
         return sum(map(self.bit.__getitem__, items))

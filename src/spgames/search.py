@@ -38,8 +38,9 @@ of a class only the lexicographic leader is then met: the first in
 post-order, and the first of one member's sets in pre-order.  This is
 the lex-leader rule of Crawford, Ginsberg, Luks and Roy (1996).  Both
 restrictions may hold at once, and neither spends a node on an attempt
-it skips.  Splitting a set across a player's machines is a walk too: one member per machine, and a prune
-that drops every node that left an item out.
+it skips.  Splitting a set across a player's machines is a walk too:
+one member per machine, and a prune that drops every node that left an
+item out.
 """
 
 from __future__ import annotations
@@ -112,9 +113,9 @@ def walk(ids: Sequence[str], weights: Sequence[int], tests: Sequence[Test],
         if previous and not member and previous[item] >= 0:
             # Start at the class-mate's member; past the last when nobody
             # holds it.
-            mate = ids[previous[item]]
-            holder = next((m for m, held in enumerate(sets) if mate in held),
-                          width)
+            mate, holder = ids[previous[item]], 0
+            while holder < width and mate not in sets[holder]:
+                holder += 1
             if holder:
                 frame[2] = attempt + holder
                 continue

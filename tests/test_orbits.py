@@ -123,10 +123,11 @@ class TestOrbitWalks:
             assert result.bound_satisfied
 
     def test_worst_sequential_outcome_of_the_sequential_construction(self):
-        # Trying every action of each mover spent 6,598,996 nodes.
+        # Walking and trying every action of each mover spent 6,598,996
+        # nodes.
         budget = SearchBudget(10**6)
         result = empirical_sequential_poa(ex_seq(4), 1, budget)
-        assert (budget.used, result.ratio) == (67_176, Fraction(4, 3))
+        assert (budget.used, result.ratio) == (6_773, Fraction(4, 3))
 
     def test_a_user_defined_system_has_no_class(self):
         class Pair(FeasibilitySystem):
@@ -140,6 +141,34 @@ class TestOrbitWalks:
         assert classes(game) == []
         assert worst_equilibrium(game, 1) == (
             Profile((frozenset("ab"),)), 2)
+
+    def test_a_subclass_that_narrows_membership_has_no_class(self):
+        class WithoutB(SingleMachineSystem):
+            def is_member(self, items, budget=None):
+                items = frozenset(items)
+                return "b" not in items and super().is_member(items, budget)
+
+        # Any two of three unit jobs due at 2 fit; the subclass drops b,
+        # so swapping a and b, or b and c, breaks the family.
+        jobs = {i: JobWindow(0, 1, 2) for i in "abc"}
+        assert classes(unit_game(SingleMachineSystem(jobs))) == [["a", "b", "c"]]
+        game = unit_game(WithoutB(jobs), WithoutB(jobs))
+        assert classes(game) == []
+        assert compute_opt(game) == brute_opt(game)
+        assert compute_opt(game)[1] == 2
+        for alpha in ALPHAS:
+            assert worst_equilibrium(game, alpha) == _first_least(
+                game, brute_enumerate_nash(game, alpha))
+
+    def test_a_subclass_that_keeps_membership_keeps_its_classes(self):
+        class Hashed(ExplicitSystem):
+            def __hash__(self):
+                return super().__hash__()
+
+        assert classes(unit_game(Hashed(maximal_sets=[frozenset("ab")]))) == [
+            ["a", "b"]]
+        shared = SharedSymmetricSystem(Hashed(maximal_sets=[frozenset("ab")]), 2)
+        assert classes(unit_game(shared)) == [["a", "b"]]
 
 
 IDS = "abcdefg"
