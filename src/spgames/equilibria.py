@@ -25,9 +25,10 @@ some player can no longer be alpha-satisfied, or where every leaf reaches
 a caller's bound on welfare.  Asked after an assignment's last item, the
 prune is the Nash test, then asks the coalitions of 2..k players.
 `enumerate_nash` and `enumerate_collusion` list the profiles;
-`worst_equilibrium` lowers the bound to each one, walks relabelled
-assignments once when all players share one system, and walks
-assignments that permute repeated items once (`model._Memo`).
+`worst_equilibrium` lowers the bound to each one, and such a bounded
+walk reads the game's symmetries from the instance's memo
+(`model._Memo`): it walks relabelled assignments once when all players
+share one system, and assignments that permute repeated items once.
 
 Every verifier asks `best_response.deviation`, the one alpha rule (a
 tie passes), for a reply from the items no outsider holds (Nash,
@@ -99,13 +100,13 @@ def verify_nash(instance: Instance, profile: Profile, alpha,
 
 
 def _equilibria(instance: Instance, factor: Fraction, k: int,
-                budget: SearchBudget, least: list[Optional[int]],
-                interchangeable: bool = False,
-                previous: Optional[list[int]] = None
+                budget: SearchBudget,
+                least: Optional[list[Optional[int]]] = None
                 ) -> Iterator[tuple[Sets, int]]:
     """Yield (sets, integer welfare) of every approximate k-collusion
-    profile (Nash at k = 1) below the welfare `least[0]` (None: no bound),
-    which the caller may lower between profiles, in `enumerate_nash` order.
+    profile (Nash at k = 1) in `enumerate_nash` order; with `least`, only
+    those below the welfare `least[0]` (None: no bound yet), which the
+    caller may lower between profiles.
 
     Each distinct system's feasible sets are walked once, as the family of
     every player of its kind (`kinds` of the instance's memo).  Then a
@@ -120,15 +121,20 @@ def _equilibria(instance: Instance, factor: Fraction, k: int,
     times the node's welfare.  After a node's last item nothing is
     undecided and `skipped` is every free item, so the prune is the Nash
     test and the welfare bound; a node passing both then faces the
-    coalitions of 2..k players (k >= 2).  `interchangeable` (all players
-    have one system) walks relabelled assignments once, and `previous`
-    (`_Memo.previous`) walks assignments that permute repeated items
-    once.
+    coalitions of 2..k players (k >= 2).  A bounded walk walks each orbit
+    of the game's symmetries once: relabelled assignments when every
+    player has one system (`_Memo.kinds`), and assignments that permute
+    repeated items (`_Memo.previous`).  A listing walks every assignment.
     """
     ids = instance.ordered_ids
     weight, _ = instance.integer_weights
     weights = [weight[i] for i in ids]
-    kind = instance._memo.kinds
+    memo = instance._memo
+    kind = memo.kinds
+    if least is None:
+        least, interchangeable, previous = [None], False, None
+    else:
+        interchangeable, previous = not any(kind), memo.previous(ids)
     families: list[dict[frozenset[str], int]] = []
     for player, first in enumerate(kind):
         families.append(families[first] if first < player else {
@@ -193,7 +199,7 @@ def enumerate_collusion(instance: Instance, k: int, alpha,
     check_k(instance, k)
     factor = check_alpha(alpha)
     return tuple(Profile(sets) for sets, _ in _equilibria(
-        instance, factor, k, SearchBudget.ensure(budget), [None]))
+        instance, factor, k, SearchBudget.ensure(budget)))
 
 
 def worst_equilibrium(instance: Instance, alpha, k: int = 1,
@@ -212,12 +218,9 @@ def worst_equilibrium(instance: Instance, alpha, k: int = 1,
     factor = check_alpha(alpha)
     check_k(instance, k)
     least: list[Optional[int]] = [None]
-    memo = instance._memo
     found = None
     for sets, value in _equilibria(instance, factor, k,
-                                   SearchBudget.ensure(budget), least,
-                                   not any(memo.kinds),
-                                   memo.previous(instance.ordered_ids)):
+                                   SearchBudget.ensure(budget), least):
         least[0], found = value, sets
     if found is None:
         raise RuntimeError("no equilibrium found, though one always exists")
@@ -386,28 +389,28 @@ def _acceptable(instance: Instance, player: int, available: frozenset[str],
     `within_alpha` on integers, then decodes the kept masks.
 
     With `leaders`, only the sets that lead their orbit are walked: those
-    that hold the class-mate before each of their items in `available`
-    (`_Memo.previous`), that is, the lowest-id items of each class.  Each
-    set is a swap of one of them of equal weight, so the optimum is the
-    same.  Such a walk has its own memo entry when `available` holds two
-    items of one class, and shares the full listing's entry otherwise.
+    that hold the class-mate before each of their items in the mover's
+    pool (`_Memo.previous`), that is, the lowest-id items of each class.
+    Each set is a swap of one of them of equal weight, so the optimum is
+    the same.  Such a walk has its own memo entry, with True appended to
+    the key, when the pool holds two items of one class; otherwise it is
+    the full listing and shares the listing's entry.
     """
     memo = instance._memo
     weight, _ = instance.integer_weights
     system = instance.players[player]
-    mask = memo.mask(available)
-    key: tuple = (memo.kinds[player], mask)
-    leaders = leaders and memo.paired(mask)
+    key: tuple = (memo.kinds[player], memo.mask(available))
+    previous = None
     if leaders:
-        key += (True,)
+        previous = memo.previous(sorted(available & system.universe()))
+        if previous is not None:
+            key += (True,)
 
     def search() -> tuple[int, tuple[tuple[int, int], ...]]:
-        # Class-mates are both inside the system's universe or both
-        # outside it, so the pool keeps every class-mate that counts.
         ids = sorted(available & system.universe())
         walked = tuple((memo.mask(action), value) for (action,), value in walk(
             ids, [weight[i] for i in ids], [system.is_member], budget,
-            previous=memo.previous(ids) if leaders else None))
+            previous=previous))
         return max(value for _, value in walked), walked
 
     optimum, walked = memo.recall(memo.acceptable, key, budget, search)

@@ -45,10 +45,10 @@ first node that holds every item, and its fit is the fits the walk's own
 tests found for the final parts.  Every attempt to put an item into a
 machine's set spends one budget node, on top of what that test spends;
 with several machines the kernel asks each machine's test once per set,
-so a set met again spends only its one node.  The copies of a
-`SharedSymmetricSystem` are walked as interchangeable members, so an
-item may only open the first empty copy; the machines of an
-`UnrelatedMachinesSystem` are distinct single machines.
+so a set met again spends only its one node.  Members that are one
+object repeated, the copies of a `SharedSymmetricSystem`, are walked as
+interchangeable, so an item may only open the first empty copy; the
+machines of an `UnrelatedMachinesSystem` are distinct objects.
 `IdenticalMachinesSystem` is the shared system of `copies` single
 machines and answers through it.
 
@@ -88,7 +88,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .budget import SearchBudget
 from .errors import InputError, _fraction, _integer
@@ -265,19 +265,21 @@ def _padded(fit: Fit, width: int) -> Fit:
 
 
 def _first_split(target: frozenset[str],
-                 fits: Sequence[Callable[..., Optional[Fit]]],
-                 budget: SearchBudget, interchangeable: bool = False,
-                 width: int = 1) -> Optional[Fit]:
-    """`target` split into one part per member, each fitted by its member's
-    `fits` entry, or None.
+                 members: Sequence[FeasibilitySystem],
+                 budget: SearchBudget) -> Optional[Fit]:
+    """`target` split into one part per member, each fitted by its
+    member's `_fit`, or None.
 
     The split is the first node of the kernel's pre-order, over the items
     in id order with unit weights, that holds every item.  A node that
-    left an item out is pruned: no node below it holds that item.  The
-    result is the fits the walk's tests found for the final parts, member
-    by member, each padded with idle machines to `width`.
+    left an item out is pruned: no node below it holds that item.  When
+    the members are one system object repeated they are walked as
+    interchangeable.  The result is the fits the walk's tests found for
+    the final parts, member by member, each padded with idle machines to
+    its member's `_machine_count`.
     """
     ids = sorted(target)
+    fits = [member._fit for member in members]
     found: list[dict[frozenset[str], Optional[Fit]]] = [{} for _ in fits]
 
     def test(member: int) -> Test:
@@ -289,11 +291,12 @@ def _first_split(target: frozenset[str],
     for sets, value in walk(ids, [1] * len(ids),
                             [test(member) for member in range(len(fits))],
                             budget, prune=lambda sets, value, item: value < item,
-                            interchangeable=interchangeable):
+                            interchangeable=all(member is members[0]
+                                                for member in members)):
         if value == len(ids):
             return tuple(machine for member, part in enumerate(sets)
                          for machine in _padded(found[member].get(part, ()),
-                                                width))
+                                                _machine_count(members[member])))
     return None
 
 
@@ -573,9 +576,7 @@ class UnrelatedMachinesSystem(FeasibilitySystem):
 
     def _fit(self, target, budget) -> Optional[Fit]:
         """One run order per machine, in machine order, or None."""
-        return _first_split(target, [machine._fit
-                                     for machine in self._single_machines],
-                            budget)
+        return _first_split(target, self._single_machines, budget)
 
     def is_member(self, items, budget=None) -> bool:
         target = frozenset(items)
@@ -656,10 +657,9 @@ class SharedSymmetricSystem(FeasibilitySystem):
         machine = _uniform_machine(self)
         if machine is not None:
             return _fits_slots(machine, _machine_count(self), target, budget)
-        return _first_split(target, [self.base._fit]
-                            * min(self.copies, len(target)), budget,
-                            interchangeable=True,
-                            width=_machine_count(self.base))
+        return _first_split(target,
+                            [self.base] * min(self.copies, len(target)),
+                            budget)
 
     def job_deadlines(self) -> Optional[dict[str, Fraction]]:
         return self.base.job_deadlines()

@@ -154,26 +154,26 @@ class _Memo:
       equal `_swap_key`s, and only for systems that `_keeps_swaps`).
       Such swaps compose, so the classes partition the items, and a game
       without repeated items has no `mates`.  `previous(ids)` reads the
-      record for one pool, and `paired(mask)` tells whether an item set
-      holds two items of one class.  The classes are found on the first
-      of those calls, so a game that walks nothing never looks for them.
+      record for one pool.  The classes are found on the first read, so
+      a game that walks nothing never looks for them.
 
     `mask(items)` is an item set as a mask over `ordered_ids`.  Each table
     maps a key to the nodes its search spent and the search's result, and
     `recall` is the one way to read one:
 
     * `acceptable`: (kind, pool mask), with True appended for a walk of
-      the orbit leaders alone of a pool with class-mates (`paired`), to
-      the optimum and every (set mask, integer weight) pair of the
-      mover's walk in `equilibria._acceptable`, in pre-order; each alpha
-      filters the pairs on reading;
+      the orbit leaders alone of a mover's pool with class-mates (whose
+      `previous` is not None), to the optimum and every (set mask,
+      integer weight) pair of the mover's walk in
+      `equilibria._acceptable`, in pre-order; each alpha filters the
+      pairs on reading;
     * `replies`: (the members' kinds, pool mask) to the members' best sets
       and their integer weight (`best_response._reply`);
     * `optima`: the mask of the assignable items to the sets and integer
       welfare of `metrics.compute_opt`.
     """
 
-    __slots__ = ("kinds", "_players", "_ids", "_weight", "_record", "_whole",
+    __slots__ = ("kinds", "_players", "_ids", "_weight", "_mates", "_whole",
                  "bit", "acceptable", "replies", "optima")
 
     def __init__(self, instance: Instance):
@@ -181,8 +181,7 @@ class _Memo:
         self.kinds = tuple(map(players.index, players))
         self._players, self._ids = players, instance.ordered_ids
         self._weight = instance.integer_weights[0]
-        # (mates, the mask of each class), once found.
-        self._record: Optional[tuple[dict[str, str], tuple[int, ...]]] = None
+        self._mates: Optional[dict[str, str]] = None
         # previous(ordered_ids), boxed once known: it may be None.
         self._whole: Optional[tuple[Optional[list[int]]]] = None
         self.bit = {i: 1 << j for j, i in enumerate(instance.ordered_ids)}
@@ -192,22 +191,11 @@ class _Memo:
 
     @property
     def mates(self) -> dict[str, str]:
-        return self._classes()[0]
+        if self._mates is None:
+            self._mates = self._find_mates()
+        return self._mates
 
-    def paired(self, mask: int) -> bool:
-        """Whether two items of one class lie in the item set `mask`."""
-        return any((mask & c) & (mask & c) - 1 for c in self._classes()[1])
-
-    def _classes(self) -> tuple[dict[str, str], tuple[int, ...]]:
-        if self._record is None:
-            mates = self._mates()
-            masks: dict[str, int] = {}
-            for item, first in mates.items():
-                masks[first] = masks.get(first, 0) | self.bit[item]
-            self._record = mates, tuple(masks.values())
-        return self._record
-
-    def _mates(self) -> dict[str, str]:
+    def _find_mates(self) -> dict[str, str]:
         by_weight: dict[int, list[str]] = {}
         for item in self._ids:
             by_weight.setdefault(self._weight[item], []).append(item)

@@ -24,7 +24,8 @@ from .feasibility import (ExplicitSystem, FeasibilitySystem,
 from .metrics import PoAResult
 from .model import Instance, Item, Profile
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+# ASCII digits only: a weight in other digits would not round-trip.
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$", re.ASCII)
 
 
 def parse_rational(value, field: str = "value") -> Fraction:
@@ -56,19 +57,19 @@ def rational_str(value: Fraction) -> str:
         raise InputError(f"rational too long to print: {exc}") from exc
 
 
-def decimal_str(value: Fraction, digits: int = 6) -> str:
-    """Presentation-only decimal rendering of an exact rational.
+def decimal_str(value: Fraction) -> str:
+    """Presentation-only rendering of an exact rational to six decimals.
 
     A value in float range is rounded as its float; a larger one is
     rounded exactly, half to even.
     """
     try:
-        return f"{float(value):.{digits}f}"
+        return f"{float(value):.6f}"
     except OverflowError:
-        scaled = round(Fraction(value) * 10 ** digits)
-        whole, part = divmod(abs(scaled), 10 ** digits)
-        return ("-" if scaled < 0 else "") + rational_str(whole) + (
-            f".{part:0{digits}d}" if digits else "")
+        scaled = round(Fraction(value) * 10 ** 6)
+        whole, part = divmod(abs(scaled), 10 ** 6)
+        sign = "-" if scaled < 0 else ""
+        return f"{sign}{rational_str(whole)}.{part:06d}"
 
 
 def _window_doc(window: JobWindow) -> dict[str, str]:
@@ -208,7 +209,7 @@ def document_to_instance(doc) -> tuple[Instance, dict]:
         base = _parse_descriptor(doc["symmetric_base"], "symmetric_base", None)
     players = tuple(_parse_descriptor(entry, f"player {index + 1}", base)
                     for index, entry in enumerate(players_doc))
-    meta = doc.get("meta") or {}
+    meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise InputError("'meta' must be an object")
     return Instance(items=tuple(items), players=players), meta

@@ -478,13 +478,17 @@ class TestDocumentErrors:
         (dict(EXPLICIT, players=[]), None,
          "instance document needs a nonempty 'players' array"),
         (dict(EXPLICIT, meta="x"), None, "'meta' must be an object"),
+        # Only a missing key means no meta: an empty or false one is wrong.
+        *((dict(EXPLICIT, meta=meta), None, "'meta' must be an object")
+          for meta in ([], 0, "", False, None)),
         (EXPLICIT, [["a"]], "profile document must be a JSON object"),
         (EXPLICIT, {"1": "a"}, "player 1: item list expected"),
     ], ids=["descriptor-not-object", "empty-machines", "shared-copies",
             "processing-not-object", "machine-processing-not-object",
             "document-not-object", "items-not-list", "malformed-item",
-            "empty-players", "meta-not-object", "profile-not-object",
-            "player-entry-not-list"])
+            "empty-players", "meta-not-object", "meta-empty-list",
+            "meta-zero", "meta-empty-string", "meta-false", "meta-null",
+            "profile-not-object", "player-entry-not-list"])
     def test_reader_input_errors_exit_two(self, tmp_path, capsys, instance,
                                           profile, message):
         path = tmp_path / "instance.json"

@@ -17,8 +17,9 @@ from spgames import (ExplicitSystem, FeasibilitySystem,
                      Profile, SearchBudget, SharedSymmetricSystem,
                      SingleMachineSystem, TimeWindow, UnrelatedMachinesSystem,
                      best_response, coalition_best_response, compute_opt,
-                     empirical_poa, empirical_sequential_poa, ex_asym,
-                     ex_collusion, ex_seq, ex_sym, welfare)
+                     empirical_poa, empirical_sequential_poa,
+                     enumerate_spe_outcomes, ex_asym, ex_collusion, ex_seq,
+                     ex_sym, welfare)
 from spgames.equilibria import worst_equilibrium
 
 from oracles import (brute_best_response, brute_coalition,
@@ -128,6 +129,35 @@ class TestOrbitWalks:
         budget = SearchBudget(10**6)
         result = empirical_sequential_poa(ex_seq(4), 1, budget)
         assert (budget.used, result.ratio) == (6_773, Fraction(4, 3))
+
+    def test_leader_walks_only_for_pools_with_class_mates(self):
+        # c and d are class-mates outside the players' universe: once a and
+        # b are taken, the mover's pool is empty, and its leader walk is
+        # the listing, which needs no memo entry of its own.
+        base = ExplicitSystem(maximal_sets=[frozenset("ab")])
+        players = (SharedSymmetricSystem(base, 1),) * 2
+
+        def fresh() -> Instance:
+            return Instance(items=tuple(map(Item, "abcd", [1] * 4)),
+                            players=players)
+
+        game = fresh()
+        assert classes(game) == [["a", "b"], ["c", "d"]]
+        calls = [lambda g, b, alpha=alpha: empirical_sequential_poa(g, alpha, b)
+                 for alpha in ALPHAS]
+        calls += [lambda g, b, order=order: enumerate_spe_outcomes(g, order, 1, b)
+                  for order in ((0, 1), (1, 0))]
+        for call in calls:
+            warm, cold = SearchBudget(10**6), SearchBudget(10**6)
+            assert call(game, warm) == call(fresh(), cold)
+            assert warm.used == cold.used
+        memo = game._memo
+        for key in memo.acceptable:
+            if len(key) == 3:
+                assert key[2] is True
+                pool = [i for i in game.ordered_ids
+                        if key[1] & memo.bit[i] and i in base.universe()]
+                assert memo.previous(pool) is not None
 
     def test_a_user_defined_system_has_no_class(self):
         class Pair(FeasibilitySystem):

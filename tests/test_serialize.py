@@ -34,7 +34,8 @@ class TestRationalStrings:
             parse_rational("3/0")
 
     def test_floats_and_decimals_rejected(self):
-        for bad in ("1.5", 1.5, "1e3", True, None, [1]):
+        # Digits of other scripts too: "１" would parse as 1, "٣/٢" as 3/2.
+        for bad in ("1.5", 1.5, "1e3", True, None, [1], "１", "٣/٢"):
             with pytest.raises(InputError):
                 parse_rational(bad)
 
