@@ -3,11 +3,12 @@
 Every combinatorial search in this package counts the nodes it expands
 against a budget and fails loudly (`BudgetExceededError`) instead of
 silently returning a wrong or partial answer.  A search may charge
-many nodes in one spend for work it knows the count of but skips (a
-remembered search, the candidates a scan no longer needs to look at),
-and does so only through `try_spend`: when the budget cannot pay, the
-search runs node by node instead, so it fails at the same node, with the
-same message and count, as if nothing had been skipped.
+many nodes at once for work it knows the count of but skips, and it
+fails at the same node, with the same message and count, as if nothing
+had been skipped.  A remembered search pays through `try_spend`: when
+the budget cannot pay, it runs again node by node.  The greedy deadline
+scan pays its candidates with one `spend`, which fails on the node after
+the limit, as that many single spends would.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ class SearchBudget:
     top-level call, so the cap applies per call, not per recursion level.
     A search an instance remembers (`model._Memo.recall`) is charged, on
     each repeat, the nodes it spent when it ran, and the greedy deadline
-    scan charges the candidates it skips; both pay through `try_spend`.
+    scan charges all its candidates in one spend.
     """
 
     __slots__ = ("limit", "used")
@@ -34,11 +35,14 @@ class SearchBudget:
         self.used = 0
 
     def spend(self, amount: int = 1) -> None:
-        self.used += amount
-        if self.used > self.limit:
+        """Spend `amount` nodes as that many single spends would: when the
+        budget cannot pay them all, it fails on the node after its limit."""
+        if amount > self.limit - self.used:
+            self.used = max(self.used + 1, self.limit + 1)
             raise BudgetExceededError(
                 f"search budget of {self.limit} nodes exceeded"
             )
+        self.used += amount
 
     def try_spend(self, amount: int) -> bool:
         """Spend `amount` nodes and return True when the budget can pay

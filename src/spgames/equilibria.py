@@ -45,17 +45,18 @@ SPE actions, and charges a repeat the same way.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, combinations
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .budget import SearchBudget
 from .errors import InputError, _integer
 from .best_response import (DeviationWitness, best_response, check_alpha,
                             deviation, within_alpha)
-from .feasibility import max_cardinality_feasible
+from .feasibility import _mask_scan, _positions, max_cardinality_feasible
 from .model import Instance, Profile, welfare
 from .search import Sets, walk
 
@@ -236,21 +237,24 @@ def greedy_sequential_outcome(instance: Instance, order: Iterable[int],
     selector "exact": each player takes its best response among the
     remaining items.  selector "deadline": each player scans remaining
     jobs by decreasing deadline, determines the maximum allocatable count
-    m, and takes the first ceil(m / alpha) jobs of that scan; this
-    requires a scheduling instance with equal item weights, compared on
-    the instance's `integer_weights`.  On zero-release machines with one
-    processing time the scan stops once the player's machines are full
-    and charges the jobs it skips in one spend
-    (`max_cardinality_feasible`), so a budget still counts one node per
-    job left for each player.
+    m, and takes the first ceil(m / alpha) jobs of that scan
+    (`max_cardinality_feasible`); this requires a scheduling instance
+    with equal item weights, compared on the instance's
+    `integer_weights`.  The jobs left are one mask, bit j for
+    `ordered_ids[j]`.  On zero-release machines with one processing time,
+    each kind of player scans its deadline classes as masks built once
+    per call (`feasibility._mask_scan`), so a player's work follows the
+    classes it looks at and the jobs it keeps, not the jobs left.  A
+    budget still counts one node per job left in the player's universe,
+    paid in one spend.
     """
     sequence = check_order(instance, order)
     factor = check_alpha(alpha)
     shared = SearchBudget.ensure(budget)
-    remaining = set(instance.item_ids)
     sets: list[frozenset[str]] = [frozenset() for _ in range(instance.n)]
 
     if selector == "exact":
+        remaining = set(instance.item_ids)
         for player in sequence:
             chosen, _ = best_response(instance, player, frozenset(remaining), shared)
             sets[player] = chosen
@@ -258,15 +262,24 @@ def greedy_sequential_outcome(instance: Instance, order: Iterable[int],
     elif selector == "deadline":
         if len(set(instance.integer_weights[0].values())) > 1:
             raise InputError("deadline selector requires equal item weights")
+        kinds, ids = instance._memo.kinds, instance.ordered_ids
+        left = (1 << len(ids)) - 1
+        scans: dict[int, Optional[Callable]] = {}
         for player in sequence:
-            scan = max_cardinality_feasible(instance.players[player],
-                                            frozenset(remaining),
-                                            prefer_largest_deadline=True,
-                                            budget=shared)
-            take = math.ceil(Fraction(len(scan)) / factor)
-            chosen = frozenset(scan[:take])
-            sets[player] = chosen
-            remaining -= chosen
+            kind = kinds[player]
+            if kind not in scans:
+                scans[kind] = _mask_scan(instance.players[kind], ids)
+            if scans[kind] is None:
+                pool = map(ids.__getitem__, _positions(left))
+                scan = max_cardinality_feasible(
+                    instance.players[player], pool,
+                    prefer_largest_deadline=True, budget=shared)
+                bits = [1 << bisect_left(ids, i) for i in scan]
+            else:
+                bits = scans[kind](left, shared)
+            taken = bits[:math.ceil(Fraction(len(bits)) / factor)]
+            sets[player] = frozenset(ids[b.bit_length() - 1] for b in taken)
+            left ^= sum(taken)
     else:
         raise InputError(f"unknown selector {selector!r}")
     return Profile(tuple(sets))
@@ -394,20 +407,25 @@ def _acceptable(instance: Instance, player: int, available: frozenset[str],
     Each set is a swap of one of them of equal weight, so the optimum is
     the same.  Such a walk has its own memo entry, with True appended to
     the key, when the pool holds two items of one class; otherwise it is
-    the full listing and shares the listing's entry.
+    the full listing and shares the listing's entry.  Which of the two
+    keys a pool's leader walk uses is found once and kept (`_Memo.leading`),
+    so a repeated leader read costs one more dict read than a listing
+    read.
     """
     memo = instance._memo
     weight, _ = instance.integer_weights
     system = instance.players[player]
     key: tuple = (memo.kinds[player], memo.mask(available))
-    previous = None
     if leaders:
-        previous = memo.previous(sorted(available & system.universe()))
-        if previous is not None:
-            key += (True,)
+        found = memo.leading.get(key)
+        if found is None:
+            found = memo.leading[key] = key + (True,) if memo.previous(
+                sorted(available & system.universe())) is not None else key
+        key = found
 
     def search() -> tuple[int, tuple[tuple[int, int], ...]]:
         ids = sorted(available & system.universe())
+        previous = memo.previous(ids) if len(key) == 3 else None
         walked = tuple((memo.mask(action), value) for (action,), value in walk(
             ids, [weight[i] for i in ids], [system.is_member], budget,
             previous=previous))

@@ -157,16 +157,18 @@ class _Memo:
       record for one pool.  The classes are found on the first read, so
       a game that walks nothing never looks for them.
 
-    `mask(items)` is an item set as a mask over `ordered_ids`.  Each table
-    maps a key to the nodes its search spent and the search's result, and
-    `recall` is the one way to read one:
+    `mask(items)` is an item set as a mask over `ordered_ids`, from each
+    item's `bit`, built on the first mask.  Each table maps a key to the
+    nodes its search spent and the search's result, and `recall` is the
+    one way to read one:
 
     * `acceptable`: (kind, pool mask), with True appended for a walk of
       the orbit leaders alone of a mover's pool with class-mates (whose
       `previous` is not None), to the optimum and every (set mask,
       integer weight) pair of the mover's walk in
       `equilibria._acceptable`, in pre-order; each alpha filters the
-      pairs on reading;
+      pairs on reading.  `leading` maps (kind, pool mask) to the key of
+      that pool's leader walk, so `previous` runs once per pool;
     * `replies`: (the members' kinds, pool mask) to the members' best sets
       and their integer weight (`best_response._reply`);
     * `optima`: the mask of the assignable items to the sets and integer
@@ -174,7 +176,7 @@ class _Memo:
     """
 
     __slots__ = ("kinds", "_players", "_ids", "_weight", "_mates", "_whole",
-                 "bit", "acceptable", "replies", "optima")
+                 "_bit", "acceptable", "leading", "replies", "optima")
 
     def __init__(self, instance: Instance):
         players = instance.players
@@ -184,8 +186,9 @@ class _Memo:
         self._mates: Optional[dict[str, str]] = None
         # previous(ordered_ids), boxed once known: it may be None.
         self._whole: Optional[tuple[Optional[list[int]]]] = None
-        self.bit = {i: 1 << j for j, i in enumerate(instance.ordered_ids)}
+        self._bit: Optional[dict[str, int]] = None
         self.acceptable: dict[tuple, tuple[int, object]] = {}
+        self.leading: dict[tuple[int, int], tuple] = {}
         self.replies: dict[tuple[tuple[int, ...], int], tuple[int, object]] = {}
         self.optima: dict[int, tuple[int, object]] = {}
 
@@ -242,6 +245,13 @@ class _Memo:
         if whole:
             self._whole = out,
         return out
+
+    @property
+    def bit(self) -> dict[str, int]:
+        """Each item's bit over `ordered_ids`, built on the first read."""
+        if self._bit is None:
+            self._bit = {i: 1 << j for j, i in enumerate(self._ids)}
+        return self._bit
 
     def mask(self, items: Iterable[str]) -> int:
         return sum(map(self.bit.__getitem__, items))

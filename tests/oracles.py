@@ -300,7 +300,9 @@ def simulate_deadline_rounds(n: int, alpha: Fraction) -> list[int]:
     each, class k due at time k; a count vector fits one machine exactly
     when every prefix sum (by deadline) is at most the deadline.  Each
     player greedily fills from the largest class down and keeps
-    ceil(m / alpha) of its picks, preferring large deadlines.
+    ceil(m / alpha) of its picks, preferring large deadlines.  Once a job
+    of a class does not fit, no other job of it does, so the player moves
+    on to the next class.
     """
     remaining = {k: n for k in range(1, n + 1)}
 
@@ -323,6 +325,7 @@ def simulate_deadline_rounds(n: int, alpha: Fraction) -> list[int]:
                     picks_in_order.append(deadline)
                 else:
                     picked[deadline] -= 1
+                    break
         m = len(picks_in_order)
         keep = -(-m * alpha.denominator // alpha.numerator)  # ceil(m / alpha)
         for deadline in picks_in_order[keep:]:

@@ -1,5 +1,6 @@
 """Equilibrium verification, enumeration, and sequential play."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from spgames import (BudgetExceededError, ExplicitSystem, GeneratorSpec,
-                     InputError, Instance, Item, JobWindow, Profile,
-                     SearchBudget, SingleMachineSystem, best_response,
+                     IdenticalMachinesSystem, InputError, Instance, Item,
+                     JobWindow, Profile, SearchBudget, SharedSymmetricSystem,
+                     SingleMachineSystem, best_response,
                      coalition_best_response, compute_opt,
                      empirical_collusion_poa, empirical_sequential_poa,
                      enumerate_nash, enumerate_spe_outcomes, ex_asym,
@@ -23,6 +25,7 @@ from spgames.equilibria import enumerate_collusion
 
 from oracles import (brute_best_response, brute_coalition,
                      brute_enumerate_nash, brute_first_deviation,
+                     brute_max_cardinality_scan,
                      brute_spe_outcomes, collusion_pools, nash_pools,
                      replay_deviation, simulate_deadline_rounds, spe_pools)
 from test_search import WEIGHTS, games
@@ -166,6 +169,18 @@ class TestGreedySequential:
                                       budget=short)
         assert short.used == short.limit + 1
 
+    def test_deadline_play_at_scale(self):
+        # 128 players over 16,384 jobs: a scan that looked at every job
+        # left for each player made this play cubic in n.
+        game = ex_seq(128)
+        counted = SearchBudget(10**9)
+        outcome = greedy_sequential_outcome(game, range(128), 1, "deadline",
+                                            budget=counted)
+        kept = [len(outcome.items_of(i)) for i in range(128)]
+        assert kept == simulate_deadline_rounds(128, Fraction(1))
+        assert sum(kept) == 10_421
+        assert counted.used == 1_325_572
+
     def test_deadline_selector_compares_exact_weights(self):
         # Equal weights that are not integers still pass; unequal ones
         # whose integer forms differ are refused.
@@ -236,6 +251,77 @@ class TestSpeOutcomes:
 
 
 ALPHAS = (Fraction(1), Fraction(3, 2), Fraction(2))
+
+
+@st.composite
+def uniform_deadline_games(draw) -> tuple[Instance, list]:
+    """Two or three players over up to 8 unit-weight jobs, each with its
+    own zero-release table of one length on 1 to 3 machines: identical
+    machines or shared copies of one machine.  The players hold different
+    jobs, so the jobs of a class left to a player need not be its lowest
+    ids.  A job is due at its length times a whole slot count, plus half
+    a length half the time, so two deadlines often share a slot count.
+    Also returns each player's fit test: in deadline order, the k-th job
+    (from 0) ends at (k // machines + 1) lengths."""
+    ids = [f"j{k}" for k in range(draw(st.integers(1, 8)))]
+    due = {i: draw(st.integers(0, 4)) + draw(st.sampled_from((0, Fraction(1, 2))))
+           for i in ids}
+    players, fits = [], []
+    for _ in range(draw(st.integers(2, 3))):
+        length = draw(st.sampled_from((Fraction(1), Fraction(3, 2), Fraction(2))))
+        jobs = {i: JobWindow(0, length, length * due[i])
+                for i in ids if draw(st.booleans())}
+        machines = draw(st.integers(1, 3))
+        players.append(IdenticalMachinesSystem(copies=machines, jobs=jobs)
+                       if draw(st.booleans()) else
+                       SharedSymmetricSystem(SingleMachineSystem(jobs), machines))
+
+        def fit(items, jobs=jobs, machines=machines, length=length) -> bool:
+            deadlines = sorted(jobs[i].deadline for i in items)
+            return all((k // machines + 1) * length <= deadline
+                       for k, deadline in enumerate(deadlines))
+
+        fits.append(fit)
+    return Instance(items=tuple(Item(i, 1) for i in ids),
+                    players=tuple(players)), fits
+
+
+def scanned_deadline_play(game: Instance, order, alpha, fits
+                          ) -> tuple[Profile, int]:
+    """Deadline play by enumeration, and its nodes: each player takes the
+    first ceil(m / alpha) jobs of the documented largest-deadline scan of
+    the jobs left in its universe, one node per such job."""
+    remaining, nodes = game.item_ids, 0
+    sets = [frozenset()] * game.n
+    for player in order:
+        system = game.players[player]
+        deadlines = system.job_deadlines()
+        pool = sorted(remaining & system.universe(),
+                      key=lambda i: (-deadlines[i], i))
+        nodes += len(pool)
+        scan = brute_max_cardinality_scan(fits[player], pool)
+        sets[player] = frozenset(scan[:math.ceil(len(scan) / alpha)])
+        remaining = frozenset(remaining) - sets[player]
+    return Profile(tuple(sets)), nodes
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(uniform_deadline_games(), st.sampled_from(ALPHAS), st.data())
+def test_deadline_play_keeps_each_players_scan(drawn, alpha, data):
+    game, fits = drawn
+    order = data.draw(st.permutations(range(game.n)), label="order")
+    expected, nodes = scanned_deadline_play(game, order, alpha, fits)
+    counted = SearchBudget(10**6)
+    assert greedy_sequential_outcome(game, order, alpha, "deadline",
+                                     counted) == expected
+    assert counted.used == nodes
+    if nodes < 2:
+        return
+    short = SearchBudget(data.draw(st.integers(1, nodes - 1), label="limit"))
+    with pytest.raises(BudgetExceededError,
+                       match=f"budget of {short.limit} nodes exceeded"):
+        greedy_sequential_outcome(game, order, alpha, "deadline", short)
+    assert short.used == short.limit + 1
 
 
 @st.composite

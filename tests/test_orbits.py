@@ -159,6 +159,20 @@ class TestOrbitWalks:
                         if key[1] & memo.bit[i] and i in base.universe()]
                 assert memo.previous(pool) is not None
 
+    def test_a_repeated_leader_read_reads_no_class_record(self, monkeypatch):
+        # The second pass finds every walk in the memo, the leader walks
+        # too: it needs no pool's class record, and spends what the first
+        # pass spent.
+        game = ex_seq(3)
+        first, second = SearchBudget(10**6), SearchBudget(10**6)
+        result = empirical_sequential_poa(game, 1, first)
+        memo_type, reads = type(game._memo), []
+        previous = memo_type.previous
+        monkeypatch.setattr(memo_type, "previous", lambda memo, ids: (
+            reads.append(ids), previous(memo, ids))[1])
+        assert empirical_sequential_poa(game, 1, second) == result
+        assert (reads, second.used) == ([], first.used)
+
     def test_a_user_defined_system_has_no_class(self):
         class Pair(FeasibilitySystem):
             def universe(self):
