@@ -167,8 +167,9 @@ class _Memo:
       `previous` is not None), to the optimum and every (set mask,
       integer weight) pair of the mover's walk in
       `equilibria._acceptable`, in pre-order; each alpha filters the
-      pairs on reading.  `leading` maps (kind, pool mask) to the key of
-      that pool's leader walk, so `previous` runs once per pool;
+      pairs on reading.  Beside it, `leading` (read directly, not by
+      `recall`) maps (kind, pool mask) to the key of that pool's leader
+      walk, so `previous` runs once per pool;
     * `replies`: (the members' kinds, pool mask) to the members' best sets
       and their integer weight (`best_response._reply`);
     * `optima`: the mask of the assignable items to the sets and integer

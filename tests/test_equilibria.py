@@ -301,7 +301,7 @@ def scanned_deadline_play(game: Instance, order, alpha, fits
         nodes += len(pool)
         scan = brute_max_cardinality_scan(fits[player], pool)
         sets[player] = frozenset(scan[:math.ceil(len(scan) / alpha)])
-        remaining = frozenset(remaining) - sets[player]
+        remaining -= sets[player]
     return Profile(tuple(sets)), nodes
 
 
