@@ -45,7 +45,6 @@ SPE actions, and charges a repeat the same way.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -56,7 +55,7 @@ from .budget import SearchBudget
 from .errors import InputError, _integer
 from .best_response import (DeviationWitness, best_response, check_alpha,
                             deviation, within_alpha)
-from .feasibility import _mask_scan, _positions, max_cardinality_feasible
+from .feasibility import _mask_scan
 from .model import Instance, Profile, welfare
 from .search import Sets, walk
 
@@ -241,12 +240,12 @@ def greedy_sequential_outcome(instance: Instance, order: Iterable[int],
     (`max_cardinality_feasible`); this requires a scheduling instance
     with equal item weights, compared on the instance's
     `integer_weights`.  The jobs left are one mask, bit j for
-    `ordered_ids[j]`.  On zero-release machines with one processing time,
-    each kind of player scans its deadline classes as masks built once
-    per call (`feasibility._mask_scan`), so a player's work follows the
-    classes it looks at and the jobs it keeps, not the jobs left.  A
-    budget still counts one node per job left in the player's universe,
-    paid in one spend.
+    `ordered_ids[j]`, and each kind of player scans it by one
+    `feasibility._mask_scan`, built once per call.  On zero-release
+    machines with one processing time, that scan walks the kind's
+    deadline classes, so a player's work follows the classes it looks at
+    and the jobs it keeps, not the jobs left; a budget still counts one
+    node per job left in the player's universe, paid in one spend.
     """
     sequence = check_order(instance, order)
     factor = check_alpha(alpha)
@@ -264,19 +263,12 @@ def greedy_sequential_outcome(instance: Instance, order: Iterable[int],
             raise InputError("deadline selector requires equal item weights")
         kinds, ids = instance._memo.kinds, instance.ordered_ids
         left = (1 << len(ids)) - 1
-        scans: dict[int, Optional[Callable]] = {}
+        scans: dict[int, Callable[[int, SearchBudget], list[int]]] = {}
         for player in sequence:
             kind = kinds[player]
             if kind not in scans:
                 scans[kind] = _mask_scan(instance.players[kind], ids)
-            if scans[kind] is None:
-                pool = map(ids.__getitem__, _positions(left))
-                scan = max_cardinality_feasible(
-                    instance.players[player], pool,
-                    prefer_largest_deadline=True, budget=shared)
-                bits = [1 << bisect_left(ids, i) for i in scan]
-            else:
-                bits = scans[kind](left, shared)
+            bits = scans[kind](left, shared)
             taken = bits[:math.ceil(Fraction(len(bits)) / factor)]
             sets[player] = frozenset(ids[b.bit_length() - 1] for b in taken)
             left ^= sum(taken)

@@ -74,25 +74,25 @@ with one processing time p (on the integer clock), job k has
 c_k = deadline_k // p slots per machine, and a set fits on m machines
 exactly when, at every level t, at most m * t of its jobs have
 c_k <= t.  So the scan keeps what a greedy pass over slot counts keeps,
-with no membership test.  It cuts the scan order into runs of jobs with
-one slot count and keeps the first jobs of each run that still fit
-(`_greedy_scan_uniform`), until every slot is taken.  It charges one
-node per candidate, all in one spend before it scans.  Sequential
-deadline play scans a table's deadline classes (`deadline_classes`,
-built on the first scan) as masks of the items left (`_mask_scan`), so
-a player's work follows the classes it looks at and the jobs it keeps.
-Every other system takes the kernel's first maximum over the
-scan-ordered pool.
+with no membership test, and charges one node per candidate, all in one
+spend before it scans.  In id order a job is kept when every level at or
+above its slot count still has a free slot.  By largest deadline,
+`_deadline_scan` walks a table's deadline classes (`deadline_classes`,
+built on the first scan) as masks, latest first, under one running cap
+on the free slots, until no slot is left.  Sequential deadline play
+scans the items left the same way (`_mask_scan`), so a player's work
+follows the classes it looks at and the jobs it keeps.  Every other
+system takes the kernel's first maximum over the scan-ordered pool.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import chain, groupby
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .budget import SearchBudget
@@ -452,20 +452,18 @@ class _JobTable:
         return IntegerJobs([w for _, w in self.jobs])
 
     @cached_property
-    def deadline_classes(self) -> tuple[list[int], tuple[tuple[int, int], ...]]:
-        """For zero-release jobs of one length: the distinct slot counts,
-        ascending, and the classes of jobs with one deadline, latest
-        first, each as its slot count and its positions as a mask (bit k
-        for position k, so bits in id order).  Built on the first scan
-        that asks."""
+    def deadline_classes(self) -> tuple[tuple[int, int], ...]:
+        """For zero-release jobs of one length: the classes of jobs with
+        one deadline, latest first, each as its slot count and its
+        positions as a mask (bit k for position k, so bits in id order).
+        Built on the first scan that asks."""
         view = self.integer_view
         by_deadline: dict[int, int] = {}
         for k, deadline in enumerate(view.deadline):
             by_deadline[deadline] = by_deadline.get(deadline, 0) | 1 << k
-        classes = tuple((deadline // view.length, positions)
-                        for deadline, positions
-                        in sorted(by_deadline.items(), reverse=True))
-        return sorted({slot for slot, _ in classes}), classes
+        return tuple((deadline // view.length, positions)
+                     for deadline, positions
+                     in sorted(by_deadline.items(), reverse=True))
 
     def window(self, item: str) -> Optional[JobWindow]:
         k = self.position.get(item)
@@ -800,45 +798,37 @@ def _fits_slots(machine: _JobTable, machines: int, target: Iterable[str],
                  for first in range(min(machines, len(order))))
 
 
-def _greedy_scan_uniform(levels: Sequence[int], machines: int,
-                         runs: Iterable[tuple[int, int]],
-                         descending: bool = False) -> list[int]:
-    """How many jobs each run keeps in a greedy scan on `machines`
-    machines, for the runs up to the one after which none fits.
+def _deadline_scan(classes: Sequence[tuple[int, int]], machines: int,
+                   pool: int) -> list[int]:
+    """The jobs of `pool` that a largest-deadline scan keeps on `machines`
+    machines, one bit each, in scan order.
 
-    A run is a slot count and how many jobs with that count it offers, in
-    scan order, and it keeps its first ones.  `levels` holds every slot
-    count of the runs, ascending; more levels change no answer, since the
-    condition at a level no job has follows from the one below it.  The
-    free count of a level is `machines` times the level minus the kept
-    jobs at or below it, and `low[i]` is the least free count from
-    `levels[i]` on.  A run keeps min(offered, `low`) at its level;
-    keeping x takes x from `low` there and above, and caps `low` below
-    at the new value.  `low[-1]`, the free count of the top level,
-    bounds every other, so once it is below 1 no job left fits, in any
-    order: the scan stops there.  When the runs come in `descending`
-    slot counts, every later run's `low` is at most the current run's,
-    so the scan stops once that is below 1.  The callers charge every
-    candidate before the scan, so a stop saves time, not nodes.
+    `classes` are a table's deadline classes, latest first, each a slot
+    count and a mask, and a class's free jobs are the pool's bits in it.
+    Every job kept so far has a slot count at least the current class's,
+    so the slot condition at every level from that count up leaves `cap`
+    free slots: the least of `machines` times each count seen, less the
+    jobs kept.  A class keeps min(`cap`, its free jobs) of its lowest
+    bits, its lowest ids, and the scan stops once `cap` is below 1.  A
+    class with no free jobs is skipped before it lowers `cap`.  The
+    callers charge every candidate before the scan, so a stop saves
+    time, not nodes.
     """
-    low = [machines * level for level in levels]
     kept: list[int] = []
-    for slot, offered in runs:
-        if low[-1] < 1:
+    cap = math.inf
+    for slot, mask in classes:
+        free = pool & mask
+        if not free:
+            continue
+        cap = min(cap, machines * slot)
+        if cap < 1:
             break
-        at = bisect_left(levels, slot)
-        keep = min(offered, low[at])
-        if keep > 0:
-            low[at:] = [free - keep for free in low[at:]]
-            i = at - 1
-            while i >= 0 and low[i] > low[at]:
-                low[i] = low[at]
-                i -= 1
-        else:
-            keep = 0
-        kept.append(keep)
-        if descending and low[at] < 1:
-            break
+        keep = min(cap, free.bit_count())
+        cap -= keep
+        for _ in range(keep):
+            lowest = free & -free
+            kept.append(lowest)
+            free ^= lowest
     return kept
 
 
@@ -855,30 +845,35 @@ def max_cardinality_feasible(system: FeasibilitySystem, available: Iterable[str]
     reachable with it: the lexicographically first in scan order.  On
     zero-release machines with one processing time, on any number of
     machines, that is the set a plain greedy scan keeps, decided by slot
-    counts (`_uniform_machine`): the scan order is cut into runs of jobs
-    with one slot count, and `_greedy_scan_uniform` keeps the first jobs
-    of each run.  It charges one node per candidate, all in one spend
-    before the scan.  Everywhere else it is the first maximum of the
-    kernel's one-member pre-order over the scan-ordered pool, which one
-    `best` search returns.
+    counts (`_uniform_machine`), and one node per candidate is charged in
+    one spend before the scan.  By largest deadline, `_deadline_scan`
+    scans the table's deadline classes; in id order, a job is kept when
+    every level at or above its slot count still has a free slot.
+    Everywhere else it is the first maximum of the kernel's one-member
+    pre-order over the scan-ordered pool, which one `best` search returns.
     """
     shared = SearchBudget.ensure(budget)
     machine = _uniform_machine(system)
     if machine is not None:
         view, position = machine.integer_view, machine.position
-        order = sorted({position[i] for i in available if i in position})
-        shared.spend(len(order))
+        machines = _machine_count(system)
+        pool = sum(1 << k for k in {position[i] for i in available
+                                    if i in position})
+        shared.spend(pool.bit_count())
         if prefer_largest_deadline:
-            # A stable sort keeps equal deadlines in id order.
-            order.sort(key=view.deadline.__getitem__, reverse=True)
-        runs = [(slot, list(jobs)) for slot, jobs in groupby(
-            order, key=lambda k: view.deadline[k] // view.length)]
-        kept = _greedy_scan_uniform(
-            sorted({slot for slot, _ in runs}), _machine_count(system),
-            [(slot, len(jobs)) for slot, jobs in runs],
-            prefer_largest_deadline)
-        return tuple(machine.jobs[k][0] for (_, jobs), keep in zip(runs, kept)
-                     for k in jobs[:keep])
+            kept = _deadline_scan(machine.deadline_classes, machines, pool)
+        else:
+            slots = [(k, view.deadline[k] // view.length)
+                     for k in _positions(pool)]
+            free = {slot: machines * slot for _, slot in slots}
+            kept = []
+            for k, slot in slots:
+                above = [level for level in free if level >= slot]
+                if all(free[level] > 0 for level in above):
+                    for level in above:
+                        free[level] -= 1
+                    kept.append(1 << k)
+        return tuple(machine.jobs[b.bit_length() - 1][0] for b in kept)
     pool = sorted(frozenset(available) & system.universe())
     if prefer_largest_deadline:
         deadlines = system.job_deadlines()
@@ -891,23 +886,32 @@ def max_cardinality_feasible(system: FeasibilitySystem, available: Iterable[str]
 
 
 def _mask_scan(system: FeasibilitySystem, ids: Sequence[str]
-               ) -> Optional[Callable[[int, SearchBudget], list[int]]]:
+               ) -> Callable[[int, SearchBudget], list[int]]:
     """The largest-deadline scan of `max_cardinality_feasible` on item
-    masks, for a system that slot counts decide, else None.
+    masks.
 
     Bit j of a mask is `ids[j]`, and `ids` are sorted and hold the
     system's universe.  The scan takes the mask of the items left and
-    returns the bits it keeps, one int each, in scan order.  Each deadline
-    class is a mask, put on `ids` here once, so the items of a class
-    still left are the mask of those left and the class's.  A run is one
-    class and keeps its lowest bits, its lowest ids.  The scan charges
-    the popcount of the pool in one spend, so its cost is one mask per
-    class and one step per job kept, whatever the size of the pool.
+    returns the bits it keeps, one int each, in scan order, spending what
+    `max_cardinality_feasible` spends on those items.  On a table that
+    slot counts decide, each deadline class is a mask, put on `ids` here
+    once, and `_deadline_scan` scans the items left: the scan charges the
+    popcount of the pool in one spend, so its cost is one mask per class
+    it looks at and one step per job kept, whatever the size of the pool.
+    Any other system is scanned by `max_cardinality_feasible` over the
+    items left.
     """
     machine = _uniform_machine(system)
     if machine is None:
-        return None
-    levels, classes = machine.deadline_classes
+        index = {item: j for j, item in enumerate(ids)}
+
+        def scan(remaining: int, budget: SearchBudget) -> list[int]:
+            return [1 << index[item] for item in max_cardinality_feasible(
+                system, map(ids.__getitem__, _positions(remaining)),
+                prefer_largest_deadline=True, budget=budget)]
+
+        return scan
+    classes = machine.deadline_classes
     if len(machine.jobs) < len(ids):
         # Some items are not jobs of the table: move each class's bits
         # from table positions to `ids`.
@@ -920,17 +924,7 @@ def _mask_scan(system: FeasibilitySystem, ids: Sequence[str]
 
     def scan(remaining: int, budget: SearchBudget) -> list[int]:
         budget.spend((remaining & universe).bit_count())
-        runs = [(slot, free) for slot, mask in classes
-                if (free := remaining & mask)]
-        counts = _greedy_scan_uniform(levels, machines, (
-            (slot, free.bit_count()) for slot, free in runs), descending=True)
-        kept = []
-        for (_, free), keep in zip(runs, counts):
-            for _ in range(keep):
-                lowest = free & -free
-                kept.append(lowest)
-                free ^= lowest
-        return kept
+        return _deadline_scan(classes, machines, remaining)
 
     return scan
 

@@ -397,6 +397,8 @@ def validate_profile(instance: Instance, profile: Profile,
         elif not instance.players[index].is_member(selected, budget):
             out.append(Violation("infeasible_set", players=(index,),
                                  items=selected))
+    if sum(map(len, profile.sets)) == len(profile.all_items()):
+        return out  # disjoint: no pair can overlap
     for a in range(instance.n):
         for b in range(a + 1, instance.n):
             shared = profile.items_of(a) & profile.items_of(b)

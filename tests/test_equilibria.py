@@ -11,13 +11,14 @@ from hypothesis import example, given, settings, strategies as st
 from spgames import (BudgetExceededError, ExplicitSystem, GeneratorSpec,
                      IdenticalMachinesSystem, InputError, Instance, Item,
                      JobWindow, Profile, SearchBudget, SharedSymmetricSystem,
-                     SingleMachineSystem, best_response,
+                     SingleMachineSystem, TimeWindow,
+                     UnrelatedMachinesSystem, best_response,
                      coalition_best_response, compute_opt,
                      empirical_collusion_poa, empirical_sequential_poa,
                      enumerate_nash, enumerate_spe_outcomes, ex_asym,
                      ex_collusion, ex_seq, ex_sym, ex_trivial, generate,
                      greedy_sequential_outcome, is_alpha_best_response,
-                     random_explicit, random_symmetric, reference_profiles,
+                     max_cardinality_feasible, random_explicit, random_symmetric, reference_profiles,
                      verify_collusion, verify_nash, verify_spe_outcome,
                      welfare)
 from spgames.best_response import within_alpha
@@ -322,6 +323,83 @@ def test_deadline_play_keeps_each_players_scan(drawn, alpha, data):
                        match=f"budget of {short.limit} nodes exceeded"):
         greedy_sequential_outcome(game, order, alpha, "deadline", short)
     assert short.used == short.limit + 1
+
+
+@st.composite
+def mixed_deadline_games(draw) -> Instance:
+    """One to three players over up to 6 unit-weight jobs, each on a
+    system that slot counts do not decide: one or two machines whose
+    first job is released at 1, identical machines whose first two jobs
+    take 1 and 2, or unrelated machines.  Every player holds a job."""
+    ids = [f"j{k}" for k in range(draw(st.integers(1, 6)))]
+    players = []
+    for _ in range(draw(st.integers(1, 3))):
+        held = draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
+        kind = draw(st.sampled_from(("released", "lengths", "unrelated")))
+        due = {i: draw(st.integers(0, 6)) + draw(st.sampled_from(
+            (0, Fraction(1, 2)))) for i in held}
+        if kind == "unrelated":
+            machines = ("m1", "m2")[:draw(st.integers(1, 2))]
+            players.append(UnrelatedMachinesSystem(machines, {
+                (m, i): draw(st.integers(1, 3)) for m in machines
+                for i in held if draw(st.booleans())}, {
+                i: TimeWindow(draw(st.integers(0, 1)), 1 + due[i])
+                for i in held}))
+            continue
+        release = {i: draw(st.integers(0, 2)) for i in held}
+        length = {i: draw(st.sampled_from((1, 2))) for i in held}
+        if kind == "released":
+            release[held[0]] = 1
+        else:
+            release = dict.fromkeys(held, 0)
+            length.update(zip(held, (1, 2)))
+        jobs = {i: JobWindow(release[i], length[i],
+                             release[i] + length[i] + due[i] - 1)
+                for i in held}
+        copies = draw(st.integers(1, 2))
+        players.append(SharedSymmetricSystem(SingleMachineSystem(jobs), copies)
+                       if kind == "released" else
+                       IdenticalMachinesSystem(copies=copies, jobs=jobs))
+    return Instance(items=tuple(Item(i, 1) for i in ids),
+                    players=tuple(players))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(mixed_deadline_games(), st.sampled_from(ALPHAS), st.data())
+def test_deadline_play_keeps_each_players_scan_off_slot_counts(game, alpha,
+                                                               data):
+    """Off slot counts, each player keeps the documented scan of the jobs
+    left to it and spends what its own `max_cardinality_feasible` spends
+    on them, and a short budget fails as those scans would, in turn, on
+    one budget."""
+    order = data.draw(st.permutations(range(game.n)), label="order")
+    fits = [system.is_member for system in game.players]
+    expected, _ = scanned_deadline_play(game, order, alpha, fits)
+
+    def scans(budget: SearchBudget) -> None:
+        remaining = game.item_ids
+        for player in order:
+            max_cardinality_feasible(game.players[player], remaining,
+                                     True, budget)
+            remaining -= expected.items_of(player)
+
+    own = SearchBudget(10**6)
+    scans(own)
+    counted = SearchBudget(10**6)
+    assert greedy_sequential_outcome(game, order, alpha, "deadline",
+                                     counted) == expected
+    assert counted.used == own.used
+    if own.used < 2:
+        return
+    limit = data.draw(st.integers(1, own.used - 1), label="limit")
+    failures = []
+    for call in (scans, lambda budget: greedy_sequential_outcome(
+            game, order, alpha, "deadline", budget)):
+        short = SearchBudget(limit)
+        with pytest.raises(BudgetExceededError) as caught:
+            call(short)
+        failures.append((short.used, str(caught.value)))
+    assert failures[0] == failures[1]
 
 
 @st.composite

@@ -171,8 +171,12 @@ class TestValidateProfile:
                     pick.pop()
                 sets.append(frozenset(pick))
             profile = Profile(tuple(sets))
-            overlaps = {v for v in validate_profile(game, profile)
-                        if v.kind == "overlap"}
+            overlaps = [v for v in validate_profile(game, profile)
+                        if v.kind == "overlap"]
+            assert [(v.players, v.items) for v in overlaps] == [
+                ((a, b), sets[a] & sets[b])
+                for a in range(game.n) for b in range(a + 1, game.n)
+                if sets[a] & sets[b]]
             for player in range(game.n):
                 involved = any(player in v.players for v in overlaps)
                 assert payoff(game, profile, player).is_infeasible == involved
