@@ -35,7 +35,7 @@ from typing import Iterable, Optional, Union
 from .budget import SearchBudget
 from .errors import InputError, _fraction
 from .model import Instance, _check_player_index, restrict_available
-from .search import best
+from .search import asking, best, spell
 
 
 @dataclass(frozen=True)
@@ -76,11 +76,13 @@ def _joint_best(instance: Instance, members: tuple[int, ...],
     _best_response_cached.misses += 1
     ids = sorted(available)
     weight, _ = instance.integer_weights
-    tests = [instance.players[m].is_member for m in members]
+    tests = [asking(instance.players[m].is_member, ids) for m in members]
     key = None if len(members) == 1 else (
-        lambda sets: tuple(tuple(sorted(s)) for s in sets))
-    return best(ids, [weight[i] for i in ids], tests, budget, key=key,
-                previous=instance._memo.previous(ids))
+        lambda sets: tuple(tuple(sorted(spell(s, ids))) for s in sets))
+    sets, value = best([1 << j for j in range(len(ids))],
+                       [weight[i] for i in ids], tests, budget, key=key,
+                       previous=instance._memo.previous(ids))
+    return tuple(spell(s, ids) for s in sets), value
 
 
 class _ReplyCounts:

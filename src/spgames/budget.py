@@ -7,8 +7,9 @@ many nodes at once for work it knows the count of but skips, and it
 fails at the same node, with the same message and count, as if nothing
 had been skipped.  A remembered search pays through `try_spend`: when
 the budget cannot pay, it runs again node by node.  The greedy deadline
-scan pays its candidates with one `spend`, which fails on the node after
-the limit, as that many single spends would.
+scan pays its candidates, and the release-date subset program each of
+its blocks, with one `spend`, which fails on the node after the limit,
+as that many single spends would.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ class SearchBudget:
     A single budget object is shared by all searches spawned from one
     top-level call, so the cap applies per call, not per recursion level.
     A search an instance remembers (`model._Memo.recall`) is charged, on
-    each repeat, the nodes it spent when it ran, and the greedy deadline
-    scan charges all its candidates in one spend.
+    each repeat, the nodes it spent when it ran; the greedy deadline scan
+    charges all its candidates in one spend, and the subset program each
+    block of subsets.
     """
 
     __slots__ = ("limit", "used")
@@ -51,14 +53,6 @@ class SearchBudget:
             return False
         self.used += amount
         return True
-
-    def require(self, amount: int) -> None:
-        """Fail upfront when a search is known to need `amount` nodes."""
-        if amount > self.limit - self.used:
-            raise BudgetExceededError(
-                f"search needs {amount} nodes but only "
-                f"{self.limit - self.used} of {self.limit} remain"
-            )
 
     @classmethod
     def ensure(cls, budget: "int | SearchBudget | None") -> "SearchBudget":

@@ -29,6 +29,9 @@ prune is the Nash test, then asks the coalitions of 2..k players.
 walk reads the game's symmetries from the instance's memo
 (`model._Memo`): it walks relabelled assignments once when all players
 share one system, and assignments that permute repeated items once.
+The walk and its prune work on item masks.  Each kind's family and its
+best weight within each pool are kept on the memo too, so every k,
+alpha and call on the instance shares them.
 
 Every verifier asks `best_response.deviation`, the one alpha rule (a
 tie passes), for a reply from the items no outsider holds (Nash,
@@ -47,17 +50,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from itertools import accumulate, combinations
+from operator import or_
 from typing import Callable, Iterable, Iterator, Optional
 
 from .budget import SearchBudget
 from .errors import InputError, _integer
 from .best_response import (DeviationWitness, best_response, check_alpha,
-                            deviation, within_alpha)
+                            deviation)
 from .feasibility import _mask_scan
 from .model import Instance, Profile, welfare
-from .search import Sets, walk
+from .search import Sets, asking, spell, walk
+
+# One set per player, as a sequential outcome hands them out.
+Choice = tuple[frozenset[str], ...]
+
 
 @dataclass(frozen=True)
 class EquilibriumReport:
@@ -103,25 +111,28 @@ def _equilibria(instance: Instance, factor: Fraction, k: int,
                 budget: SearchBudget,
                 least: Optional[list[Optional[int]]] = None
                 ) -> Iterator[tuple[Sets, int]]:
-    """Yield (sets, integer welfare) of every approximate k-collusion
-    profile (Nash at k = 1) in `enumerate_nash` order; with `least`, only
-    those below the welfare `least[0]` (None: no bound yet), which the
-    caller may lower between profiles.
+    """Yield (set masks over `ordered_ids`, integer welfare) of every
+    approximate k-collusion profile (Nash at k = 1) in `enumerate_nash`
+    order; with `least`, only those below the welfare `least[0]` (None:
+    no bound yet), which the caller may lower between profiles.
 
-    Each distinct system's feasible sets are walked once, as the family of
-    every player of its kind (`kinds` of the instance's memo).  Then a
-    branch and bound over the joint tree in post-order: call the items
-    before `item` that nobody holds "skipped"; they stay free below the
-    node.  So in any Nash leaf below it, player i holds at least w(S_i)
-    and top(i, skipped | S_i) / alpha, where `top(p, pool)`, memoised per
-    system, is p's best weight within `pool`.  A node is dropped when some
-    player cannot reach alpha-satisfaction even with every undecided item
-    it can hold, or when the sum of those lower bounds reaches `least[0]`:
-    later leaves lose ties in post-order; the sum is never below alpha
-    times the node's welfare.  After a node's last item nothing is
-    undecided and `skipped` is every free item, so the prune is the Nash
-    test and the welfare bound; a node passing both then faces the
-    coalitions of 2..k players (k >= 2).  A bounded walk walks each orbit
+    Each player's family is its kind's (`kinds` of the instance's memo):
+    every feasible set as a mask with its weight, from one walk the memo
+    keeps (`_Memo.families`), in descending weight.  Then a branch and
+    bound over the joint tree in post-order: call the items before `item`
+    that nobody holds "skipped"; they stay free below the node.  So in
+    any Nash leaf below it, player i holds at least w(S_i) and
+    top(i, skipped | S_i) / alpha, where top is i's best weight within
+    that pool: the first set of the family inside it, kept per kind and
+    pool (`_Memo.tops`).  A node is dropped when some player cannot reach
+    alpha-satisfaction even with every undecided item it can hold, or
+    when the sum of those lower bounds reaches `least[0]`: later leaves
+    lose ties in post-order; the sum is never below alpha times the
+    node's welfare.  After a node's last item nothing is undecided and
+    `skipped` is every free item, so the prune is the Nash test and the
+    welfare bound; a node passing both then faces the coalitions of 2..k
+    players (k >= 2).  The prune works on masks alone; a profile is
+    spelt out only for the coalitions.  A bounded walk walks each orbit
     of the game's symmetries once: relabelled assignments when every
     player has one system (`_Memo.kinds`), and assignments that permute
     repeated items (`_Memo.previous`).  A listing walks every assignment.
@@ -129,54 +140,64 @@ def _equilibria(instance: Instance, factor: Fraction, k: int,
     ids = instance.ordered_ids
     weight, _ = instance.integer_weights
     weights = [weight[i] for i in ids]
+    bits = [1 << j for j in range(len(ids))]
     memo = instance._memo
     kind = memo.kinds
     if least is None:
         least, interchangeable, previous = [None], False, None
     else:
         interchangeable, previous = not any(kind), memo.previous(ids)
-    families: list[dict[frozenset[str], int]] = []
+
+    def family(player: int) -> dict[int, int]:
+        walked = [(T, value) for (T,), value in walk(
+            bits, weights, [asking(instance.players[player].is_member, ids)],
+            budget)]
+        return dict(sorted(walked, key=lambda pair: -pair[1]))
+
+    families: list[dict[int, int]] = []
     for player, first in enumerate(kind):
-        families.append(families[first] if first < player else {
-            T: value for (T,), value in walk(
-                ids, weights, [instance.players[player].is_member], budget)})
-    tops: dict[tuple[int, frozenset[str]], int] = {}
-
-    def top(player: int, available: frozenset[str]) -> int:
-        key = kind[player], available
-        found = tops.get(key)
-        if found is None:
-            found = tops[key] = max(value for T, value
-                                    in families[player].items()
-                                    if T <= available)
-        return found
-
+        families.append(families[first] if first < player else memo.recall(
+            memo.families, first, budget, lambda: family(first)))
     num, den = factor.numerator, factor.denominator
-    before = [frozenset(ids[:item]) for item in range(len(ids) + 1)]
-    reach = []  # reach[p][item]: weight of the items from `item` on p can hold
-    for family in families:
-        universe = frozenset().union(*family)
-        reach.append(list(accumulate(
-            reversed([w if i in universe else 0
-                      for i, w in zip(ids, weights)]), initial=0))[::-1])
+    # Per player: its family, its kind's tops, and reach[item], the weight
+    # of the items from `item` on that the player can hold.
+    views = []
+    for player, members in enumerate(families):
+        universe = reduce(or_, members)
+        reach = list(accumulate(reversed(
+            [w if universe & b else 0 for b, w in zip(bits, weights)]),
+            initial=0))[::-1]
+        views.append((members, memo.tops.setdefault(kind[player], {}), reach))
+    size = len(ids)
 
     def prune(sets: Sets, value: int, item: int) -> bool:
         if least[0] is not None and value >= least[0]:
             return True
-        skipped = before[item].difference(*sets)
+        taken = 0
+        for T in sets:
+            taken |= T
+        skipped = ((1 << item) - 1) & ~taken
         bound = 0
-        for player, T in enumerate(sets):
-            held, best = families[player][T], top(player, skipped | T)
-            if not within_alpha(factor, held + reach[player][item], best):
+        for T, (members, tops, reach) in zip(sets, views):
+            held, pool = members[T], skipped | T
+            best = tops.get(pool)
+            if best is None:
+                for S, best in members.items():
+                    if S & pool == S:
+                        break
+                tops[pool] = best
+            if num * (held + reach[item]) < den * best:
                 return True
             bound += max(num * held, den * best)
         if least[0] is not None and bound >= num * least[0]:
             return True
-        return item == len(ids) and k > 1 and _first_deviation(
-            instance, Profile(sets), 2, k, factor, budget) is not None
+        return item == size and k > 1 and _first_deviation(
+            instance, Profile(tuple(spell(T, ids) for T in sets)), 2, k,
+            factor, budget) is not None
 
-    tests = [lambda T, _, family=family: T in family for family in families]
-    yield from walk(ids, weights, tests, budget, post=True, prune=prune,
+    tests = [lambda T, _, members=members: T in members
+             for members, _, _ in views]
+    yield from walk(bits, weights, tests, budget, post=True, prune=prune,
                     interchangeable=interchangeable, previous=previous)
 
 
@@ -198,8 +219,10 @@ def enumerate_collusion(instance: Instance, k: int, alpha,
     in the same order, listed by the same walk."""
     check_k(instance, k)
     factor = check_alpha(alpha)
-    return tuple(Profile(sets) for sets, _ in _equilibria(
-        instance, factor, k, SearchBudget.ensure(budget)))
+    ids = instance.ordered_ids
+    return tuple(Profile(tuple(spell(T, ids) for T in sets))
+                 for sets, _ in _equilibria(instance, factor, k,
+                                            SearchBudget.ensure(budget)))
 
 
 def worst_equilibrium(instance: Instance, alpha, k: int = 1,
@@ -224,7 +247,9 @@ def worst_equilibrium(instance: Instance, alpha, k: int = 1,
         least[0], found = value, sets
     if found is None:
         raise RuntimeError("no equilibrium found, though one always exists")
-    return Profile(found), Fraction(least[0], instance.integer_weights[1])
+    ids = instance.ordered_ids
+    return (Profile(tuple(spell(T, ids) for T in found)),
+            Fraction(least[0], instance.integer_weights[1]))
 
 
 def greedy_sequential_outcome(instance: Instance, order: Iterable[int],
@@ -296,10 +321,11 @@ def enumerate_spe_outcomes(instance: Instance, order: Iterable[int], alpha,
     n = instance.n
 
     @cache
-    def completions(depth: int, available: frozenset[str]) -> tuple[Sets, ...]:
+    def completions(depth: int, available: frozenset[str]
+                    ) -> tuple[Choice, ...]:
         if depth == n:
             return ((),)
-        out: list[Sets] = []
+        out: list[Choice] = []
         for action, _ in _acceptable(instance, sequence[depth], available,
                                      factor, budget):
             budget.spend()
@@ -313,7 +339,7 @@ def enumerate_spe_outcomes(instance: Instance, order: Iterable[int], alpha,
 
 
 def least_sequential_outcome(instance: Instance, factor: Fraction,
-                             budget: SearchBudget) -> tuple[Sets, int]:
+                             budget: SearchBudget) -> tuple[Choice, int]:
     """The first least-welfare outcome of `enumerate_spe_outcomes` over all
     orders in `permutations` order: the players' sets and their welfare on
     the instance's integer weights.
@@ -337,10 +363,10 @@ def least_sequential_outcome(instance: Instance, factor: Fraction,
 
     @cache
     def least(kinds: tuple[int, ...], available: frozenset[str]
-              ) -> tuple[int, Sets]:
+              ) -> tuple[int, Choice]:
         if not kinds:
             return 0, ()
-        found: Optional[tuple[int, Sets]] = None
+        found: Optional[tuple[int, Choice]] = None
         for action, value in _acceptable(instance, kinds[0], available,
                                          factor, budget, leaders=True):
             if found is not None and value >= found[0]:
@@ -389,9 +415,11 @@ def _acceptable(instance: Instance, player: int, available: frozenset[str],
     The walk does not depend on alpha; only the filter after it does.  So
     the instance's memo recalls each walk (`_Memo.recall`, table
     `acceptable`) under the player's kind and `available`: its optimum
-    and every (set mask, integer weight) pair in pre-order.  Every call
-    keeps the pairs of weight at least ceil(optimum / alpha), which is
-    `within_alpha` on integers, then decodes the kept masks.
+    and every (set mask, integer weight) pair in pre-order.  The walk
+    gives each item its bit over `ordered_ids` (`_Memo.bit`), so its
+    masks are stored as they come.  Every call keeps the pairs of weight
+    at least ceil(optimum / alpha), which is `within_alpha` on integers,
+    then decodes the kept masks.
 
     With `leaders`, only the sets that lead their orbit are walked: those
     that hold the class-mate before each of their items in the mover's
@@ -418,17 +446,17 @@ def _acceptable(instance: Instance, player: int, available: frozenset[str],
     def search() -> tuple[int, tuple[tuple[int, int], ...]]:
         ids = sorted(available & system.universe())
         previous = memo.previous(ids) if len(key) == 3 else None
-        walked = tuple((memo.mask(action), value) for (action,), value in walk(
-            ids, [weight[i] for i in ids], [system.is_member], budget,
+        walked = tuple((action, value) for (action,), value in walk(
+            [memo.bit[i] for i in ids], [weight[i] for i in ids],
+            [asking(system.is_member, instance.ordered_ids)], budget,
             previous=previous))
         return max(value for _, value in walked), walked
 
     optimum, walked = memo.recall(memo.acceptable, key, budget, search)
     least = -(-optimum * factor.denominator // factor.numerator)
     ids = instance.ordered_ids
-    return [(frozenset(ids[j] for j in range(mask.bit_length())
-                       if mask >> j & 1), value)
-            for mask, value in walked if value >= least]
+    return [(spell(mask, ids), value) for mask, value in walked
+            if value >= least]
 
 
 def verify_spe_outcome(instance: Instance, profile: Profile,

@@ -97,7 +97,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .budget import SearchBudget
 from .errors import InputError, _fraction, _integer
-from .search import Test, best, integral, walk
+from .search import Test, asking, best, integral, spell, walk
 
 # Most unions `SharedSymmetricSystem._covers` forms before it leaves an
 # explicit base to the split walk, so also most covers a test scans.
@@ -187,13 +187,18 @@ class IntegerJobs:
     __slots__ = ("release", "processing", "deadline", "released", "length")
 
     def __init__(self, windows: Sequence[JobWindow]):
-        scaled, _ = integral([w.release for w in windows]
-                             + [w.processing for w in windows]
-                             + [w.deadline for w in windows])
-        count = len(windows)
-        self.release = tuple(scaled[:count])
-        self.processing = tuple(scaled[count:2 * count])
-        self.deadline = tuple(scaled[2 * count:])
+        # Each window object is scaled once: jobs often share one, and
+        # telling equal windows apart by value would hash their fractions.
+        distinct = list({id(w): w for w in windows}.values())
+        scaled, _ = integral([w.release for w in distinct]
+                             + [w.processing for w in distinct]
+                             + [w.deadline for w in distinct])
+        count = len(distinct)
+        index = {id(w): j for j, w in enumerate(distinct)}
+        at = [index[id(w)] for w in windows]
+        self.release = tuple(scaled[j] for j in at)
+        self.processing = tuple(scaled[count + j] for j in at)
+        self.deadline = tuple(scaled[2 * count + j] for j in at)
         # Positions of the jobs with a release date.
         self.released = frozenset(k for k, r in enumerate(self.release) if r)
         lengths = set(self.processing)
@@ -213,10 +218,10 @@ class IntegerJobs:
         the subsets keeps the least completion time of each, which is
         exact because starting earlier never hurts; ties go to the job of
         least id last.  It runs in blocks, one per job in id order: block
-        k holds the subsets whose greatest job is the k-th, requires its
-        one node per subset up front and ends at the set of the first k
-        jobs.  When that set has no schedule, no superset has one, so the
-        program stops there.  The order is the deadline-sorted list, or
+        k holds the subsets whose greatest job is the k-th, pays its one
+        node per subset in one spend before it runs, and ends at the set
+        of the first k jobs.  When that set has no schedule, no superset
+        has one, so the program stops there.  The order is the deadline-sorted list, or
         the program's choices backtracked from the whole set, reversed.
         """
         jobs = sorted(positions)
@@ -232,10 +237,9 @@ class IntegerJobs:
         finish: list[Optional[int]] = [0]
         last = [0]
         for size in range(1, len(jobs) + 1):
-            budget.require(1 << size - 1)
+            budget.spend(1 << size - 1)
             prefix = tuple(enumerate(jobs[:size]))
             for mask in range(1 << size - 1, 1 << size):
-                budget.spend()
                 best = choice = None
                 for j, k in prefix:
                     if not mask >> j & 1:
@@ -285,15 +289,16 @@ def _first_split(target: frozenset[str],
     """
     ids = sorted(target)
     fits = [member._fit for member in members]
-    found: list[dict[frozenset[str], Optional[Fit]]] = [{} for _ in fits]
+    found: list[dict[int, Optional[Fit]]] = [{} for _ in fits]
 
     def test(member: int) -> Test:
-        def fitted(part: frozenset[str], budget: SearchBudget) -> bool:
-            fit = found[member][part] = fits[member](part, budget)
+        def fitted(part: int, budget: SearchBudget) -> bool:
+            fit = found[member][part] = fits[member](spell(part, ids), budget)
             return fit is not None
         return fitted
 
-    for sets, value in walk(ids, [1] * len(ids),
+    bits = [1 << j for j in range(len(ids))]
+    for sets, value in walk(bits, [1] * len(ids),
                             [test(member) for member in range(len(fits))],
                             budget, prune=lambda sets, value, item: value < item,
                             interchangeable=all(member is members[0]
@@ -756,8 +761,9 @@ def feasible_subsets(system: FeasibilitySystem, pool: Iterable[str],
     """
     shared = SearchBudget.ensure(budget)
     ids = sorted(frozenset(pool) & system.universe())
-    return tuple(sets[0] for sets, _ in walk(
-        ids, [0] * len(ids), [system.is_member], shared))
+    return tuple(spell(sets[0], ids) for sets, _ in walk(
+        [1 << j for j in range(len(ids))], [0] * len(ids),
+        [asking(system.is_member, ids)], shared))
 
 
 def _uniform_machine(system: FeasibilitySystem) -> Optional[_JobTable]:
@@ -881,8 +887,9 @@ def max_cardinality_feasible(system: FeasibilitySystem, available: Iterable[str]
             raise InputError(
                 "largest-deadline scan requires a scheduling system")
         pool.sort(key=lambda i: (-deadlines[i], i))
-    (chosen,), _ = best(pool, [1] * len(pool), [system.is_member], shared)
-    return tuple(item for item in pool if item in chosen)
+    (chosen,), _ = best([1 << j for j in range(len(pool))], [1] * len(pool),
+                        [asking(system.is_member, pool)], shared)
+    return tuple(item for j, item in enumerate(pool) if chosen >> j & 1)
 
 
 def _mask_scan(system: FeasibilitySystem, ids: Sequence[str]

@@ -34,7 +34,7 @@ from .equilibria import least_sequential_outcome, worst_equilibrium
 # Unused here, but `perfbench/selftest.py` checks that this binding is traced.
 from .equilibria import enumerate_nash  # noqa: F401
 from .model import Instance, Profile, restrict_available
-from .search import best
+from .search import asking, best, spell
 
 Bound = Union[Fraction, RationalInterval, None]
 
@@ -83,11 +83,16 @@ def compute_opt(instance: Instance,
     ids = (instance.ordered_ids if available is None
            else sorted(restrict_available(instance, available)))
     weight, scale = instance.integer_weights
-    tests = [system.is_member for system in instance.players]
+    tests = [asking(system.is_member, ids) for system in instance.players]
     memo = instance._memo
-    sets, value = memo.recall(memo.optima, memo.mask(ids), shared, lambda: best(
-        ids, [weight[i] for i in ids], tests, shared, post=True,
-        previous=memo.previous(ids)))
+
+    def search() -> tuple[tuple[frozenset[str], ...], int]:
+        sets, value = best([1 << j for j in range(len(ids))],
+                           [weight[i] for i in ids], tests, shared, post=True,
+                           previous=memo.previous(ids))
+        return tuple(spell(T, ids) for T in sets), value
+
+    sets, value = memo.recall(memo.optima, memo.mask(ids), shared, search)
     return Profile(sets), Fraction(value, scale)
 
 

@@ -173,11 +173,20 @@ class _Memo:
     * `replies`: (the members' kinds, pool mask) to the members' best sets
       and their integer weight (`best_response._reply`);
     * `optima`: the mask of the assignable items to the sets and integer
-      welfare of `metrics.compute_opt`.
+      welfare of `metrics.compute_opt`;
+    * `families`: a kind to its family, as `equilibria._equilibria` walks
+      it: every feasible set as a mask over `ordered_ids`, mapped to its
+      integer weight, in descending weight.  Beside it, `tops` (read
+      directly) maps a kind, then a pool mask, to the kind's best weight
+      within the pool: the weight of the family's first set inside it.
+
+    The tables do not depend on k or alpha, so every search on the
+    instance shares them.
     """
 
     __slots__ = ("kinds", "_players", "_ids", "_weight", "_mates", "_whole",
-                 "_bit", "acceptable", "leading", "replies", "optima")
+                 "_bit", "acceptable", "leading", "replies", "optima",
+                 "families", "tops")
 
     def __init__(self, instance: Instance):
         players = instance.players
@@ -192,6 +201,8 @@ class _Memo:
         self.leading: dict[tuple[int, int], tuple] = {}
         self.replies: dict[tuple[tuple[int, ...], int], tuple[int, object]] = {}
         self.optima: dict[int, tuple[int, object]] = {}
+        self.families: dict[int, tuple[int, object]] = {}
+        self.tops: dict[int, dict[int, int]] = {}
 
     @property
     def mates(self) -> dict[str, str]:

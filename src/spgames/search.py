@@ -15,11 +15,16 @@ tie-breaks without any sorting:
 
 Weights are integers, scaled once by the lcm of their denominators
 (`integral`); an instance keeps its own as `Instance.integer_weights`.
-Member sets stay frozensets, since each membership test and each result
-needs one.  A walk with several members meets a member's set once per
-assignment of the others, so it memoises each member's verdicts; a
-one-member walk meets each set once.  The walk keeps an explicit stack,
-so pool size is not limited by Python's recursion depth.  Branch and
+A member's set is an int mask: the caller gives each pool item its bit
+(`bits`), its own position in the pool or its position in a wider id
+list, and a child ors the item's bit into its member's mask, so a
+caller's prune and tests work on ints.  Frozensets are built only at the
+edges: `asking` lets a system's test, which decides frozensets, be asked
+about masks, and `spell` decodes a mask when a result leaves the search.
+A walk with several members meets a member's set once per assignment of
+the others, so it memoises each member's verdicts by mask; a one-member
+walk meets each set once.  The walk keeps an explicit stack, so pool
+size is not limited by Python's recursion depth.  Branch and
 bound is Land and Doig's (1960): the children of a node are skipped once
 its value plus the weight of the items after its last taken item falls
 below the caller's floor.  A caller's `prune` hook is asked once per
@@ -51,8 +56,8 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .budget import SearchBudget
 
-Sets = tuple[frozenset[str], ...]
-Test = Callable[[frozenset[str], SearchBudget], bool]
+Sets = tuple[int, ...]
+Test = Callable[[int, SearchBudget], bool]
 
 
 def integral(values: Sequence) -> tuple[list[int], int]:
@@ -61,35 +66,52 @@ def integral(values: Sequence) -> tuple[list[int], int]:
     return [value.numerator * (scale // value.denominator) for value in values], scale
 
 
-def walk(ids: Sequence[str], weights: Sequence[int], tests: Sequence[Test],
+def spell(mask: int, ids: Sequence[str]) -> frozenset[str]:
+    """The items of `mask`, bit j standing for `ids[j]`."""
+    items = []
+    while mask:
+        low = mask & -mask
+        items.append(ids[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(items)
+
+
+def asking(test: Callable[[frozenset[str], SearchBudget], object],
+           ids: Sequence[str]) -> Test:
+    """`test`, which decides item sets, asked about masks over `ids`."""
+    return lambda mask, budget: test(spell(mask, ids), budget)
+
+
+def walk(bits: Sequence[int], weights: Sequence[int], tests: Sequence[Test],
          budget: SearchBudget, post: bool = False,
          floor: Optional[list[int]] = None,
          prune: Optional[Callable[[Sets, int, int], bool]] = None,
          interchangeable: bool = False,
          previous: Optional[Sequence[int]] = None
          ) -> Iterator[tuple[Sets, int]]:
-    """Yield (member sets, value) for every node, in pre- or post-order.
+    """Yield (member masks, value) for every node, in pre- or post-order.
 
-    `tests[m]` decides member m's sets.  Every attempt to put an item into
-    a member's set spends one budget node.  With `floor`, a one-element
-    list the caller may raise between nodes, the walk skips the children
-    of a node that cannot reach `floor[0]`.  With `prune`, a node about
-    to try `item`, or done with its last at `item == len(ids)`, is
-    dropped when `prune(sets, value, item)` is True: the rest of its
-    subtree and, in post-order, the node itself.  With
-    `interchangeable`, a member with an empty set takes an item only if
-    the member before it holds one, so of the assignments that relabel
-    members into each other only the first in post-order is walked.
-    With `previous`, `previous[item]` is the index of the item's class-mate
-    before it, or -1: the item may join member m only if that class-mate
-    is held by a member <= m, so a class-mate held by nobody keeps the
-    item out of every set.  A skipped attempt spends no node.
+    `bits[item]` is the pool item's bit, and `tests[m]` decides member
+    m's masks.  Every attempt to put an item into a member's set spends
+    one budget node.  With `floor`, a one-element list the caller may
+    raise between nodes, the walk skips the children of a node that
+    cannot reach `floor[0]`.  With `prune`, a node about to try `item`,
+    or done with its last at `item == len(bits)`, is dropped when
+    `prune(sets, value, item)` is True: the rest of its subtree and, in
+    post-order, the node itself.  With `interchangeable`, a member with an
+    empty set takes an item only if the member before it holds one, so of
+    the assignments that relabel members into each other only the first
+    in post-order is walked.  With `previous`, `previous[item]` is the
+    index of the item's class-mate before it, or -1: the item may join
+    member m only if that class-mate is held by a member <= m, so a
+    class-mate held by nobody keeps the item out of every set.  A skipped
+    attempt spends no node.
     """
-    size, width = len(ids), len(tests)
+    size, width = len(bits), len(tests)
     if floor is not None:
         suffix = list(accumulate(reversed(weights), initial=0))[::-1]
     verdicts = [{} for _ in tests] if width > 1 else None
-    root: Sets = (frozenset(),) * width
+    root: Sets = (0,) * width
     if not post:
         yield root, 0
     stack = [[root, 0, 0]]  # sets, value, next attempt (item * width + member)
@@ -113,15 +135,15 @@ def walk(ids: Sequence[str], weights: Sequence[int], tests: Sequence[Test],
         if previous and not member and previous[item] >= 0:
             # Start at the class-mate's member; past the last when nobody
             # holds it.
-            mate, holder = ids[previous[item]], 0
-            while holder < width and mate not in sets[holder]:
+            mate, holder = bits[previous[item]], 0
+            while holder < width and not mate & sets[holder]:
                 holder += 1
             if holder:
                 frame[2] = attempt + holder
                 continue
         frame[2] = attempt + 1
         budget.spend()
-        grown = sets[member] | {ids[item]}
+        grown = sets[member] | bits[item]
         if verdicts:
             known = verdicts[member].get(grown)
             if known is None:
@@ -136,7 +158,7 @@ def walk(ids: Sequence[str], weights: Sequence[int], tests: Sequence[Test],
             stack.append([child, gained, attempt - member + width])
 
 
-def best(ids: Sequence[str], weights: Sequence[int], tests: Sequence[Test],
+def best(bits: Sequence[int], weights: Sequence[int], tests: Sequence[Test],
          budget: SearchBudget, post: bool = False,
          key: Optional[Callable[[Sets], tuple]] = None,
          previous: Optional[Sequence[int]] = None) -> tuple[Sets, int]:
@@ -149,7 +171,7 @@ def best(ids: Sequence[str], weights: Sequence[int], tests: Sequence[Test],
     """
     floor = [0]
     found: Optional[tuple[Sets, int]] = None
-    for sets, value in walk(ids, weights, tests, budget, post, floor,
+    for sets, value in walk(bits, weights, tests, budget, post, floor,
                             previous=previous):
         if found is None or value > found[1] or (
                 key and value == found[1] and key(sets) < key(found[0])):

@@ -22,7 +22,7 @@ from spgames import (BudgetExceededError, ExplicitSystem, GeneratorSpec,
                      verify_collusion, verify_nash, verify_spe_outcome,
                      welfare)
 from spgames.best_response import within_alpha
-from spgames.equilibria import enumerate_collusion
+from spgames.equilibria import enumerate_collusion, worst_equilibrium
 
 from oracles import (brute_best_response, brute_coalition,
                      brute_enumerate_nash, brute_first_deviation,
@@ -371,7 +371,7 @@ def test_deadline_play_keeps_each_players_scan_off_slot_counts(game, alpha,
     """Off slot counts, each player keeps the documented scan of the jobs
     left to it and spends what its own `max_cardinality_feasible` spends
     on them, and a short budget fails as those scans would, in turn, on
-    one budget."""
+    one budget: on the node after its limit, release dates included."""
     order = data.draw(st.permutations(range(game.n)), label="order")
     fits = [system.is_member for system in game.players]
     expected, _ = scanned_deadline_play(game, order, alpha, fits)
@@ -400,6 +400,7 @@ def test_deadline_play_keeps_each_players_scan_off_slot_counts(game, alpha,
             call(short)
         failures.append((short.used, str(caught.value)))
     assert failures[0] == failures[1]
+    assert failures[0][0] == limit + 1
 
 
 @st.composite
@@ -456,6 +457,24 @@ def test_remembered_spe_actions_answer_and_spend_as_a_walk(built, alpha):
         if budget.used > 1:
             with pytest.raises(BudgetExceededError):
                 enumerate_spe_outcomes(warm, order, alpha, budget.used - 1)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seeded_games(), st.data())
+def test_kept_families_answer_and_spend_as_a_fresh_walk(built, data):
+    """One instance answers the worst equilibrium for every k and alpha,
+    in a drawn order, as a fresh instance answers each call: the same
+    profile and welfare for the same nodes, though later calls read the
+    families and best weights in pool that earlier ones kept."""
+    build, params = built
+    warm = build(**params)
+    calls = data.draw(st.permutations(
+        [(k, alpha) for k in range(1, warm.n + 1) for alpha in ALPHAS]))
+    for k, alpha in calls:
+        fresh, spent = SearchBudget(), SearchBudget()
+        assert worst_equilibrium(warm, alpha, k, spent) == \
+            worst_equilibrium(build(**params), alpha, k, fresh)
+        assert spent.used == fresh.used
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -15,7 +15,7 @@ from spgames import (ExplicitSystem, Instance, Item, SearchBudget,
                      enumerate_spe_outcomes, feasible_subsets,
                      random_symmetric)
 from spgames.equilibria import enumerate_collusion
-from spgames.search import walk
+from spgames.search import asking, spell, walk
 
 from oracles import (all_subsets, brute_best_response, brute_coalition,
                      brute_enumerate_nash, brute_first_deviation, brute_opt,
@@ -156,6 +156,13 @@ def test_feasible_subsets_lists_members_in_sorted_tuple_order(game_pool):
             sorted(members, key=lambda T: tuple(sorted(T)))
 
 
+def _walked(game):
+    """The game's ids, each id's bit, and each player's test on masks."""
+    ids = game.ordered_ids
+    return (ids, [1 << j for j in range(len(ids))],
+            [asking(system.is_member, ids) for system in game.players])
+
+
 def _restricted_growth(sets) -> bool:
     """Whether each member's first item comes after the previous member's."""
     firsts = [min(T) if T else None for T in sets]
@@ -168,13 +175,13 @@ def _restricted_growth(sets) -> bool:
 def test_interchangeable_walk_keeps_first_relabelling(game, post):
     """Equal members walk only the assignments whose members open in
     index order, in the same order, for no more nodes."""
-    ids = game.ordered_ids
+    ids, bits, tests = _walked(game)
     weights = [1] * len(ids)
-    tests = [system.is_member for system in game.players]
     plain, fewer = SearchBudget(), SearchBudget()
-    every = list(walk(ids, weights, tests, plain, post))
-    kept = list(walk(ids, weights, tests, fewer, post, interchangeable=True))
-    assert kept == [node for node in every if _restricted_growth(node[0])]
+    every = list(walk(bits, weights, tests, plain, post))
+    kept = list(walk(bits, weights, tests, fewer, post, interchangeable=True))
+    assert kept == [node for node in every
+                    if _restricted_growth([spell(T, ids) for T in node[0]])]
     assert fewer.used <= plain.used
 
 
@@ -183,16 +190,15 @@ def test_interchangeable_walk_keeps_first_relabelling(game, post):
 def test_prune_drops_the_subtree_and_the_node(game, cut):
     """A node pruned before trying `cut` is never yielded in post-order,
     and neither is any node below it."""
-    ids = game.ordered_ids
-    tests = [system.is_member for system in game.players]
+    ids, bits, tests = _walked(game)
 
     def prune(sets, value, item):
         return item == cut and not any(sets)
 
-    every = list(walk(ids, [1] * len(ids), tests, SearchBudget(), post=True))
-    kept = list(walk(ids, [1] * len(ids), tests, SearchBudget(), post=True,
+    every = list(walk(bits, [1] * len(ids), tests, SearchBudget(), post=True))
+    kept = list(walk(bits, [1] * len(ids), tests, SearchBudget(), post=True,
                      prune=prune))
-    taken = set(ids[:cut])
+    taken = sum(bits[:cut])
     assert kept == [node for node in every
                     if cut > len(ids) or any(T & taken for T in node[0])]
 
@@ -203,20 +209,19 @@ def test_prune_after_the_last_item_filters_the_nodes(game, interchangeable,
                                                      mod):
     """A prune that is True only after a node's last item drops exactly
     the nodes it rejects from the post-order, at no change in nodes."""
-    ids = game.ordered_ids
+    ids, bits, tests = _walked(game)
     weights = [1 + ord(i[0]) % 3 for i in ids]
-    tests = [system.is_member for system in game.players]
 
     def rejects(sets, value):
-        return (value + len(sets[0])) % 7 == mod
+        return (value + sets[0].bit_count()) % 7 == mod
 
     def prune(sets, value, item):
         return item == len(ids) and rejects(sets, value)
 
     plain, pruned = SearchBudget(), SearchBudget()
-    every = list(walk(ids, weights, tests, plain, post=True,
+    every = list(walk(bits, weights, tests, plain, post=True,
                       interchangeable=interchangeable))
-    kept = list(walk(ids, weights, tests, pruned, post=True, prune=prune,
+    kept = list(walk(bits, weights, tests, pruned, post=True, prune=prune,
                      interchangeable=interchangeable))
     assert kept == [node for node in every if not rejects(*node)]
     assert pruned.used == plain.used
