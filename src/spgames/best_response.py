@@ -16,14 +16,17 @@ point.  Ties are resolved deterministically:
 One alpha rule, `within_alpha`, decides every concept: alpha times the
 held weight must reach the best reply's weight, ties passing.  Scaling
 every weight by one constant keeps that rule, so the verifiers compare
-weights on the instance's integer scale (`Instance.integer_weights`)
-and build `Fraction`s only for returned values and witnesses.
+weights on the instance's integer scale (`Instance.integer_weights`).
 `deviation` asks one search, `_reply`, for one member or more, so the
-k = 1 collusion check is the Nash check.  Every call spends one
-`SearchBudget`, the caller's or a default one.  Each instance remembers
-its replies for its life (`Instance._memo`), for any number of members
-and under any budget; a repeat is charged the nodes its search spent, so
-every node count and budget error is as if the search ran again.
+k = 1 collusion check is the Nash check.  A pool and a reply's sets are
+masks over `ordered_ids` (`_Memo.bit`) inside the package: the public
+functions mask their pool once, at entry, and frozensets and `Fraction`s
+are built only for a result they return or a witness.  Every call spends
+one `SearchBudget`, the caller's or a default one.  Each instance
+remembers its replies for its life (`Instance._memo`), for any number of
+members and under any budget; a repeat is charged the nodes its search
+spent, so every node count and budget error is as if the search ran
+again.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import Iterable, Optional, Union
 from .budget import SearchBudget
 from .errors import InputError, _fraction
 from .model import Instance, _check_player_index, restrict_available
-from .search import asking, best, spell
+from .search import Sets, asking, best, spell
 
 
 @dataclass(frozen=True)
@@ -62,31 +65,33 @@ def within_alpha(factor: Fraction, held, best) -> bool:
     return factor.numerator * held >= best * factor.denominator
 
 
-def _joint_best(instance: Instance, members: tuple[int, ...],
-                available: Iterable[str], budget: SearchBudget
-                ) -> tuple[tuple[frozenset[str], ...], int]:
-    """Best disjoint member sets from `available` by branch and bound, and
-    their weight on the instance's integer scale.
+def _joint_best(instance: Instance, members: tuple[int, ...], pool: int,
+                budget: SearchBudget) -> tuple[Sets, int]:
+    """Best disjoint member sets within the `pool` mask by branch and
+    bound, as masks over `ordered_ids`, and their weight on the
+    instance's integer scale.
 
     One member takes the first best set in pre-order, the lexicographically
     smallest; several compare the tuple of sorted sets on ties.  Either is
     the leader of its orbit of repeated items, so the walk meets one set
-    per orbit (`_Memo.previous`).
+    per orbit (`_Memo.previous`).  The pool is spelt only here, for a
+    search.
     """
     _best_response_cached.misses += 1
-    ids = sorted(available)
+    everyone = instance.ordered_ids
+    ids = sorted(spell(pool, everyone))
+    memo = instance._memo
     weight, _ = instance.integer_weights
-    tests = [asking(instance.players[m].is_member, ids) for m in members]
+    tests = [asking(instance.players[m].is_member, everyone) for m in members]
     key = None if len(members) == 1 else (
-        lambda sets: tuple(tuple(sorted(spell(s, ids))) for s in sets))
-    sets, value = best([1 << j for j in range(len(ids))],
-                       [weight[i] for i in ids], tests, budget, key=key,
-                       previous=instance._memo.previous(ids))
-    return tuple(spell(s, ids) for s in sets), value
+        lambda sets: tuple(tuple(sorted(spell(s, everyone))) for s in sets))
+    return best([memo.bit[i] for i in ids], [weight[i] for i in ids], tests,
+                budget, key=key, previous=memo.previous(ids))
 
 
 class _ReplyCounts:
-    """How many replies `_reply` gave in this process and how many of them
+    """How many replies this process asked for, through `_reply` or read
+    inline by `equilibria._first_deviation`, and how many of them
     `_joint_best` searched: two integers, referencing no instance."""
 
     asked = misses = 0
@@ -104,19 +109,18 @@ class _ReplyCounts:
 _best_response_cached = _ReplyCounts()
 
 
-def _reply(instance: Instance, members: tuple[int, ...],
-           pool: frozenset[str], budget: SearchBudget
-           ) -> tuple[tuple[frozenset[str], ...], int]:
-    """The members' best sets in `pool` and their integer-scaled weight,
-    recalled from the instance's memo (`_Memo.recall`, table `replies`)
-    under the members' kinds and the pool: players of one kind have equal
-    systems, so their searches spend alike and return alike."""
+def _reply(instance: Instance, members: tuple[int, ...], pool: int,
+           budget: SearchBudget) -> tuple[Sets, int]:
+    """The members' best sets in the `pool` mask, as masks, and their
+    integer-scaled weight, recalled from the instance's memo
+    (`_Memo.recall`, table `replies`) under the members' kinds and the
+    pool: players of one kind have equal systems, so their searches spend
+    alike and return alike."""
     memo = instance._memo
     _best_response_cached.asked += 1
     return memo.recall(
-        memo.replies, (tuple(map(memo.kinds.__getitem__, members)),
-                       memo.mask(pool)), budget,
-        lambda: _joint_best(instance, members, pool, budget))
+        memo.replies, (tuple(map(memo.kinds.__getitem__, members)), pool),
+        budget, lambda: _joint_best(instance, members, pool, budget))
 
 
 def best_response(instance: Instance, player: int, available: Iterable[str],
@@ -129,17 +133,18 @@ def best_response(instance: Instance, player: int, available: Iterable[str],
     charged the nodes of the search it replaces.
     """
     _check_player_index(instance, player)
-    pool = restrict_available(instance, available)
+    pool = instance._memo.mask(restrict_available(instance, available))
     (chosen,), value = _reply(instance, (player,), pool,
                               SearchBudget.ensure(budget))
-    return chosen, Fraction(value, instance.integer_weights[1])
+    return (spell(chosen, instance.ordered_ids),
+            Fraction(value, instance.integer_weights[1]))
 
 
-def deviation(instance: Instance, members: tuple[int, ...],
-              pool: frozenset[str], held: int, factor: Fraction,
-              budget: SearchBudget) -> Optional[DeviationWitness]:
-    """The members' best reply in `pool` when it beats `factor` times
-    their `held` weight, else None.
+def deviation(instance: Instance, members: tuple[int, ...], pool: int,
+              held: int, factor: Fraction, budget: SearchBudget
+              ) -> Optional[DeviationWitness]:
+    """The members' best reply in the `pool` mask when it beats `factor`
+    times their `held` weight, else None.
 
     `held` is an integer on the scale of `Instance.integer_weights` (as
     `scaled_weight_of` gives it); the witness carries both weights as
@@ -148,9 +153,16 @@ def deviation(instance: Instance, members: tuple[int, ...],
     proposed, value = _reply(instance, members, pool, budget)
     if within_alpha(factor, held, value):
         return None
-    scale = instance.integer_weights[1]
-    return DeviationWitness(members, proposed, Fraction(held, scale),
-                            Fraction(value, scale))
+    return _witness(instance, members, proposed, held, value)
+
+
+def _witness(instance: Instance, members: tuple[int, ...], proposed: Sets,
+             held: int, value: int) -> DeviationWitness:
+    """The witness that the members' reply `proposed`, masks of integer
+    weight `value`, beats their `held` weight."""
+    ids, scale = instance.ordered_ids, instance.integer_weights[1]
+    return DeviationWitness(members, tuple(spell(s, ids) for s in proposed),
+                            Fraction(held, scale), Fraction(value, scale))
 
 
 def is_alpha_best_response(instance: Instance, player: int,
@@ -170,7 +182,7 @@ def is_alpha_best_response(instance: Instance, player: int,
     if not instance.players[player].is_member(held, budget):
         raise InputError(
             f"chosen set {sorted(held)} is not feasible for player {player + 1}")
-    pool = restrict_available(instance, available) | held
+    pool = instance._memo.mask(restrict_available(instance, available) | held)
     return deviation(instance, (player,), pool,
                      instance.scaled_weight_of(held), factor, budget) or True
 
@@ -190,7 +202,9 @@ def coalition_best_response(instance: Instance, coalition: Iterable[int],
                             for member in coalition}))
     if not members:
         raise InputError("coalition must be nonempty")
-    proposed, value = _reply(
-        instance, members, restrict_available(instance, available),
-        SearchBudget.ensure(budget))
-    return proposed, Fraction(value, instance.integer_weights[1])
+    pool = instance._memo.mask(restrict_available(instance, available))
+    proposed, value = _reply(instance, members, pool,
+                             SearchBudget.ensure(budget))
+    ids = instance.ordered_ids
+    return (tuple(spell(s, ids) for s in proposed),
+            Fraction(value, instance.integer_weights[1]))

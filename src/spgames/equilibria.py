@@ -10,7 +10,9 @@ for a node's actions).  Each instance remembers the walk behind these
 actions for its life (`Instance._memo`), keyed on the mover's kind and
 the items left as a mask; alpha only filters the walk's sets.  A repeat
 is charged the nodes its walk spent, so every node count and budget
-error is as if the walk ran again.
+error is as if the walk ran again.  The branching carries the items
+left as a mask and takes actions as masks; only the outcomes it returns
+are spelt out.
 `enumerate_spe_outcomes` lists every outcome of one order.
 `least_sequential_outcome`, the worst outcome of
 `metrics.empirical_sequential_poa`, lists none: it takes a minimum over
@@ -35,14 +37,18 @@ alpha and call on the instance shares them.
 
 Every verifier asks `best_response.deviation`, the one alpha rule (a
 tie passes), for a reply from the items no outsider holds (Nash,
-collusion) or those left when the player moves (SPE).  It compares
-weights on the instance's integer scale (`Instance.scaled_weight_of`);
-only the welfare and a witness's values are built as `Fraction`s.  For
-one player the former are its own items plus the unclaimed ones, so the
-Nash check is the collusion check at k = 1.  Each verifier spends one
-`SearchBudget` per call, the caller's or a default one, on its validation
-and on every reply.  The instance remembers the replies as it does the
-SPE actions, and charges a repeat the same way.
+collusion) or those left when the player moves (SPE).  For one player
+the former are its own items plus the unclaimed ones, so the Nash check
+is the collusion check at k = 1.  Once `welfare` has validated the
+profile, a verifier masks it in one pass: each set as a mask over
+`ordered_ids` with its weight on the instance's integer scale
+(`Instance.integer_weights`).  Every pool is then a union or difference
+of masks and every held weight an integer sum; only the welfare and a
+witness are built as `Fraction`s and frozensets.  Each verifier spends
+one `SearchBudget` per call, the caller's or a default one, on its
+validation and on every reply.  The instance remembers the replies as it
+does the SPE actions, and charges a repeat the same way; the coalition
+checks (`_first_deviation`) read a remembered reply themselves.
 """
 
 from __future__ import annotations
@@ -53,18 +59,35 @@ from fractions import Fraction
 from functools import cache, reduce
 from itertools import accumulate, combinations
 from operator import or_
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .budget import SearchBudget
 from .errors import InputError, _integer
-from .best_response import (DeviationWitness, best_response, check_alpha,
-                            deviation)
+from .best_response import (DeviationWitness, _best_response_cached, _reply,
+                            _witness, check_alpha, deviation)
+# Unused here, but `perfbench/selftest.py` checks that this binding is traced.
+from .best_response import best_response  # noqa: F401
 from .feasibility import _mask_scan
 from .model import Instance, Profile, welfare
 from .search import Sets, asking, spell, walk
 
 # One set per player, as a sequential outcome hands them out.
 Choice = tuple[frozenset[str], ...]
+
+
+def _masked(instance: Instance, profile: Profile) -> tuple[list[int], list[int]]:
+    """Each set of a valid `profile` as a mask over `ordered_ids`, and its
+    weight on the instance's integer scale, in one pass."""
+    bit, (weight, _) = instance._memo.bit, instance.integer_weights
+    masks, weights = [], []
+    for items in profile.sets:
+        mask = value = 0
+        for item in items:
+            mask |= bit[item]
+            value += weight[item]
+        masks.append(mask)
+        weights.append(value)
+    return masks, weights
 
 
 @dataclass(frozen=True)
@@ -103,7 +126,8 @@ def verify_nash(instance: Instance, profile: Profile, alpha,
     factor = check_alpha(alpha)
     budget = SearchBudget.ensure(budget)
     total = welfare(instance, profile, budget)
-    witness = _first_deviation(instance, profile, 1, 1, factor, budget)
+    witness = _first_deviation(instance, *_masked(instance, profile), 1, 1,
+                               factor, budget)
     return EquilibriumReport("nash", factor, witness is None, total, witness)
 
 
@@ -131,8 +155,8 @@ def _equilibria(instance: Instance, factor: Fraction, k: int,
     node's welfare.  After a node's last item nothing is undecided and
     `skipped` is every free item, so the prune is the Nash test and the
     welfare bound; a node passing both then faces the coalitions of 2..k
-    players (k >= 2).  The prune works on masks alone; a profile is
-    spelt out only for the coalitions.  A bounded walk walks each orbit
+    players (k >= 2), asked on the node's masks and family weights.  The
+    prune spells out no set.  A bounded walk walks each orbit
     of the game's symmetries once: relabelled assignments when every
     player has one system (`_Memo.kinds`), and assignments that permute
     repeated items (`_Memo.previous`).  A listing walks every assignment.
@@ -192,8 +216,8 @@ def _equilibria(instance: Instance, factor: Fraction, k: int,
         if least[0] is not None and bound >= num * least[0]:
             return True
         return item == size and k > 1 and _first_deviation(
-            instance, Profile(tuple(spell(T, ids) for T in sets)), 2, k,
-            factor, budget) is not None
+            instance, sets, [view[0][T] for T, view in zip(sets, views)],
+            2, k, factor, budget) is not None
 
     tests = [lambda T, _, members=members: T in members
              for members, _, _ in views]
@@ -259,13 +283,13 @@ def greedy_sequential_outcome(instance: Instance, order: Iterable[int],
     """One pass of sequential play in `order`.
 
     selector "exact": each player takes its best response among the
-    remaining items.  selector "deadline": each player scans remaining
-    jobs by decreasing deadline, determines the maximum allocatable count
-    m, and takes the first ceil(m / alpha) jobs of that scan
-    (`max_cardinality_feasible`); this requires a scheduling instance
-    with equal item weights, compared on the instance's
-    `integer_weights`.  The jobs left are one mask, bit j for
-    `ordered_ids[j]`, and each kind of player scans it by one
+    remaining items (`best_response._reply`).  selector "deadline": each
+    player scans remaining jobs by decreasing deadline, determines the
+    maximum allocatable count m, and takes the first ceil(m / alpha) jobs
+    of that scan (`max_cardinality_feasible`); this requires a scheduling
+    instance with equal item weights, compared on the instance's
+    `integer_weights`.  Either way the items left are one mask, bit j
+    for `ordered_ids[j]`; each kind of player scans it by one
     `feasibility._mask_scan`, built once per call.  On zero-release
     machines with one processing time, that scan walks the kind's
     deadline classes, so a player's work follows the classes it looks at
@@ -277,17 +301,17 @@ def greedy_sequential_outcome(instance: Instance, order: Iterable[int],
     shared = SearchBudget.ensure(budget)
     sets: list[frozenset[str]] = [frozenset() for _ in range(instance.n)]
 
+    ids = instance.ordered_ids
+    left = (1 << len(ids)) - 1
     if selector == "exact":
-        remaining = set(instance.item_ids)
         for player in sequence:
-            chosen, _ = best_response(instance, player, frozenset(remaining), shared)
-            sets[player] = chosen
-            remaining -= chosen
+            (chosen,), _ = _reply(instance, (player,), left, shared)
+            sets[player] = spell(chosen, ids)
+            left &= ~chosen
     elif selector == "deadline":
         if len(set(instance.integer_weights[0].values())) > 1:
             raise InputError("deadline selector requires equal item weights")
-        kinds, ids = instance._memo.kinds, instance.ordered_ids
-        left = (1 << len(ids)) - 1
+        kinds = instance._memo.kinds
         scans: dict[int, Callable[[int, SearchBudget], list[int]]] = {}
         for player in sequence:
             kind = kinds[player]
@@ -313,7 +337,10 @@ def enumerate_spe_outcomes(instance: Instance, order: Iterable[int], alpha,
     collected depth first, actions in lexicographic order.  Subtrees are
     shared across nodes with equal remaining-item sets within the call;
     a node's actions are remembered on the instance across calls and
-    orders, each reuse spending the nodes of the walk it replaces.
+    orders, each reuse spending the nodes of the walk it replaces.  The
+    branching runs on masks over `ordered_ids`: `completions` keys on the
+    depth and the mask of the items left, and each distinct action is
+    spelt once, when the outcomes are built.
     """
     sequence = check_order(instance, order)
     factor = check_alpha(alpha)
@@ -321,21 +348,22 @@ def enumerate_spe_outcomes(instance: Instance, order: Iterable[int], alpha,
     n = instance.n
 
     @cache
-    def completions(depth: int, available: frozenset[str]
-                    ) -> tuple[Choice, ...]:
+    def completions(depth: int, available: int) -> tuple[Sets, ...]:
         if depth == n:
             return ((),)
-        out: list[Choice] = []
+        out: list[Sets] = []
         for action, _ in _acceptable(instance, sequence[depth], available,
                                      factor, budget):
             budget.spend()
-            out.extend((action,) + tail
-                       for tail in completions(depth + 1, available - action))
+            out.extend((action,) + tail for tail in completions(
+                depth + 1, available & ~action))
         return tuple(out)
 
+    ids = instance.ordered_ids
+    spelling = cache(lambda mask: spell(mask, ids))
     turn = [sequence.index(player) for player in range(n)]
-    return tuple(Profile(tuple(choice[t] for t in turn))
-                 for choice in completions(0, instance.item_ids))
+    return tuple(Profile(tuple(spelling(choice[t]) for t in turn))
+                 for choice in completions(0, (1 << len(ids)) - 1))
 
 
 def least_sequential_outcome(instance: Instance, factor: Fraction,
@@ -357,33 +385,35 @@ def least_sequential_outcome(instance: Instance, factor: Fraction,
     actions that take the lowest-id available items of each class of
     repeated items are walked (`_acceptable` with `leaders`): swapping two
     class-mates in `available` maps the subgame onto itself, and moves the
-    first argmin earlier unless it already takes the lower one.
+    first argmin earlier unless it already takes the lower one.  The
+    recursion runs on masks over `ordered_ids`, actions and the items
+    left alike; only the returned choice is spelt out.
     """
-    kind = instance._memo.kinds
+    kind, ids = instance._memo.kinds, instance.ordered_ids
 
     @cache
-    def least(kinds: tuple[int, ...], available: frozenset[str]
-              ) -> tuple[int, Choice]:
+    def least(kinds: tuple[int, ...], available: int) -> tuple[int, Sets]:
         if not kinds:
             return 0, ()
-        found: Optional[tuple[int, Choice]] = None
+        found: Optional[tuple[int, Sets]] = None
         for action, value in _acceptable(instance, kinds[0], available,
                                          factor, budget, leaders=True):
             if found is not None and value >= found[0]:
                 continue
             budget.spend()
-            rest, tail = least(kinds[1:], available - action)
+            rest, tail = least(kinds[1:], available & ~action)
             if found is None or value + rest < found[0]:
                 found = value + rest, (action,) + tail
         return found
 
     found = None
     for order in _first_orders(kind):
-        value, choice = least(tuple(kind[p] for p in order), instance.item_ids)
+        value, choice = least(tuple(kind[p] for p in order),
+                              (1 << len(ids)) - 1)
         if found is None or value < found[0]:
             found = value, order, choice
     value, order, choice = found
-    return tuple(choice[order.index(player)]
+    return tuple(spell(choice[order.index(player)], ids)
                  for player in range(instance.n)), value
 
 
@@ -405,12 +435,13 @@ def _first_orders(kind: list[int], order: tuple[int, ...] = ()
             yield from _first_orders(kind, order + (player,))
 
 
-def _acceptable(instance: Instance, player: int, available: frozenset[str],
+def _acceptable(instance: Instance, player: int, available: int,
                 factor: Fraction, budget: SearchBudget, leaders: bool = False
-                ) -> list[tuple[frozenset[str], int]]:
-    """The sets of `available` the mover may take: `player`'s feasible sets
-    in lexicographic order (the kernel's one-member pre-order), with their
-    integer weights, kept when within a factor alpha of the best.
+                ) -> list[tuple[int, int]]:
+    """The sets of the `available` mask the mover may take: `player`'s
+    feasible sets in lexicographic order (the kernel's one-member
+    pre-order), as masks over `ordered_ids` with their integer weights,
+    kept when within a factor alpha of the best.
 
     The walk does not depend on alpha; only the filter after it does.  So
     the instance's memo recalls each walk (`_Memo.recall`, table
@@ -418,8 +449,8 @@ def _acceptable(instance: Instance, player: int, available: frozenset[str],
     and every (set mask, integer weight) pair in pre-order.  The walk
     gives each item its bit over `ordered_ids` (`_Memo.bit`), so its
     masks are stored as they come.  Every call keeps the pairs of weight
-    at least ceil(optimum / alpha), which is `within_alpha` on integers,
-    then decodes the kept masks.
+    at least ceil(optimum / alpha), which is `within_alpha` on integers.
+    The pool is spelt only for a walk, or to find a leader walk's key.
 
     With `leaders`, only the sets that lead their orbit are walked: those
     that hold the class-mate before each of their items in the mover's
@@ -433,18 +464,23 @@ def _acceptable(instance: Instance, player: int, available: frozenset[str],
     read.
     """
     memo = instance._memo
-    weight, _ = instance.integer_weights
     system = instance.players[player]
-    key: tuple = (memo.kinds[player], memo.mask(available))
+    key: tuple = (memo.kinds[player], available)
+
+    def pool() -> list[str]:
+        return sorted(spell(available, instance.ordered_ids)
+                      & system.universe())
+
     if leaders:
         found = memo.leading.get(key)
         if found is None:
             found = memo.leading[key] = key + (True,) if memo.previous(
-                sorted(available & system.universe())) is not None else key
+                pool()) is not None else key
         key = found
 
     def search() -> tuple[int, tuple[tuple[int, int], ...]]:
-        ids = sorted(available & system.universe())
+        ids = pool()
+        weight, _ = instance.integer_weights
         previous = memo.previous(ids) if len(key) == 3 else None
         walked = tuple((action, value) for (action,), value in walk(
             [memo.bit[i] for i in ids], [weight[i] for i in ids],
@@ -454,9 +490,7 @@ def _acceptable(instance: Instance, player: int, available: frozenset[str],
 
     optimum, walked = memo.recall(memo.acceptable, key, budget, search)
     least = -(-optimum * factor.denominator // factor.numerator)
-    ids = instance.ordered_ids
-    return [(spell(mask, ids), value) for mask, value in walked
-            if value >= least]
+    return [pair for pair in walked if pair[1] >= least]
 
 
 def verify_spe_outcome(instance: Instance, profile: Profile,
@@ -470,32 +504,57 @@ def verify_spe_outcome(instance: Instance, profile: Profile,
     factor = check_alpha(alpha)
     budget = SearchBudget.ensure(budget)
     total = welfare(instance, profile, budget)
-    available = instance.item_ids
+    sets, weights = _masked(instance, profile)
+    available = (1 << len(instance.ordered_ids)) - 1
     for player in sequence:
-        chosen = profile.items_of(player)
-        witness = deviation(instance, (player,), available,
-                            instance.scaled_weight_of(chosen), factor, budget)
+        witness = deviation(instance, (player,), available, weights[player],
+                            factor, budget)
         if witness:
             break
-        available -= chosen
+        available &= ~sets[player]
     return EquilibriumReport("spe", factor, witness is None, total, witness,
                              order=sequence)
 
 
-def _first_deviation(instance: Instance, profile: Profile, start: int, k: int,
+def _first_deviation(instance: Instance, sets: Sequence[int],
+                     weights: Sequence[int], start: int, k: int,
                      factor: Fraction, budget: SearchBudget
                      ) -> Optional[DeviationWitness]:
     """The first deviation of a coalition of `start` to k players, by size
-    then in order."""
-    unclaimed = instance.item_ids - profile.all_items()
+    then in order, from the players' set masks over `ordered_ids` and
+    their integer weights.
+
+    A coalition's pool is the mask of its own items and the unclaimed
+    ones, and its held weight the sum of its members'.  A reply the
+    instance remembers is read here, as `_Memo.recall` reads it: paid in
+    one `try_spend`, else asked of `deviation`, which searches again, so
+    the check spends and fails as a fresh one does.  A witness is built
+    only for the coalition that deviates.
+    """
+    memo = instance._memo
+    replies, kinds = memo.replies, memo.kinds
+    num, den = factor.numerator, factor.denominator
+    unclaimed = (1 << len(instance.ordered_ids)) - 1
+    for T in sets:
+        unclaimed &= ~T
+    counts = _best_response_cached
     for size in range(start, k + 1):
-        for coalition in combinations(range(instance.n), size):
-            held = frozenset().union(*map(profile.items_of, coalition))
-            witness = deviation(instance, coalition, held | unclaimed,
-                                instance.scaled_weight_of(held), factor,
-                                budget)
-            if witness:
-                return witness
+        for coalition in combinations(range(len(sets)), size):
+            pool, held = unclaimed, 0
+            for member in coalition:
+                pool |= sets[member]
+                held += weights[member]
+            found = replies.get((tuple([kinds[m] for m in coalition]), pool))
+            if found is None or not budget.try_spend(found[0]):
+                witness = deviation(instance, coalition, pool, held, factor,
+                                    budget)
+                if witness:
+                    return witness
+                continue
+            counts.asked += 1
+            proposed, value = found[1]
+            if num * held < den * value:
+                return _witness(instance, coalition, proposed, held, value)
     return None
 
 
@@ -514,6 +573,7 @@ def verify_collusion(instance: Instance, profile: Profile, k: int, alpha,
     check_k(instance, k)
     shared = SearchBudget.ensure(budget)
     total = welfare(instance, profile, shared)
-    witness = _first_deviation(instance, profile, 1, k, factor, shared)
+    witness = _first_deviation(instance, *_masked(instance, profile), 1, k,
+                               factor, shared)
     return EquilibriumReport("collusion", factor, witness is None, total,
                              witness, k=k)

@@ -158,9 +158,11 @@ class _Memo:
       a game that walks nothing never looks for them.
 
     `mask(items)` is an item set as a mask over `ordered_ids`, from each
-    item's `bit`, built on the first mask.  Each table maps a key to the
-    nodes its search spent and the search's result, and `recall` is the
-    one way to read one:
+    item's `bit`, built on the first mask.  The searches pass masks to
+    one another, so `mask` runs only where a public function takes an
+    item set.  Each table maps a key to the nodes its search spent and
+    the search's result, and `recall` is the one way to read one, save
+    where noted:
 
     * `acceptable`: (kind, pool mask), with True appended for a walk of
       the orbit leaders alone of a mover's pool with class-mates (whose
@@ -170,8 +172,10 @@ class _Memo:
       pairs on reading.  Beside it, `leading` (read directly, not by
       `recall`) maps (kind, pool mask) to the key of that pool's leader
       walk, so `previous` runs once per pool;
-    * `replies`: (the members' kinds, pool mask) to the members' best sets
-      and their integer weight (`best_response._reply`);
+    * `replies`: (the members' kinds, pool mask) to the members' best sets,
+      as masks, and their integer weight (`best_response._reply`).
+      `equilibria._first_deviation` reads it directly, by `recall`'s
+      rule, and counts each read as `_reply` does;
     * `optima`: the mask of the assignable items to the sets and integer
       welfare of `metrics.compute_opt`;
     * `families`: a kind to its family, as `equilibria._equilibria` walks

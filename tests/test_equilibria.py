@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from importlib import import_module
 from itertools import combinations, permutations
 
 import pytest
@@ -22,7 +23,8 @@ from spgames import (BudgetExceededError, ExplicitSystem, GeneratorSpec,
                      verify_collusion, verify_nash, verify_spe_outcome,
                      welfare)
 from spgames.best_response import within_alpha
-from spgames.equilibria import enumerate_collusion, worst_equilibrium
+from spgames.equilibria import (EquilibriumReport, enumerate_collusion,
+                                worst_equilibrium)
 
 from oracles import (brute_best_response, brute_coalition,
                      brute_enumerate_nash, brute_first_deviation,
@@ -511,7 +513,8 @@ def test_remembered_spe_actions_run_out_as_a_walk(built, alpha, data):
 def _same_as_fresh(build, params, warm, call):
     """`call(game, budget)` on `warm` answers as on a fresh instance and
     spends as many nodes, twice over (the second a repeat), and a budget
-    one node short runs out on both; returns the answer."""
+    one node short runs out on both, at the node after its limit and
+    with one message; returns the answer."""
     budget = SearchBudget()
     cold = call(build(**params), budget)
     for _ in range(2):
@@ -519,9 +522,14 @@ def _same_as_fresh(build, params, warm, call):
         assert call(warm, spent) == cold
         assert spent.used == budget.used
     if budget.used > 1:
+        limit, failures = budget.used - 1, []
         for game in (build(**params), warm):
-            with pytest.raises(BudgetExceededError):
-                call(game, budget.used - 1)
+            short = SearchBudget(limit)
+            with pytest.raises(BudgetExceededError) as caught:
+                call(game, short)
+            failures.append((short.used, str(caught.value)))
+        assert failures[0] == failures[1]
+        assert failures[0][0] == limit + 1
     return cold
 
 
@@ -560,6 +568,81 @@ def test_remembered_replies_answer_and_spend_as_searches(built, alpha, data):
                 assert same(lambda game, b: coalition_best_response(
                     game, coalition, pool, b)) == brute_coalition(
                         fresh, coalition, pool)
+
+
+def _verifier_calls(game, profile):
+    """Every verifier's call on `profile` at every alpha, k, order and
+    player, each with the oracle pools its first deviation is sought in."""
+    calls = []
+    for alpha in ALPHAS:
+        calls.append((lambda g, b, alpha=alpha: verify_nash(
+            g, profile, alpha, b), alpha, nash_pools(game, profile)))
+        for k in range(1, game.n + 1):
+            calls.append((lambda g, b, k=k, alpha=alpha: verify_collusion(
+                g, profile, k, alpha, b), alpha,
+                collusion_pools(game, profile, k)))
+        for order in permutations(range(game.n)):
+            calls.append((lambda g, b, order=order, alpha=alpha:
+                          verify_spe_outcome(g, profile, order, alpha, b),
+                          alpha, spe_pools(game, profile, order)))
+        for (player,), pool in nash_pools(game, profile):
+            calls.append((lambda g, b, player=player, pool=pool, alpha=alpha:
+                          is_alpha_best_response(
+                              g, player, pool - profile.sets[player],
+                              profile.sets[player], alpha, b),
+                          alpha, [((player,), pool)]))
+    return calls
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seeded_games(), st.data())
+def test_warm_verifiers_answer_and_spend_as_fresh_ones(built, data):
+    """An instance that has already run every verifier on every candidate
+    profile answers each verifier as a fresh one does, for as many nodes,
+    with the oracles' verdict and witness.  A budget one node short fails
+    on both at the node after its limit with one message, including when
+    the warm instance remembers a reply the budget cannot pay."""
+    build, params = built
+    fresh = build(**params)
+    candidates = (enumerate_spe_outcomes(fresh, range(fresh.n), 1)[:2]
+                  + enumerate_nash(fresh, 1)[:2] + (compute_opt(fresh)[0],
+                  Profile(tuple(frozenset() for _ in range(fresh.n)))))
+    warm = build(**params)
+    for candidate in candidates:
+        for call, _, _ in _verifier_calls(warm, candidate):
+            call(warm, None)
+    profile = data.draw(st.sampled_from(candidates), label="profile")
+    for call, alpha, pools in _verifier_calls(fresh, profile):
+        report = _same_as_fresh(build, params, warm, call)
+        witness = brute_first_deviation(fresh, profile, alpha, pools)
+        if isinstance(report, EquilibriumReport):
+            assert (report.verdict, report.witness) == (witness is None,
+                                                        witness)
+        else:
+            assert report == (witness or True)
+
+
+def test_reply_counts_see_every_remembered_reply():
+    """The counters the benchmark's tracer reads: a Nash check on a fresh
+    instance asks one reply per player and searches each distinct one;
+    a repeat asks as many and searches none."""
+    # The package's `best_response` is the function; the counters live on
+    # its module.
+    counts = import_module("spgames.best_response")._best_response_cached
+    game = random_symmetric(n=3, copies=2, seed=8)
+    profile = enumerate_nash(game, 1)[0]
+    # Players 2 and 3 are of one kind and hold nothing: they ask one reply.
+    assert game._memo.kinds == (0, 0, 0)
+    assert profile.sets[1] == profile.sets[2] == frozenset()
+    before = counts.asked, counts.misses
+    assert verify_nash(game, profile, 1).verdict
+    searched = len(game._memo.replies)
+    assert searched == 2
+    assert (counts.asked, counts.misses) == (before[0] + game.n,
+                                             before[1] + searched)
+    verify_nash(game, profile, 1)
+    assert (counts.asked, counts.misses) == (before[0] + 2 * game.n,
+                                             before[1] + searched)
 
 
 def test_players_of_one_kind_share_one_reply():
