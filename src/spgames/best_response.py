@@ -24,9 +24,9 @@ functions mask their pool once, at entry, and frozensets and `Fraction`s
 are built only for a result they return or a witness.  Every call spends
 one `SearchBudget`, the caller's or a default one.  Each instance
 remembers its replies for its life (`Instance._memo`), for any number of
-members and under any budget; a repeat is charged the nodes its search
-spent, so every node count and budget error is as if the search ran
-again.
+members and under any budget, and `_reply` is the one read of them; a
+repeat is charged as `_Memo.recall` states, so every node count and
+budget error is as if the search ran again.
 """
 
 from __future__ import annotations
@@ -90,9 +90,8 @@ def _joint_best(instance: Instance, members: tuple[int, ...], pool: int,
 
 
 class _ReplyCounts:
-    """How many replies this process asked for, through `_reply` or read
-    inline by `equilibria._first_deviation`, and how many of them
-    `_joint_best` searched: two integers, referencing no instance."""
+    """How many replies this process asked of `_reply`, and how many of
+    them `_joint_best` searched: two integers, referencing no instance."""
 
     asked = misses = 0
 
@@ -115,29 +114,29 @@ def _reply(instance: Instance, members: tuple[int, ...], pool: int,
     integer-scaled weight, recalled from the instance's memo
     (`_Memo.recall`, table `replies`) under the members' kinds and the
     pool: players of one kind have equal systems, so their searches spend
-    alike and return alike."""
+    alike and return alike.  Every reply the package asks comes through
+    here."""
     memo = instance._memo
+    kinds = memo.kinds
     _best_response_cached.asked += 1
-    return memo.recall(
-        memo.replies, (tuple(map(memo.kinds.__getitem__, members)), pool),
-        budget, lambda: _joint_best(instance, members, pool, budget))
+    key = tuple([kinds[m] for m in members]), pool
+    return memo.recall(memo.replies, key, budget, _joint_best, instance,
+                       members, pool, budget)
 
 
 def best_response(instance: Instance, player: int, available: Iterable[str],
                   budget: int | SearchBudget | None = None
                   ) -> tuple[frozenset[str], Fraction]:
-    """Maximum-weight feasible subset of `available` for one player.
+    """Maximum-weight feasible subset of `available` for one player: the
+    one-member `coalition_best_response`.
 
     Returns the set and its weight.  The instance remembers the reply
     (`_reply`) for its life, so a repeat, here or in any verifier, is
     charged the nodes of the search it replaces.
     """
-    _check_player_index(instance, player)
-    pool = instance._memo.mask(restrict_available(instance, available))
-    (chosen,), value = _reply(instance, (player,), pool,
-                              SearchBudget.ensure(budget))
-    return (spell(chosen, instance.ordered_ids),
-            Fraction(value, instance.integer_weights[1]))
+    (chosen,), value = coalition_best_response(instance, (player,),
+                                               available, budget)
+    return chosen, value
 
 
 def deviation(instance: Instance, members: tuple[int, ...], pool: int,

@@ -5,11 +5,12 @@ against a budget and fails loudly (`BudgetExceededError`) instead of
 silently returning a wrong or partial answer.  A search may charge
 many nodes at once for work it knows the count of but skips, and it
 fails at the same node, with the same message and count, as if nothing
-had been skipped.  A remembered search pays through `try_spend`: when
-the budget cannot pay, it runs again node by node.  The greedy deadline
-scan pays its candidates, and the release-date subset program each of
-its blocks, with one `spend`, which fails on the node after the limit,
-as that many single spends would.
+had been skipped.  A remembered search pays through `try_spend`, called
+only by `model._Memo.recall`, whose docstring states the charge rule:
+when the budget cannot pay, the search runs again node by node.  The
+greedy deadline scan pays its candidates, and the release-date subset
+program each of its blocks, with one `spend`, which fails on the node
+after the limit, as that many single spends would.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ class SearchBudget:
 
     A single budget object is shared by all searches spawned from one
     top-level call, so the cap applies per call, not per recursion level.
-    A search an instance remembers (`model._Memo.recall`) is charged, on
-    each repeat, the nodes it spent when it ran; the greedy deadline scan
+    A search an instance remembers is charged, on each repeat, the nodes
+    it spent when it ran (`model._Memo.recall`); the greedy deadline scan
     charges all its candidates in one spend, and the subset program each
     block of subsets.
     """

@@ -9,7 +9,7 @@ are within a factor alpha of that optimum (`_acceptable`, the one rule
 for a node's actions).  Each instance remembers the walk behind these
 actions for its life (`Instance._memo`), keyed on the mover's kind and
 the items left as a mask; alpha only filters the walk's sets.  A repeat
-is charged the nodes its walk spent, so every node count and budget
+is charged as `_Memo.recall` states, so every node count and budget
 error is as if the walk ran again.  The branching carries the items
 left as a mask and takes actions as masks; only the outcomes it returns
 are spelt out.
@@ -31,8 +31,8 @@ prune is the Nash test, then asks the coalitions of 2..k players.
 walk reads the game's symmetries from the instance's memo
 (`model._Memo`): it walks relabelled assignments once when all players
 share one system, and assignments that permute repeated items once.
-The walk and its prune work on item masks.  Each kind's family and its
-best weight within each pool are kept on the memo too, so every k,
+The walk and its prune work on item masks.  Each kind's family, with
+its best weight within each pool, is kept on the memo too, so every k,
 alpha and call on the instance shares them.
 
 Every verifier asks `best_response.deviation`, the one alpha rule (a
@@ -47,8 +47,9 @@ of masks and every held weight an integer sum; only the welfare and a
 witness are built as `Fraction`s and frozensets.  Each verifier spends
 one `SearchBudget` per call, the caller's or a default one, on its
 validation and on every reply.  The instance remembers the replies as it
-does the SPE actions, and charges a repeat the same way; the coalition
-checks (`_first_deviation`) read a remembered reply themselves.
+does the SPE actions, and every reply, the coalition checks'
+(`_first_deviation`) too, is read through `best_response._reply`, so a
+repeat is charged by `_Memo.recall`'s one rule.
 """
 
 from __future__ import annotations
@@ -63,8 +64,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .budget import SearchBudget
 from .errors import InputError, _integer
-from .best_response import (DeviationWitness, _best_response_cached, _reply,
-                            _witness, check_alpha, deviation)
+from .best_response import (DeviationWitness, _reply, _witness, check_alpha,
+                            deviation)
 # Unused here, but `perfbench/selftest.py` checks that this binding is traced.
 from .best_response import best_response  # noqa: F401
 from .feasibility import _mask_scan
@@ -142,17 +143,18 @@ def _equilibria(instance: Instance, factor: Fraction, k: int,
 
     Each player's family is its kind's (`kinds` of the instance's memo):
     every feasible set as a mask with its weight, from one walk the memo
-    keeps (`_Memo.families`), in descending weight.  Then a branch and
-    bound over the joint tree in post-order: call the items before `item`
-    that nobody holds "skipped"; they stay free below the node.  So in
-    any Nash leaf below it, player i holds at least w(S_i) and
-    top(i, skipped | S_i) / alpha, where top is i's best weight within
-    that pool: the first set of the family inside it, kept per kind and
-    pool (`_Memo.tops`).  A node is dropped when some player cannot reach
-    alpha-satisfaction even with every undecided item it can hold, or
-    when the sum of those lower bounds reaches `least[0]`: later leaves
-    lose ties in post-order; the sum is never below alpha times the
-    node's welfare.  After a node's last item nothing is undecided and
+    keeps (`_Memo.families`, read by `_Memo.recall`), in descending
+    weight.  Then a branch and bound over the joint tree in post-order:
+    call the items before `item` that nobody holds "skipped"; they stay
+    free below the node.  So in any Nash leaf below it, player i holds at
+    least w(S_i) and top(i, skipped | S_i) / alpha, where top is i's best
+    weight within that pool: the first set of the family inside it, kept
+    per pool beside the kind's family.  A node is dropped when some
+    player cannot reach alpha-satisfaction even with every undecided item
+    it can hold, or when the sum of those lower bounds reaches
+    `least[0]`: later leaves lose ties in post-order; the sum is never
+    below alpha times the node's welfare.  After a node's last item
+    nothing is undecided and
     `skipped` is every free item, so the prune is the Nash test and the
     welfare bound; a node passing both then faces the coalitions of 2..k
     players (k >= 2), asked on the node's masks and family weights.  The
@@ -172,26 +174,27 @@ def _equilibria(instance: Instance, factor: Fraction, k: int,
     else:
         interchangeable, previous = not any(kind), memo.previous(ids)
 
-    def family(player: int) -> dict[int, int]:
+    def family(player: int) -> tuple[dict[int, int], dict[int, int]]:
         walked = [(T, value) for (T,), value in walk(
             bits, weights, [asking(instance.players[player].is_member, ids)],
             budget)]
-        return dict(sorted(walked, key=lambda pair: -pair[1]))
+        return dict(sorted(walked, key=lambda pair: -pair[1])), {}
 
-    families: list[dict[int, int]] = []
+    families: list[tuple[dict[int, int], dict[int, int]]] = []
     for player, first in enumerate(kind):
         families.append(families[first] if first < player else memo.recall(
-            memo.families, first, budget, lambda: family(first)))
+            memo.families, first, budget, family, first))
     num, den = factor.numerator, factor.denominator
-    # Per player: its family, its kind's tops, and reach[item], the weight
-    # of the items from `item` on that the player can hold.
+    # Per player: its family, its kind's tops (pool mask to best weight),
+    # and reach[item], the weight of the items from `item` on that the
+    # player can hold.
     views = []
-    for player, members in enumerate(families):
+    for members, tops in families:
         universe = reduce(or_, members)
         reach = list(accumulate(reversed(
             [w if universe & b else 0 for b, w in zip(bits, weights)]),
             initial=0))[::-1]
-        views.append((members, memo.tops.setdefault(kind[player], {}), reach))
+        views.append((members, tops, reach))
     size = len(ids)
 
     def prune(sets: Sets, value: int, item: int) -> bool:
@@ -445,52 +448,51 @@ def _acceptable(instance: Instance, player: int, available: int,
 
     The walk does not depend on alpha; only the filter after it does.  So
     the instance's memo recalls each walk (`_Memo.recall`, table
-    `acceptable`) under the player's kind and `available`: its optimum
-    and every (set mask, integer weight) pair in pre-order.  The walk
-    gives each item its bit over `ordered_ids` (`_Memo.bit`), so its
-    masks are stored as they come.  Every call keeps the pairs of weight
-    at least ceil(optimum / alpha), which is `within_alpha` on integers.
-    The pool is spelt only for a walk, or to find a leader walk's key.
+    `acceptable`, charged by its rule) under the player's kind and
+    `available`: its optimum and every (set mask, integer weight) pair in
+    pre-order (`_actions`).  Every call keeps the pairs of weight at
+    least ceil(optimum / alpha), which is `within_alpha` on integers.
 
     With `leaders`, only the sets that lead their orbit are walked: those
     that hold the class-mate before each of their items in the mover's
     pool (`_Memo.previous`), that is, the lowest-id items of each class.
     Each set is a swap of one of them of equal weight, so the optimum is
-    the same.  Such a walk has its own memo entry, with True appended to
-    the key, when the pool holds two items of one class; otherwise it is
-    the full listing and shares the listing's entry.  Which of the two
-    keys a pool's leader walk uses is found once and kept (`_Memo.leading`),
-    so a repeated leader read costs one more dict read than a listing
-    read.
+    the same.  Such a walk is recalled with True appended to the key.
     """
     memo = instance._memo
-    system = instance.players[player]
-    key: tuple = (memo.kinds[player], available)
-
-    def pool() -> list[str]:
-        return sorted(spell(available, instance.ordered_ids)
-                      & system.universe())
-
-    if leaders:
-        found = memo.leading.get(key)
-        if found is None:
-            found = memo.leading[key] = key + (True,) if memo.previous(
-                pool()) is not None else key
-        key = found
-
-    def search() -> tuple[int, tuple[tuple[int, int], ...]]:
-        ids = pool()
-        weight, _ = instance.integer_weights
-        previous = memo.previous(ids) if len(key) == 3 else None
-        walked = tuple((action, value) for (action,), value in walk(
-            [memo.bit[i] for i in ids], [weight[i] for i in ids],
-            [asking(system.is_member, instance.ordered_ids)], budget,
-            previous=previous))
-        return max(value for _, value in walked), walked
-
-    optimum, walked = memo.recall(memo.acceptable, key, budget, search)
+    key = ((memo.kinds[player], available, True) if leaders
+           else (memo.kinds[player], available))
+    optimum, walked = memo.recall(memo.acceptable, key, budget, _actions,
+                                  instance, player, available, budget,
+                                  leaders)
     least = -(-optimum * factor.denominator // factor.numerator)
     return [pair for pair in walked if pair[1] >= least]
+
+
+def _actions(instance: Instance, player: int, available: int,
+             budget: SearchBudget, leaders: bool
+             ) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The walk behind `_acceptable`: the optimum of `player` in the
+    `available` mask, and every (set mask, integer weight) pair in
+    pre-order, each item walked with its bit over `ordered_ids`
+    (`_Memo.bit`), so the masks are kept as they come.  The pool is spelt
+    only here.  A leader walk of a pool without class-mates is the
+    listing, so it recalls the listing's entry, which then holds the one
+    walk for both keys."""
+    memo = instance._memo
+    system = instance.players[player]
+    everyone = instance.ordered_ids
+    ids = sorted(spell(available, everyone) & system.universe())
+    previous = memo.previous(ids) if leaders else None
+    if leaders and previous is None:
+        return memo.recall(memo.acceptable, (memo.kinds[player], available),
+                           budget, _actions, instance, player, available,
+                           budget, False)
+    weight, _ = instance.integer_weights
+    walked = tuple((action, value) for (action,), value in walk(
+        [memo.bit[i] for i in ids], [weight[i] for i in ids],
+        [asking(system.is_member, everyone)], budget, previous=previous))
+    return max(value for _, value in walked), walked
 
 
 def verify_spe_outcome(instance: Instance, profile: Profile,
@@ -525,34 +527,22 @@ def _first_deviation(instance: Instance, sets: Sequence[int],
     their integer weights.
 
     A coalition's pool is the mask of its own items and the unclaimed
-    ones, and its held weight the sum of its members'.  A reply the
-    instance remembers is read here, as `_Memo.recall` reads it: paid in
-    one `try_spend`, else asked of `deviation`, which searches again, so
-    the check spends and fails as a fresh one does.  A witness is built
-    only for the coalition that deviates.
+    ones, and its held weight the sum of its members'.  Its reply comes
+    from `_reply`, charged by `_Memo.recall`'s rule, so the check spends
+    and fails as a fresh one does.  A witness is built only for the
+    coalition that deviates.
     """
-    memo = instance._memo
-    replies, kinds = memo.replies, memo.kinds
     num, den = factor.numerator, factor.denominator
     unclaimed = (1 << len(instance.ordered_ids)) - 1
     for T in sets:
         unclaimed &= ~T
-    counts = _best_response_cached
     for size in range(start, k + 1):
         for coalition in combinations(range(len(sets)), size):
             pool, held = unclaimed, 0
             for member in coalition:
                 pool |= sets[member]
                 held += weights[member]
-            found = replies.get((tuple([kinds[m] for m in coalition]), pool))
-            if found is None or not budget.try_spend(found[0]):
-                witness = deviation(instance, coalition, pool, held, factor,
-                                    budget)
-                if witness:
-                    return witness
-                continue
-            counts.asked += 1
-            proposed, value = found[1]
+            proposed, value = _reply(instance, coalition, pool, budget)
             if num * held < den * value:
                 return _witness(instance, coalition, proposed, held, value)
     return None

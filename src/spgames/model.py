@@ -161,36 +161,32 @@ class _Memo:
     item's `bit`, built on the first mask.  The searches pass masks to
     one another, so `mask` runs only where a public function takes an
     item set.  Each table maps a key to the nodes its search spent and
-    the search's result, and `recall` is the one way to read one, save
-    where noted:
+    the search's result, and `recall` is the one way to read one; its
+    docstring states what a read is charged:
 
-    * `acceptable`: (kind, pool mask), with True appended for a walk of
-      the orbit leaders alone of a mover's pool with class-mates (whose
-      `previous` is not None), to the optimum and every (set mask,
+    * `acceptable`: (kind, pool mask) to the optimum and every (set mask,
       integer weight) pair of the mover's walk in
       `equilibria._acceptable`, in pre-order; each alpha filters the
-      pairs on reading.  Beside it, `leading` (read directly, not by
-      `recall`) maps (kind, pool mask) to the key of that pool's leader
-      walk, so `previous` runs once per pool;
+      pairs on reading.  With True appended, the key holds the walk of
+      the orbit leaders alone, which for a pool without class-mates
+      (whose `previous` is None) is the listing, recalled under the
+      listing's key;
     * `replies`: (the members' kinds, pool mask) to the members' best sets,
-      as masks, and their integer weight (`best_response._reply`).
-      `equilibria._first_deviation` reads it directly, by `recall`'s
-      rule, and counts each read as `_reply` does;
+      as masks, and their integer weight (`best_response._reply`);
     * `optima`: the mask of the assignable items to the sets and integer
       welfare of `metrics.compute_opt`;
     * `families`: a kind to its family, as `equilibria._equilibria` walks
       it: every feasible set as a mask over `ordered_ids`, mapped to its
-      integer weight, in descending weight.  Beside it, `tops` (read
-      directly) maps a kind, then a pool mask, to the kind's best weight
-      within the pool: the weight of the family's first set inside it.
+      integer weight, in descending weight; paired with the kind's tops,
+      each pool mask the walk has asked about mapped to the kind's best
+      weight within it, filled as the walk asks.
 
     The tables do not depend on k or alpha, so every search on the
     instance shares them.
     """
 
     __slots__ = ("kinds", "_players", "_ids", "_weight", "_mates", "_whole",
-                 "_bit", "acceptable", "leading", "replies", "optima",
-                 "families", "tops")
+                 "_bit", "acceptable", "replies", "optima", "families")
 
     def __init__(self, instance: Instance):
         players = instance.players
@@ -202,11 +198,9 @@ class _Memo:
         self._whole: Optional[tuple[Optional[list[int]]]] = None
         self._bit: Optional[dict[str, int]] = None
         self.acceptable: dict[tuple, tuple[int, object]] = {}
-        self.leading: dict[tuple[int, int], tuple] = {}
         self.replies: dict[tuple[tuple[int, ...], int], tuple[int, object]] = {}
         self.optima: dict[int, tuple[int, object]] = {}
         self.families: dict[int, tuple[int, object]] = {}
-        self.tops: dict[int, dict[int, int]] = {}
 
     @property
     def mates(self) -> dict[str, str]:
@@ -274,21 +268,24 @@ class _Memo:
 
     @staticmethod
     def recall(table: dict, key, budget: SearchBudget,
-               search: Callable[[], T]) -> T:
-        """What `search()`, run on `budget`, returns for `key`.
+               search: Callable[..., T], *args) -> T:
+        """What `search(*args)`, run on `budget`, returns for `key`: the one
+        read of a table entry, and the charge rule of every search the
+        instance remembers.
 
         A result the table holds spends the nodes its search spent, in one
         `SearchBudget.try_spend`, and searches nothing when the budget can
         pay them.  Any other runs `search` and stores its nodes and
         result; so a repeat the budget cannot pay for fails where and how
         a fresh search fails, and a budget counts, and runs out, as if
-        every repeat searched.
+        every repeat searched.  A search that recalls another entry stores
+        that entry's nodes and result.
         """
         found = table.get(key)
         if found is not None and budget.try_spend(found[0]):
             return found[1]
         before = budget.used
-        result = search()
+        result = search(*args)
         table[key] = budget.used - before, result
         return result
 

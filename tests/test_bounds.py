@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from spgames import (GeneratorSpec, InputError, bound_collusion, bound_nash,
-                     bound_sequential_symmetric, bound_series_b, compute_opt,
-                     enumerate_spe_outcomes, exp_enclosure, generate,
-                     ratio_within_sequential_bound, welfare)
+from spgames import (GeneratorSpec, InputError, RationalInterval,
+                     bound_collusion, bound_nash, bound_sequential_symmetric,
+                     bound_series_b, compute_opt, enumerate_spe_outcomes,
+                     exp_enclosure, generate, ratio_within_sequential_bound,
+                     welfare)
 
 from oracles import series_exp_enclosure
 
@@ -50,6 +51,35 @@ class TestEnclosures:
         for terms in range(2, 61):
             e = exp_enclosure(t, terms)
             assert (e.lo, e.hi) == series_exp_enclosure(t, terms)
+
+    def test_interval_endpoints_in_order(self):
+        with pytest.raises(InputError) as caught:
+            RationalInterval(Fraction(2), Fraction(1))
+        assert str(caught.value) == "interval endpoints out of order"
+        interval = RationalInterval(Fraction(1), Fraction(2))
+        # Closed at both ends; any exact rational is read.
+        assert [value in interval for value in (
+            Fraction(1), "3/2", 2, Fraction(5, 2), Fraction(99, 100))] == [
+                True, True, True, False, False]
+
+    @pytest.mark.parametrize("t", [Fraction(-1, 2), Fraction(3, 2)])
+    def test_exp_enclosure_only_on_the_unit_interval(self, t):
+        with pytest.raises(InputError) as caught:
+            exp_enclosure(t)
+        assert str(caught.value) == (
+            "exp enclosure implemented for 0 <= t <= 1 only")
+
+    @pytest.mark.parametrize("alpha", [Fraction(1), Fraction(3, 2)])
+    def test_a_ratio_inside_the_enclosure_is_refined(self, alpha):
+        # The default enclosure cannot place its own midpoint, so the
+        # decision narrows it until one side is certain.
+        enclosure = bound_sequential_symmetric(alpha)
+        middle = (enclosure.lo + enclosure.hi) / 2
+        assert enclosure.lo < middle < enclosure.hi
+        narrow = bound_sequential_symmetric(alpha, enclosure.width / 2 ** 64)
+        assert middle >= narrow.hi
+        assert ratio_within_sequential_bound(middle, alpha) is False
+        assert ratio_within_sequential_bound(enclosure.lo, alpha) is True
 
     def test_sequential_bound_interval_is_tight(self):
         for alpha in ALPHAS:

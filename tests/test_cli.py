@@ -483,12 +483,23 @@ class TestDocumentErrors:
           for meta in ([], 0, "", False, None)),
         (EXPLICIT, [["a"]], "profile document must be a JSON object"),
         (EXPLICIT, {"1": "a"}, "player 1: item list expected"),
+        (unrelated(processing={"x": {"a": "1"}}), None,
+         "processing entry for unknown machine 'x'"),
+        (unrelated(processing={"m": {"b": "1"}}), None,
+         "processing entry for unknown job 'b'"),
+        (unrelated(processing={"m": {"a": "0"}}), None,
+         "processing must be > 0, got 0"),
+        (dict(EXPLICIT, players=[{"kind": "single_machine", "jobs": {
+            "a": {"processing": "0", "deadline": "1"}}}]), None,
+         "processing must be > 0, got 0"),
     ], ids=["descriptor-not-object", "empty-machines", "shared-copies",
             "processing-not-object", "machine-processing-not-object",
             "document-not-object", "items-not-list", "malformed-item",
             "empty-players", "meta-not-object", "meta-empty-list",
             "meta-zero", "meta-empty-string", "meta-false", "meta-null",
-            "profile-not-object", "player-entry-not-list"])
+            "profile-not-object", "player-entry-not-list",
+            "processing-unknown-machine", "processing-unknown-job",
+            "processing-zero", "job-processing-zero"])
     def test_reader_input_errors_exit_two(self, tmp_path, capsys, instance,
                                           profile, message):
         path = tmp_path / "instance.json"

@@ -623,26 +623,50 @@ def test_warm_verifiers_answer_and_spend_as_fresh_ones(built, data):
 
 
 def test_reply_counts_see_every_remembered_reply():
-    """The counters the benchmark's tracer reads: a Nash check on a fresh
-    instance asks one reply per player and searches each distinct one;
-    a repeat asks as many and searches none."""
+    """The counters the benchmark's tracer reads: every reply a verifier or
+    a public function asks counts once in `asked`, and every search once
+    in `misses`.  A Nash check on a fresh instance asks one reply per
+    player and searches each distinct one; a repeat asks as many and
+    searches none.  So do a collusion check at k = 2 and the public
+    replies."""
     # The package's `best_response` is the function; the counters live on
     # its module.
     counts = import_module("spgames.best_response")._best_response_cached
     game = random_symmetric(n=3, copies=2, seed=8)
+    memo = game._memo
     profile = enumerate_nash(game, 1)[0]
     # Players 2 and 3 are of one kind and hold nothing: they ask one reply.
-    assert game._memo.kinds == (0, 0, 0)
+    assert memo.kinds == (0, 0, 0)
     assert profile.sets[1] == profile.sets[2] == frozenset()
-    before = counts.asked, counts.misses
+    start = counts.asked, counts.misses
+
+    def asked(calls: int, searches: int) -> None:
+        assert (counts.asked, counts.misses) == (start[0] + calls,
+                                                 start[1] + searches)
+        assert len(memo.replies) == searches
+
     assert verify_nash(game, profile, 1).verdict
-    searched = len(game._memo.replies)
-    assert searched == 2
-    assert (counts.asked, counts.misses) == (before[0] + game.n,
-                                             before[1] + searched)
+    asked(game.n, 2)
     verify_nash(game, profile, 1)
-    assert (counts.asked, counts.misses) == (before[0] + 2 * game.n,
-                                             before[1] + searched)
+    asked(2 * game.n, 2)
+    # Each pair pools the unclaimed items with what it holds: two pools,
+    # one holding player 1's items.  The singles are remembered.
+    for repeat in range(2):
+        assert verify_collusion(game, profile, 2, 1).verdict
+        asked((4 + 2 * repeat) * game.n, 4)
+    # A pool no check asked: one search for the three players of one
+    # kind, one for the pairs, one for the whole coalition.
+    pool = game.item_ids - {min(profile.sets[0])}
+    for player in range(game.n):
+        assert best_response(game, player, pool) == brute_best_response(
+            game, player, pool)
+    asked(7 * game.n, 5)
+    for coalition in combinations(range(game.n), 2):
+        assert coalition_best_response(game, coalition, pool) == (
+            brute_coalition(game, coalition, pool))
+    asked(8 * game.n, 6)
+    coalition_best_response(game, range(game.n), pool)
+    asked(8 * game.n + 1, 7)
 
 
 def test_players_of_one_kind_share_one_reply():

@@ -319,6 +319,37 @@ class TestUnrelated:
                   "b": TimeWindow(Fraction(0), Fraction(1))})
         assert not only_m1.is_member({"b"})
 
+    @pytest.mark.parametrize("processing, message", [
+        ({("x", "a"): 1}, "processing entry for unknown machine 'x'"),
+        ({("m", "b"): 1}, "processing entry for unknown job 'b'"),
+        ({("m", "a"): 0}, "processing must be > 0, got 0"),
+    ], ids=["machine", "job", "zero"])
+    def test_processing_entries_are_checked(self, processing, message):
+        with pytest.raises(InputError) as caught:
+            UnrelatedMachinesSystem(machines=("m",), processing=processing,
+                                    jobs={"a": TimeWindow(0, 1)})
+        assert str(caught.value) == message
+
+
+class TestDescriptorErrors:
+    def test_duplicate_job_ids(self):
+        with pytest.raises(InputError) as caught:
+            SingleMachineSystem(jobs=[("a", JobWindow(0, 1, 1)),
+                                      ("a", JobWindow(0, 1, 2))])
+        assert str(caught.value) == "duplicate job ids in feasibility descriptor"
+
+    def test_a_job_takes_some_time(self):
+        with pytest.raises(InputError) as caught:
+            JobWindow(0, 0, 1)
+        assert str(caught.value) == "processing must be > 0, got 0"
+
+    def test_shared_symmetric_systems_do_not_nest(self):
+        inner = SharedSymmetricSystem(
+            ExplicitSystem(maximal_sets=(frozenset("a"),)), 1)
+        with pytest.raises(InputError) as caught:
+            SharedSymmetricSystem(inner, 2)
+        assert str(caught.value) == "shared symmetric systems cannot nest"
+
 
 class TestWitness:
     def test_witness_revalidates_on_scheduling_systems(self):

@@ -13,7 +13,8 @@ import pytest
 from spgames import (INFEASIBLE, GeneratorSpec, IdenticalMachinesSystem,
                      InputError, Instance, Item, JobWindow, Payoff, Profile,
                      ExplicitSystem, SearchBudget, SharedSymmetricSystem,
-                     TimeWindow, UnrelatedMachinesSystem, best_response,
+                     TimeWindow, UnrelatedMachinesSystem, Violation,
+                     best_response,
                      bound_collusion, bound_series_b, coalition_best_response,
                      compute_opt, empirical_collusion_poa,
                      empirical_sequential_poa, enumerate_spe_outcomes,
@@ -62,6 +63,19 @@ class TestPayoff:
         profile = Profile((frozenset(), frozenset({"1"})))
         with pytest.raises(InputError):
             payoff(game, profile, 1)
+
+    @pytest.mark.parametrize("player", [2, -1])
+    def test_player_out_of_range_is_an_input_error(self, player):
+        game = two_item_game()
+        with pytest.raises(InputError) as caught:
+            payoff(game, Profile((frozenset(), frozenset())), player)
+        assert str(caught.value) == (
+            f"player index {player} out of range for n=2")
+
+    def test_profile_of_another_size_is_an_input_error(self):
+        with pytest.raises(InputError) as caught:
+            payoff(two_item_game(), Profile((frozenset(),)), 0)
+        assert str(caught.value) == "profile has 1 players, instance has 2"
 
     def test_infeasible_sorts_below_every_finite_value(self):
         assert INFEASIBLE < Payoff.finite(Fraction(-5))
@@ -154,6 +168,19 @@ class TestValidateProfile:
         assert "infeasible_set" in kinds  # player 2 cannot hold item 1
         assert "overlap" in kinds
 
+    def test_unknown_items_reported(self):
+        # Player 1's set names an unknown item, so its membership is not
+        # asked; player 2 cannot hold item 1, which player 1 holds too.
+        game = two_item_game()
+        assert validate_profile(game, Profile((frozenset({"7"}),
+                                               frozenset({"2"})))) == [
+            Violation("unknown_item", players=(0,), items=frozenset({"7"}))]
+        assert validate_profile(game, Profile((frozenset({"1", "7"}),
+                                               frozenset({"1"})))) == [
+            Violation("unknown_item", players=(0,), items=frozenset({"7"})),
+            Violation("infeasible_set", players=(1,), items=frozenset({"1"})),
+            Violation("overlap", players=(0, 1), items=frozenset({"1"}))]
+
     def test_size_mismatch_reported(self):
         game = two_item_game()
         out = validate_profile(game, Profile((frozenset(),)))
@@ -234,6 +261,13 @@ class TestConstruction:
         with pytest.raises(InputError,
                            match=r"must be (an integer|>= 1), got "):
             call(game, profile)
+
+    @pytest.mark.parametrize("order", [[0, 0], [0, 1, 2], [1]])
+    def test_order_that_is_not_a_permutation(self, order):
+        with pytest.raises(InputError) as caught:
+            check_order(two_item_game(), order)
+        assert str(caught.value) == (
+            f"order {tuple(order)} is not a permutation of 0..1")
 
     def test_negative_weight_rejected(self):
         with pytest.raises(InputError):

@@ -131,9 +131,11 @@ class TestOrbitWalks:
         assert (budget.used, result.ratio) == (6_773, Fraction(4, 3))
 
     def test_leader_walks_only_for_pools_with_class_mates(self):
-        # c and d are class-mates outside the players' universe: once a and
-        # b are taken, the mover's pool is empty, and its leader walk is
-        # the listing, which needs no memo entry of its own.
+        # c and d are class-mates outside the players' universe: once a or
+        # b is taken, the mover's pool holds no two class-mates, and its
+        # leader walk is the listing.  Its entry recalls the listing's, so
+        # it holds the listing's very result for the listing's nodes: no
+        # second walk ran and no second tuple was built.
         base = ExplicitSystem(maximal_sets=[frozenset("ab")])
         players = (SharedSymmetricSystem(base, 1),) * 2
 
@@ -152,12 +154,20 @@ class TestOrbitWalks:
             assert call(game, warm) == call(fresh(), cold)
             assert warm.used == cold.used
         memo = game._memo
-        for key in memo.acceptable:
+        walked = aliased = 0
+        for key, (nodes, result) in memo.acceptable.items():
             if len(key) == 3:
                 assert key[2] is True
                 pool = [i for i in game.ordered_ids
                         if key[1] & memo.bit[i] and i in base.universe()]
-                assert memo.previous(pool) is not None
+                listing = memo.acceptable.get(key[:2])
+                if memo.previous(pool) is not None:
+                    walked += 1
+                    assert listing is None or listing[1] is not result
+                else:
+                    aliased += 1
+                    assert (result is listing[1], nodes) == (True, listing[0])
+        assert (walked, aliased) == (1, 2)
 
     def test_a_repeated_leader_read_reads_no_class_record(self, monkeypatch):
         # The second pass finds every walk in the memo, the leader walks

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from spgames import GeneratorSpec, InputError, generate, reference_profiles
-from spgames.serialize import (decimal_str, document_to_instance,
+from spgames import (FeasibilitySystem, GeneratorSpec, InputError, Instance,
+                     Item, generate, reference_profiles)
+from spgames.serialize import (bound_to_document, decimal_str,
+                               document_to_instance,
                                document_to_profile, dumps_document,
                                instance_to_document, loads_document,
                                parse_rational, profile_to_document,
@@ -160,3 +162,21 @@ def test_job_window_errors_name_their_field(kind, jobs, message):
     with pytest.raises(InputError) as caught:
         document_to_instance(doc)
     assert str(caught.value) == message
+
+
+def test_a_user_defined_system_does_not_serialize():
+    class Pair(FeasibilitySystem):
+        def universe(self):
+            return frozenset("ab")
+
+        def is_member(self, items, budget=None):
+            return frozenset(items) <= self.universe()
+
+    game = Instance(items=(Item("a", 1), Item("b", 1)), players=(Pair(),))
+    with pytest.raises(InputError) as caught:
+        instance_to_document(game)
+    assert str(caught.value) == "cannot serialize feasibility system Pair"
+
+
+def test_no_bound_is_null():
+    assert bound_to_document(None) is None
