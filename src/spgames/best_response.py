@@ -38,7 +38,7 @@ from typing import Iterable, Optional, Union
 from .budget import SearchBudget
 from .errors import InputError, _fraction
 from .model import Instance, _check_player_index, restrict_available
-from .search import Sets, asking, best, spell
+from .search import Sets, best, spell
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ def _joint_best(instance: Instance, members: tuple[int, ...], pool: int,
     ids = sorted(spell(pool, everyone))
     memo = instance._memo
     weight, _ = instance.integer_weights
-    tests = [asking(instance.players[m].is_member, everyone) for m in members]
+    tests = [memo.test(m) for m in members]
     key = None if len(members) == 1 else (
         lambda sets: tuple(tuple(sorted(spell(s, everyone))) for s in sets))
     return best([memo.bit[i] for i in ids], [weight[i] for i in ids], tests,

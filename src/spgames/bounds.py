@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
 
-from .errors import InputError, _integer
+from .errors import InputError, _fraction, _integer
 from .best_response import check_alpha
 
 DEFAULT_INTERVAL_WIDTH = Fraction(1, 10 ** 12)
@@ -31,16 +31,19 @@ class RationalInterval:
     hi: Fraction
 
     def __post_init__(self):
-        if self.lo > self.hi:
+        lo = _fraction(self.lo, name="interval endpoint")
+        hi = _fraction(self.hi, name="interval endpoint")
+        if lo > hi:
             raise InputError("interval endpoints out of order")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
 
     def __contains__(self, value) -> bool:
-        x = Fraction(value)
-        return self.lo <= x <= self.hi
+        return self.lo <= _fraction(value, name="value") <= self.hi
 
 
 def bound_nash(alpha) -> Fraction:

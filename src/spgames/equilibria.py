@@ -39,17 +39,19 @@ Every verifier asks `best_response.deviation`, the one alpha rule (a
 tie passes), for a reply from the items no outsider holds (Nash,
 collusion) or those left when the player moves (SPE).  For one player
 the former are its own items plus the unclaimed ones, so the Nash check
-is the collusion check at k = 1.  Once `welfare` has validated the
-profile, a verifier masks it in one pass: each set as a mask over
-`ordered_ids` with its weight on the instance's integer scale
-(`Instance.integer_weights`).  Every pool is then a union or difference
-of masks and every held weight an integer sum; only the welfare and a
-witness are built as `Fraction`s and frozensets.  Each verifier spends
-one `SearchBudget` per call, the caller's or a default one, on its
-validation and on every reply.  The instance remembers the replies as it
-does the SPE actions, and every reply, the coalition checks'
-(`_first_deviation`) too, is read through `best_response._reply`, so a
-repeat is charged by `_Memo.recall`'s one rule.
+is the collusion check at k = 1.  A verifier validates the profile by
+the pass behind `welfare` and `validate_profile` (`model._packing`),
+which masks each set once, over `ordered_ids` with its weight on the
+instance's integer scale (`Instance.integer_weights`), and tests each
+set's membership on its mask where the system decides masks itself.
+The verifier takes those masks and weights: every pool is then a union
+or difference of masks and every held weight an integer sum; only the
+welfare and a witness are built as `Fraction`s and frozensets.  Each
+verifier spends one `SearchBudget` per call, the caller's or a default
+one, on its validation and on every reply.  The instance remembers the
+replies as it does the SPE actions, and every reply, the coalition
+checks' (`_first_deviation`) too, is read through `best_response._reply`,
+so a repeat is charged by `_Memo.recall`'s one rule.
 """
 
 from __future__ import annotations
@@ -69,26 +71,11 @@ from .best_response import (DeviationWitness, _reply, _witness, check_alpha,
 # Unused here, but `perfbench/selftest.py` checks that this binding is traced.
 from .best_response import best_response  # noqa: F401
 from .feasibility import _mask_scan
-from .model import Instance, Profile, welfare
-from .search import Sets, asking, spell, walk
+from .model import Instance, Profile, _packing
+from .search import Sets, spell, walk
 
 # One set per player, as a sequential outcome hands them out.
 Choice = tuple[frozenset[str], ...]
-
-
-def _masked(instance: Instance, profile: Profile) -> tuple[list[int], list[int]]:
-    """Each set of a valid `profile` as a mask over `ordered_ids`, and its
-    weight on the instance's integer scale, in one pass."""
-    bit, (weight, _) = instance._memo.bit, instance.integer_weights
-    masks, weights = [], []
-    for items in profile.sets:
-        mask = value = 0
-        for item in items:
-            mask |= bit[item]
-            value += weight[item]
-        masks.append(mask)
-        weights.append(value)
-    return masks, weights
 
 
 @dataclass(frozen=True)
@@ -126,9 +113,8 @@ def verify_nash(instance: Instance, profile: Profile, alpha,
     """Check the approximate unilateral-deviation condition for every player."""
     factor = check_alpha(alpha)
     budget = SearchBudget.ensure(budget)
-    total = welfare(instance, profile, budget)
-    witness = _first_deviation(instance, *_masked(instance, profile), 1, 1,
-                               factor, budget)
+    total, sets, weights = _packing(instance, profile, budget, masked=True)
+    witness = _first_deviation(instance, sets, weights, 1, 1, factor, budget)
     return EquilibriumReport("nash", factor, witness is None, total, witness)
 
 
@@ -176,8 +162,7 @@ def _equilibria(instance: Instance, factor: Fraction, k: int,
 
     def family(player: int) -> tuple[dict[int, int], dict[int, int]]:
         walked = [(T, value) for (T,), value in walk(
-            bits, weights, [asking(instance.players[player].is_member, ids)],
-            budget)]
+            bits, weights, [memo.test(player)], budget)]
         return dict(sorted(walked, key=lambda pair: -pair[1])), {}
 
     families: list[tuple[dict[int, int], dict[int, int]]] = []
@@ -247,7 +232,7 @@ def enumerate_collusion(instance: Instance, k: int, alpha,
     check_k(instance, k)
     factor = check_alpha(alpha)
     ids = instance.ordered_ids
-    return tuple(Profile(tuple(spell(T, ids) for T in sets))
+    return tuple(Profile._spelt(tuple(spell(T, ids) for T in sets))
                  for sets, _ in _equilibria(instance, factor, k,
                                             SearchBudget.ensure(budget)))
 
@@ -275,7 +260,7 @@ def worst_equilibrium(instance: Instance, alpha, k: int = 1,
     if found is None:
         raise RuntimeError("no equilibrium found, though one always exists")
     ids = instance.ordered_ids
-    return (Profile(tuple(spell(T, ids) for T in found)),
+    return (Profile._spelt(tuple(spell(T, ids) for T in found)),
             Fraction(least[0], instance.integer_weights[1]))
 
 
@@ -326,7 +311,7 @@ def greedy_sequential_outcome(instance: Instance, order: Iterable[int],
             left ^= sum(taken)
     else:
         raise InputError(f"unknown selector {selector!r}")
-    return Profile(tuple(sets))
+    return Profile._spelt(tuple(sets))
 
 
 def enumerate_spe_outcomes(instance: Instance, order: Iterable[int], alpha,
@@ -365,7 +350,7 @@ def enumerate_spe_outcomes(instance: Instance, order: Iterable[int], alpha,
     ids = instance.ordered_ids
     spelling = cache(lambda mask: spell(mask, ids))
     turn = [sequence.index(player) for player in range(n)]
-    return tuple(Profile(tuple(spelling(choice[t]) for t in turn))
+    return tuple(Profile._spelt(tuple(spelling(choice[t]) for t in turn))
                  for choice in completions(0, (1 << len(ids)) - 1))
 
 
@@ -470,28 +455,31 @@ def _acceptable(instance: Instance, player: int, available: int,
 
 
 def _actions(instance: Instance, player: int, available: int,
-             budget: SearchBudget, leaders: bool
+             budget: SearchBudget, leaders: bool,
+             ids: Optional[list[str]] = None
              ) -> tuple[int, tuple[tuple[int, int], ...]]:
     """The walk behind `_acceptable`: the optimum of `player` in the
     `available` mask, and every (set mask, integer weight) pair in
     pre-order, each item walked with its bit over `ordered_ids`
-    (`_Memo.bit`), so the masks are kept as they come.  The pool is spelt
-    only here.  A leader walk of a pool without class-mates is the
-    listing, so it recalls the listing's entry, which then holds the one
-    walk for both keys."""
+    (`_Memo.bit`) and tested by the kind's kept test (`_Memo.test`), so
+    the masks are kept as they come.  The pool is spelt only here, into
+    `ids`, the pool's items in the player's universe in id order.  A
+    leader walk of a pool without class-mates is the listing, so it
+    recalls the listing's entry, which then holds the one walk for both
+    keys; a miss there walks the `ids` already spelt."""
     memo = instance._memo
-    system = instance.players[player]
-    everyone = instance.ordered_ids
-    ids = sorted(spell(available, everyone) & system.universe())
+    if ids is None:
+        ids = sorted(spell(available, instance.ordered_ids)
+                     & instance.players[player].universe())
     previous = memo.previous(ids) if leaders else None
     if leaders and previous is None:
         return memo.recall(memo.acceptable, (memo.kinds[player], available),
                            budget, _actions, instance, player, available,
-                           budget, False)
+                           budget, False, ids)
     weight, _ = instance.integer_weights
     walked = tuple((action, value) for (action,), value in walk(
         [memo.bit[i] for i in ids], [weight[i] for i in ids],
-        [asking(system.is_member, everyone)], budget, previous=previous))
+        [memo.test(player)], budget, previous=previous))
     return max(value for _, value in walked), walked
 
 
@@ -505,8 +493,7 @@ def verify_spe_outcome(instance: Instance, profile: Profile,
     sequence = check_order(instance, order)
     factor = check_alpha(alpha)
     budget = SearchBudget.ensure(budget)
-    total = welfare(instance, profile, budget)
-    sets, weights = _masked(instance, profile)
+    total, sets, weights = _packing(instance, profile, budget, masked=True)
     available = (1 << len(instance.ordered_ids)) - 1
     for player in sequence:
         witness = deviation(instance, (player,), available, weights[player],
@@ -562,8 +549,7 @@ def verify_collusion(instance: Instance, profile: Profile, k: int, alpha,
     factor = check_alpha(alpha)
     check_k(instance, k)
     shared = SearchBudget.ensure(budget)
-    total = welfare(instance, profile, shared)
-    witness = _first_deviation(instance, *_masked(instance, profile), 1, k,
-                               factor, shared)
+    total, sets, weights = _packing(instance, profile, shared, masked=True)
+    witness = _first_deviation(instance, sets, weights, 1, k, factor, shared)
     return EquilibriumReport("collusion", factor, witness is None, total,
                              witness, k=k)

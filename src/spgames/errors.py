@@ -34,11 +34,15 @@ def _fraction(value, *, name: str, minimum: Fraction | None = None,
               strict: bool = False) -> Fraction:
     """`value` as an exact rational, at least (or with `strict`, above)
     `minimum`; anything else, infinities and nan included, is an input
-    error."""
-    try:
-        out = Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
-        raise InputError(f"{name} is not a rational: {value!r}") from exc
+    error.  A `Fraction` itself, not a subclass, is taken as it is."""
+    if type(value) is Fraction:
+        out = value
+    else:
+        try:
+            out = Fraction(value)
+        except (ValueError, ZeroDivisionError, TypeError,
+                OverflowError) as exc:
+            raise InputError(f"{name} is not a rational: {value!r}") from exc
     if minimum is not None:
         if strict and out <= minimum:
             raise InputError(f"{name} must be > {minimum}, got {out}")

@@ -342,6 +342,21 @@ class FeasibilitySystem:
         """
         return () if self.is_member(target, budget) else None
 
+    def _mask_test(self, ids: Sequence[str]) -> Test:
+        """Membership of masks over `ids`, bit j standing for `ids[j]`: the
+        system's own mask test (`_own_mask_test`) where it has one, else
+        `is_member` asked about each mask spelt out (`search.asking`).
+        Either spends what `is_member` spends."""
+        return self._own_mask_test(ids) or asking(self.is_member, ids)
+
+    def _own_mask_test(self, ids: Sequence[str]) -> Optional[Test]:
+        """A membership test on masks over `ids` that spells no set, or
+        None.  Only explicit families and the systems that answer through
+        one have it, and only where membership is the built-in's own
+        (`_own_membership`): a subclass that redefines `is_member` is
+        asked through `is_member`."""
+        return None
+
     def schedule_witness(self, items: Iterable[str],
                          budget: int | SearchBudget | None = None
                          ) -> Optional[ScheduleWitness]:
@@ -419,6 +434,26 @@ class ExplicitSystem(FeasibilitySystem):
     def is_member(self, items, budget=None) -> bool:
         target = frozenset(items)
         return any(target <= maximal for maximal in self.maximal_sets)
+
+    def _own_mask_test(self, ids) -> Optional[Test]:
+        """A mask is a member when it misses the items outside some
+        maximal set; each maximal set's outside is a mask over `ids`, so
+        an item not in `ids` is outside none and one not in the universe
+        is outside all.  No budget node, as `is_member` spends none."""
+        if not _own_membership(type(self)):
+            return None
+        bit = {item: 1 << j for j, item in enumerate(ids)}
+        everything = (1 << len(ids)) - 1
+        outsides = [everything & ~sum(bit.get(item, 0) for item in maximal)
+                    for maximal in self.maximal_sets]
+
+        def test(mask: int, budget: SearchBudget) -> bool:
+            for outside in outsides:
+                if not mask & outside:
+                    return True
+            return False
+
+        return test
 
     @cached_property
     def _holders(self) -> Counter:
@@ -639,7 +674,8 @@ class SharedSymmetricSystem(FeasibilitySystem):
 
     @cached_property
     def _covers(self) -> Optional[ExplicitSystem]:
-        """The family of this system when the base is explicit, else None.
+        """The family of this system when the base is explicit, with the
+        membership of `ExplicitSystem` (`_own_membership`), else None.
 
         Its sets are the unions of at most min(copies, m) of the base's m
         maximal sets, built one base set at a time: unite each cover so
@@ -648,7 +684,8 @@ class SharedSymmetricSystem(FeasibilitySystem):
         it would pass that, so membership falls back to the split walk and
         its budget.
         """
-        if not isinstance(self.base, ExplicitSystem):
+        if not (isinstance(self.base, ExplicitSystem)
+                and _own_membership(type(self.base))):
             return None
         sets = self.base.maximal_sets
         covers, formed = sets, 0
@@ -668,6 +705,15 @@ class SharedSymmetricSystem(FeasibilitySystem):
         if self._covers is not None:
             return self._covers.is_member(target)
         return self._fit(target, SearchBudget.ensure(budget)) is not None
+
+    def _own_mask_test(self, ids) -> Optional[Test]:
+        """The base's own test for one copy, the covers' with covers,
+        else None."""
+        if not _keeps_swaps(self):
+            return None
+        if self.copies == 1:
+            return self.base._own_mask_test(ids)
+        return None if self._covers is None else self._covers._own_mask_test(ids)
 
     def _fit(self, target, budget) -> Optional[Fit]:
         """The base's fit for one copy, slot counts for a uniform table,
@@ -763,7 +809,7 @@ def feasible_subsets(system: FeasibilitySystem, pool: Iterable[str],
     ids = sorted(frozenset(pool) & system.universe())
     return tuple(spell(sets[0], ids) for sets, _ in walk(
         [1 << j for j in range(len(ids))], [0] * len(ids),
-        [asking(system.is_member, ids)], shared))
+        [system._mask_test(ids)], shared))
 
 
 def _uniform_machine(system: FeasibilitySystem) -> Optional[_JobTable]:
@@ -888,7 +934,7 @@ def max_cardinality_feasible(system: FeasibilitySystem, available: Iterable[str]
                 "largest-deadline scan requires a scheduling system")
         pool.sort(key=lambda i: (-deadlines[i], i))
     (chosen,), _ = best([1 << j for j in range(len(pool))], [1] * len(pool),
-                        [asking(system.is_member, pool)], shared)
+                        [system._mask_test(pool)], shared)
     return tuple(item for j, item in enumerate(pool) if chosen >> j & 1)
 
 

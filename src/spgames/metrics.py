@@ -34,7 +34,7 @@ from .equilibria import least_sequential_outcome, worst_equilibrium
 # Unused here, but `perfbench/selftest.py` checks that this binding is traced.
 from .equilibria import enumerate_nash  # noqa: F401
 from .model import Instance, Profile, restrict_available
-from .search import asking, best, spell
+from .search import best, spell
 
 Bound = Union[Fraction, RationalInterval, None]
 
@@ -80,20 +80,24 @@ def compute_opt(instance: Instance,
     the search it replaces.
     """
     shared = SearchBudget.ensure(budget)
+    memo = instance._memo
     ids = (instance.ordered_ids if available is None
            else sorted(restrict_available(instance, available)))
     weight, scale = instance.integer_weights
-    tests = [asking(system.is_member, ids) for system in instance.players]
-    memo = instance._memo
 
     def search() -> tuple[tuple[frozenset[str], ...], int]:
+        # The whole ground set is walked on `_Memo.bit`, so on the
+        # instance's kept tests.
+        tests = ([memo.test(player) for player in range(instance.n)]
+                 if available is None else
+                 [system._mask_test(ids) for system in instance.players])
         sets, value = best([1 << j for j in range(len(ids))],
                            [weight[i] for i in ids], tests, shared, post=True,
                            previous=memo.previous(ids))
         return tuple(spell(T, ids) for T in sets), value
 
     sets, value = memo.recall(memo.optima, memo.mask(ids), shared, search)
-    return Profile(sets), Fraction(value, scale)
+    return Profile._spelt(sets), Fraction(value, scale)
 
 
 def _ratio(opt_value: Fraction, worst_value: Fraction) -> Fraction:
@@ -134,7 +138,7 @@ def empirical_sequential_poa(instance: Instance, alpha,
     shared = SearchBudget.ensure(budget)
     _, scale = instance.integer_weights
     sets, least = least_sequential_outcome(instance, factor, shared)
-    worst_profile, worst_value = Profile(sets), Fraction(least, scale)
+    worst_profile, worst_value = Profile._spelt(sets), Fraction(least, scale)
     opt_profile, opt_value = compute_opt(instance, shared)
     ratio = _ratio(opt_value, worst_value)
     if instance.symmetric:

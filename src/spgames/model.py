@@ -14,13 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, total_ordering
+from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from .budget import SearchBudget
 from .errors import InputError, _fraction, _integer
 from .feasibility import (FeasibilitySystem, SharedSymmetricSystem,
                           _keeps_swaps)
-from .search import integral
+from .search import Test, integral
 
 T = TypeVar("T")
 
@@ -160,9 +161,21 @@ class _Memo:
     `mask(items)` is an item set as a mask over `ordered_ids`, from each
     item's `bit`, built on the first mask.  The searches pass masks to
     one another, so `mask` runs only where a public function takes an
-    item set.  Each table maps a key to the nodes its search spent and
-    the search's result, and `recall` is the one way to read one; its
-    docstring states what a read is charged:
+    item set.
+
+    `test(player)` is the membership test of the player's kind on those
+    masks (`FeasibilitySystem._mask_test` over `ordered_ids`), built on
+    the first ask and kept for the kind: explicit families and their
+    covers decide a mask against their maximal sets as masks, which
+    `own_test` returns too, and every other system is asked through
+    `is_member`, where `own_test` is None.  Every walk whose bits are
+    `bit` asks these tests, and a profile's validation asks `own_test`.
+    Nothing is built before the first ask, so a game that walks nothing
+    builds no test.
+
+    Each table maps a key to the nodes its search spent and the search's
+    result, and `recall` is the one way to read one; its docstring
+    states what a read is charged:
 
     * `acceptable`: (kind, pool mask) to the optimum and every (set mask,
       integer weight) pair of the mover's walk in
@@ -186,7 +199,8 @@ class _Memo:
     """
 
     __slots__ = ("kinds", "_players", "_ids", "_weight", "_mates", "_whole",
-                 "_bit", "acceptable", "replies", "optima", "families")
+                 "_bit", "_tests", "acceptable", "replies", "optima",
+                 "families")
 
     def __init__(self, instance: Instance):
         players = instance.players
@@ -197,6 +211,7 @@ class _Memo:
         # previous(ordered_ids), boxed once known: it may be None.
         self._whole: Optional[tuple[Optional[list[int]]]] = None
         self._bit: Optional[dict[str, int]] = None
+        self._tests: dict[int, tuple[Test, Optional[Test]]] = {}
         self.acceptable: dict[tuple, tuple[int, object]] = {}
         self.replies: dict[tuple[tuple[int, ...], int], tuple[int, object]] = {}
         self.optima: dict[int, tuple[int, object]] = {}
@@ -266,6 +281,25 @@ class _Memo:
     def mask(self, items: Iterable[str]) -> int:
         return sum(map(self.bit.__getitem__, items))
 
+    def test(self, player: int) -> Test:
+        """The mask test over `ordered_ids` of `player`'s kind
+        (`FeasibilitySystem._mask_test`)."""
+        return self._kept_test(player)[0]
+
+    def own_test(self, player: int) -> Optional[Test]:
+        """The same test when the kind decides masks itself
+        (`FeasibilitySystem._own_mask_test`), else None."""
+        return self._kept_test(player)[1]
+
+    def _kept_test(self, player: int) -> tuple[Test, Optional[Test]]:
+        kind = self.kinds[player]
+        kept = self._tests.get(kind)
+        if kept is None:
+            system = self._players[kind]
+            own = system._own_mask_test(self._ids)
+            kept = self._tests[kind] = own or system._mask_test(self._ids), own
+        return kept
+
     @staticmethod
     def recall(table: dict, key, budget: SearchBudget,
                search: Callable[..., T], *args) -> T:
@@ -299,6 +333,14 @@ class Profile:
     def __post_init__(self):
         object.__setattr__(
             self, "sets", tuple(frozenset(str(i) for i in s) for s in self.sets))
+
+    @classmethod
+    def _spelt(cls, sets: tuple[frozenset[str], ...]) -> "Profile":
+        """A profile of the frozensets of item ids that the package has
+        just built, taken as they are."""
+        profile = object.__new__(cls)
+        object.__setattr__(profile, "sets", sets)
+        return profile
 
     @property
     def n(self) -> int:
@@ -398,26 +440,7 @@ def validate_profile(instance: Instance, profile: Profile,
     failure.  Total: never raises, save `BudgetExceededError` when the
     membership tests overrun `budget`.
     """
-    if profile.n != instance.n:
-        return [Violation("size_mismatch", players=())]
-    out: list[Violation] = []
-    for index, selected in enumerate(profile.sets):
-        unknown = selected - instance.item_ids
-        if unknown:
-            out.append(Violation("unknown_item", players=(index,),
-                                 items=frozenset(unknown)))
-        elif not instance.players[index].is_member(selected, budget):
-            out.append(Violation("infeasible_set", players=(index,),
-                                 items=selected))
-    if sum(map(len, profile.sets)) == len(profile.all_items()):
-        return out  # disjoint: no pair can overlap
-    for a in range(instance.n):
-        for b in range(a + 1, instance.n):
-            shared = profile.items_of(a) & profile.items_of(b)
-            if shared:
-                out.append(Violation("overlap", players=(a, b),
-                                     items=frozenset(shared)))
-    return out
+    return _validation(instance, profile, budget, masked=False)[0]
 
 
 def welfare(instance: Instance, profile: Profile,
@@ -429,11 +452,66 @@ def welfare(instance: Instance, profile: Profile,
     infeasible selection is undefined.  `budget` caps the membership
     tests of the validation.
     """
-    violations = validate_profile(instance, profile, budget)
+    return _packing(instance, profile, budget, masked=False)[0]
+
+
+def _packing(instance: Instance, profile: Profile,
+             budget: Optional[SearchBudget], *, masked: bool
+             ) -> tuple[Fraction, list[int], list[int]]:
+    """The welfare of a valid profile, and `_validation`'s masks and
+    integer weights of its sets: `welfare`, and what the verifiers
+    search from.  An invalid profile is an input error listing its
+    violations."""
+    violations, masks, weights = _validation(instance, profile, budget,
+                                             masked=masked)
     if violations:
         raise InputError(f"profile is not valid: {violations}")
-    return Fraction(sum(map(instance.scaled_weight_of, profile.sets)),
-                    instance.integer_weights[1])
+    return Fraction(sum(weights), instance.integer_weights[1]), masks, weights
+
+
+def _validation(instance: Instance, profile: Profile,
+                budget: Optional[SearchBudget], *, masked: bool
+                ) -> tuple[list[Violation], list[int], list[int]]:
+    """`validate_profile`'s violations and, for a valid profile, each
+    set's weight on the instance's integer scale and, with `masked`, each
+    set as a mask over `ordered_ids` (`_Memo.mask`), from one pass.
+
+    Each player's set is weighed, which finds its unknown ids, then
+    tested in order: on its mask by its kind's own test
+    (`_Memo.own_test`) where the system has one, else by `is_member` on
+    the profile's frozenset, each spending what `is_member` spends.  A
+    set is masked once, for that test or for `masked`, and a mask
+    neither asks for is left 0: a game of machines validated for its
+    welfare masks nothing.  The sets overlap exactly when their sizes
+    sum to more than their union's, and only then are the pairs
+    compared.
+    """
+    if profile.n != instance.n:
+        return [Violation("size_mismatch", players=())], [], []
+    memo, (weight, _) = instance._memo, instance.integer_weights
+    out: list[Violation] = []
+    masks: list[int] = []
+    weights: list[int] = []
+    for player, items in enumerate(profile.sets):
+        try:
+            weights.append(sum(map(weight.__getitem__, items)))
+        except KeyError:
+            out.append(Violation("unknown_item", players=(player,),
+                                 items=items - instance.item_ids))
+            continue
+        own = memo.own_test(player)
+        mask = memo.mask(items) if own or masked else 0
+        if not (own(mask, budget) if own else
+                instance.players[player].is_member(items, budget)):
+            out.append(Violation("infeasible_set", players=(player,),
+                                 items=items))
+        masks.append(mask)
+    if sum(map(len, profile.sets)) > len(profile.all_items()):
+        out += [Violation("overlap", players=(a, b),
+                          items=profile.sets[a] & profile.sets[b])
+                for a, b in combinations(range(instance.n), 2)
+                if not profile.sets[a].isdisjoint(profile.sets[b])]
+    return out, masks, weights
 
 
 def restrict_available(instance: Instance, available: Iterable[str]) -> frozenset[str]:

@@ -18,9 +18,12 @@ Weights are integers, scaled once by the lcm of their denominators
 A member's set is an int mask: the caller gives each pool item its bit
 (`bits`), its own position in the pool or its position in a wider id
 list, and a child ors the item's bit into its member's mask, so a
-caller's prune and tests work on ints.  Frozensets are built only at the
-edges: `asking` lets a system's test, which decides frozensets, be asked
-about masks, and `spell` decodes a mask when a result leaves the search.
+caller's prune and tests work on ints.  A system gives its test on masks
+over an id list (`FeasibilitySystem._mask_test`): explicit families and
+their covers decide a mask against their maximal sets as masks, and
+only a system without such a test is asked through `asking`, which
+spells each mask into the frozenset its `is_member` decides.  Otherwise
+frozensets are built only where a result leaves the search (`spell`).
 A walk with several members meets a member's set once per assignment of
 the others, so it memoises each member's verdicts by mask; a one-member
 walk meets each set once.  The walk keeps an explicit stack, so pool

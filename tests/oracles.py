@@ -11,7 +11,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from spgames import DeviationWitness, Instance, Profile, validate_profile
+from spgames import (DeviationWitness, Instance, Profile, Violation,
+                     validate_profile)
 
 
 def weight_of(instance: Instance, items) -> Fraction:
@@ -369,3 +370,25 @@ def replay_deviation(instance: Instance, profile: Profile, witness,
     if old_value != witness.old_value or new_value != witness.new_value:
         return False
     return new_value > factor * old_value
+
+
+def brute_violations(instance: Instance, profile: Profile) -> list[Violation]:
+    """What `validate_profile` documents, in its order: a size mismatch
+    alone; else per player its unknown items, or an infeasible set, looked
+    up in the player's feasible table; then every overlapping pair."""
+    if len(profile.sets) != instance.n:
+        return [Violation("size_mismatch", players=())]
+    out = []
+    for player, chosen in enumerate(profile.sets):
+        unknown = chosen - instance.item_ids
+        if unknown:
+            out.append(Violation("unknown_item", players=(player,),
+                                 items=unknown))
+        elif chosen not in feasible_table(instance, player):
+            out.append(Violation("infeasible_set", players=(player,),
+                                 items=chosen))
+    for a, b in combinations(range(instance.n), 2):
+        shared = profile.sets[a] & profile.sets[b]
+        if shared:
+            out.append(Violation("overlap", players=(a, b), items=shared))
+    return out

@@ -10,6 +10,7 @@ from spgames import (GeneratorSpec, InputError, RationalInterval,
                      bound_series_b, compute_opt, enumerate_spe_outcomes,
                      exp_enclosure, generate, ratio_within_sequential_bound,
                      welfare)
+from spgames.errors import _fraction
 
 from oracles import series_exp_enclosure
 
@@ -61,6 +62,35 @@ class TestEnclosures:
         assert [value in interval for value in (
             Fraction(1), "3/2", 2, Fraction(5, 2), Fraction(99, 100))] == [
                 True, True, True, False, False]
+
+    def test_interval_endpoints_are_read_as_rationals(self):
+        assert RationalInterval("3", "10") == RationalInterval(3, 10)
+        assert RationalInterval("3", "10").width == 7
+
+    def test_a_float_endpoint_is_stored_as_a_rational(self):
+        interval = RationalInterval(1, 2.5)
+        assert (type(interval.lo), type(interval.hi)) == (Fraction, Fraction)
+        assert interval.hi == Fraction(5, 2)
+
+    def test_nan_endpoint_is_an_input_error(self):
+        with pytest.raises(InputError, match="interval endpoint is not a "
+                           "rational: nan"):
+            RationalInterval(float("nan"), 1)
+
+    def test_a_value_that_is_no_rational_is_an_input_error(self):
+        with pytest.raises(InputError, match="value is not a rational: 'x'"):
+            "x" in RationalInterval(1, 2)
+
+    def test_a_fraction_is_read_as_it_is_and_a_subclass_converted(self):
+        class Tagged(Fraction):
+            pass
+
+        half = Fraction(1, 2)
+        assert _fraction(half, name="alpha") is half
+        out = _fraction(Tagged(1, 2), name="alpha")
+        assert type(out) is Fraction and out == half
+        with pytest.raises(InputError, match="alpha must be >= 1, got 1/2"):
+            _fraction(half, name="alpha", minimum=1)
 
     @pytest.mark.parametrize("t", [Fraction(-1, 2), Fraction(3, 2)])
     def test_exp_enclosure_only_on_the_unit_interval(self, t):

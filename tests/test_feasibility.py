@@ -7,7 +7,7 @@ from itertools import combinations, permutations
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spgames import (BudgetExceededError, ExplicitSystem, FeasibilitySystem,
                      IdenticalMachinesSystem, InputError, Instance, Item,
@@ -18,7 +18,8 @@ from spgames import (BudgetExceededError, ExplicitSystem, FeasibilitySystem,
                      feasible_subsets, max_cardinality_feasible,
                      random_symmetric, validate_downward_closed,
                      validate_witness)
-from spgames.feasibility import _machine_count
+from spgames.feasibility import _COVER_UNIONS, _machine_count
+from spgames.search import spell
 
 from oracles import (all_subsets, brute_max_cardinality_scan,
                      brute_partition, edf_checks, schedulable_by_permutations)
@@ -302,6 +303,73 @@ class TestMultiCopy:
                 while chosen:
                     chosen.discard(rng.choice(sorted(chosen)))
                     assert system.is_member(chosen)
+
+
+class WithoutC(ExplicitSystem):
+    """An explicit family narrowed by its membership: no set holds c."""
+
+    def is_member(self, items, budget=None):
+        items = frozenset(items)
+        return "c" not in items and super().is_member(items, budget)
+
+
+class TestMaskTests:
+    """`_mask_test(ids)` decides a mask over `ids` as `is_member` decides
+    the set it spells, and spends the same nodes."""
+
+    IDS = tuple("abcdefg")  # g is in no system's universe
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(st.frozensets(st.sampled_from("abcdef"), min_size=1,
+                                  max_size=3), min_size=2, max_size=5),
+           st.integers(0, 4), st.booleans(), st.booleans())
+    @example([], 2, False, False)
+    @example([frozenset("ab"), frozenset("c")], 2, False, False)
+    @example([frozenset("ab"), frozenset("c")], 2, True, False)
+    @example([frozenset("ac"), frozenset("b")], 2, False, True)
+    def test_every_mask_as_is_member(self, drawn, copies, split, narrowed):
+        # copies 0 stands for the explicit base alone; `split` builds
+        # the covers under a cap of no unions, so copies of two or more
+        # base sets take the split walk.
+        base = (WithoutC if narrowed else ExplicitSystem)(
+            maximal_sets=tuple(drawn))
+        system = base if copies == 0 else SharedSymmetricSystem(base, copies)
+        with mock.patch("spgames.feasibility._COVER_UNIONS",
+                        0 if split else _COVER_UNIONS):
+            test = system._mask_test(self.IDS)
+        for mask in range(1 << len(self.IDS)):
+            asked, spelt = SearchBudget(10**6), SearchBudget(10**6)
+            assert test(mask, asked) == system.is_member(
+                spell(mask, self.IDS), spelt)
+            assert asked.used == spelt.used
+        # Only the built-in membership decides masks itself; a subclass
+        # that narrows it is asked through `is_member`.
+        walks = copies >= 2 and split and len(base.maximal_sets) > 1
+        own = system._own_mask_test(self.IDS)
+        assert (own is None) == (narrowed or walks)
+
+    def test_a_narrowed_base_narrows_its_copies(self):
+        base = WithoutC(maximal_sets=[frozenset("ac"), frozenset("b")])
+        for copies in (1, 2, 3):
+            shared = SharedSymmetricSystem(base, copies)
+            assert not shared.is_member({"c"})
+            assert shared.is_member({"a", "b"}) == (copies > 1)
+            assert shared._covers is None
+
+    def test_machine_systems_are_asked_through_is_member(self):
+        jobs = unit_jobs({"a": (0, 1, 1), "b": (1, 1, 2), "c": (0, 2, 3)})
+        ids = ("a", "b", "c", "d")
+        for system in (SingleMachineSystem(jobs),
+                       SharedSymmetricSystem(SingleMachineSystem(jobs), 1),
+                       SharedSymmetricSystem(SingleMachineSystem(jobs), 2),
+                       IdenticalMachinesSystem(copies=2, jobs=jobs)):
+            assert system._own_mask_test(ids) is None
+            test = system._mask_test(ids)
+            for mask in range(1 << len(ids)):
+                asked, spelt = SearchBudget(10**6), SearchBudget(10**6)
+                assert test(mask, asked) == system.is_member(
+                    spell(mask, ids), spelt)
+                assert asked.used == spelt.used
 
 
 class TestUnrelated:

@@ -7,12 +7,16 @@ import random
 import weakref
 from fractions import Fraction
 from itertools import permutations
+from typing import Optional
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spgames import (INFEASIBLE, GeneratorSpec, IdenticalMachinesSystem,
+from spgames import (INFEASIBLE, BudgetExceededError, GeneratorSpec,
+                     IdenticalMachinesSystem,
                      InputError, Instance, Item, JobWindow, Payoff, Profile,
                      ExplicitSystem, SearchBudget, SharedSymmetricSystem,
+                     SingleMachineSystem,
                      TimeWindow, UnrelatedMachinesSystem, Violation,
                      best_response,
                      bound_collusion, bound_series_b, coalition_best_response,
@@ -27,7 +31,7 @@ from spgames.equilibria import check_order, enumerate_collusion
 from spgames.serialize import (document_to_instance, dumps_document,
                                instance_to_document, loads_document)
 
-from oracles import weight_of
+from oracles import brute_violations, weight_of
 
 
 def two_item_game() -> Instance:
@@ -148,6 +152,60 @@ class TestWeightOf:
             game.weight_of(["7"])
 
 
+def membership_nodes(game: Instance, profile: Profile, limit: int
+                     ) -> tuple[int, Optional[str]]:
+    """The nodes spent, and the budget error's message if one is raised,
+    when each known set of a profile with one set per player is asked
+    `is_member` in player order on one budget of `limit`: the rule a
+    validation's nodes keep."""
+    budget = SearchBudget(limit)
+    if profile.n == game.n:
+        try:
+            for player, chosen in enumerate(profile.sets):
+                if chosen <= game.item_ids:
+                    game.players[player].is_member(chosen, budget)
+        except BudgetExceededError as exc:
+            return budget.used, str(exc)
+    return budget.used, None
+
+
+WINDOW = st.builds(JobWindow, st.sampled_from((0, 1)), st.sampled_from((1, 2)),
+                   st.integers(1, 4))
+
+
+@st.composite
+def validation_games(draw) -> Instance:
+    """2 or 3 players over items 1..5: explicit families, their shared
+    copies (with covers), and machines that split a set by a walk, which
+    spends nodes: release-date copies and unrelated machines."""
+    width = draw(st.integers(2, 5))
+    ids = [str(k) for k in range(1, width + 1)]
+
+    def player():
+        shape = draw(st.sampled_from(("explicit", "shared", "copies",
+                                      "unrelated")))
+        if shape in ("explicit", "shared"):
+            sets = draw(st.lists(st.frozensets(st.sampled_from(ids)),
+                                 max_size=3))
+            base = ExplicitSystem(maximal_sets=tuple(sets))
+            return (base if shape == "explicit" else
+                    SharedSymmetricSystem(base, draw(st.integers(1, 3))))
+        jobs = {i: draw(WINDOW) for i in ids}
+        if shape == "copies":
+            return SharedSymmetricSystem(SingleMachineSystem(jobs),
+                                         draw(st.integers(1, 3)))
+        return UnrelatedMachinesSystem(
+            machines=("m1", "m2"),
+            jobs={i: TimeWindow(w.release, w.deadline) for i, w in jobs.items()},
+            processing={(m, i): w.processing for i, w in jobs.items()
+                        for m in ("m1", "m2")})
+
+    players = tuple(player() for _ in range(draw(st.integers(2, 3))))
+    weights = draw(st.lists(st.integers(0, 4), min_size=width,
+                            max_size=width))
+    return Instance(items=tuple(map(Item, ids, weights)), players=players)
+
+
 class TestValidateProfile:
     def test_valid_profile_has_no_violations(self):
         game = two_item_game()
@@ -185,6 +243,33 @@ class TestValidateProfile:
         game = two_item_game()
         out = validate_profile(game, Profile((frozenset(),)))
         assert out and out[0].kind == "size_mismatch"
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(validation_games(), st.data())
+    def test_matches_the_oracle_in_order_and_in_nodes(self, game, data):
+        # The items are 1..width; 0 and x are unknown, and drawn less.
+        known = [item.id for item in game.items]
+        ids = st.sampled_from(known * 4 + ["0", "x"])
+        size = data.draw(st.sampled_from((game.n,) * 5 + (game.n + 1,)))
+        profile = Profile(tuple(data.draw(st.frozensets(ids, max_size=4))
+                                for _ in range(size)))
+        expected = brute_violations(game, profile)
+        budget = SearchBudget(10**6)
+        assert validate_profile(game, profile, budget) == expected
+        # Each known set spends what its `is_member` spends, in order.
+        assert (budget.used, None) == membership_nodes(game, profile, 10**6)
+        if budget.used >= 2:
+            short = SearchBudget(budget.used - 1)
+            with pytest.raises(BudgetExceededError) as caught:
+                validate_profile(game, profile, short)
+            assert (short.used, str(caught.value)) == membership_nodes(
+                game, profile, budget.used - 1)
+        if expected:
+            with pytest.raises(InputError) as caught:
+                welfare(game, profile)
+            assert str(caught.value) == f"profile is not valid: {expected}"
+        else:
+            assert welfare(game, profile) == weight_of(game, profile.all_items())
 
     def test_payoff_infeasible_iff_overlap_involving_player(self, small_corpus):
         rng = random.Random(11)
