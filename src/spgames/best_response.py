@@ -18,10 +18,15 @@ held weight must reach the best reply's weight, ties passing.  Scaling
 every weight by one constant keeps that rule, so the verifiers compare
 weights on the instance's integer scale (`Instance.integer_weights`).
 `deviation` asks one search, `_reply`, for one member or more, so the
-k = 1 collusion check is the Nash check.  A pool and a reply's sets are
-masks over `ordered_ids` (`_Memo.bit`) inside the package: the public
-functions mask their pool once, at entry, and frozensets and `Fraction`s
-are built only for a result they return or a witness.  Every call spends
+k = 1 collusion check is the Nash check.  A coalition's best reply
+weighs at most the sum of its members' single best replies in the same
+pool, each of its sets being feasible there; so a coalition check first
+sums the singles and asks the joint search only when alpha times the
+held weight falls short of that sum (`equilibria._first_deviation`).  A
+pool and a reply's sets are masks over `ordered_ids` (`_Memo.bit`)
+inside the package: the public functions mask their pool once, at
+entry, and frozensets and `Fraction`s are built only for a result they
+return or a witness.  Every call spends
 one `SearchBudget`, the caller's or a default one.  Each instance
 remembers its replies for its life (`Instance._memo`), for any number of
 members and under any budget, and `_reply` is the one read of them; a

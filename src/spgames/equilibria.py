@@ -25,7 +25,12 @@ its feasible sets, and the post-order of the players' joint tree lists
 assignments in the output order.  Branch and bound drops a subtree where
 some player can no longer be alpha-satisfied, or where every leaf reaches
 a caller's bound on welfare.  Asked after an assignment's last item, the
-prune is the Nash test, then asks the coalitions of 2..k players.
+prune is the Nash test, then asks the coalitions of 2..k players.  A
+coalition's joint reply weighs at most the sum of its members' single
+best weights in its pool, so when alpha times what the coalition holds
+reaches that sum, it cannot deviate and asks no joint reply
+(`_first_deviation`); the walk reads those single weights from its kept
+families, the verifier from one-member replies.
 `enumerate_nash` and `enumerate_collusion` list the profiles;
 `worst_equilibrium` lowers the bound to each one, and such a bounded
 walk reads the game's symmetries from the instance's memo
@@ -59,7 +64,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import reduce
 from itertools import accumulate, combinations
 from operator import or_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -143,8 +148,11 @@ def _equilibria(instance: Instance, factor: Fraction, k: int,
     nothing is undecided and
     `skipped` is every free item, so the prune is the Nash test and the
     welfare bound; a node passing both then faces the coalitions of 2..k
-    players (k >= 2), asked on the node's masks and family weights.  The
-    prune spells out no set.  A bounded walk walks each orbit
+    players (k >= 2), asked on the node's masks and family weights.  Each
+    member's single best weight in a coalition's pool, which bounds the
+    coalition's reply (`_first_deviation`), is read from its kind's tops
+    by the Nash test's own lookup (`top`), so the bound spends no node.
+    The prune spells out no set.  A bounded walk walks each orbit
     of the game's symmetries once: relabelled assignments when every
     player has one system (`_Memo.kinds`), and assignments that permute
     repeated items (`_Memo.previous`).  A listing walks every assignment.
@@ -182,6 +190,17 @@ def _equilibria(instance: Instance, factor: Fraction, k: int,
         views.append((members, tops, reach))
     size = len(ids)
 
+    def top(view: tuple[dict[int, int], dict[int, int], list[int]],
+            pool: int) -> int:
+        members, tops, _ = view
+        best = tops.get(pool)
+        if best is None:
+            for S, best in members.items():
+                if S & pool == S:
+                    break
+            tops[pool] = best
+        return best
+
     def prune(sets: Sets, value: int, item: int) -> bool:
         if least[0] is not None and value >= least[0]:
             return True
@@ -190,14 +209,13 @@ def _equilibria(instance: Instance, factor: Fraction, k: int,
             taken |= T
         skipped = ((1 << item) - 1) & ~taken
         bound = 0
-        for T, (members, tops, reach) in zip(sets, views):
+        for T, view in zip(sets, views):
+            members, tops, reach = view
             held, pool = members[T], skipped | T
+            # A kept top is read inline: this runs per node and player.
             best = tops.get(pool)
             if best is None:
-                for S, best in members.items():
-                    if S & pool == S:
-                        break
-                tops[pool] = best
+                best = top(view, pool)
             if num * (held + reach[item]) < den * best:
                 return True
             bound += max(num * held, den * best)
@@ -205,7 +223,10 @@ def _equilibria(instance: Instance, factor: Fraction, k: int,
             return True
         return item == size and k > 1 and _first_deviation(
             instance, sets, [view[0][T] for T, view in zip(sets, views)],
-            2, k, factor, budget) is not None
+            2, k, factor, budget, single) is not None
+
+    def single(player: int, pool: int) -> int:
+        return top(views[player], pool)
 
     tests = [lambda T, _, members=members: T in members
              for members, _, _ in views]
@@ -334,24 +355,30 @@ def enumerate_spe_outcomes(instance: Instance, order: Iterable[int], alpha,
     factor = check_alpha(alpha)
     budget = SearchBudget.ensure(budget)
     n = instance.n
+    subtrees: dict[tuple[int, int], tuple[Sets, ...]] = {}
 
-    @cache
     def completions(depth: int, available: int) -> tuple[Sets, ...]:
         if depth == n:
             return ((),)
+        found = subtrees.get((depth, available))
+        if found is not None:
+            return found
         out: list[Sets] = []
         for action, _ in _acceptable(instance, sequence[depth], available,
                                      factor, budget):
             budget.spend()
             out.extend((action,) + tail for tail in completions(
                 depth + 1, available & ~action))
-        return tuple(out)
+        found = subtrees[depth, available] = tuple(out)
+        return found
 
     ids = instance.ordered_ids
-    spelling = cache(lambda mask: spell(mask, ids))
+    choices = completions(0, (1 << len(ids)) - 1)
+    spelt = {mask: spell(mask, ids)
+             for mask in {mask for choice in choices for mask in choice}}
     turn = [sequence.index(player) for player in range(n)]
-    return tuple(Profile._spelt(tuple(spelling(choice[t]) for t in turn))
-                 for choice in completions(0, (1 << len(ids)) - 1))
+    return tuple(Profile._spelt(tuple([spelt[choice[t]] for t in turn]))
+                 for choice in choices)
 
 
 def least_sequential_outcome(instance: Instance, factor: Fraction,
@@ -378,12 +405,14 @@ def least_sequential_outcome(instance: Instance, factor: Fraction,
     left alike; only the returned choice is spelt out.
     """
     kind, ids = instance._memo.kinds, instance.ordered_ids
+    subgames: dict[tuple[tuple[int, ...], int], tuple[int, Sets]] = {}
 
-    @cache
     def least(kinds: tuple[int, ...], available: int) -> tuple[int, Sets]:
         if not kinds:
             return 0, ()
-        found: Optional[tuple[int, Sets]] = None
+        found = subgames.get((kinds, available))
+        if found is not None:
+            return found
         for action, value in _acceptable(instance, kinds[0], available,
                                          factor, budget, leaders=True):
             if found is not None and value >= found[0]:
@@ -392,6 +421,7 @@ def least_sequential_outcome(instance: Instance, factor: Fraction,
             rest, tail = least(kinds[1:], available & ~action)
             if found is None or value + rest < found[0]:
                 found = value + rest, (action,) + tail
+        subgames[kinds, available] = found
         return found
 
     found = None
@@ -507,19 +537,32 @@ def verify_spe_outcome(instance: Instance, profile: Profile,
 
 def _first_deviation(instance: Instance, sets: Sequence[int],
                      weights: Sequence[int], start: int, k: int,
-                     factor: Fraction, budget: SearchBudget
+                     factor: Fraction, budget: SearchBudget,
+                     single: Optional[Callable[[int, int], int]] = None
                      ) -> Optional[DeviationWitness]:
     """The first deviation of a coalition of `start` to k players, by size
     then in order, from the players' set masks over `ordered_ids` and
     their integer weights.
 
     A coalition's pool is the mask of its own items and the unclaimed
-    ones, and its held weight the sum of its members'.  Its reply comes
-    from `_reply`, charged by `_Memo.recall`'s rule, so the check spends
-    and fails as a fresh one does.  A witness is built only for the
-    coalition that deviates.
+    ones, and its held weight the sum of its members'.  Its joint reply
+    weighs at most the sum of its members' single best weights in that
+    pool, since the reply's sets are each feasible there.  So a coalition
+    of two or more first sums `single(member, pool)` in member order,
+    stopping once the sum passes alpha times what it holds, and is
+    settled without a joint search when alpha times its held weight
+    reaches the whole sum.  By default `single` is the member's one-member
+    `_reply`; the collusion walk passes its kinds' kept tops.  Only a
+    coalition the sum does not settle asks its joint `_reply`, so the
+    first deviating coalition and its witness are those of the full
+    check.  Every reply is charged by `_Memo.recall`'s rule, so the check
+    spends and fails as a fresh one does.  A witness is built only for
+    the coalition that deviates.
     """
     num, den = factor.numerator, factor.denominator
+    if single is None:
+        def single(member: int, pool: int) -> int:
+            return _reply(instance, (member,), pool, budget)[1]
     unclaimed = (1 << len(instance.ordered_ids)) - 1
     for T in sets:
         unclaimed &= ~T
@@ -529,6 +572,14 @@ def _first_deviation(instance: Instance, sets: Sequence[int],
             for member in coalition:
                 pool |= sets[member]
                 held += weights[member]
+            if size > 1:
+                bound = 0
+                for member in coalition:
+                    bound += single(member, pool)
+                    if num * held < den * bound:
+                        break
+                else:
+                    continue
             proposed, value = _reply(instance, coalition, pool, budget)
             if num * held < den * value:
                 return _witness(instance, coalition, proposed, held, value)

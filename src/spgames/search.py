@@ -174,10 +174,17 @@ def best(bits: Sequence[int], weights: Sequence[int], tests: Sequence[Test],
     """
     floor = [0]
     found: Optional[tuple[Sets, int]] = None
+    # The incumbent's key, computed at its first tie.
+    kept: Optional[tuple] = None
     for sets, value in walk(bits, weights, tests, budget, post, floor,
                             previous=previous):
-        if found is None or value > found[1] or (
-                key and value == found[1] and key(sets) < key(found[0])):
-            found = sets, value
+        if found is None or value > found[1]:
+            found, kept = (sets, value), None
             floor[0] = value if key else value + 1
+        elif key and value == found[1]:
+            if kept is None:
+                kept = key(found[0])
+            tied = key(sets)
+            if tied < kept:
+                found, kept = (sets, value), tied
     return found

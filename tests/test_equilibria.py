@@ -627,8 +627,8 @@ def test_reply_counts_see_every_remembered_reply():
     a public function asks counts once in `asked`, and every search once
     in `misses`.  A Nash check on a fresh instance asks one reply per
     player and searches each distinct one; a repeat asks as many and
-    searches none.  So do a collusion check at k = 2 and the public
-    replies."""
+    searches none.  So do a collusion check at k = 2, whose pairs first
+    ask their members' single replies, and the public replies."""
     # The package's `best_response` is the function; the counters live on
     # its module.
     counts = import_module("spgames.best_response")._best_response_cached
@@ -649,24 +649,29 @@ def test_reply_counts_see_every_remembered_reply():
     asked(game.n, 2)
     verify_nash(game, profile, 1)
     asked(2 * game.n, 2)
-    # Each pair pools the unclaimed items with what it holds: two pools,
-    # one holding player 1's items.  The singles are remembered.
+    # The three singles are remembered.  Each pair pools the unclaimed
+    # items with what it holds.  Player 1's two pairs pool its items too:
+    # their members' single replies there, which are the Nash check's of
+    # player 1, sum past what they hold, so each pair asks two singles
+    # and a joint reply, searched once for both pairs.  Players 2 and 3
+    # reach nothing in the unclaimed items alone, so their two singles
+    # settle the last pair: 3 + 3 + 3 + 2 = 11 replies per check.
     for repeat in range(2):
         assert verify_collusion(game, profile, 2, 1).verdict
-        asked((4 + 2 * repeat) * game.n, 4)
+        asked(2 * game.n + 11 * (repeat + 1), 3)
     # A pool no check asked: one search for the three players of one
     # kind, one for the pairs, one for the whole coalition.
     pool = game.item_ids - {min(profile.sets[0])}
     for player in range(game.n):
         assert best_response(game, player, pool) == brute_best_response(
             game, player, pool)
-    asked(7 * game.n, 5)
+    asked(31, 4)
     for coalition in combinations(range(game.n), 2):
         assert coalition_best_response(game, coalition, pool) == (
             brute_coalition(game, coalition, pool))
-    asked(8 * game.n, 6)
+    asked(34, 5)
     coalition_best_response(game, range(game.n), pool)
-    asked(8 * game.n + 1, 7)
+    asked(35, 6)
 
 
 def test_players_of_one_kind_share_one_reply():
@@ -682,14 +687,28 @@ def test_players_of_one_kind_share_one_reply():
 
 
 def test_collusion_listings_of_the_four_player_construction():
-    """The listings of `ex_collusion(4, 2, 3/2)` at alpha 3/2: every joint
-    reply a Nash leaf asks is paid for, and k = 3 fits the default
-    budget."""
+    """The listings of `ex_collusion(4, 2, 3/2)` at alpha 3/2: a Nash
+    leaf's coalitions are mostly settled by their members' kept single
+    weights, and each joint reply the rest ask is paid for."""
     game = ex_collusion(4, 2, Fraction(3, 2))
-    for k, count, nodes in ((2, 2_402, 2_711_311), (3, 2_401, 9_978_226)):
+    for k, count, nodes in ((2, 2_402, 48_377), (3, 2_401, 50_552)):
         budget = SearchBudget()
         assert len(enumerate_collusion(game, k, Fraction(3, 2), budget)) == count
         assert budget.used == nodes
+
+
+def test_single_replies_settle_the_constructed_equilibrium():
+    """The bad equilibrium of `ex_collusion(4, 3, 1)` resists every
+    coalition of up to three players, and each coalition's single replies
+    already show it: the check searches no joint reply."""
+    counts = import_module("spgames.best_response")._best_response_cached
+    spec = GeneratorSpec.make("ex_collusion", n=4, k=3, alpha=Fraction(1))
+    game = generate(spec)
+    start = counts.misses
+    assert verify_collusion(game, reference_profiles(spec)["bad_equilibrium"],
+                            3, 1).verdict
+    assert counts.misses - start == len(game._memo.replies) > 0
+    assert all(len(kinds) == 1 for kinds, _ in game._memo.replies)
 
 
 class TestVerifyCollusion:
@@ -855,6 +874,34 @@ def assert_verifiers_match_the_oracles(game, profile, alpha):
         expect(verify_spe_outcome(game, profile, order, alpha),
                spe_pools(game, profile, order))
     return reports
+
+
+# The two-item game's pair deviates where neither player does, so its
+# single replies settle nothing there.
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(games_with_profile())
+@example((ex_trivial(), Profile((frozenset({"2"}), frozenset()))))
+def test_coalitions_the_single_replies_settle_match_the_oracles(game_profile):
+    """Skipping a coalition whose members' single replies sum within alpha
+    of what it holds changes no listing, verdict or witness: at every
+    k >= 2 and alpha, the listing is the oracle's Nash list less the
+    profiles some coalition of at most k players improves, and the
+    verifier answers the oracle on the drawn profile and on the first
+    Nash profiles."""
+    game, profile = game_profile
+    for alpha in ALPHAS:
+        nash = brute_enumerate_nash(game, alpha)
+        for k in range(2, game.n + 1):
+            assert list(enumerate_collusion(game, k, alpha)) == [
+                stable for stable in nash
+                if brute_first_deviation(game, stable, alpha, collusion_pools(
+                    game, stable, k)) is None]
+            for checked in [profile] + nash[:3]:
+                report = verify_collusion(game, checked, k, alpha)
+                witness = brute_first_deviation(
+                    game, checked, alpha, collusion_pools(game, checked, k))
+                assert (report.verdict, report.witness) == (witness is None,
+                                                            witness)
 
 
 # Denominators 3, 2, 6 and 4 put the weights on a scale of up to 12, so

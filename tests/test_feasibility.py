@@ -236,16 +236,25 @@ class TestMultiCopy:
         assert shared.schedule_witness({"a", "b", "c"}, budget) is None
         assert budget.used == 0
 
+    # Two or more maximal sets at two or more copies are what the covers
+    # and the split walk decide, so the draw asks for two to four sets
+    # none of which holds another, and the examples pin such bases.  No
+    # set at all is the family of the empty set alone.
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(st.lists(st.frozensets(st.sampled_from("abcde")), max_size=4),
-           st.data())
-    def test_explicit_base_matches_every_assignment(self, drawn, data):
-        # No set at all is the family of the empty set alone.  `split`
-        # builds its covers under a cap of no unions, so with two or more
-        # base sets and copies it takes the split walk.
+    @given(st.lists(st.frozensets(st.sampled_from("abcde"), min_size=1),
+                    min_size=2, max_size=4, unique=True).filter(
+                        lambda drawn: not any(
+                            low <= high for low, high in permutations(drawn, 2))),
+           st.integers(1, 4))
+    @example([], 2)
+    @example([frozenset("ab"), frozenset("c")], 2)
+    @example([frozenset("abc"), frozenset("cde"), frozenset("ae")], 2)
+    @example([frozenset("ab"), frozenset("bc"), frozenset("cd"),
+              frozenset("de")], 3)
+    def test_explicit_base_matches_every_assignment(self, drawn, copies):
+        # `split` builds its covers under a cap of no unions, so with two
+        # or more base sets and copies it takes the split walk.
         base = ExplicitSystem(maximal_sets=tuple(drawn))
-        copies = data.draw(st.integers(1, len(base.maximal_sets) + 2),
-                           label="copies")
         shared = SharedSymmetricSystem(base, copies)
         split = SharedSymmetricSystem(base, copies)
         with mock.patch("spgames.feasibility._COVER_UNIONS", 0):
