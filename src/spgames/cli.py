@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -70,24 +71,40 @@ def _load_profile(path: str, instance: Instance) -> Profile:
     return document_to_profile(loads_document(_read(path, "profile")), instance)
 
 
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def _parse_integer(text: str, field: str) -> int:
+    """`text` as an integer, written as `parse_rational` reads one: ASCII
+    digits after an optional sign, whitespace around them ignored.  The
+    non-ASCII digits and underscores that `int` takes are input errors."""
+    if not _INTEGER_RE.fullmatch(text.strip()):
+        raise InputError(f"{field} must be an integer, got {text!r}")
+    try:
+        return int(text)
+    except ValueError as exc:  # past the interpreter's digit limit
+        raise InputError(f"{field}: {exc}") from exc
+
+
 def _budget(args) -> int | None:
     if getattr(args, "budget", None) is not None:
-        return _integer(args.budget, name="--budget", minimum=1)
-    env = os.environ.get("SPG_BUDGET")
-    if env:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise InputError(f"SPG_BUDGET is not an integer: {env!r}") from exc
-        return _integer(value, name="SPG_BUDGET", minimum=1)
-    return None
+        field, text = "--budget", args.budget
+    else:
+        field, text = "SPG_BUDGET", os.environ.get("SPG_BUDGET")
+        if not text:
+            return None
+    return _integer(_parse_integer(text, field), name=field, minimum=1)
+
+
+def _k(args) -> int:
+    if args.k is None:
+        raise InputError("--k is required for concept collusion")
+    return _parse_integer(args.k, "--k")
 
 
 def _parse_order(text: str, instance: Instance) -> tuple[int, ...]:
-    try:
-        order = tuple(int(part) - 1 for part in text.split(","))
-    except ValueError as exc:
-        raise InputError(f"--order must be comma-separated integers: {text!r}") from exc
+    order = tuple(_parse_integer(part, "--order entry") - 1
+                  for part in text.split(","))
     if sorted(order) != list(range(instance.n)):
         raise InputError(
             f"--order must be a permutation of 1..{instance.n}, got {text!r}")
@@ -95,10 +112,13 @@ def _parse_order(text: str, instance: Instance) -> tuple[int, ...]:
 
 
 def _generator_spec(args) -> GeneratorSpec:
-    params = {name: getattr(args, name) for name in PARAMETERS
-              if getattr(args, name) is not None}
-    if "alpha" in params:
-        params["alpha"] = parse_rational(params["alpha"], "--alpha")
+    params = {}
+    for name in PARAMETERS:
+        text = getattr(args, name)
+        if text is not None:
+            field = "--" + name.replace("_", "-")
+            params[name] = (parse_rational(text, field) if name == "alpha"
+                            else _parse_integer(text, field))
     return GeneratorSpec.make(args.family, **params)
 
 
@@ -137,9 +157,7 @@ def _cmd_verify(args) -> int:
         order = _parse_order(args.order, instance)
         report = verify_spe_outcome(instance, profile, order, alpha, budget)
     else:
-        if args.k is None:
-            raise InputError("--k is required for concept collusion")
-        report = verify_collusion(instance, profile, args.k, alpha, budget)
+        report = verify_collusion(instance, profile, _k(args), alpha, budget)
     _write(dumps_document(report_to_document(report)))
     return EXIT_OK if report.verdict else EXIT_REFUTED
 
@@ -182,9 +200,10 @@ def _cmd_spe(args) -> int:
 def _cmd_collusion(args) -> int:
     instance = _load_instance(args.instance)
     alpha = parse_rational(args.alpha, "--alpha")
+    k = _k(args)
     return _listing(instance, "equilibria",
-                    enumerate_collusion(instance, args.k, alpha, _budget(args)),
-                    alpha=rational_str(alpha), k=args.k)
+                    enumerate_collusion(instance, k, alpha, _budget(args)),
+                    alpha=rational_str(alpha), k=k)
 
 
 def _cmd_poa(args) -> int:
@@ -196,9 +215,7 @@ def _cmd_poa(args) -> int:
     elif args.concept == "spe":
         result = empirical_sequential_poa(instance, alpha, budget)
     else:
-        if args.k is None:
-            raise InputError("--k is required for concept collusion")
-        result = empirical_collusion_poa(instance, args.k, alpha, budget)
+        result = empirical_collusion_poa(instance, _k(args), alpha, budget)
     _write(dumps_document(poa_to_document(result)))
     return EXIT_OK
 
@@ -224,10 +241,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="generate an instance family")
     gen.add_argument("family", choices=FAMILIES)
+    # Every number is read as text, then parsed exactly (`_generator_spec`).
     for name in PARAMETERS:
-        # alpha is a rational, parsed exactly; every other is an integer.
-        gen.add_argument("--" + name.replace("_", "-"), dest=name,
-                         type=None if name == "alpha" else int)
+        gen.add_argument("--" + name.replace("_", "-"), dest=name)
     gen.add_argument("--out")
     gen.set_defaults(func=_cmd_generate)
 
@@ -237,34 +253,34 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--concept", required=True,
                      choices=["nash", "spe", "collusion"])
     ver.add_argument("--alpha", default="1")
-    ver.add_argument("--k", type=int)
+    ver.add_argument("--k")
     ver.add_argument("--order")
-    ver.add_argument("--budget", type=int)
+    ver.add_argument("--budget")
     ver.set_defaults(func=_cmd_verify)
 
     opt = sub.add_parser("opt", help="compute the centralized optimum")
     opt.add_argument("--instance", required=True)
-    opt.add_argument("--budget", type=int)
+    opt.add_argument("--budget")
     opt.set_defaults(func=_cmd_opt)
 
     nash = sub.add_parser("nash", help="enumerate approximate Nash profiles")
     nash.add_argument("--instance", required=True)
     nash.add_argument("--alpha", default="1")
-    nash.add_argument("--budget", type=int)
+    nash.add_argument("--budget")
     nash.set_defaults(func=_cmd_nash)
 
     spe = sub.add_parser("spe", help="enumerate sequential outcomes")
     spe.add_argument("--instance", required=True)
     spe.add_argument("--order", required=True)
     spe.add_argument("--alpha", default="1")
-    spe.add_argument("--budget", type=int)
+    spe.add_argument("--budget")
     spe.set_defaults(func=_cmd_spe)
 
     col = sub.add_parser("collusion", help="enumerate k-collusion profiles")
     col.add_argument("--instance", required=True)
-    col.add_argument("--k", type=int, required=True)
+    col.add_argument("--k", required=True)
     col.add_argument("--alpha", default="1")
-    col.add_argument("--budget", type=int)
+    col.add_argument("--budget")
     col.set_defaults(func=_cmd_collusion)
 
     poa = sub.add_parser("poa", help="measure a price of anarchy")
@@ -272,14 +288,14 @@ def _build_parser() -> argparse.ArgumentParser:
     poa.add_argument("--concept", required=True,
                      choices=["nash", "spe", "collusion"])
     poa.add_argument("--alpha", default="1")
-    poa.add_argument("--k", type=int)
-    poa.add_argument("--budget", type=int)
+    poa.add_argument("--k")
+    poa.add_argument("--budget")
     poa.set_defaults(func=_cmd_poa)
 
     rep = sub.add_parser("report", help="run the bound-reproduction suite")
     rep.add_argument("--suite", default="paper")
     rep.add_argument("--out")
-    rep.add_argument("--budget", type=int)
+    rep.add_argument("--budget")
     rep.set_defaults(func=_cmd_report)
 
     return parser

@@ -37,8 +37,9 @@ walk reads the game's symmetries from the instance's memo
 (`model._Memo`): it walks relabelled assignments once when all players
 share one system, and assignments that permute repeated items once.
 The walk and its prune work on item masks.  Each kind's family, with
-its best weight within each pool, is kept on the memo too, so every k,
-alpha and call on the instance shares them.
+its best weight within each pool and the weight it can reach from each
+item on, is kept on the memo too, so every k, alpha and call on the
+instance shares them.
 
 Every verifier asks `best_response.deviation`, the one alpha rule (a
 tie passes), for a reply from the items no outsider holds (Nash,
@@ -135,27 +136,31 @@ def _equilibria(instance: Instance, factor: Fraction, k: int,
     Each player's family is its kind's (`kinds` of the instance's memo):
     every feasible set as a mask with its weight, from one walk the memo
     keeps (`_Memo.families`, read by `_Memo.recall`), in descending
-    weight.  Then a branch and bound over the joint tree in post-order:
-    call the items before `item` that nobody holds "skipped"; they stay
-    free below the node.  So in any Nash leaf below it, player i holds at
-    least w(S_i) and top(i, skipped | S_i) / alpha, where top is i's best
-    weight within that pool: the first set of the family inside it, kept
-    per pool beside the kind's family.  A node is dropped when some
-    player cannot reach alpha-satisfaction even with every undecided item
-    it can hold, or when the sum of those lower bounds reaches
-    `least[0]`: later leaves lose ties in post-order; the sum is never
-    below alpha times the node's welfare.  After a node's last item
-    nothing is undecided and
-    `skipped` is every free item, so the prune is the Nash test and the
-    welfare bound; a node passing both then faces the coalitions of 2..k
-    players (k >= 2), asked on the node's masks and family weights.  Each
-    member's single best weight in a coalition's pool, which bounds the
-    coalition's reply (`_first_deviation`), is read from its kind's tops
-    by the Nash test's own lookup (`top`), so the bound spends no node.
-    The prune spells out no set.  A bounded walk walks each orbit
-    of the game's symmetries once: relabelled assignments when every
-    player has one system (`_Memo.kinds`), and assignments that permute
-    repeated items (`_Memo.previous`).  A listing walks every assignment.
+    weight, with the kind's reach: for each item, the weight of the items
+    from it on that some set of the family holds.  Then a branch and
+    bound over the joint tree in post-order: call the items before `item`
+    that nobody holds "skipped"; they stay free below the node.  So in
+    any Nash leaf below it, player i holds at least w(S_i) and
+    top(i, skipped | S_i) / alpha, where top is i's best weight within
+    that pool: the first set of the family inside it, kept per pool
+    beside the kind's family.  A node is dropped when some player cannot
+    reach alpha-satisfaction even with every undecided item it can hold,
+    or when the sum of those lower bounds reaches `least[0]`: later
+    leaves lose ties in post-order; the sum is never below alpha times
+    the node's welfare.  After a node's last item nothing is undecided
+    and `skipped` is every free item, so the prune is the Nash test and
+    the welfare bound; a node passing both then faces the coalitions of
+    2..k players (k >= 2), asked on the node's masks and family weights.
+    Each member's single best weight in a coalition's pool, which bounds
+    the coalition's reply (`_first_deviation`), is read from its kind's
+    tops by the Nash test's own lookup (`top`), so the bound spends no
+    node.  The prune runs once per node and item: it reads each player's
+    family, tops and reach by index from one tuple per table, and takes
+    the members' union as their sum, since their sets are disjoint.  It
+    spells out no set.  A bounded walk walks each orbit of the game's
+    symmetries once: relabelled assignments when every player has one
+    system (`_Memo.kinds`), and assignments that permute repeated items
+    (`_Memo.previous`).  A listing walks every assignment.
     """
     ids = instance.ordered_ids
     weight, _ = instance.integer_weights
@@ -168,34 +173,34 @@ def _equilibria(instance: Instance, factor: Fraction, k: int,
     else:
         interchangeable, previous = not any(kind), memo.previous(ids)
 
-    def family(player: int) -> tuple[dict[int, int], dict[int, int]]:
+    def family(player: int) -> tuple[dict[int, int], dict[int, int],
+                                      list[int]]:
         walked = [(T, value) for (T,), value in walk(
             bits, weights, [memo.test(player)], budget)]
-        return dict(sorted(walked, key=lambda pair: -pair[1])), {}
-
-    families: list[tuple[dict[int, int], dict[int, int]]] = []
-    for player, first in enumerate(kind):
-        families.append(families[first] if first < player else memo.recall(
-            memo.families, first, budget, family, first))
-    num, den = factor.numerator, factor.denominator
-    # Per player: its family, its kind's tops (pool mask to best weight),
-    # and reach[item], the weight of the items from `item` on that the
-    # player can hold.
-    views = []
-    for members, tops in families:
+        members = dict(sorted(walked, key=lambda pair: -pair[1]))
         universe = reduce(or_, members)
         reach = list(accumulate(reversed(
             [w if universe & b else 0 for b, w in zip(bits, weights)]),
             initial=0))[::-1]
-        views.append((members, tops, reach))
+        return members, {}, reach
+
+    families: list[tuple[dict[int, int], dict[int, int], list[int]]] = []
+    for player, first in enumerate(kind):
+        families.append(families[first] if first < player else memo.recall(
+            memo.families, first, budget, family, first))
+    # Per player: its family, its kind's tops (pool mask to best weight),
+    # and reach[item], the weight of the items from `item` on that the
+    # player can hold.
+    held_of, tops_of, reach_of = zip(*families)
+    players = range(instance.n)
+    num, den = factor.numerator, factor.denominator
     size = len(ids)
 
-    def top(view: tuple[dict[int, int], dict[int, int], list[int]],
-            pool: int) -> int:
-        members, tops, _ = view
+    def top(player: int, pool: int) -> int:
+        tops = tops_of[player]
         best = tops.get(pool)
         if best is None:
-            for S, best in members.items():
+            for S, best in held_of[player].items():
                 if S & pool == S:
                     break
             tops[pool] = best
@@ -204,32 +209,28 @@ def _equilibria(instance: Instance, factor: Fraction, k: int,
     def prune(sets: Sets, value: int, item: int) -> bool:
         if least[0] is not None and value >= least[0]:
             return True
-        taken = 0
-        for T in sets:
-            taken |= T
-        skipped = ((1 << item) - 1) & ~taken
+        # Member sets are disjoint, so their sum is their union.
+        skipped = ((1 << item) - 1) & ~sum(sets)
         bound = 0
-        for T, view in zip(sets, views):
-            members, tops, reach = view
-            held, pool = members[T], skipped | T
+        # Indexing by player measured a little faster than enumerate here.
+        for player in players:
+            T = sets[player]
+            held, pool = held_of[player][T], skipped | T
             # A kept top is read inline: this runs per node and player.
-            best = tops.get(pool)
+            best = tops_of[player].get(pool)
             if best is None:
-                best = top(view, pool)
-            if num * (held + reach[item]) < den * best:
+                best = top(player, pool)
+            if num * (held + reach_of[player][item]) < den * best:
                 return True
             bound += max(num * held, den * best)
         if least[0] is not None and bound >= num * least[0]:
             return True
         return item == size and k > 1 and _first_deviation(
-            instance, sets, [view[0][T] for T, view in zip(sets, views)],
-            2, k, factor, budget, single) is not None
-
-    def single(player: int, pool: int) -> int:
-        return top(views[player], pool)
+            instance, sets, [held_of[p][T] for p, T in enumerate(sets)],
+            2, k, factor, budget, top) is not None
 
     tests = [lambda T, _, members=members: T in members
-             for members, _, _ in views]
+             for members in held_of]
     yield from walk(bits, weights, tests, budget, post=True, prune=prune,
                     interchangeable=interchangeable, previous=previous)
 

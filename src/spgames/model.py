@@ -190,9 +190,12 @@ class _Memo:
       welfare of `metrics.compute_opt`;
     * `families`: a kind to its family, as `equilibria._equilibria` walks
       it: every feasible set as a mask over `ordered_ids`, mapped to its
-      integer weight, in descending weight; paired with the kind's tops,
-      each pool mask the walk has asked about mapped to the kind's best
-      weight within it, filled as the walk asks.
+      integer weight, in descending weight; with the kind's tops, each
+      pool mask the walk has asked about mapped to the kind's best weight
+      within it, filled as the walk asks; and the kind's reach, for each
+      index into `ordered_ids` (and one past the last), the integer
+      weight of the items from there on that some set of the family
+      holds, built by the family's walk.
 
     The tables do not depend on k or alpha, so every search on the
     instance shares them.

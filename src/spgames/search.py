@@ -26,15 +26,21 @@ spells each mask into the frozenset its `is_member` decides.  Otherwise
 frozensets are built only where a result leaves the search (`spell`).
 A walk with several members meets a member's set once per assignment of
 the others, so it memoises each member's verdicts by mask; a one-member
-walk meets each set once.  The walk keeps an explicit stack, so pool
-size is not limited by Python's recursion depth.  Branch and
-bound is Land and Doig's (1960): the children of a node are skipped once
-its value plus the weight of the items after its last taken item falls
-below the caller's floor.  A caller's `prune` hook is asked once per
-node and item, before the node tries that item, and once after its last
-item; True drops the node's remaining subtree, the node included.  So a
-search for a least-value node bounds from below, and the last ask
-filters the nodes the walk yields.  Members with one and the same test
+walk meets each set once.  The walk keeps an explicit stack of flat
+frames, each a node's sets and value with the item and member it tries
+next, so pool size is not limited by Python's recursion depth.  Branch
+and bound is Land and Doig's (1960): the children of a node are skipped
+once its value plus the weight of the items after its last taken item
+falls below the caller's floor.  A caller's `prune` hook is asked once
+per node and item, before the node tries that item, and once after its
+last item; True drops the node's remaining subtree, the node included.
+So a search for a least-value node bounds from below, and the last ask
+filters the nodes the walk yields.  A child's first ask comes as soon as
+the child is made, after its pre-order yield, and only a child it keeps
+becomes a frame; a frame that moves on to its next item asks again when
+it is next on top of the stack.  So the asks fall among the spends,
+tests and yields where they would if every frame asked on entry, and
+a dropped child costs no frame.  Members with one and the same test
 can be walked as interchangeable: a member opens its set only after the
 member before it has, so of the assignments that relabel members into
 each other only the first in post-order is met.  Items can be walked
@@ -98,13 +104,17 @@ def walk(bits: Sequence[int], weights: Sequence[int], tests: Sequence[Test],
     m's masks.  Every attempt to put an item into a member's set spends
     one budget node.  With `floor`, a one-element list the caller may
     raise between nodes, the walk skips the children of a node that
-    cannot reach `floor[0]`.  With `prune`, a node about to try `item`,
-    or done with its last at `item == len(bits)`, is dropped when
-    `prune(sets, value, item)` is True: the rest of its subtree and, in
-    post-order, the node itself.  With `interchangeable`, a member with an
-    empty set takes an item only if the member before it holds one, so of
-    the assignments that relabel members into each other only the first
-    in post-order is walked.  With `previous`, `previous[item]` is the
+    cannot reach `floor[0]`, read before each attempt.  With `prune`, a
+    node about to try `item`, or done with its last at
+    `item == len(bits)`, is dropped when `prune(sets, value, item)` is
+    True: the rest of its subtree and, in post-order, the node itself.
+    A child is asked about its first item right after it is made (and
+    yielded, in pre-order), and is walked only if kept; every node is
+    asked exactly once per item it reaches.  Without members the root is
+    the only node.  With `interchangeable`, a member with an empty set
+    takes an item only if the member before it holds one, so of the
+    assignments that relabel members into each other only the first in
+    post-order is walked.  With `previous`, `previous[item]` is the
     index of the item's class-mate before it, or -1: the item may join
     member m only if that class-mate is held by a member <= m, so a
     class-mate held by nobody keeps the item out of every set.  A skipped
@@ -117,34 +127,54 @@ def walk(bits: Sequence[int], weights: Sequence[int], tests: Sequence[Test],
     root: Sets = (0,) * width
     if not post:
         yield root, 0
-    stack = [[root, 0, 0]]  # sets, value, next attempt (item * width + member)
+    if not width:
+        # No member takes an item: the root is the only node.
+        for item in range(size + 1):
+            if prune and prune(root, 0, item):
+                return
+            if item == size or floor and suffix[item] < floor[0]:
+                break
+        if post:
+            yield root, 0
+        return
+    if prune and prune(root, 0, 0):
+        return
+    # A frame moved on to a new item has member `start`: below 0 while its
+    # prune for that item is still to be asked.  A child's frame is pushed
+    # with its first item's prune asked.
+    start = -1 if prune else 0
+    stack = [[root, 0, 0, 0]]  # sets, value, next item, next member
     while stack:
         frame = stack[-1]
-        sets, value, attempt = frame
-        item, member = divmod(attempt, width)
-        if prune and not member and prune(sets, value, item):
-            stack.pop()
-            continue
+        sets, value, item, member = frame
+        if member < 0:
+            if prune(sets, value, item):
+                stack.pop()
+                continue
+            member = 0
         if item == size or floor and value + suffix[item] < floor[0]:
             stack.pop()
             if post:
                 yield sets, value
             continue
+        if previous and not member and previous[item] >= 0:
+            # Start at the class-mate's member; at the next item when
+            # nobody holds it.
+            mate = bits[previous[item]]
+            while member < width and not mate & sets[member]:
+                member += 1
+            if member == width:
+                frame[2], frame[3] = item + 1, start
+                continue
         if interchangeable and member and not sets[member - 1]:
             # The member before is empty, so this one and every later one
             # are too: move on to the next item.
-            frame[2] = attempt - member + width
+            frame[2], frame[3] = item + 1, start
             continue
-        if previous and not member and previous[item] >= 0:
-            # Start at the class-mate's member; past the last when nobody
-            # holds it.
-            mate, holder = bits[previous[item]], 0
-            while holder < width and not mate & sets[holder]:
-                holder += 1
-            if holder:
-                frame[2] = attempt + holder
-                continue
-        frame[2] = attempt + 1
+        if member + 1 < width:
+            frame[3] = member + 1
+        else:
+            frame[2], frame[3] = item + 1, start
         budget.spend()
         grown = sets[member] | bits[item]
         if verdicts:
@@ -158,7 +188,8 @@ def walk(bits: Sequence[int], weights: Sequence[int], tests: Sequence[Test],
             gained = value + weights[item]
             if not post:
                 yield child, gained
-            stack.append([child, gained, attempt - member + width])
+            if not (prune and prune(child, gained, item + 1)):
+                stack.append([child, gained, item + 1, 0])
 
 
 def best(bits: Sequence[int], weights: Sequence[int], tests: Sequence[Test],

@@ -392,3 +392,66 @@ def brute_violations(instance: Instance, profile: Profile) -> list[Violation]:
         if shared:
             out.append(Violation("overlap", players=(a, b), items=shared))
     return out
+
+
+def reference_walk(bits, weights, tests, budget, post=False, floor=None,
+                   prune=None, interchangeable=False, previous=None):
+    """`search.walk` as its docstring states it, by recursion.
+
+    A node yields itself first in pre-order and last in post-order.  In
+    between, for each item from the one after its last taken item, it
+    asks `prune`, which drops the rest of the node, the node included;
+    after its last item it asks once more.  It stops once its value plus
+    the weight of the items left cannot reach `floor[0]`, read before
+    every attempt, since a yield below may raise it.  It tries the item
+    in each member's set in member order, one node per attempt, and
+    walks each child that member's test accepts.  An attempt is skipped,
+    spending nothing, when the member before is empty (`interchangeable`)
+    or the item's class-mate `previous[item]` is held by no member up to
+    this one.  With several members, each member's verdict on a mask is
+    asked once.
+    """
+    width, size = len(tests), len(bits)
+    verdicts = [{} for _ in tests]
+
+    def verdict(member, mask):
+        if width == 1:
+            return tests[member](mask, budget)
+        if mask not in verdicts[member]:
+            verdicts[member][mask] = tests[member](mask, budget)
+        return verdicts[member][mask]
+
+    def node(sets, value, first):
+        if not post:
+            yield sets, value
+        dropped = yield from children(sets, value, first)
+        if post and not dropped:
+            yield sets, value
+
+    def children(sets, value, first):
+        """Walk the node's children; True when the prune drops the node."""
+        def closed(item):
+            return item == size or floor is not None and \
+                value + sum(weights[item:]) < floor[0]
+
+        for item in range(first, size + 1):
+            if prune and prune(sets, value, item):
+                return True
+            if closed(item):
+                return False
+            for member in range(width):
+                if member and closed(item):
+                    return False
+                if interchangeable and member and not sets[member - 1]:
+                    break
+                if previous and previous[item] >= 0 and not any(
+                        bits[previous[item]] & T for T in sets[:member + 1]):
+                    continue
+                budget.spend()
+                grown = sets[member] | bits[item]
+                if verdict(member, grown):
+                    child = sets[:member] + (grown,) + sets[member + 1:]
+                    yield from node(child, value + weights[item], item + 1)
+        return False
+
+    yield from node((0,) * width, 0, 0)

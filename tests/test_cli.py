@@ -74,6 +74,11 @@ class TestGenerate:
         assert code == 2 and out == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("n", ["\u0663", "1_0", "3.0", ""])
+    def test_parameters_in_other_digits_exit_two(self, capsys, n):
+        code, out = run_cli(["generate", "ex_seq", "--n", n], capsys)
+        assert code == 2 and out == ""
+
     def test_byte_identical_across_processes(self, tmp_path):
         args = [sys.executable, "-m", "spgames", "generate", "random_explicit",
                 "--n", "2", "--items", "4", "--max-weight", "8", "--seed", "7"]
@@ -270,10 +275,21 @@ class TestQueries:
         (["opt", "--budget", "0"], None, 2),
         (["opt"], "0", 2),
         (["opt"], "x", 2),
+        # Integers are read as rationals are: ASCII digits, no underscores.
+        (["spe", "--order", "\u0661,2"], None, 2),
+        (["collusion", "--k", "\u0662"], None, 2),
+        (["opt", "--budget", "\u0661\u0660\u0660\u0660"], None, 2),
+        (["opt", "--budget", "1_000"], None, 2),
+        (["opt"], "1_000", 2),
+        (["opt", "--budget", " +1000 "], None, 0),
+        (["spe", "--order", "2, 1"], None, 0),
     ], ids=["poa-collusion", "poa-collusion-without-k",
             "verify-collusion-without-k", "order-not-integers",
             "order-not-a-permutation", "budget-zero", "env-budget-zero",
-            "env-budget-not-integer"])
+            "env-budget-not-integer", "order-arabic-indic-digit",
+            "k-arabic-indic-digit", "budget-arabic-indic-digits",
+            "budget-underscore", "env-budget-underscore",
+            "budget-sign-and-spaces", "order-spaces"])
     def test_exit_codes_of_argument_checks(self, trivial_files, capsys,
                                            monkeypatch, args, env, code):
         if env is not None:

@@ -697,6 +697,41 @@ def test_collusion_listings_of_the_four_player_construction():
         assert budget.used == nodes
 
 
+# `SearchBudget.used` of `empirical_collusion_poa` on the first twelve
+# games of the benchmark's collusion corpus, each call on a fresh
+# instance, at k = 1..n and alpha 1 then 3/2 for each k.
+CORPUS_NODES = {
+    0: (13, 13),
+    1: (38, 40, 64, 92),
+    2: (276, 345, 444, 401, 525, 563),
+    3: (34, 37),
+    4: (34, 30, 48, 58),
+    5: (133, 133, 157, 167, 202, 257),
+    6: (35, 38),
+    7: (103, 137, 211, 189),
+    8: (42, 42, 52, 46, 67, 61),
+    9: (13, 13),
+    10: (73, 81, 89, 129),
+    11: (218, 224, 329, 599, 527, 797),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CORPUS_NODES))
+def test_nodes_of_the_collusion_corpus(seed):
+    """The Nash and collusion walks, with the optimum, spend exactly the
+    pinned nodes on random games."""
+    n = 1 + seed % 3
+    spent = []
+    for k in range(1, n + 1):
+        for alpha in (Fraction(1), Fraction(3, 2)):
+            game = random_explicit(n=n, items=3 + seed % 4, max_weight=8,
+                                   seed=seed)
+            budget = SearchBudget()
+            empirical_collusion_poa(game, k, alpha, budget)
+            spent.append(budget.used)
+    assert tuple(spent) == CORPUS_NODES[seed]
+
+
 def test_single_replies_settle_the_constructed_equilibrium():
     """The bad equilibrium of `ex_collusion(4, 3, 1)` resists every
     coalition of up to three players, and each coalition's single replies

@@ -9,9 +9,9 @@ from itertools import permutations
 
 from hypothesis import example, given, settings, strategies as st
 
-from spgames import (ExplicitSystem, Instance, Item, SearchBudget,
-                     best_response, coalition_best_response, compute_opt,
-                     empirical_sequential_poa, enumerate_nash,
+from spgames import (BudgetExceededError, ExplicitSystem, Instance, Item,
+                     SearchBudget, best_response, coalition_best_response,
+                     compute_opt, empirical_sequential_poa, enumerate_nash,
                      enumerate_spe_outcomes, feasible_subsets,
                      random_symmetric)
 from spgames.equilibria import enumerate_collusion
@@ -19,7 +19,7 @@ from spgames.search import asking, spell, walk
 
 from oracles import (all_subsets, brute_best_response, brute_coalition,
                      brute_enumerate_nash, brute_first_deviation, brute_opt,
-                     brute_spe_outcomes, collusion_pools)
+                     brute_spe_outcomes, collusion_pools, reference_walk)
 
 WEIGHTS = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
 IDS = ("a", "b", "c", "d", "e")
@@ -225,6 +225,109 @@ def test_prune_after_the_last_item_filters_the_nodes(game, interchangeable,
                      interchangeable=interchangeable))
     assert kept == [node for node in every if not rejects(*node)]
     assert pruned.used == plain.used
+
+
+class _LoggedBudget(SearchBudget):
+    """A budget that logs every spend."""
+
+    def __init__(self, limit: int, log: list):
+        super().__init__(limit)
+        self.log = log
+
+    def spend(self, amount: int = 1) -> None:
+        self.log.append(("spend", amount))
+        super().spend(amount)
+
+
+@st.composite
+def walk_setups(draw) -> dict:
+    """Everything one walk takes, drawn: up to five items with small
+    integer weights, zero to three members with explicit families as
+    maximal masks, either order, class-mates, the two symmetry rules, a
+    prune that also reads a bound, a floor and a budget limit; and how the
+    caller reacts to a yield: lower the prune's bound to the node's value
+    (as `_equilibria`'s caller does) and raise the floor past it (as
+    `best` does)."""
+    size = draw(st.integers(0, 5))
+    width = draw(st.integers(0, 3))
+    masks = st.integers(0, (1 << size) - 1)
+    family = st.lists(masks, min_size=1, max_size=3)
+    if draw(st.booleans()):
+        families = [draw(family)] * width
+    else:
+        families = [draw(family) for _ in range(width)]
+    previous = None
+    if draw(st.booleans()):
+        previous = [draw(st.integers(-1, item - 1)) for item in range(size)]
+    return {
+        "weights": draw(st.lists(st.integers(0, 3), min_size=size,
+                                 max_size=size)),
+        "families": families,
+        "costs": [draw(st.integers(0, 1)) for _ in range(width)],
+        "post": draw(st.booleans()),
+        "interchangeable": draw(st.booleans()),
+        "previous": previous,
+        "prune": draw(st.one_of(st.none(), st.tuples(st.integers(3, 8),
+                                                      st.integers(1, 2)))),
+        "lower": draw(st.booleans()),
+        "floor": draw(st.one_of(st.none(), st.integers(0, 6))),
+        "raise": draw(st.booleans()),
+        "limit": draw(st.sampled_from((3, 10, 25, 10**6))),
+    }
+
+
+def _walk_log(walker, setup: dict) -> list:
+    """Every prune ask with its arguments, test call, spend and yield of
+    one walk, in order, and how it ended."""
+    log: list = []
+    size = len(setup["weights"])
+    budget = _LoggedBudget(setup["limit"], log)
+    least = [None]
+    floor = None if setup["floor"] is None else [setup["floor"]]
+
+    def test(member):
+        maxima, cost = setup["families"][member], setup["costs"][member]
+
+        def decide(mask, spent):
+            log.append(("test", member, mask))
+            spent.spend(cost)
+            return any(mask & M == mask for M in maxima)
+        return decide
+
+    def prune(sets, value, item):
+        log.append(("prune", sets, value, item))
+        if least[0] is not None and value >= least[0]:
+            return True
+        # Never at the root's first item, so every walk gets past it.
+        modulus, offset = setup["prune"]
+        key = sum((m + 1) * T for m, T in enumerate(sets))
+        return (3 * key + 5 * value + 7 * item + offset) % modulus == 0
+
+    walked = walker([1 << j for j in range(size)], setup["weights"],
+                    [test(m) for m in range(len(setup["families"]))], budget,
+                    post=setup["post"], floor=floor,
+                    prune=None if setup["prune"] is None else prune,
+                    interchangeable=setup["interchangeable"],
+                    previous=setup["previous"])
+    try:
+        for sets, value in walked:
+            log.append(("yield", sets, value))
+            if setup["lower"] and (least[0] is None or value < least[0]):
+                least[0] = value
+            if setup["raise"] and floor and value >= floor[0]:
+                floor[0] = value + 1
+    except BudgetExceededError:
+        log.append(("exceeded", budget.used))
+    return log
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(walk_setups())
+def test_walk_keeps_its_contract(setup):
+    """The kernel asks, tests, spends and yields exactly as the reference
+    walk of its docstring does, in the same order, and runs out of budget
+    at the same node."""
+    assert _walk_log(walk, setup) == _walk_log(reference_walk, setup)
 
 
 def test_deep_pool_needs_no_recursion():
