@@ -4,7 +4,8 @@ Exit codes form a stable contract: 0 verified or success, 1 refuted with
 a witness (or a failing report row), 2 input error, 3 search budget
 exceeded or the search ran out of stack or memory.  All output is UTF-8,
 newline-terminated JSON or TSV; rationals are printed exactly, decimals
-only as presentation extras.
+only as presentation extras.  A call builds the parser of only the
+subcommand it runs; help and parse errors come from the full tree.
 """
 
 from __future__ import annotations
@@ -232,78 +233,71 @@ def _cmd_report(args) -> int:
     return EXIT_OK if all(row.satisfied for row in rows) else EXIT_REFUTED
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _required(option):
+    flag, settings = option
+    return flag, {**settings, "required": True}
+
+
+def _commands() -> dict:
+    """Each subcommand's help, handler and options, an option being a flag
+    and its `add_argument` keywords.  Built on each call, so a handler is
+    looked up when the call runs."""
+    instance = "--instance", {"required": True}
+    alpha = "--alpha", {"default": "1"}
+    budget = "--budget", {}
+    concept = "--concept", {"required": True,
+                            "choices": ["nash", "spe", "collusion"]}
+    k, order = ("--k", {}), ("--order", {})
+    out = "--out", {}
+    return {
+        # Every number is read as text, then parsed exactly
+        # (`_generator_spec`).
+        "generate": ("generate an instance family", _cmd_generate, [
+            ("family", {"choices": FAMILIES}),
+            *(("--" + name.replace("_", "-"), {}) for name in PARAMETERS),
+            out]),
+        "verify": ("verify a profile against a concept", _cmd_verify, [
+            instance, ("--profile", {"required": True}), concept, alpha, k,
+            order, budget]),
+        "opt": ("compute the centralized optimum", _cmd_opt,
+                [instance, budget]),
+        "nash": ("enumerate approximate Nash profiles", _cmd_nash,
+                 [instance, alpha, budget]),
+        "spe": ("enumerate sequential outcomes", _cmd_spe,
+                [instance, _required(order), alpha, budget]),
+        "collusion": ("enumerate k-collusion profiles", _cmd_collusion,
+                      [instance, _required(k), alpha, budget]),
+        "poa": ("measure a price of anarchy", _cmd_poa,
+                [instance, concept, alpha, k, budget]),
+        "report": ("run the bound-reproduction suite", _cmd_report,
+                   [("--suite", {"default": "paper"}), out, budget]),
+    }
+
+
+def _build_parser(name: str | None = None) -> argparse.ArgumentParser:
+    """The `spg` parser with only the subcommand `name`, or with all of
+    them when `name` is none of theirs."""
     parser = argparse.ArgumentParser(
         prog="spg",
         description="Set packing games: equilibrium verification, "
                     "enumeration, and price-of-anarchy measurements.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("generate", help="generate an instance family")
-    gen.add_argument("family", choices=FAMILIES)
-    # Every number is read as text, then parsed exactly (`_generator_spec`).
-    for name in PARAMETERS:
-        gen.add_argument("--" + name.replace("_", "-"), dest=name)
-    gen.add_argument("--out")
-    gen.set_defaults(func=_cmd_generate)
-
-    ver = sub.add_parser("verify", help="verify a profile against a concept")
-    ver.add_argument("--instance", required=True)
-    ver.add_argument("--profile", required=True)
-    ver.add_argument("--concept", required=True,
-                     choices=["nash", "spe", "collusion"])
-    ver.add_argument("--alpha", default="1")
-    ver.add_argument("--k")
-    ver.add_argument("--order")
-    ver.add_argument("--budget")
-    ver.set_defaults(func=_cmd_verify)
-
-    opt = sub.add_parser("opt", help="compute the centralized optimum")
-    opt.add_argument("--instance", required=True)
-    opt.add_argument("--budget")
-    opt.set_defaults(func=_cmd_opt)
-
-    nash = sub.add_parser("nash", help="enumerate approximate Nash profiles")
-    nash.add_argument("--instance", required=True)
-    nash.add_argument("--alpha", default="1")
-    nash.add_argument("--budget")
-    nash.set_defaults(func=_cmd_nash)
-
-    spe = sub.add_parser("spe", help="enumerate sequential outcomes")
-    spe.add_argument("--instance", required=True)
-    spe.add_argument("--order", required=True)
-    spe.add_argument("--alpha", default="1")
-    spe.add_argument("--budget")
-    spe.set_defaults(func=_cmd_spe)
-
-    col = sub.add_parser("collusion", help="enumerate k-collusion profiles")
-    col.add_argument("--instance", required=True)
-    col.add_argument("--k", required=True)
-    col.add_argument("--alpha", default="1")
-    col.add_argument("--budget")
-    col.set_defaults(func=_cmd_collusion)
-
-    poa = sub.add_parser("poa", help="measure a price of anarchy")
-    poa.add_argument("--instance", required=True)
-    poa.add_argument("--concept", required=True,
-                     choices=["nash", "spe", "collusion"])
-    poa.add_argument("--alpha", default="1")
-    poa.add_argument("--k")
-    poa.add_argument("--budget")
-    poa.set_defaults(func=_cmd_poa)
-
-    rep = sub.add_parser("report", help="run the bound-reproduction suite")
-    rep.add_argument("--suite", default="paper")
-    rep.add_argument("--out")
-    rep.add_argument("--budget")
-    rep.set_defaults(func=_cmd_report)
-
+    commands = _commands()
+    for command, (help_text, func, options) in commands.items():
+        if name not in commands or command == name:
+            subparser = sub.add_parser(command, help=help_text)
+            for flag, settings in options:
+                subparser.add_argument(flag, **settings)
+            subparser.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv else None)
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # the error's usage line names every subcommand
+        args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

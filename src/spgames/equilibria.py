@@ -41,11 +41,14 @@ its best weight within each pool and the weight it can reach from each
 item on, is kept on the memo too, so every k, alpha and call on the
 instance shares them.
 
-Every verifier asks `best_response.deviation`, the one alpha rule (a
-tie passes), for a reply from the items no outsider holds (Nash,
-collusion) or those left when the player moves (SPE).  For one player
-the former are its own items plus the unclaimed ones, so the Nash check
-is the collusion check at k = 1.  A verifier validates the profile by
+Every verifier applies one alpha rule (a tie passes,
+`best_response.within_alpha`) to a reply from the items no outsider
+holds (Nash, collusion) or those left when the player moves (SPE).
+`verify_spe_outcome`, like `is_alpha_best_response`, asks
+`best_response.deviation` for it; the Nash and collusion checks
+(`_first_deviation`) ask `_reply` and compare its weight inline.  For
+one player the items no outsider holds are its own plus the unclaimed
+ones, so the Nash check is the collusion check at k = 1.  A verifier validates the profile by
 the pass behind `welfare` and `validate_profile` (`model._packing`),
 which masks each set once, over `ordered_ids` with its weight on the
 instance's integer scale (`Instance.integer_weights`), and tests each

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from spgames import IdenticalMachinesSystem
-from spgames.cli import main
+from spgames.cli import _build_parser, main
 from spgames.factory import FAMILIES, PARAMETERS
 from spgames.report import paper_suite_rows
 from spgames.serialize import (document_to_instance, dumps_document,
@@ -568,3 +568,47 @@ class TestReport:
             "report.tsv": "965efe45db3e7d4d3e4d0ba27b0b03fc26a3a9a72c0e5c897719053bce60e3b8",
             "report.json": "0b523d967dbc6f49f68bc6b528851346a01b028bd3c662aa3d365586f5351abe",
         }
+
+
+COMMANDS = ("generate", "verify", "opt", "nash", "spe", "collusion", "poa",
+            "report")
+
+
+def full_tree(argv) -> int:
+    """Parse `argv` with every subcommand built, then run its handler."""
+    args = _build_parser().parse_args(argv)
+    return args.func(args)
+
+
+def outcome(run, capsys) -> tuple:
+    """The exit status, standard output and standard error of `run()`."""
+    try:
+        code = run()
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParser:
+    """`main` builds only the subcommand it runs; every help text, usage
+    line and error must read as the full tree's."""
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["-h", "opt"], ["frobnicate"],
+        *([name, "-h"] for name in COMMANDS),
+        ["generate"], ["verify", "--instance", "INSTANCE", "--concept", "nash"],
+        ["opt"], ["nash"], ["spe", "--instance", "INSTANCE"],
+        ["collusion", "--instance", "INSTANCE"], ["poa", "--instance", "INSTANCE"],
+        ["opt", "--instance", "INSTANCE", "--frobnicate"],
+        ["report", "--suite", "paper", "extra"],
+        ["opt", "--inst", "INSTANCE"],
+    ], ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_output_matches_the_full_tree(self, trivial_files, capsys,
+                                          monkeypatch, argv):
+        argv = [trivial_files["instance"] if arg == "INSTANCE" else arg
+                for arg in argv]
+        expected = outcome(lambda: full_tree(argv), capsys)
+        assert outcome(lambda: main(argv), capsys) == expected
+        monkeypatch.setattr(sys, "argv", ["spg", *argv])
+        assert outcome(main, capsys) == expected
