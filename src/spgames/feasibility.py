@@ -45,14 +45,20 @@ first node that holds every item, and its fit is the fits the walk's own
 tests found for the final parts.  Every attempt to put an item into a
 machine's set spends one budget node, on top of what that test spends;
 with several machines the kernel asks each machine's test once per set,
-so a set met again spends only its one node.  Members that are one
-object repeated, the copies of a `SharedSymmetricSystem`, are walked as
-interchangeable, so an item may only open the first empty copy; the
-machines of an `UnrelatedMachinesSystem` are distinct objects.
+so a set met again spends only its one node.  A split over one member
+is that member's own fit, with no walk: the walk would only grow the
+set's id-prefixes to the set.  Members that are one object repeated,
+the copies of a `SharedSymmetricSystem`, are walked as interchangeable,
+so an item may only open the first empty copy; the machines of an
+`UnrelatedMachinesSystem` are distinct objects.
 `IdenticalMachinesSystem` is the shared system of `copies` single
 machines and answers through it.
 
-Membership of c >= 2 shared copies takes one of three routes:
+Membership of c shared copies, for every c, takes one of three routes,
+each worked out once and kept: the covers with the shared system, the
+slot counts with the base's job table.  Both read the base's data, so
+they are taken only where that data describes the family
+(`_data_describes`):
 
 * covers: over an explicit base with m maximal sets, a set splits into
   at most c disjoint members exactly when it lies inside the union of
@@ -60,12 +66,16 @@ Membership of c >= 2 shared copies takes one of three routes:
   it).  The system caches those unions once, and membership is one
   subset test per union, with no budget node.  There are up to
   C(m, min(c, m)) maximal ones, so a base whose build would form more
-  than `_COVER_UNIONS` unions takes the split walk instead;
+  than `_COVER_UNIONS` unions takes the split walk instead.  One copy's
+  covers are the base itself;
 * slot counts: on zero-release jobs with one processing time, the slot
   condition below decides the set on all its machines, one node per job
   up to the first that breaks it, and its fit deals the jobs in deadline
-  order round-robin over the machines, which the condition guarantees;
-* the split walk, for every other base.
+  order round-robin over the machines, which the condition guarantees.
+  On one machine that is earliest deadline first: the same nodes and
+  the same order;
+* the split walk, for every other base: over one copy, or a one-item
+  set, it is one member, the base's own fit.
 
 Subset enumeration runs on the search kernel (`search.py`), whose
 one-member pre-order lists a system's sets in lexicographic order.  The
@@ -79,10 +89,11 @@ spend before it scans.  In id order a job is kept when every level at or
 above its slot count still has a free slot.  By largest deadline,
 `_deadline_scan` walks a table's deadline classes (`deadline_classes`,
 built on the first scan) as masks, latest first, under one running cap
-on the free slots, until no slot is left.  Sequential deadline play
-scans the items left the same way (`_mask_scan`), so a player's work
-follows the classes it looks at and the jobs it keeps.  Every other
-system takes the kernel's first maximum over the scan-ordered pool.
+on the free slots, until no slot is left.  Every largest-deadline scan,
+of a pool or of the items left in sequential deadline play, is one
+`_mask_scan` on masks, so a player's work follows the classes it looks
+at and the jobs it keeps.  Every other system takes the kernel's first
+maximum over the scan-ordered pool.
 """
 
 from __future__ import annotations
@@ -285,8 +296,14 @@ def _first_split(target: frozenset[str],
     the members are one system object repeated they are walked as
     interchangeable.  The result is the fits the walk's tests found for
     the final parts, member by member, each padded with idle machines to
-    its member's `_machine_count`.
+    its member's `_machine_count`.  A split over one member is that
+    member's own fit, padded: the walk would only grow the id-prefixes
+    of `target`, each a member when `target` is one, and spend a node on
+    each.
     """
+    if len(members) == 1:
+        fit = members[0]._fit(target, budget)
+        return None if fit is None else _padded(fit, _machine_count(members[0]))
     ids = sorted(target)
     fits = [member._fit for member in members]
     found: list[dict[int, Optional[Fit]]] = [{} for _ in fits]
@@ -352,8 +369,8 @@ class FeasibilitySystem:
     def _own_mask_test(self, ids: Sequence[str]) -> Optional[Test]:
         """A membership test on masks over `ids` that spells no set, or
         None.  Only explicit families and the systems that answer through
-        one have it, and only where membership is the built-in's own
-        (`_own_membership`): a subclass that redefines `is_member` is
+        one have it, and only where their data describes them
+        (`_data_describes`): a subclass that redefines `is_member` is
         asked through `is_member`."""
         return None
 
@@ -388,13 +405,17 @@ class FeasibilitySystem:
         """Deadline per item for scheduling systems, None otherwise."""
         return None
 
+    # The job table and machine count of a system that slot counts
+    # decide, else None: read through `_uniform_machine`.
+    _slots: Optional[tuple[_JobTable, int]] = None
+
     def _swap_key(self, item: str) -> object:
         """A value that two items share whenever exchanging them maps the
         family onto itself (`_swaps`), so only items of one key need be
         compared.  A user-defined system keys each item by itself, and so
         forgoes the searches' walk over item orbits (`model._Memo`); so
         does a subclass of a built-in system that redefines its
-        membership (`_keeps_swaps`).
+        membership (`_data_describes`).
         """
         return item
 
@@ -440,7 +461,7 @@ class ExplicitSystem(FeasibilitySystem):
         maximal set; each maximal set's outside is a mask over `ids`, so
         an item not in `ids` is outside none and one not in the universe
         is outside all.  No budget node, as `is_member` spends none."""
-        if not _own_membership(type(self)):
+        if not _data_describes(self):
             return None
         bit = {item: 1 << j for j, item in enumerate(ids)}
         everything = (1 << len(ids)) - 1
@@ -504,6 +525,15 @@ class _JobTable:
         return tuple((deadline // view.length, positions)
                      for deadline, positions
                      in sorted(by_deadline.items(), reverse=True))
+
+    @cached_property
+    def _slots(self) -> Optional[tuple[_JobTable, int]]:
+        """This table and its machine count when slot counts decide the
+        system: its jobs have no release date and one processing time,
+        and its data describes its family (`_data_describes`)."""
+        if self.integer_view.length is None or not _data_describes(self):
+            return None
+        return self, _machine_count(self)
 
     def window(self, item: str) -> Optional[JobWindow]:
         k = self.position.get(item)
@@ -651,10 +681,13 @@ class SharedSymmetricSystem(FeasibilitySystem):
     """A player holding `copies` instances of one shared base system.
 
     A set is allowed when it splits into at most `copies` disjoint members
-    of the base family (one per machine copy, in scheduling terms).  With
-    several copies, membership takes the module docstring's routes in
-    turn: covers of an explicit base (`_covers`), slot counts of a uniform
-    zero-release table (`_uniform_machine`), else the split walk.  The
+    of the base family (one per machine copy, in scheduling terms).  At
+    every copy count, membership is a fit (`_fit`) by the module
+    docstring's routes: slot counts of a uniform zero-release table (the
+    table's `_slots`), covers of an explicit base (`_covers`), else the
+    split walk.  One copy is no special case: its slot counts are
+    earliest deadline first on one machine, its covers are the base
+    itself, and its split is one member, the base's own fit.  The
     covers cost time in proportion to their number, which grows like
     C(m, min(copies, m)) for m base sets; a base past `_COVER_UNIONS`
     unions, such as all 120 pairs of 16 items at 4 copies, splits.
@@ -674,18 +707,18 @@ class SharedSymmetricSystem(FeasibilitySystem):
 
     @cached_property
     def _covers(self) -> Optional[ExplicitSystem]:
-        """The family of this system when the base is explicit, with the
-        membership of `ExplicitSystem` (`_own_membership`), else None.
+        """The family of this system when the base is explicit and the
+        data of both describe them (`_data_describes`), else None.
 
         Its sets are the unions of at most min(copies, m) of the base's m
         maximal sets, built one base set at a time: unite each cover so
-        far with each base set; the family keeps the maximal ones.  The
-        build forms at most `_COVER_UNIONS` unions and gives None before
-        it would pass that, so membership falls back to the split walk and
+        far with each base set; the family keeps the maximal ones.  With
+        one copy, or one base set, that is the base itself.  The build
+        forms at most `_COVER_UNIONS` unions and gives None before it
+        would pass that, so membership falls back to the split walk and
         its budget.
         """
-        if not (isinstance(self.base, ExplicitSystem)
-                and _own_membership(type(self.base))):
+        if not (isinstance(self.base, ExplicitSystem) and _data_describes(self)):
             return None
         sets = self.base.maximal_sets
         covers, formed = sets, 0
@@ -694,39 +727,32 @@ class SharedSymmetricSystem(FeasibilitySystem):
             if formed > _COVER_UNIONS:
                 return None
             covers = tuple({c | s for c in covers for s in sets})
-        return ExplicitSystem(maximal_sets=covers)
+        return self.base if covers is sets else ExplicitSystem(maximal_sets=covers)
 
     def is_member(self, items, budget=None) -> bool:
         target = frozenset(items)
-        if not target <= self.universe():
-            return False
-        if self.copies == 1:
-            return self.base.is_member(target, budget)
-        if self._covers is not None:
-            return self._covers.is_member(target)
-        return self._fit(target, SearchBudget.ensure(budget)) is not None
+        return target <= self.universe() and self._fit(
+            target, SearchBudget.ensure(budget)) is not None
 
     def _own_mask_test(self, ids) -> Optional[Test]:
-        """The base's own test for one copy, the covers' with covers,
-        else None."""
-        if not _keeps_swaps(self):
-            return None
-        if self.copies == 1:
-            return self.base._own_mask_test(ids)
+        """The covers' own test, or None without covers."""
         return None if self._covers is None else self._covers._own_mask_test(ids)
 
     def _fit(self, target, budget) -> Optional[Fit]:
-        """The base's fit for one copy, slot counts for a uniform table,
-        else the split walk.
+        """Slot counts for a uniform table, the covers for an explicit
+        base, which fit a member on no machine, else the split walk.
 
         No more copies than items are walked, so a huge `copies` costs
-        nothing.
+        nothing, and a one-item set is one copy's fit.
         """
-        if self.copies == 1:
-            return self.base._fit(target, budget)
-        machine = _uniform_machine(self)
-        if machine is not None:
-            return _fits_slots(machine, _machine_count(self), target, budget)
+        # The base's route, guarded by the base: a fit reads only the
+        # base's family, as the split walk's would.
+        slots = self.base._slots
+        if slots is not None:
+            table, machines = slots
+            return _fits_slots(table, self.copies * machines, target, budget)
+        if self._covers is not None:
+            return () if self._covers.is_member(target) else None
         return _first_split(target,
                             [self.base] * min(self.copies, len(target)),
                             budget)
@@ -741,18 +767,24 @@ class SharedSymmetricSystem(FeasibilitySystem):
         return self.base._swaps(a, b)
 
 
-_SWAP_TESTED = (ExplicitSystem, SingleMachineSystem, IdenticalMachinesSystem,
-                UnrelatedMachinesSystem, SharedSymmetricSystem)
+_BUILT_IN = (ExplicitSystem, SingleMachineSystem, IdenticalMachinesSystem,
+             UnrelatedMachinesSystem, SharedSymmetricSystem)
 
 
-def _keeps_swaps(system: FeasibilitySystem) -> bool:
-    """Whether the swap test `system` has describes its family.
+def _data_describes(system: FeasibilitySystem) -> bool:
+    """Whether `system`'s data describes its family, so that a route may
+    read the data instead of asking membership.
 
-    A built-in system's test reads its data (windows, times, maximal
-    sets), so it holds only where membership is the built-in's own: a
-    subclass that redefines `is_member`, `_fit`, `universe` or `_ids` may
-    narrow the family and break a class.  Every other system keys each
-    item by itself, which is exact.
+    Every such route asks this one guard: the covers of an explicit base
+    (`SharedSymmetricSystem._covers`), the slot counts of a uniform table
+    (`_uniform_machine`), the own mask tests (`_own_mask_test`) and the
+    swap tests behind `model._Memo.mates`.  A built-in system's data
+    (windows, times, maximal sets) describes its family only where
+    membership is the built-in's own, and for shared copies where the
+    base's is too: a subclass that redefines `is_member`, `_fit`,
+    `universe` or `_ids` may narrow the family.  A system derived from no
+    built-in class has no data route, and keys each item by itself, which
+    is exact.
     """
     return _own_membership(type(system)) and (
         not isinstance(system, SharedSymmetricSystem)
@@ -763,7 +795,7 @@ def _keeps_swaps(system: FeasibilitySystem) -> bool:
 def _own_membership(cls: type) -> bool:
     """Whether `cls` decides membership as the built-in class it derives
     from does (True for a class derived from none)."""
-    for built_in in _SWAP_TESTED:
+    for built_in in _BUILT_IN:
         if issubclass(cls, built_in):
             return all(getattr(cls, name) is getattr(built_in, name)
                        for name in ("is_member", "_fit", "universe", "_ids"))
@@ -812,20 +844,26 @@ def feasible_subsets(system: FeasibilitySystem, pool: Iterable[str],
         [system._mask_test(ids)], shared))
 
 
-def _uniform_machine(system: FeasibilitySystem) -> Optional[_JobTable]:
-    """The jobs of a zero-release, equal-processing machine system, or None.
+def _uniform_machine(system: FeasibilitySystem
+                     ) -> Optional[tuple[_JobTable, int]]:
+    """The job table of a zero-release, equal-processing machine system
+    whose data describes its family (`_data_describes`), and the number of
+    machines the system runs it on; or None.
 
     Job k fits into one of the first c_k slots of each machine, so the
     slot condition of the module docstring is Hall's condition on nested
     slot sets.  The feasible sets form a matroid: any maximal feasible
     subset of a pool is also maximum, and a greedy scan yields the
-    maximum cardinality.
+    maximum cardinality.  Each table works out its own route once
+    (`_JobTable._slots`); shared copies run their base's table on
+    `copies` times its machines.
     """
-    if isinstance(system, SharedSymmetricSystem):
-        system = system.base
-    if isinstance(system, _JobTable) and system.integer_view.length is not None:
-        return system
-    return None
+    if not isinstance(system, SharedSymmetricSystem):
+        return system._slots
+    slots = system.base._slots
+    if slots is None or not _data_describes(system):
+        return None
+    return slots[0], system.copies * slots[1]
 
 
 def _fits_slots(machine: _JobTable, machines: int, target: Iterable[str],
@@ -894,45 +932,40 @@ def max_cardinality_feasible(system: FeasibilitySystem, available: Iterable[str]
     `prefer_largest_deadline` is set, plain item-id order otherwise.  Among
     all maximum-cardinality subsets, the returned one is the set picked by
     a greedy scan that keeps an item whenever the maximum remains
-    reachable with it: the lexicographically first in scan order.  On
-    zero-release machines with one processing time, on any number of
-    machines, that is the set a plain greedy scan keeps, decided by slot
-    counts (`_uniform_machine`), and one node per candidate is charged in
-    one spend before the scan.  By largest deadline, `_deadline_scan`
-    scans the table's deadline classes; in id order, a job is kept when
-    every level at or above its slot count still has a free slot.
+    reachable with it: the lexicographically first in scan order.  By
+    largest deadline it is what `_mask_scan` keeps over the sorted
+    universe.  In id order, on zero-release machines with one processing
+    time, on any number of machines, it is the set a plain greedy scan
+    keeps, decided by slot counts (`_uniform_machine`): one node per
+    candidate is charged in one spend before the scan, and a job is kept
+    when every level at or above its slot count still has a free slot.
     Everywhere else it is the first maximum of the kernel's one-member
-    pre-order over the scan-ordered pool, which one `best` search returns.
+    pre-order over the pool, which one `best` search returns.
     """
     shared = SearchBudget.ensure(budget)
-    machine = _uniform_machine(system)
-    if machine is not None:
-        view, position = machine.integer_view, machine.position
-        machines = _machine_count(system)
-        pool = sum(1 << k for k in {position[i] for i in available
-                                    if i in position})
-        shared.spend(pool.bit_count())
-        if prefer_largest_deadline:
-            kept = _deadline_scan(machine.deadline_classes, machines, pool)
-        else:
-            slots = [(k, view.deadline[k] // view.length)
-                     for k in _positions(pool)]
-            free = {slot: machines * slot for _, slot in slots}
-            kept = []
-            for k, slot in slots:
-                above = [level for level in free if level >= slot]
-                if all(free[level] > 0 for level in above):
-                    for level in above:
-                        free[level] -= 1
-                    kept.append(1 << k)
-        return tuple(machine.jobs[b.bit_length() - 1][0] for b in kept)
-    pool = sorted(frozenset(available) & system.universe())
+    available = frozenset(available)
     if prefer_largest_deadline:
-        deadlines = system.job_deadlines()
-        if deadlines is None:
-            raise InputError(
-                "largest-deadline scan requires a scheduling system")
-        pool.sort(key=lambda i: (-deadlines[i], i))
+        ids = sorted(system.universe())
+        kept = _mask_scan(system, ids)(
+            sum(1 << j for j, item in enumerate(ids) if item in available), shared)
+        return tuple(ids[b.bit_length() - 1] for b in kept)
+    uniform = _uniform_machine(system)
+    if uniform is not None:
+        machine, machines = uniform
+        view, position = machine.integer_view, machine.position
+        pool = sum(1 << position[i] for i in available if i in position)
+        shared.spend(pool.bit_count())
+        slots = [(k, view.deadline[k] // view.length) for k in _positions(pool)]
+        free = {slot: machines * slot for _, slot in slots}
+        kept = []
+        for k, slot in slots:
+            above = [level for level in free if level >= slot]
+            if all(free[level] > 0 for level in above):
+                for level in above:
+                    free[level] -= 1
+                kept.append(machine.jobs[k][0])
+        return tuple(kept)
+    pool = sorted(available & system.universe())
     (chosen,), _ = best([1 << j for j in range(len(pool))], [1] * len(pool),
                         [system._mask_test(pool)], shared)
     return tuple(item for j, item in enumerate(pool) if chosen >> j & 1)
@@ -945,25 +978,31 @@ def _mask_scan(system: FeasibilitySystem, ids: Sequence[str]
 
     Bit j of a mask is `ids[j]`, and `ids` are sorted and hold the
     system's universe.  The scan takes the mask of the items left and
-    returns the bits it keeps, one int each, in scan order, spending what
-    `max_cardinality_feasible` spends on those items.  On a table that
-    slot counts decide, each deadline class is a mask, put on `ids` here
-    once, and `_deadline_scan` scans the items left: the scan charges the
-    popcount of the pool in one spend, so its cost is one mask per class
-    it looks at and one step per job kept, whatever the size of the pool.
-    Any other system is scanned by `max_cardinality_feasible` over the
-    items left.
+    returns the bits it keeps, one int each, in scan order.  On a table
+    that slot counts decide, each deadline class is a mask, put on `ids`
+    here once, and `_deadline_scan` scans the items left: the scan charges
+    the popcount of the pool in one spend, so its cost is one mask per
+    class it looks at and one step per job kept, whatever the size of the
+    pool.  Any other system is scanned by one `best` search over the items
+    left in scan order, on the system's mask test over `ids`.
     """
-    machine = _uniform_machine(system)
-    if machine is None:
-        index = {item: j for j, item in enumerate(ids)}
+    uniform = _uniform_machine(system)
+    if uniform is None:
+        deadlines = system.job_deadlines()
+        if deadlines is None:
+            raise InputError("largest-deadline scan requires a scheduling system")
+        universe, test = system.universe(), system._mask_test(ids)
+        # A stable sort of sorted ids breaks deadline ties by id.
+        ranked = sorted((j for j, item in enumerate(ids) if item in universe),
+                        key=lambda j: -deadlines[ids[j]])
 
         def scan(remaining: int, budget: SearchBudget) -> list[int]:
-            return [1 << index[item] for item in max_cardinality_feasible(
-                system, map(ids.__getitem__, _positions(remaining)),
-                prefer_largest_deadline=True, budget=budget)]
+            bits = [1 << j for j in ranked if remaining >> j & 1]
+            (chosen,), _ = best(bits, [1] * len(bits), [test], budget)
+            return [bit for bit in bits if chosen & bit]
 
         return scan
+    machine, machines = uniform
     classes = machine.deadline_classes
     if len(machine.jobs) < len(ids):
         # Some items are not jobs of the table: move each class's bits
@@ -973,7 +1012,6 @@ def _mask_scan(system: FeasibilitySystem, ids: Sequence[str]
         classes = tuple((slot, sum(map(bits.__getitem__, _positions(mask))))
                         for slot, mask in classes)
     universe = sum(mask for _, mask in classes)
-    machines = _machine_count(system)
 
     def scan(remaining: int, budget: SearchBudget) -> list[int]:
         budget.spend((remaining & universe).bit_count())

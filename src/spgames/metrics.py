@@ -86,15 +86,12 @@ def compute_opt(instance: Instance,
     weight, scale = instance.integer_weights
 
     def search() -> tuple[tuple[frozenset[str], ...], int]:
-        # The whole ground set is walked on `_Memo.bit`, so on the
-        # instance's kept tests.
-        tests = ([memo.test(player) for player in range(instance.n)]
-                 if available is None else
-                 [system._mask_test(ids) for system in instance.players])
-        sets, value = best([1 << j for j in range(len(ids))],
-                           [weight[i] for i in ids], tests, shared, post=True,
-                           previous=memo.previous(ids))
-        return tuple(spell(T, ids) for T in sets), value
+        # Any pool is walked on `_Memo.bit`, so on the instance's kept tests.
+        sets, value = best(list(map(memo.bit.__getitem__, ids)),
+                           [weight[i] for i in ids],
+                           [memo.test(player) for player in range(instance.n)],
+                           shared, post=True, previous=memo.previous(ids))
+        return tuple(spell(T, instance.ordered_ids) for T in sets), value
 
     sets, value = memo.recall(memo.optima, memo.mask(ids), shared, search)
     return Profile._spelt(sets), Fraction(value, scale)

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Optional, Sequence, TypeVar
 from .budget import SearchBudget
 from .errors import InputError, _fraction, _integer
 from .feasibility import (FeasibilitySystem, SharedSymmetricSystem,
-                          _keeps_swaps)
+                          _data_describes)
 from .search import Test, integral
 
 T = TypeVar("T")
@@ -152,7 +152,8 @@ class _Memo:
       its class.  Two items are class-mates when they have one integer
       weight and swapping them maps every distinct system's family onto
       itself (`FeasibilitySystem._swaps`, tried only between items of
-      equal `_swap_key`s, and only for systems that `_keeps_swaps`).
+      equal `_swap_key`s, and only when every system's data describes
+      its family, `_data_describes`).
       Such swaps compose, so the classes partition the items, and a game
       without repeated items has no `mates`.  `previous(ids)` reads the
       record for one pool.  The classes are found on the first read, so
@@ -233,7 +234,7 @@ class _Memo:
         groups = [group for group in by_weight.values() if len(group) > 1]
         systems = [self._players[kind] for kind in sorted(set(self.kinds))]
         mates: dict[str, str] = {}
-        if not groups or not all(map(_keeps_swaps, systems)):
+        if not groups or not all(map(_data_describes, systems)):
             return mates
         for group in groups:
             # The first item of each class so far, by swap keys: swaps

@@ -14,8 +14,8 @@ from spgames import (BudgetExceededError, ExplicitSystem, FeasibilitySystem,
                      JobWindow, ScheduleWitness, SearchBudget, SharedSymmetricSystem,
                      SingleMachineSystem, TimeWindow, UnrelatedMachinesSystem,
                      compute_opt, empirical_poa, enumerate_spe_outcomes,
-                     ex_asym, ex_seq, ex_sym,
-                     feasible_subsets, max_cardinality_feasible,
+                     ex_asym, ex_seq, ex_sym, feasible_subsets,
+                     greedy_sequential_outcome, max_cardinality_feasible,
                      random_symmetric, validate_downward_closed,
                      validate_witness)
 from spgames.feasibility import _COVER_UNIONS, _machine_count
@@ -322,6 +322,17 @@ class WithoutC(ExplicitSystem):
         return "c" not in items and super().is_member(items, budget)
 
 
+class NoC(SingleMachineSystem):
+    """One machine narrowed by its membership and its fit: no set holds c."""
+
+    def is_member(self, items, budget=None):
+        items = frozenset(items)
+        return "c" not in items and super().is_member(items, budget)
+
+    def _fit(self, target, budget):
+        return None if "c" in target else super()._fit(target, budget)
+
+
 class TestMaskTests:
     """`_mask_test(ids)` decides a mask over `ids` as `is_member` decides
     the set it spells, and spends the same nodes."""
@@ -364,6 +375,34 @@ class TestMaskTests:
             assert not shared.is_member({"c"})
             assert shared.is_member({"a", "b"}) == (copies > 1)
             assert shared._covers is None
+
+    # Three unit jobs due at 3 fit on one machine, so slot counts alone
+    # would keep c; the narrowed machine and its copies never do.
+    NARROWED = NoC({i: JobWindow(0, 1, 3) for i in "abc"})
+
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_a_narrowed_machine_narrows_its_copies(self, copies):
+        shared = SharedSymmetricSystem(self.NARROWED, copies)
+        assert not shared.is_member({"c"})
+        assert shared.is_member({"a", "b"})
+
+    @pytest.mark.parametrize("copies", [0, 1, 2])
+    def test_scans_of_a_narrowed_machine_keep_members(self, copies):
+        # copies 0 stands for the narrowed machine alone.
+        system = (self.NARROWED if copies == 0
+                  else SharedSymmetricSystem(self.NARROWED, copies))
+        for largest_deadline_first in (False, True):
+            scan = max_cardinality_feasible(system, "abc", largest_deadline_first)
+            assert scan == ("a", "b")
+            assert system.is_member(scan)
+
+    def test_deadline_play_on_a_narrowed_machine_keeps_members(self):
+        game = Instance(items=tuple(Item(i, 1) for i in "abc"),
+                        players=(SharedSymmetricSystem(self.NARROWED, 1),) * 2)
+        for selector in ("deadline", "exact"):
+            profile = greedy_sequential_outcome(game, (0, 1), 1, selector)
+            assert profile.sets == (frozenset("ab"), frozenset())
+            assert all(map(game.players[0].is_member, profile.sets))
 
     def test_machine_systems_are_asked_through_is_member(self):
         jobs = unit_jobs({"a": (0, 1, 1), "b": (1, 1, 2), "c": (0, 2, 3)})
@@ -769,14 +808,14 @@ class TestReleaseDates:
             SingleMachineSystem(jobs).is_member(set(jobs), budget)
         assert budget.used == 100_001
 
-    @pytest.mark.parametrize("machine, nodes", [("single", 3), ("unrelated", 5)])
+    @pytest.mark.parametrize("machine, nodes", [("single", 3), ("unrelated", 3)])
     def test_subset_program_stops_at_the_first_prefix_without_a_schedule(
             self, machine, nodes):
         # j00 and j01 both end by 2 but need 1.5 each, so the first two
         # jobs have no schedule: blocks of 1 and 2 subsets, not 2**24 - 1
-        # nodes.  One unrelated machine walks the id-prefixes instead:
-        # {j00} and {j00, j01} have no release date, so each costs its
-        # walk node and its earliest-deadline-first checks, 2 + 3 nodes.
+        # nodes.  A split over one unrelated machine is that machine's own
+        # fit, so it spends the same 3; walking the id-prefixes, each with
+        # its walk node and its earliest-deadline-first checks, spent 5.
         jobs = {f"j{k:02d}": JobWindow(Fraction(k, 2), Fraction(3, 2), 40)
                 for k in range(24)}
         jobs["j00"] = jobs["j01"] = JobWindow(0, Fraction(3, 2), 2)
@@ -1024,10 +1063,12 @@ class TestPartition:
             assert getattr(system, method)(set(items), budget)
             assert budget.used == pinned
 
-    # ex_asym's players are one-machine unrelated systems; the symmetric
-    # game's players hold 3, 2, 3 and 2 copies of one explicit base, whose
-    # covers decide membership without a split.  RELEASED_GAME's first
-    # player splits across two copies of a machine with release dates.
+    # ex_asym's players are one-machine unrelated systems, whose split is
+    # their machine's own fit; the symmetric game's players hold 3, 2, 3
+    # and 2 copies of one explicit base, whose covers decide membership
+    # without a split.  RELEASED_GAME's first player splits across two
+    # copies of a machine with release dates, and a one-job set of it is
+    # one copy's fit.
     SYMMETRIC = random_symmetric(n=4, copies=3, seed=2)
     RELEASED_GAME = Instance(
         items=tuple(Item(i, w) for i, w in zip("abcd", (3, 2, 2, 1))),
@@ -1035,18 +1076,20 @@ class TestPartition:
                  SharedSymmetricSystem(SingleMachineSystem(RELEASED), 1)))
 
     @pytest.mark.parametrize("search, args, nodes", [
-        (compute_opt, (ex_asym(3, 2),), 46),
-        (empirical_poa, (ex_asym(3, 2), Fraction(3, 2)), 374),
+        (compute_opt, (ex_asym(3, 2),), 21),
+        (empirical_poa, (ex_asym(3, 2), Fraction(3, 2)), 188),
         (every_outcome_and_opt, (SYMMETRIC, 1), 1_626),
         (every_outcome_and_opt, (SYMMETRIC, Fraction(3, 2)), 4_050),
-        (empirical_poa, (RELEASED_GAME, 1), 256),
+        (empirical_poa, (RELEASED_GAME, 1), 251),
     ], ids=["opt-asym", "nash-asym", "spe-symmetric-1", "spe-symmetric-1.5",
             "nash-released"])
     def test_nodes_of_splits_inside_assignment_searches(self, search, args, nodes):
         # Pinned from the partition search the kernel walk replaced; the
         # SPE pins list every outcome of every order, as the sequential
         # measurement did then.  ex_asym's p-jobs and q-jobs are walked
-        # once per orbit, which took the two asym pins from 61 and 443.
+        # once per orbit, which took the two asym pins from 61 and 443;
+        # one-member splits fit without a walk, which took them from 46
+        # and 374, and the released pin from 256.
         budget = SearchBudget(10**6)
         search(*args, budget)
         assert budget.used == nodes
@@ -1253,3 +1296,63 @@ class TestScanRoutes:
                                             largest_deadline_first, budget)
             assert (len(scan), budget.used) == (16, 18)
             assert system.is_member(scan)
+
+
+@st.composite
+def one_machine_jobs(draw):
+    """Up to 5 jobs for one machine: zero-release jobs of one processing
+    time, which slot counts decide, zero-release jobs of mixed processing
+    times, or jobs whose release dates are often, but not always, 0."""
+    kind = draw(st.sampled_from(("uniform", "mixed", "released")))
+    length = draw(rationals(1, 3))
+    jobs = {}
+    for k in range(draw(st.integers(0, 5))):
+        release = (draw(st.sampled_from((0, 1, Fraction(3, 2))))
+                   if kind == "released" else 0)
+        processing = length if kind == "uniform" else draw(rationals(1, 3))
+        jobs[f"j{k}"] = JobWindow(release, processing,
+                                  release + processing + draw(rationals(-1, 6)))
+    return jobs
+
+
+def answers(system, ids):
+    """For every mask over `ids`: membership, the mask test's verdict and
+    the witness, each with the nodes it spent."""
+    test = system._mask_test(ids)
+    out = []
+    for mask in range(1 << len(ids)):
+        items = spell(mask, ids)
+        member, masked, witnessed = (SearchBudget(10**6) for _ in range(3))
+        out.append((system.is_member(items, member), member.used,
+                    test(mask, masked), masked.used,
+                    system.schedule_witness(items, witnessed), witnessed.used))
+    return out
+
+
+class TestOneCopy:
+    """One copy, or one unrelated machine, is no special case: it answers
+    as the system it copies, node for node."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.one_of(
+        st.lists(st.frozensets(st.sampled_from("abcde")), max_size=4).map(
+            lambda sets: ExplicitSystem(maximal_sets=tuple(sets))),
+        one_machine_jobs().map(SingleMachineSystem),
+        one_machine_jobs().map(lambda jobs: IdenticalMachinesSystem(2, jobs))))
+    def test_one_copy_answers_as_its_base(self, base):
+        ids = sorted(base.universe()) + ["x"]
+        assert (answers(SharedSymmetricSystem(base, 1), ids)
+                == answers(base, ids))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(one_machine_jobs(), st.data())
+    def test_one_unrelated_machine_answers_as_a_single_machine(self, jobs, data):
+        # A job the machine cannot run is in the unrelated system's
+        # universe only.
+        runs = {i: data.draw(st.integers(0, 3), label=i) > 0 for i in jobs}
+        unrelated = UnrelatedMachinesSystem(
+            ("m",), {("m", i): w.processing for i, w in jobs.items() if runs[i]},
+            {i: TimeWindow(w.release, w.deadline) for i, w in jobs.items()})
+        single = SingleMachineSystem({i: w for i, w in jobs.items() if runs[i]})
+        ids = sorted(jobs) + ["x"]
+        assert answers(unrelated, ids) == answers(single, ids)
