@@ -24,16 +24,16 @@ release date in the set only switches that check to an exact dynamic
 program over its subsets, under the budget.
 
 Every system fits a set by one private `_fit(target, budget)`: each
-machine's run order as job positions in that machine's table
-(`_table_for`), or None when the set is not a member.  Membership asks
-whether a fit exists, and pays for no start time.
+machine's run order as job positions in that machine's table (the
+system's `_table(machine)`), or None when the set is not a member.
+Membership asks whether a fit exists, and pays for no start time.
 `FeasibilitySystem.schedule_witness` reads the same fit and is the one
 place start times are computed: it runs each order as early as it
 allows, from the windows `validate_witness` checks.  So the schedule
 that decided membership is the witness: no part is scheduled twice, and
 a witness spends exactly the nodes membership spends.  A witness lists
-`_machine_count(system)` machines, idle ones empty; shared copies list
-theirs copy by copy, each copy all of its base's machines in turn.  A
+the system's `_machine_count` machines, idle ones empty; shared copies
+list theirs copy by copy, each copy all of its base's machines in turn.  A
 system without deadlines (an explicit family) fits a member on no
 machine and has no witness.
 
@@ -52,7 +52,8 @@ the copies of a `SharedSymmetricSystem`, are walked as interchangeable,
 so an item may only open the first empty copy; the machines of an
 `UnrelatedMachinesSystem` are distinct objects.
 `IdenticalMachinesSystem` is the shared system of `copies` single
-machines and answers through it.
+machines and answers through it; its id lookup and integer view are
+that one machine's.
 
 Membership of c shared copies, for every c, takes one of three routes,
 each worked out once and kept: the covers with the shared system, the
@@ -68,10 +69,11 @@ they are taken only where that data describes the family
   C(m, min(c, m)) maximal ones, so a base whose build would form more
   than `_COVER_UNIONS` unions takes the split walk instead.  One copy's
   covers are the base itself;
-* slot counts: on zero-release jobs with one processing time, the slot
-  condition below decides the set on all its machines, one node per job
-  up to the first that breaks it, and its fit deals the jobs in deadline
-  order round-robin over the machines, which the condition guarantees.
+* slot counts (`_slots`): on zero-release jobs with one processing
+  time, the slot condition below decides the set on all its machines,
+  one node per job up to the first that breaks it, and its fit deals the
+  jobs in deadline order round-robin over the machines, which the
+  condition guarantees.
   On one machine that is earliest deadline first: the same nodes and
   the same order;
 * the split walk, for every other base: over one copy, or a one-item
@@ -153,7 +155,7 @@ class TimeWindow:
 class ScheduleWitness:
     """The schedule that decided membership of a job set.
 
-    One entry per machine of the system, `_machine_count` of them, idle
+    One entry per machine of the system, its `_machine_count`, idle
     ones empty: an ordered sequence of (item id, start time) pairs, each
     job started as early as its release and the job before it allow.
     The machines of shared copies come copy by copy, each copy listing
@@ -168,15 +170,16 @@ class ScheduleWitness:
 
 def _normalize_job_map(jobs, window_type=JobWindow
                        ) -> tuple[tuple[str, JobWindow | TimeWindow], ...]:
-    if isinstance(jobs, dict):
-        pairs = jobs.items()
-    else:
-        pairs = jobs
     out = []
-    for item_id, window in pairs:
+    for item_id, window in (jobs.items() if isinstance(jobs, dict) else jobs):
         if not isinstance(window, window_type):
-            window = (window_type(**window) if isinstance(window, dict)
-                      else window_type(*window))
+            try:
+                window = (window_type(**window) if isinstance(window, dict)
+                          else window_type(*window))
+            except TypeError:
+                raise InputError(f"job {item_id!r} needs a window of ("
+                                 + ", ".join(window_type.__match_args__)
+                                 + f"), got {window!r}") from None
         out.append((str(item_id), window))
     out.sort(key=lambda p: p[0])
     ids = [p[0] for p in out]
@@ -275,7 +278,7 @@ class IntegerJobs:
 
 
 # Each machine's run order of a set: positions in that machine's job
-# table (`_table_for`), first job first.
+# table (the system's `_table(machine)`), first job first.
 Fit = tuple[Sequence[int], ...]
 
 
@@ -303,7 +306,7 @@ def _first_split(target: frozenset[str],
     """
     if len(members) == 1:
         fit = members[0]._fit(target, budget)
-        return None if fit is None else _padded(fit, _machine_count(members[0]))
+        return None if fit is None else _padded(fit, members[0]._machine_count)
     ids = sorted(target)
     fits = [member._fit for member in members]
     found: list[dict[int, Optional[Fit]]] = [{} for _ in fits]
@@ -323,7 +326,7 @@ def _first_split(target: frozenset[str],
         if value == len(ids):
             return tuple(machine for member, part in enumerate(sets)
                          for machine in _padded(found[member].get(part, ()),
-                                                _machine_count(members[member])))
+                                                members[member]._machine_count))
     return None
 
 
@@ -391,8 +394,8 @@ class FeasibilitySystem:
         if fit is None:
             return None
         machines = []
-        for machine, order in enumerate(_padded(fit, _machine_count(self))):
-            table, run, end = _table_for(self, machine), [], Fraction(0)
+        for machine, order in enumerate(_padded(fit, self._machine_count)):
+            table, run, end = self._table(machine), [], Fraction(0)
             for k in order:
                 item, window = table.jobs[k]
                 start = max(end, window.release)
@@ -405,8 +408,16 @@ class FeasibilitySystem:
         """Deadline per item for scheduling systems, None otherwise."""
         return None
 
+    # The machines a schedule witness may use.
+    _machine_count = 1
+
+    def _table(self, machine: int) -> Optional[_JobTable]:
+        """The job table of witness machine `machine`, or None for a system
+        without schedules."""
+        return None
+
     # The job table and machine count of a system that slot counts
-    # decide, else None: read through `_uniform_machine`.
+    # decide, else None.
     _slots: Optional[tuple[_JobTable, int]] = None
 
     def _swap_key(self, item: str) -> object:
@@ -526,14 +537,24 @@ class _JobTable:
                      for deadline, positions
                      in sorted(by_deadline.items(), reverse=True))
 
+    def _table(self, machine) -> _JobTable:
+        return self
+
     @cached_property
     def _slots(self) -> Optional[tuple[_JobTable, int]]:
         """This table and its machine count when slot counts decide the
         system: its jobs have no release date and one processing time,
-        and its data describes its family (`_data_describes`)."""
+        and its data describes its family (`_data_describes`).
+
+        Job k fits into one of the first c_k slots of each machine, so the
+        slot condition of the module docstring is Hall's condition on
+        nested slot sets.  The feasible sets form a matroid: any maximal
+        feasible subset of a pool is also maximum, and a greedy scan
+        yields the maximum cardinality.
+        """
         if self.integer_view.length is None or not _data_describes(self):
             return None
-        return self, _machine_count(self)
+        return self, self._machine_count
 
     def window(self, item: str) -> Optional[JobWindow]:
         k = self.position.get(item)
@@ -575,7 +596,9 @@ class IdenticalMachinesSystem(_JobTable, FeasibilitySystem):
     """Jobs allowed when they split across `copies` identical machines.
 
     This is the family of `copies` shared copies of one machine, so
-    membership and fits are that shared system's.
+    membership and fits are that shared system's, and the system's id
+    lookup and integer view are that machine's: fits, scans and witnesses
+    read one table.
     """
 
     copies: int
@@ -588,6 +611,10 @@ class IdenticalMachinesSystem(_JobTable, FeasibilitySystem):
     @cached_property
     def _as_shared(self) -> SharedSymmetricSystem:
         return SharedSymmetricSystem(SingleMachineSystem(self.jobs), self.copies)
+
+    position = property(lambda self: self._as_shared.base.position)
+    integer_view = property(lambda self: self._as_shared.base.integer_view)
+    _machine_count = property(lambda self: self.copies)
 
     def is_member(self, items, budget=None) -> bool:
         return self._as_shared.is_member(items, budget)
@@ -614,12 +641,13 @@ class UnrelatedMachinesSystem(FeasibilitySystem):
             raise InputError("machine names must be nonempty and unique")
         object.__setattr__(self, "machines", machines)
 
-        if isinstance(self.processing, dict):
-            pairs = self.processing.items()
-        else:
-            pairs = self.processing
+        pairs = (self.processing.items() if isinstance(self.processing, dict)
+                 else self.processing)
         norm = []
         for key, value in pairs:
+            if not (isinstance(key, tuple) and len(key) == 2):
+                raise InputError(f"processing key {key!r} is not a "
+                                 "(machine, job) pair")
             machine, item = key
             norm.append(((str(machine), str(item)),
                          _fraction(value, name="processing",
@@ -646,6 +674,11 @@ class UnrelatedMachinesSystem(FeasibilitySystem):
                                  for (m, item), duration in self.processing
                                  if m == machine})
             for machine in self.machines)
+
+    _machine_count = property(lambda self: len(self.machines))
+
+    def _table(self, machine) -> SingleMachineSystem:
+        return self._single_machines[machine]
 
     @cached_property
     def _ids(self) -> frozenset[str]:
@@ -704,6 +737,22 @@ class SharedSymmetricSystem(FeasibilitySystem):
     @cached_property
     def _ids(self) -> frozenset[str]:
         return self.base.universe()
+
+    _machine_count = property(
+        lambda self: self.copies * self.base._machine_count)
+
+    def _table(self, machine) -> Optional[_JobTable]:
+        # Each copy of the base lists all of the base's machines in turn.
+        return self.base._table(machine % self.base._machine_count)
+
+    @cached_property
+    def _slots(self) -> Optional[tuple[_JobTable, int]]:
+        """The base's table on `copies` times its machines, where slot
+        counts decide the base and this system's data describes it."""
+        slots = self.base._slots
+        if slots is None or not _data_describes(self):
+            return None
+        return slots[0], self.copies * slots[1]
 
     @cached_property
     def _covers(self) -> Optional[ExplicitSystem]:
@@ -777,7 +826,7 @@ def _data_describes(system: FeasibilitySystem) -> bool:
 
     Every such route asks this one guard: the covers of an explicit base
     (`SharedSymmetricSystem._covers`), the slot counts of a uniform table
-    (`_uniform_machine`), the own mask tests (`_own_mask_test`) and the
+    (`_slots`), the own mask tests (`_own_mask_test`) and the
     swap tests behind `model._Memo.mates`.  A built-in system's data
     (windows, times, maximal sets) describes its family only where
     membership is the built-in's own, and for shared copies where the
@@ -842,28 +891,6 @@ def feasible_subsets(system: FeasibilitySystem, pool: Iterable[str],
     return tuple(spell(sets[0], ids) for sets, _ in walk(
         [1 << j for j in range(len(ids))], [0] * len(ids),
         [system._mask_test(ids)], shared))
-
-
-def _uniform_machine(system: FeasibilitySystem
-                     ) -> Optional[tuple[_JobTable, int]]:
-    """The job table of a zero-release, equal-processing machine system
-    whose data describes its family (`_data_describes`), and the number of
-    machines the system runs it on; or None.
-
-    Job k fits into one of the first c_k slots of each machine, so the
-    slot condition of the module docstring is Hall's condition on nested
-    slot sets.  The feasible sets form a matroid: any maximal feasible
-    subset of a pool is also maximum, and a greedy scan yields the
-    maximum cardinality.  Each table works out its own route once
-    (`_JobTable._slots`); shared copies run their base's table on
-    `copies` times its machines.
-    """
-    if not isinstance(system, SharedSymmetricSystem):
-        return system._slots
-    slots = system.base._slots
-    if slots is None or not _data_describes(system):
-        return None
-    return slots[0], system.copies * slots[1]
 
 
 def _fits_slots(machine: _JobTable, machines: int, target: Iterable[str],
@@ -936,7 +963,7 @@ def max_cardinality_feasible(system: FeasibilitySystem, available: Iterable[str]
     largest deadline it is what `_mask_scan` keeps over the sorted
     universe.  In id order, on zero-release machines with one processing
     time, on any number of machines, it is the set a plain greedy scan
-    keeps, decided by slot counts (`_uniform_machine`): one node per
+    keeps, decided by slot counts (the system's `_slots`): one node per
     candidate is charged in one spend before the scan, and a job is kept
     when every level at or above its slot count still has a free slot.
     Everywhere else it is the first maximum of the kernel's one-member
@@ -949,9 +976,9 @@ def max_cardinality_feasible(system: FeasibilitySystem, available: Iterable[str]
         kept = _mask_scan(system, ids)(
             sum(1 << j for j, item in enumerate(ids) if item in available), shared)
         return tuple(ids[b.bit_length() - 1] for b in kept)
-    uniform = _uniform_machine(system)
-    if uniform is not None:
-        machine, machines = uniform
+    slots = system._slots
+    if slots is not None:
+        machine, machines = slots
         view, position = machine.integer_view, machine.position
         pool = sum(1 << position[i] for i in available if i in position)
         shared.spend(pool.bit_count())
@@ -986,8 +1013,8 @@ def _mask_scan(system: FeasibilitySystem, ids: Sequence[str]
     pool.  Any other system is scanned by one `best` search over the items
     left in scan order, on the system's mask test over `ids`.
     """
-    uniform = _uniform_machine(system)
-    if uniform is None:
+    slots = system._slots
+    if slots is None:
         deadlines = system.job_deadlines()
         if deadlines is None:
             raise InputError("largest-deadline scan requires a scheduling system")
@@ -1002,7 +1029,7 @@ def _mask_scan(system: FeasibilitySystem, ids: Sequence[str]
             return [bit for bit in bits if chosen & bit]
 
         return scan
-    machine, machines = uniform
+    machine, machines = slots
     classes = machine.deadline_classes
     if len(machine.jobs) < len(ids):
         # Some items are not jobs of the table: move each class's bits
@@ -1028,29 +1055,6 @@ def _positions(mask: int) -> Iterator[int]:
         mask ^= lowest
 
 
-def _machine_count(system: FeasibilitySystem) -> int:
-    """Machines a schedule witness for `system` may use."""
-    if isinstance(system, SharedSymmetricSystem):
-        return system.copies * _machine_count(system.base)
-    if isinstance(system, UnrelatedMachinesSystem):
-        return len(system.machines)
-    if isinstance(system, IdenticalMachinesSystem):
-        return system.copies
-    return 1
-
-
-def _table_for(system: FeasibilitySystem, machine: int
-               ) -> Optional[_JobTable]:
-    """The job table of witness machine `machine`, or None for a system
-    without schedules."""
-    if isinstance(system, SharedSymmetricSystem):
-        # Each copy of the base lists all of the base's machines in turn.
-        return _table_for(system.base, machine % _machine_count(system.base))
-    if isinstance(system, UnrelatedMachinesSystem):
-        return system._single_machines[machine]
-    return system if isinstance(system, _JobTable) else None
-
-
 def validate_witness(system: FeasibilitySystem, items: Iterable[str],
                      witness: ScheduleWitness) -> bool:
     """Re-check a schedule witness against the system's raw parameters.
@@ -1062,11 +1066,11 @@ def validate_witness(system: FeasibilitySystem, items: Iterable[str],
     if (witness.scheduled_items() != items
             or sum(map(len, witness.machines)) != len(items)):
         return False
-    if len(witness.machines) > _machine_count(system):
+    if len(witness.machines) > system._machine_count:
         return False
 
     for machine, sequence in enumerate(witness.machines):
-        table, clock = _table_for(system, machine), None
+        table, clock = system._table(machine), None
         for item, start in sequence:
             window = None if table is None else table.window(item)
             if window is None:

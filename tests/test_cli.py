@@ -391,6 +391,15 @@ class TestHugeRationals:
                              "--alpha", "1" + "0" * DIGIT_LIMIT], capsys)
         assert code == 2 and out == ""
 
+    @needs_digit_limit
+    def test_budget_past_the_digit_limit_exits_two(self, trivial_files, capsys):
+        digits = "1" + "0" * max(5000, DIGIT_LIMIT)
+        code = main(["opt", "--instance", trivial_files["instance"],
+                     "--budget", digits])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: --budget: ")
+
     @pytest.mark.skipif(not 0 < DIGIT_LIMIT < 4810,
                         reason="the bound prints within the digit limit")
     def test_bound_past_the_digit_limit_exits_two(self, tmp_path, capsys):

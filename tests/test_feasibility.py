@@ -18,7 +18,7 @@ from spgames import (BudgetExceededError, ExplicitSystem, FeasibilitySystem,
                      greedy_sequential_outcome, max_cardinality_feasible,
                      random_symmetric, validate_downward_closed,
                      validate_witness)
-from spgames.feasibility import _COVER_UNIONS, _machine_count
+from spgames.feasibility import _COVER_UNIONS
 from spgames.search import spell
 
 from oracles import (all_subsets, brute_max_cardinality_scan,
@@ -156,6 +156,13 @@ class TestSingleMachine:
         assert machine.is_member({"q01"})
         assert not machine.is_member({"q01", "q02"})
         assert not machine.is_member({"p01"})
+
+    def test_windows_as_dicts_tuples_or_objects(self):
+        systems = [SingleMachineSystem({"a": {"release": 0, "processing": 1,
+                                              "deadline": 2}}),
+                   SingleMachineSystem({"a": (0, 1, 2)}),
+                   SingleMachineSystem({"a": JobWindow(0, 1, 2)})]
+        assert systems[0] == systems[1] == systems[2]
 
     def test_empty_set_is_always_feasible(self):
         game = ex_asym(3, 2)
@@ -439,12 +446,31 @@ class TestUnrelated:
         ({("x", "a"): 1}, "processing entry for unknown machine 'x'"),
         ({("m", "b"): 1}, "processing entry for unknown job 'b'"),
         ({("m", "a"): 0}, "processing must be > 0, got 0"),
-    ], ids=["machine", "job", "zero"])
+        # A string key is not split into a machine and a job.
+        ({"ma": 1}, "processing key 'ma' is not a (machine, job) pair"),
+        ({("m", "a", "b"): 1},
+         "processing key ('m', 'a', 'b') is not a (machine, job) pair"),
+    ], ids=["machine", "job", "zero", "string-key", "triple-key"])
     def test_processing_entries_are_checked(self, processing, message):
         with pytest.raises(InputError) as caught:
             UnrelatedMachinesSystem(machines=("m",), processing=processing,
                                     jobs={"a": TimeWindow(0, 1)})
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize("machines", [("m", "m"), ()],
+                             ids=["repeated", "none"])
+    def test_machine_names_are_nonempty_and_unique(self, machines):
+        with pytest.raises(InputError) as caught:
+            UnrelatedMachinesSystem(machines=machines, processing={},
+                                    jobs={"a": TimeWindow(0, 1)})
+        assert str(caught.value) == "machine names must be nonempty and unique"
+
+    def test_processing_as_pairs_is_the_map(self):
+        jobs = {"a": TimeWindow(0, 1), "b": TimeWindow(0, 1)}
+        pairs = ((("m2", "b"), 1), (("m1", "a"), 1))
+        as_map = UnrelatedMachinesSystem(("m1", "m2"), dict(pairs), jobs)
+        as_pairs = UnrelatedMachinesSystem(("m1", "m2"), pairs, jobs)
+        assert as_pairs == as_map and as_pairs.is_member({"a", "b"})
 
 
 class TestDescriptorErrors:
@@ -453,6 +479,21 @@ class TestDescriptorErrors:
             SingleMachineSystem(jobs=[("a", JobWindow(0, 1, 1)),
                                       ("a", JobWindow(0, 1, 2))])
         assert str(caught.value) == "duplicate job ids in feasibility descriptor"
+
+    JOB = "(release, processing, deadline)"
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: SingleMachineSystem({"a": (0, 1)}), f"{JOB}, got (0, 1)"),
+        (lambda: SingleMachineSystem({"a": {"release": 0, "processing": 1}}),
+         f"{JOB}, got {{'release': 0, 'processing': 1}}"),
+        (lambda: SingleMachineSystem({"a": 1}), f"{JOB}, got 1"),
+        (lambda: UnrelatedMachinesSystem(("m",), {}, {"a": (0, 1, 2)}),
+         "(release, deadline), got (0, 1, 2)"),
+    ], ids=["short-tuple", "dict-without-deadline", "number", "time-window"])
+    def test_a_window_of_the_wrong_shape(self, build, message):
+        with pytest.raises(InputError) as caught:
+            build()
+        assert str(caught.value) == f"job 'a' needs a window of {message}"
 
     def test_a_job_takes_some_time(self):
         with pytest.raises(InputError) as caught:
@@ -684,6 +725,18 @@ def assert_short_budget_stops_the_scan(system, available,
 
 class TestIntegerView:
     """Zero-release machines, decided on integer times, against brute force."""
+
+    def test_identical_machines_keep_one_table(self):
+        # Fits, scans and witnesses all read the one machine's table.
+        system = IdenticalMachinesSystem(2, unit_jobs(
+            {"a": (0, 1, 1), "b": (0, 1, 1), "c": (0, 1, 2)}))
+        assert system.is_member("abc")
+        assert max_cardinality_feasible(system, "abc",
+                                        prefer_largest_deadline=True) == tuple("cab")
+        assert validate_witness(system, "abc", system.schedule_witness("abc"))
+        machine = system._as_shared.base
+        assert system.integer_view is machine.integer_view
+        assert system.position is machine.position
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(zero_release_machines(), st.data())
@@ -937,7 +990,7 @@ class TestPartition:
         assert system.is_member(items) == member
         witness = system.schedule_witness(items)
         if member:
-            assert len(witness.machines) == count == _machine_count(system)
+            assert len(witness.machines) == count == system._machine_count
             assert validate_witness(system, items, witness)
         else:
             assert witness is None
@@ -1006,6 +1059,22 @@ class TestPartition:
         tracemalloc.start()
         try:
             assert system.is_member({"a", "b"})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    @pytest.mark.parametrize("kind", ["identical", "shared"])
+    def test_a_witness_on_a_billion_machines_costs_no_memory(self, kind):
+        # The machine count is a number: checking two machines of 10^9
+        # lists none of the others.
+        jobs = unit_jobs({"a": (0, 1, 1), "b": (0, 1, 1)})
+        system = (IdenticalMachinesSystem(10**9, jobs) if kind == "identical"
+                  else SharedSymmetricSystem(SingleMachineSystem(jobs), 10**9))
+        witness = ScheduleWitness(((("a", Fraction(0)),), (("b", Fraction(0)),)))
+        tracemalloc.start()
+        try:
+            assert validate_witness(system, {"a", "b"}, witness)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -358,6 +358,13 @@ class TestConstruction:
         with pytest.raises(InputError):
             Item("a", Fraction(-1))
 
+    @pytest.mark.parametrize("item_id", ["", 1, None], ids=repr)
+    def test_item_id_is_a_nonempty_string(self, item_id):
+        with pytest.raises(InputError) as caught:
+            Item(item_id, 1)
+        assert str(caught.value) == (
+            f"item id must be a nonempty string, got {item_id!r}")
+
     def test_zero_weight_allowed(self):
         assert Item("a", 0).weight == 0
 
