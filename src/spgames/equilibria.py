@@ -52,7 +52,7 @@ ones, so the Nash check is the collusion check at k = 1.  A verifier validates t
 the pass behind `welfare` and `validate_profile` (`model._packing`),
 which masks each set once, over `ordered_ids` with its weight on the
 instance's integer scale (`Instance.integer_weights`), and tests each
-set's membership on its mask where the system decides masks itself.
+set's membership on its mask by its kind's one mask test (`_Memo.test`).
 The verifier takes those masks and weights: every pool is then a union
 or difference of masks and every held weight an integer sum; only the
 welfare and a witness are built as `Fraction`s and frozensets.  Each

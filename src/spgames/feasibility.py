@@ -76,8 +76,8 @@ they are taken only where that data describes the family
   condition guarantees.
   On one machine that is earliest deadline first: the same nodes and
   the same order;
-* the split walk, for every other base: over one copy, or a one-item
-  set, it is one member, the base's own fit.
+* the split walk, for every other base: over one copy, the empty set or
+  a one-item set, it is one member, the base's own fit.
 
 Subset enumeration runs on the search kernel (`search.py`), whose
 one-member pre-order lists a system's sets in lexicographic order.  The
@@ -110,7 +110,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .budget import SearchBudget
 from .errors import InputError, _fraction, _integer
-from .search import Test, asking, best, integral, spell, walk
+from .search import Test, best, integral, spell, walk
 
 # Most unions `SharedSymmetricSystem._covers` forms before it leaves an
 # explicit base to the split walk, so also most covers a test scans.
@@ -168,10 +168,31 @@ class ScheduleWitness:
         return frozenset(item for seq in self.machines for item, _ in seq)
 
 
+def _collection(value, name: str) -> Iterator:
+    """An iterator over `value`; a value that cannot be iterated is an
+    input error naming it."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise InputError(f"{name} must be a collection, got {value!r}") from None
+
+
+def _pairs(entries, name: str) -> Iterator[tuple[object, object]]:
+    """The (key, value) pairs of a mapping, or of a collection of pairs;
+    an entry that is not a pair is an input error naming it."""
+    for entry in _collection(entries.items() if isinstance(entries, dict)
+                             else entries, name):
+        try:
+            key, value = entry
+        except (TypeError, ValueError):
+            raise InputError(f"{name} entry {entry!r} is not a pair") from None
+        yield key, value
+
+
 def _normalize_job_map(jobs, window_type=JobWindow
                        ) -> tuple[tuple[str, JobWindow | TimeWindow], ...]:
     out = []
-    for item_id, window in (jobs.items() if isinstance(jobs, dict) else jobs):
+    for item_id, window in _pairs(jobs, "jobs"):
         if not isinstance(window, window_type):
             try:
                 window = (window_type(**window) if isinstance(window, dict)
@@ -364,18 +385,14 @@ class FeasibilitySystem:
 
     def _mask_test(self, ids: Sequence[str]) -> Test:
         """Membership of masks over `ids`, bit j standing for `ids[j]`: the
-        system's own mask test (`_own_mask_test`) where it has one, else
-        `is_member` asked about each mask spelt out (`search.asking`).
-        Either spends what `is_member` spends."""
-        return self._own_mask_test(ids) or asking(self.is_member, ids)
-
-    def _own_mask_test(self, ids: Sequence[str]) -> Optional[Test]:
-        """A membership test on masks over `ids` that spells no set, or
-        None.  Only explicit families and the systems that answer through
-        one have it, and only where their data describes them
-        (`_data_describes`): a subclass that redefines `is_member` is
-        asked through `is_member`."""
-        return None
+        one hook by which every search decides masks.  By default it spells
+        each mask into the frozenset `is_member` decides.  Explicit
+        families and the shared copies that answer through their covers
+        decide masks themselves, and spell nothing, only where their data
+        describes them (`_data_describes`): a subclass that redefines
+        `is_member` is asked through it.  Either way the test spends what
+        `is_member` spends."""
+        return lambda mask, budget: self.is_member(spell(mask, ids), budget)
 
     def schedule_witness(self, items: Iterable[str],
                          budget: int | SearchBudget | None = None
@@ -450,10 +467,11 @@ class ExplicitSystem(FeasibilitySystem):
     maximal_sets: tuple[frozenset[str], ...]
 
     def __post_init__(self):
+        distinct = {frozenset(map(str, _collection(given, "maximal set")))
+                    for given in _collection(self.maximal_sets, "maximal_sets")}
         kept: list[frozenset[str]] = []
         # Largest first: a set is dominated exactly when a kept one holds it.
-        for s in sorted({frozenset(map(str, given))
-                         for given in self.maximal_sets}, key=len, reverse=True):
+        for s in sorted(distinct, key=len, reverse=True):
             if not any(s <= maximal for maximal in kept):
                 kept.append(s)
         object.__setattr__(self, "maximal_sets", tuple(
@@ -467,13 +485,13 @@ class ExplicitSystem(FeasibilitySystem):
         target = frozenset(items)
         return any(target <= maximal for maximal in self.maximal_sets)
 
-    def _own_mask_test(self, ids) -> Optional[Test]:
+    def _mask_test(self, ids) -> Test:
         """A mask is a member when it misses the items outside some
         maximal set; each maximal set's outside is a mask over `ids`, so
         an item not in `ids` is outside none and one not in the universe
         is outside all.  No budget node, as `is_member` spends none."""
         if not _data_describes(self):
-            return None
+            return super()._mask_test(ids)
         bit = {item: 1 << j for j, item in enumerate(ids)}
         everything = (1 << len(ids)) - 1
         outsides = [everything & ~sum(bit.get(item, 0) for item in maximal)
@@ -636,15 +654,13 @@ class UnrelatedMachinesSystem(FeasibilitySystem):
     jobs: tuple[tuple[str, TimeWindow], ...]
 
     def __post_init__(self):
-        machines = tuple(str(m) for m in self.machines)
+        machines = tuple(map(str, _collection(self.machines, "machines")))
         if len(set(machines)) != len(machines) or not machines:
             raise InputError("machine names must be nonempty and unique")
         object.__setattr__(self, "machines", machines)
 
-        pairs = (self.processing.items() if isinstance(self.processing, dict)
-                 else self.processing)
         norm = []
-        for key, value in pairs:
+        for key, value in _pairs(self.processing, "processing"):
             if not (isinstance(key, tuple) and len(key) == 2):
                 raise InputError(f"processing key {key!r} is not a "
                                  "(machine, job) pair")
@@ -731,6 +747,9 @@ class SharedSymmetricSystem(FeasibilitySystem):
 
     def __post_init__(self):
         _integer(self.copies, name="copies", minimum=1)
+        if not isinstance(self.base, FeasibilitySystem):
+            raise InputError("a shared base must be a feasibility system, "
+                             f"got {self.base!r}")
         if isinstance(self.base, SharedSymmetricSystem):
             raise InputError("shared symmetric systems cannot nest")
 
@@ -783,16 +802,18 @@ class SharedSymmetricSystem(FeasibilitySystem):
         return target <= self.universe() and self._fit(
             target, SearchBudget.ensure(budget)) is not None
 
-    def _own_mask_test(self, ids) -> Optional[Test]:
-        """The covers' own test, or None without covers."""
-        return None if self._covers is None else self._covers._own_mask_test(ids)
+    def _mask_test(self, ids) -> Test:
+        """The covers' test, or `is_member` asked without covers."""
+        if self._covers is None:
+            return super()._mask_test(ids)
+        return self._covers._mask_test(ids)
 
     def _fit(self, target, budget) -> Optional[Fit]:
         """Slot counts for a uniform table, the covers for an explicit
         base, which fit a member on no machine, else the split walk.
 
         No more copies than items are walked, so a huge `copies` costs
-        nothing, and a one-item set is one copy's fit.
+        nothing, and the empty set and a one-item set are one copy's fit.
         """
         # The base's route, guarded by the base: a fit reads only the
         # base's family, as the split walk's would.
@@ -803,7 +824,7 @@ class SharedSymmetricSystem(FeasibilitySystem):
         if self._covers is not None:
             return () if self._covers.is_member(target) else None
         return _first_split(target,
-                            [self.base] * min(self.copies, len(target)),
+                            [self.base] * min(self.copies, len(target) or 1),
                             budget)
 
     def job_deadlines(self) -> Optional[dict[str, Fraction]]:
@@ -822,12 +843,12 @@ _BUILT_IN = (ExplicitSystem, SingleMachineSystem, IdenticalMachinesSystem,
 
 def _data_describes(system: FeasibilitySystem) -> bool:
     """Whether `system`'s data describes its family, so that a route may
-    read the data instead of asking membership.
+    read the data instead of calling `is_member`.
 
     Every such route asks this one guard: the covers of an explicit base
     (`SharedSymmetricSystem._covers`), the slot counts of a uniform table
-    (`_slots`), the own mask tests (`_own_mask_test`) and the
-    swap tests behind `model._Memo.mates`.  A built-in system's data
+    (`_slots`), the mask tests of explicit families and their covers
+    (`_mask_test`) and the swap tests behind `model._Memo.mates`.  A built-in system's data
     (windows, times, maximal sets) describes its family only where
     membership is the built-in's own, and for shared copies where the
     base's is too: a subclass that redefines `is_member`, `_fit`,
@@ -858,21 +879,21 @@ def validate_downward_closed(system: FeasibilitySystem,
     Built-in systems are closed by construction; the check exists for
     user-defined `FeasibilitySystem` subclasses.  It visits every subset
     of the sorted universe as a bitmask in increasing order, one budget
-    node each, on the budget its `is_member` calls also spend; a universe
-    too large for the budget raises `BudgetExceededError`.  A subset's
-    one-smaller subsets have smaller masks, so their verdicts are known:
-    the first member with a one-smaller subset that is not a member gives
-    False.  When there is none, by induction every subset of a member is
-    a member.
+    node each, and asks the system's mask test (`_mask_test`) about it, on
+    the same budget; a universe too large for the budget raises
+    `BudgetExceededError`.  A subset's one-smaller subsets have smaller
+    masks, so their verdicts are known: the first member with a
+    one-smaller subset that is not a member gives False.  When there is
+    none, by induction every subset of a member is a member.
     """
     shared = SearchBudget.ensure(budget)
     ids = sorted(system.universe())
+    test = system._mask_test(ids)
     member = bytearray()
     for mask in range(1 << len(ids)):
         shared.spend()
-        bits = [j for j in range(len(ids)) if mask >> j & 1]
-        verdict = system.is_member(frozenset(ids[j] for j in bits), shared)
-        if verdict and not all(member[mask ^ 1 << j] for j in bits):
+        verdict = test(mask, shared)
+        if verdict and not all(member[mask ^ 1 << j] for j in _positions(mask)):
             return False
         member.append(verdict)
     return True

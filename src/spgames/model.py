@@ -65,6 +65,9 @@ class Instance:
             raise InputError("item ids must be unique within an instance")
         known = set(ids)
         for index, system in enumerate(self.players):
+            if not isinstance(system, FeasibilitySystem):
+                raise InputError(f"player {index + 1} is not a feasibility "
+                                 f"system: {system!r}")
             unknown = system.universe() - known
             if unknown:
                 raise InputError(
@@ -167,12 +170,11 @@ class _Memo:
     `test(player)` is the membership test of the player's kind on those
     masks (`FeasibilitySystem._mask_test` over `ordered_ids`), built on
     the first ask and kept for the kind: explicit families and their
-    covers decide a mask against their maximal sets as masks, which
-    `own_test` returns too, and every other system is asked through
-    `is_member`, where `own_test` is None.  Every walk whose bits are
-    `bit` asks these tests, and a profile's validation asks `own_test`.
-    Nothing is built before the first ask, so a game that walks nothing
-    builds no test.
+    covers decide a mask against their maximal sets as masks, and every
+    other system spells it for `is_member`.  Every walk whose bits are
+    `bit` asks these tests, and so does a verifier's validation of its
+    profile (`_validation`).  Nothing is built before the first ask, so
+    a game that walks nothing builds no test.
 
     Each table maps a key to the nodes its search spent and the search's
     result, and `recall` is the one way to read one; its docstring
@@ -215,7 +217,7 @@ class _Memo:
         # previous(ordered_ids), boxed once known: it may be None.
         self._whole: Optional[tuple[Optional[list[int]]]] = None
         self._bit: Optional[dict[str, int]] = None
-        self._tests: dict[int, tuple[Test, Optional[Test]]] = {}
+        self._tests: dict[int, Test] = {}
         self.acceptable: dict[tuple, tuple[int, object]] = {}
         self.replies: dict[tuple[tuple[int, ...], int], tuple[int, object]] = {}
         self.optima: dict[int, tuple[int, object]] = {}
@@ -288,21 +290,10 @@ class _Memo:
     def test(self, player: int) -> Test:
         """The mask test over `ordered_ids` of `player`'s kind
         (`FeasibilitySystem._mask_test`)."""
-        return self._kept_test(player)[0]
-
-    def own_test(self, player: int) -> Optional[Test]:
-        """The same test when the kind decides masks itself
-        (`FeasibilitySystem._own_mask_test`), else None."""
-        return self._kept_test(player)[1]
-
-    def _kept_test(self, player: int) -> tuple[Test, Optional[Test]]:
         kind = self.kinds[player]
-        kept = self._tests.get(kind)
-        if kept is None:
-            system = self._players[kind]
-            own = system._own_mask_test(self._ids)
-            kept = self._tests[kind] = own or system._mask_test(self._ids), own
-        return kept
+        if kind not in self._tests:
+            self._tests[kind] = self._players[kind]._mask_test(self._ids)
+        return self._tests[kind]
 
     @staticmethod
     def recall(table: dict, key, budget: SearchBudget,
@@ -436,31 +427,31 @@ def payoff(instance: Instance, profile: Profile, player: int) -> Payoff:
 
 
 def validate_profile(instance: Instance, profile: Profile,
-                     budget: Optional[SearchBudget] = None
+                     budget: int | SearchBudget | None = None
                      ) -> list[Violation]:
     """All reasons a profile fails to be a valid packing; empty when valid.
 
     Reports every overlapping pair and every per-player feasibility
     failure.  Total: never raises, save `BudgetExceededError` when the
-    membership tests overrun `budget`.
+    membership tests together overrun `budget`.
     """
     return _validation(instance, profile, budget, masked=False)[0]
 
 
 def welfare(instance: Instance, profile: Profile,
-            budget: Optional[SearchBudget] = None) -> Fraction:
+            budget: int | SearchBudget | None = None) -> Fraction:
     """Total weight collected by a valid profile.
 
     By disjointness this equals the weight of the union of all selected
     items.  Raises on invalid profiles: the welfare of an overlapping or
     infeasible selection is undefined.  `budget` caps the membership
-    tests of the validation.
+    tests of the validation, all of them together.
     """
     return _packing(instance, profile, budget, masked=False)[0]
 
 
 def _packing(instance: Instance, profile: Profile,
-             budget: Optional[SearchBudget], *, masked: bool
+             budget: int | SearchBudget | None, *, masked: bool
              ) -> tuple[Fraction, list[int], list[int]]:
     """The welfare of a valid profile, and `_validation`'s masks and
     integer weights of its sets: `welfare`, and what the verifiers
@@ -474,24 +465,23 @@ def _packing(instance: Instance, profile: Profile,
 
 
 def _validation(instance: Instance, profile: Profile,
-                budget: Optional[SearchBudget], *, masked: bool
+                budget: int | SearchBudget | None, *, masked: bool
                 ) -> tuple[list[Violation], list[int], list[int]]:
     """`validate_profile`'s violations and, for a valid profile, each
     set's weight on the instance's integer scale and, with `masked`, each
     set as a mask over `ordered_ids` (`_Memo.mask`), from one pass.
 
     Each player's set is weighed, which finds its unknown ids, then
-    tested in order: on its mask by its kind's own test
-    (`_Memo.own_test`) where the system has one, else by `is_member` on
-    the profile's frozenset, each spending what `is_member` spends.  A
-    set is masked once, for that test or for `masked`, and a mask
-    neither asks for is left 0: a game of machines validated for its
-    welfare masks nothing.  The sets overlap exactly when their sizes
-    sum to more than their union's, and only then are the pairs
-    compared.
+    tested in order, all on one budget: with `masked`, for the
+    verifiers, on its mask by its kind's mask test (`_Memo.test`), else
+    by `is_member` on the profile's frozenset, each spending what
+    `is_member` spends.  Without `masked` every mask is left 0.  The
+    sets overlap exactly when their sizes sum to more than their
+    union's, and only then are the pairs compared.
     """
     if profile.n != instance.n:
         return [Violation("size_mismatch", players=())], [], []
+    budget = SearchBudget.ensure(budget)
     memo, (weight, _) = instance._memo, instance.integer_weights
     out: list[Violation] = []
     masks: list[int] = []
@@ -503,9 +493,8 @@ def _validation(instance: Instance, profile: Profile,
             out.append(Violation("unknown_item", players=(player,),
                                  items=items - instance.item_ids))
             continue
-        own = memo.own_test(player)
-        mask = memo.mask(items) if own or masked else 0
-        if not (own(mask, budget) if own else
+        mask = memo.mask(items) if masked else 0
+        if not (memo.test(player)(mask, budget) if masked else
                 instance.players[player].is_member(items, budget)):
             out.append(Violation("infeasible_set", players=(player,),
                                  items=items))

@@ -19,11 +19,11 @@ A member's set is an int mask: the caller gives each pool item its bit
 (`bits`), its own position in the pool or its position in a wider id
 list, and a child ors the item's bit into its member's mask, so a
 caller's prune and tests work on ints.  A system gives its test on masks
-over an id list (`FeasibilitySystem._mask_test`): explicit families and
-their covers decide a mask against their maximal sets as masks, and
-only a system without such a test is asked through `asking`, which
-spells each mask into the frozenset its `is_member` decides.  Otherwise
-frozensets are built only where a result leaves the search (`spell`).
+over an id list by its one hook, `FeasibilitySystem._mask_test`:
+explicit families and their covers decide a mask against their maximal
+sets as masks, and every other system spells each mask into the
+frozenset its `is_member` decides.  Otherwise frozensets are built only
+where a result leaves the search (`spell`).
 A walk with several members meets a member's set once per assignment of
 the others, so it memoises each member's verdicts by mask; a one-member
 walk meets each set once.  The walk keeps an explicit stack of flat
@@ -85,12 +85,6 @@ def spell(mask: int, ids: Sequence[str]) -> frozenset[str]:
     return frozenset(items)
 
 
-def asking(test: Callable[[frozenset[str], SearchBudget], object],
-           ids: Sequence[str]) -> Test:
-    """`test`, which decides item sets, asked about masks over `ids`."""
-    return lambda mask, budget: test(spell(mask, ids), budget)
-
-
 def walk(bits: Sequence[int], weights: Sequence[int], tests: Sequence[Test],
          budget: SearchBudget, post: bool = False,
          floor: Optional[list[int]] = None,
@@ -110,11 +104,10 @@ def walk(bits: Sequence[int], weights: Sequence[int], tests: Sequence[Test],
     True: the rest of its subtree and, in post-order, the node itself.
     A child is asked about its first item right after it is made (and
     yielded, in pre-order), and is walked only if kept; every node is
-    asked exactly once per item it reaches.  Without members the root is
-    the only node.  With `interchangeable`, a member with an empty set
-    takes an item only if the member before it holds one, so of the
-    assignments that relabel members into each other only the first in
-    post-order is walked.  With `previous`, `previous[item]` is the
+    asked exactly once per item it reaches.  With `interchangeable`, a
+    member with an empty set takes an item only if the member before it
+    holds one, so of the assignments that relabel members into each
+    other only the first in post-order is walked.  With `previous`, `previous[item]` is the
     index of the item's class-mate before it, or -1: the item may join
     member m only if that class-mate is held by a member <= m, so a
     class-mate held by nobody keeps the item out of every set.  A skipped
@@ -127,16 +120,6 @@ def walk(bits: Sequence[int], weights: Sequence[int], tests: Sequence[Test],
     root: Sets = (0,) * width
     if not post:
         yield root, 0
-    if not width:
-        # No member takes an item: the root is the only node.
-        for item in range(size + 1):
-            if prune and prune(root, 0, item):
-                return
-            if item == size or floor and suffix[item] < floor[0]:
-                break
-        if post:
-            yield root, 0
-        return
     if prune and prune(root, 0, 0):
         return
     # A frame moved on to a new item has member `start`: below 0 while its

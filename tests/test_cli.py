@@ -112,18 +112,45 @@ class TestGenerate:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     def test_pinned_bytes_do_not_depend_on_the_hash_seed(self):
-        script = ("import contextlib, hashlib, io, sys\n"
-                  "from spgames.cli import main\n"
-                  "for args in sys.argv[1:]:\n"
-                  "    out = io.StringIO()\n"
-                  "    with contextlib.redirect_stdout(out):\n"
-                  "        main(['generate'] + args.split())\n"
-                  "    print(hashlib.sha256(out.getvalue().encode()).hexdigest())\n")
+        commands = [["generate"] + args.split() for args in self.DIGESTS]
         for seed in ("1", "2"):
-            run = subprocess.run([sys.executable, "-c", script, *self.DIGESTS],
-                                 capture_output=True, text=True, check=True,
-                                 env={**os.environ, "PYTHONHASHSEED": seed})
-            assert run.stdout.split() == list(self.DIGESTS.values())
+            assert digests_under_hash_seed(seed, commands) == list(
+                self.DIGESTS.values())
+
+
+def digests_under_hash_seed(seed: str, commands: list[list[str]]) -> list[str]:
+    """The sha256 of each command's stdout, all run by `main` in one fresh
+    interpreter under `PYTHONHASHSEED=seed`."""
+    script = ("import contextlib, hashlib, io, json, sys\n"
+              "from spgames.cli import main\n"
+              "for args in json.loads(sys.argv[1]):\n"
+              "    out = io.StringIO()\n"
+              "    with contextlib.redirect_stdout(out):\n"
+              "        main(args)\n"
+              "    print(hashlib.sha256(out.getvalue().encode()).hexdigest())\n")
+    run = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONHASHSEED": seed})
+    return run.stdout.split()
+
+
+def test_command_bytes_do_not_depend_on_the_hash_seed(tmp_path, capsys):
+    """Every search command on generated explicit, shared and machine
+    games, and the paper report, print the same bytes under two hash
+    seeds."""
+    commands = [["report", "--suite", "paper"]]
+    for family in ("ex_collusion --n 3 --k 2 --alpha 1",
+                   "random_symmetric --n 3 --copies 3 --seed 2", "ex_seq --n 3"):
+        out = tmp_path / family.split()[0]
+        code, _ = run_cli(["generate"] + family.split() + ["--out", str(out)],
+                          capsys)
+        assert code == 0
+        commands += [run.split() + ["--instance", str(out / "instance.json")]
+                     for run in ("nash", "collusion --k 2", "spe --order 3,1,2",
+                                 "poa --concept spe")]
+    first, second = (digests_under_hash_seed(seed, commands)
+                     for seed in ("1", "2"))
+    assert len(first) == len(commands) and first == second
 
 
 class TestVerify:

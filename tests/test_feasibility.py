@@ -369,11 +369,13 @@ class TestMaskTests:
             assert test(mask, asked) == system.is_member(
                 spell(mask, self.IDS), spelt)
             assert asked.used == spelt.used
-        # Only the built-in membership decides masks itself; a subclass
-        # that narrows it is asked through `is_member`.
+        # Only the built-in membership decides masks itself, spelling no
+        # set; a subclass that narrows it is asked through `is_member`.
         walks = copies >= 2 and split and len(base.maximal_sets) > 1
-        own = system._own_mask_test(self.IDS)
-        assert (own is None) == (narrowed or walks)
+        with mock.patch("spgames.feasibility.spell", wraps=spell) as spelling:
+            for mask in range(1 << len(self.IDS)):
+                test(mask, SearchBudget(10**6))
+        assert spelling.called == (narrowed or walks)
 
     def test_a_narrowed_base_narrows_its_copies(self):
         base = WithoutC(maximal_sets=[frozenset("ac"), frozenset("b")])
@@ -418,12 +420,14 @@ class TestMaskTests:
                        SharedSymmetricSystem(SingleMachineSystem(jobs), 1),
                        SharedSymmetricSystem(SingleMachineSystem(jobs), 2),
                        IdenticalMachinesSystem(copies=2, jobs=jobs)):
-            assert system._own_mask_test(ids) is None
             test = system._mask_test(ids)
             for mask in range(1 << len(ids)):
                 asked, spelt = SearchBudget(10**6), SearchBudget(10**6)
-                assert test(mask, asked) == system.is_member(
-                    spell(mask, ids), spelt)
+                with mock.patch("spgames.feasibility.spell",
+                                wraps=spell) as spelling:
+                    assert test(mask, asked) == system.is_member(
+                        spell(mask, ids), spelt)
+                spelling.assert_any_call(mask, ids)
                 assert asked.used == spelt.used
 
 
@@ -494,6 +498,32 @@ class TestDescriptorErrors:
         with pytest.raises(InputError) as caught:
             build()
         assert str(caught.value) == f"job 'a' needs a window of {message}"
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: SingleMachineSystem([("a",)]), "jobs entry ('a',) is not a pair"),
+        (lambda: SingleMachineSystem(5), "jobs must be a collection, got 5"),
+        (lambda: IdenticalMachinesSystem(2, 5),
+         "jobs must be a collection, got 5"),
+        (lambda: ExplicitSystem(maximal_sets=5),
+         "maximal_sets must be a collection, got 5"),
+        (lambda: ExplicitSystem(maximal_sets=[5]),
+         "maximal set must be a collection, got 5"),
+        (lambda: UnrelatedMachinesSystem(("m",), [(("m", "a"),)],
+                                         {"a": (0, 1)}),
+         "processing entry (('m', 'a'),) is not a pair"),
+        (lambda: UnrelatedMachinesSystem(5, {}, {}),
+         "machines must be a collection, got 5"),
+        (lambda: SharedSymmetricSystem(5, 2),
+         "a shared base must be a feasibility system, got 5"),
+        (lambda: Instance(items=(Item("a", 1),), players=(5,)),
+         "player 1 is not a feasibility system: 5"),
+    ], ids=["one-element-job", "number-for-jobs", "identical-number-for-jobs",
+            "number-for-sets", "number-for-a-set", "one-element-processing",
+            "number-for-machines", "number-for-base", "number-for-player"])
+    def test_a_container_of_the_wrong_shape(self, build, message):
+        with pytest.raises(InputError) as caught:
+            build()
+        assert str(caught.value) == message
 
     def test_a_job_takes_some_time(self):
         with pytest.raises(InputError) as caught:

@@ -109,6 +109,20 @@ class TestWelfare:
         game = two_item_game()
         assert welfare(game, Profile((frozenset(), frozenset()))) == 0
 
+    def test_an_integer_budget_caps_the_whole_validation(self):
+        # Each set spends 2 nodes, 4 in all: an int caps them together,
+        # as a `SearchBudget` of that limit does.
+        machine = SingleMachineSystem({i: JobWindow(0, 1, 3) for i in "abcd"})
+        game = Instance(items=tuple(Item(i, 1) for i in "abcd"),
+                        players=(machine, machine))
+        profile = Profile((frozenset("ab"), frozenset("cd")))
+        for limit in (3, SearchBudget(3)):
+            for check in (welfare, validate_profile):
+                with pytest.raises(BudgetExceededError):
+                    check(game, profile, limit)
+        assert welfare(game, profile, 4) == 4
+        assert validate_profile(game, profile, 4) == []
+
     def test_overlapping_profile_is_an_error(self):
         game = two_item_game()
         with pytest.raises(InputError):

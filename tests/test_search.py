@@ -15,7 +15,7 @@ from spgames import (BudgetExceededError, ExplicitSystem, Instance, Item,
                      enumerate_spe_outcomes, feasible_subsets,
                      random_symmetric)
 from spgames.equilibria import enumerate_collusion
-from spgames.search import asking, spell, walk
+from spgames.search import spell, walk
 
 from oracles import (all_subsets, brute_best_response, brute_coalition,
                      brute_enumerate_nash, brute_first_deviation, brute_opt,
@@ -160,7 +160,8 @@ def _walked(game):
     """The game's ids, each id's bit, and each player's test on masks."""
     ids = game.ordered_ids
     return (ids, [1 << j for j in range(len(ids))],
-            [asking(system.is_member, ids) for system in game.players])
+            [lambda mask, budget, system=system: system.is_member(
+                spell(mask, ids), budget) for system in game.players])
 
 
 def _restricted_growth(sets) -> bool:
@@ -242,14 +243,14 @@ class _LoggedBudget(SearchBudget):
 @st.composite
 def walk_setups(draw) -> dict:
     """Everything one walk takes, drawn: up to five items with small
-    integer weights, zero to three members with explicit families as
+    integer weights, one to three members with explicit families as
     maximal masks, either order, class-mates, the two symmetry rules, a
     prune that also reads a bound, a floor and a budget limit; and how the
     caller reacts to a yield: lower the prune's bound to the node's value
     (as `_equilibria`'s caller does) and raise the floor past it (as
     `best` does)."""
     size = draw(st.integers(0, 5))
-    width = draw(st.integers(0, 3))
+    width = draw(st.integers(1, 3))
     masks = st.integers(0, (1 << size) - 1)
     family = st.lists(masks, min_size=1, max_size=3)
     if draw(st.booleans()):
