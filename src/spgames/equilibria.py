@@ -48,16 +48,17 @@ holds (Nash, collusion) or those left when the player moves (SPE).
 `best_response.deviation` for it; the Nash and collusion checks
 (`_first_deviation`) ask `_reply` and compare its weight inline.  For
 one player the items no outsider holds are its own plus the unclaimed
-ones, so the Nash check is the collusion check at k = 1.  A verifier validates the profile by
-the pass behind `welfare` and `validate_profile` (`model._packing`),
-which masks each set once, over `ordered_ids` with its weight on the
-instance's integer scale (`Instance.integer_weights`), and tests each
-set's membership on its mask by its kind's one mask test (`_Memo.test`).
-The verifier takes those masks and weights: every pool is then a union
-or difference of masks and every held weight an integer sum; only the
-welfare and a witness are built as `Fraction`s and frozensets.  Each
-verifier spends one `SearchBudget` per call, the caller's or a default
-one, on its validation and on every reply.  The instance remembers the
+ones, so the Nash check is the collusion check at k = 1.  A verifier
+validates the profile by the pass behind `welfare` and
+`validate_profile` (`model._packing`), which masks each set once, over
+`ordered_ids` with its weight on the instance's integer scale
+(`Instance.integer_weights`), and tests it on its mask by its kind's
+one mask test (`_Memo.test`).  The verifier takes those masks and
+weights: every pool is then a union or difference of masks and every
+held weight an integer sum; only the welfare and a witness are built
+as `Fraction`s and frozensets.  Each verifier spends one `SearchBudget`
+per call, the caller's or a default one, on its validation and on
+every reply.  The instance remembers the
 replies as it does the SPE actions, and every reply, the coalition
 checks' (`_first_deviation`) too, is read through `best_response._reply`,
 so a repeat is charged by `_Memo.recall`'s one rule.

@@ -848,13 +848,13 @@ def _data_describes(system: FeasibilitySystem) -> bool:
     Every such route asks this one guard: the covers of an explicit base
     (`SharedSymmetricSystem._covers`), the slot counts of a uniform table
     (`_slots`), the mask tests of explicit families and their covers
-    (`_mask_test`) and the swap tests behind `model._Memo.mates`.  A built-in system's data
-    (windows, times, maximal sets) describes its family only where
-    membership is the built-in's own, and for shared copies where the
-    base's is too: a subclass that redefines `is_member`, `_fit`,
-    `universe` or `_ids` may narrow the family.  A system derived from no
-    built-in class has no data route, and keys each item by itself, which
-    is exact.
+    (`_mask_test`) and the swap tests behind `model._Memo.mates`.  A
+    built-in system's data (windows, times, maximal sets) describes its
+    family only where membership is the built-in's own, and for shared
+    copies where the base's is too: a subclass that redefines
+    `is_member`, `_fit`, `universe` or `_ids` may narrow the family.  A
+    system derived from no built-in class has no data route, and keys
+    each item by itself, which is exact.
     """
     return _own_membership(type(system)) and (
         not isinstance(system, SharedSymmetricSystem)

@@ -472,12 +472,15 @@ def _validation(instance: Instance, profile: Profile,
     set as a mask over `ordered_ids` (`_Memo.mask`), from one pass.
 
     Each player's set is weighed, which finds its unknown ids, then
-    tested in order, all on one budget: with `masked`, for the
-    verifiers, on its mask by its kind's mask test (`_Memo.test`), else
-    by `is_member` on the profile's frozenset, each spending what
-    `is_member` spends.  Without `masked` every mask is left 0.  The
-    sets overlap exactly when their sizes sum to more than their
-    union's, and only then are the pairs compared.
+    tested in order, all on one budget, each test spending what
+    `is_member` spends.  The verifiers search from masks, so with
+    `masked` a set is masked and tested on its mask by its kind's mask
+    test (`_Memo.test`), which decides an explicit family's mask faster
+    than `is_member` decides its frozenset.  Without `masked` every mask
+    is left 0, and `is_member` decides the frozenset, which a job
+    system's mask test would spell back.  The sets overlap exactly when
+    their sizes sum to more than their union's, and only then are the
+    pairs compared.
     """
     if profile.n != instance.n:
         return [Violation("size_mismatch", players=())], [], []

@@ -95,23 +95,24 @@ def walk(bits: Sequence[int], weights: Sequence[int], tests: Sequence[Test],
     """Yield (member masks, value) for every node, in pre- or post-order.
 
     `bits[item]` is the pool item's bit, and `tests[m]` decides member
-    m's masks.  Every attempt to put an item into a member's set spends
-    one budget node.  With `floor`, a one-element list the caller may
-    raise between nodes, the walk skips the children of a node that
-    cannot reach `floor[0]`, read before each attempt.  With `prune`, a
-    node about to try `item`, or done with its last at
-    `item == len(bits)`, is dropped when `prune(sets, value, item)` is
-    True: the rest of its subtree and, in post-order, the node itself.
-    A child is asked about its first item right after it is made (and
-    yielded, in pre-order), and is walked only if kept; every node is
-    asked exactly once per item it reaches.  With `interchangeable`, a
-    member with an empty set takes an item only if the member before it
-    holds one, so of the assignments that relabel members into each
-    other only the first in post-order is walked.  With `previous`, `previous[item]` is the
-    index of the item's class-mate before it, or -1: the item may join
-    member m only if that class-mate is held by a member <= m, so a
-    class-mate held by nobody keeps the item out of every set.  A skipped
-    attempt spends no node.
+    m's masks; `tests` holds at least one member.  Every attempt to put
+    an item into a member's set spends one budget node.  With `floor`, a
+    one-element list the caller may raise between nodes, the walk skips
+    the children of a node that cannot reach `floor[0]`, read before
+    each attempt.  With `prune`, a node about to try `item`, or done
+    with its last at `item == len(bits)`, is dropped when
+    `prune(sets, value, item)` is True: the rest of its subtree and, in
+    post-order, the node itself.  A child is asked about its first item
+    right after it is made (and yielded, in pre-order), and is walked
+    only if kept; every node is asked exactly once per item it reaches.
+    With `interchangeable`, a member with an empty set takes an item
+    only if the member before it holds one, so of the assignments that
+    relabel members into each other only the first in post-order is
+    walked.  With `previous`, `previous[item]` is the index of the
+    item's class-mate before it, or -1: the item may join member m only
+    if that class-mate is held by a member <= m, so a class-mate held by
+    nobody keeps the item out of every set.  A skipped attempt spends no
+    node.
     """
     size, width = len(bits), len(tests)
     if floor is not None:

@@ -243,6 +243,19 @@ class TestMultiCopy:
         assert shared.schedule_witness({"a", "b", "c"}, budget) is None
         assert budget.used == 0
 
+    def test_the_empty_set_is_asked_of_a_user_defined_base(self):
+        # Split over one copy, the empty set is the base's own fit.
+        class Spending(Pairs):
+            def is_member(self, items, budget=None):
+                SearchBudget.ensure(budget).spend()
+                return super().is_member(items)
+
+        for copies in (1, 2, 4):
+            budget = SearchBudget(10)
+            assert SharedSymmetricSystem(Spending(), copies).is_member(
+                (), budget)
+            assert budget.used == 1
+
     # Two or more maximal sets at two or more copies are what the covers
     # and the split walk decide, so the draw asks for two to four sets
     # none of which holds another, and the examples pin such bases.  No
