@@ -21,7 +21,9 @@ position in the id-sorted `jobs`.  It is the only single-machine
 scheduler, and it touches no `Fraction`.  A set without release dates is
 decided by the earliest-deadline-first prefix check (Jackson 1955); a
 release date in the set only switches that check to an exact dynamic
-program over its subsets, under the budget.
+program over its subsets, under the budget.  A job table decides masks
+from the same view (`_JobTable._ranked_test`): the ids of a mask's bits
+are ranked once, so a search spells no set to test it.
 
 Every system fits a set by one private `_fit(target, budget)`: each
 machine's run order as job positions in that machine's table (the
@@ -386,11 +388,12 @@ class FeasibilitySystem:
     def _mask_test(self, ids: Sequence[str]) -> Test:
         """Membership of masks over `ids`, bit j standing for `ids[j]`: the
         one hook by which every search decides masks.  By default it spells
-        each mask into the frozenset `is_member` decides.  Explicit
-        families and the shared copies that answer through their covers
-        decide masks themselves, and spell nothing, only where their data
-        describes them (`_data_describes`): a subclass that redefines
-        `is_member` is asked through it.  Either way the test spends what
+        each mask into the frozenset `is_member` decides.  Every built-in
+        system decides masks itself, and spells nothing, where its data
+        describes it (`_data_describes`): explicit families and covers by
+        their maximal sets, job tables by their integer view; a subclass
+        that redefines `is_member` is asked through it, and so is a split
+        over two or more members.  Either way the test spends what
         `is_member` spends."""
         return lambda mask, budget: self.is_member(spell(mask, ids), budget)
 
@@ -558,6 +561,53 @@ class _JobTable:
     def _table(self, machine) -> _JobTable:
         return self
 
+    def _ranked_test(self, ids: Sequence[str], machines: Optional[int] = None
+                     ) -> Test:
+        """Membership of masks over `ids` on this table: by earliest
+        deadline first on one machine, or with `machines` by the slot
+        condition of `_fits_slots`, spending the nodes those spend.
+
+        An id outside the table makes a mask False at no node, and a
+        released job sends it to `IntegerJobs.schedule`.  Every other job
+        is one (bit, step, limit) entry in (deadline, position) order, the
+        order both routes check: its processing time and deadline, or one
+        slot and the slots at its deadline on all `machines`.  A mask
+        spends one node per job it holds, up to the first whose running
+        sum of steps passes its limit, charged in one spend, which fails
+        where those single spends would.
+        """
+        view = self.integer_view
+        spots = [self.position.get(item) for item in ids]
+        outside = sum(1 << j for j, k in enumerate(spots) if k is None)
+        released = sum(1 << j for j, k in enumerate(spots) if k in view.released)
+        ranked = sorted((view.deadline[k], k, j) for j, k in enumerate(spots)
+                        if k is not None and k not in view.released)
+        entries = [(1 << j, view.processing[k], deadline) if machines is None
+                   else (1 << j, 1, machines * (deadline // view.length))
+                   for deadline, k, j in ranked]
+
+        def test(mask: int, budget: SearchBudget) -> bool:
+            if mask & outside:
+                return False
+            if mask & released:
+                return view.schedule([spots[j] for j in _positions(mask)],
+                                     budget) is not None
+            clock = nodes = 0
+            for bit, step, limit in entries:
+                if mask & bit:
+                    nodes += 1
+                    clock += step
+                    if clock > limit:
+                        budget.spend(nodes)
+                        return False
+                    mask ^= bit
+                    if not mask:
+                        break
+            budget.spend(nodes)
+            return True
+
+        return test
+
     @cached_property
     def _slots(self) -> Optional[tuple[_JobTable, int]]:
         """This table and its machine count when slot counts decide the
@@ -608,6 +658,11 @@ class SingleMachineSystem(_JobTable, FeasibilitySystem):
     def is_member(self, items, budget=None) -> bool:
         return self._fit(items, SearchBudget.ensure(budget)) is not None
 
+    def _mask_test(self, ids) -> Test:
+        if not _data_describes(self):
+            return super()._mask_test(ids)
+        return self._ranked_test(ids)
+
 
 @dataclass(frozen=True)
 class IdenticalMachinesSystem(_JobTable, FeasibilitySystem):
@@ -636,6 +691,11 @@ class IdenticalMachinesSystem(_JobTable, FeasibilitySystem):
 
     def is_member(self, items, budget=None) -> bool:
         return self._as_shared.is_member(items, budget)
+
+    def _mask_test(self, ids) -> Test:
+        if not _data_describes(self):
+            return super()._mask_test(ids)
+        return self._as_shared._mask_test(ids)
 
     def _fit(self, target, budget) -> Optional[Fit]:
         return self._as_shared._fit(target, budget)
@@ -721,6 +781,13 @@ class UnrelatedMachinesSystem(FeasibilitySystem):
         return target <= self.universe() and self._fit(
             target, SearchBudget.ensure(budget)) is not None
 
+    def _mask_test(self, ids) -> Test:
+        """One machine's own test, whose table holds every job that can
+        run; `is_member` asked over two or more machines."""
+        if len(self.machines) > 1 or not _data_describes(self):
+            return super()._mask_test(ids)
+        return self._single_machines[0]._mask_test(ids)
+
     def job_deadlines(self) -> dict[str, Fraction]:
         return {i: w.deadline for i, w in self.jobs}
 
@@ -803,10 +870,20 @@ class SharedSymmetricSystem(FeasibilitySystem):
             target, SearchBudget.ensure(budget)) is not None
 
     def _mask_test(self, ids) -> Test:
-        """The covers' test, or `is_member` asked without covers."""
-        if self._covers is None:
+        """The covers' test; the slot counts on the base's table; over one
+        copy the base's test, behind the ids outside the universe, which
+        `is_member` rejects before it asks the base; else `is_member`
+        asked."""
+        if self._covers is not None:
+            return self._covers._mask_test(ids)
+        if self._slots is not None:
+            table, machines = self._slots
+            return table._ranked_test(ids, machines)
+        if self.copies > 1 or not _data_describes(self):
             return super()._mask_test(ids)
-        return self._covers._mask_test(ids)
+        universe, test = self.universe(), self.base._mask_test(ids)
+        outside = sum(1 << j for j, item in enumerate(ids) if item not in universe)
+        return lambda mask, budget: not mask & outside and test(mask, budget)
 
     def _fit(self, target, budget) -> Optional[Fit]:
         """Slot counts for a uniform table, the covers for an explicit
@@ -847,10 +924,10 @@ def _data_describes(system: FeasibilitySystem) -> bool:
 
     Every such route asks this one guard: the covers of an explicit base
     (`SharedSymmetricSystem._covers`), the slot counts of a uniform table
-    (`_slots`), the mask tests of explicit families and their covers
-    (`_mask_test`) and the swap tests behind `model._Memo.mates`.  A
-    built-in system's data (windows, times, maximal sets) describes its
-    family only where membership is the built-in's own, and for shared
+    (`_slots`), the mask tests of built-in systems (`_mask_test`) and
+    the swap tests behind `model._Memo.mates`.  A built-in system's data
+    (windows, times, maximal sets) describes its family only where
+    membership is the built-in's own, and for shared
     copies where the base's is too: a subclass that redefines
     `is_member`, `_fit`, `universe` or `_ids` may narrow the family.  A
     system derived from no built-in class has no data route, and keys
@@ -895,7 +972,7 @@ def validate_downward_closed(system: FeasibilitySystem,
         verdict = test(mask, shared)
         if verdict and not all(member[mask ^ 1 << j] for j in _positions(mask)):
             return False
-        member.append(verdict)
+        member.append(bool(verdict))
     return True
 
 

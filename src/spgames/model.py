@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Optional, Sequence, TypeVar
 from .budget import SearchBudget
 from .errors import InputError, _fraction, _integer
 from .feasibility import (FeasibilitySystem, SharedSymmetricSystem,
-                          _data_describes)
+                          _collection, _data_describes)
 from .search import Test, integral
 
 T = TypeVar("T")
@@ -56,10 +56,14 @@ class Instance:
     players: tuple[FeasibilitySystem, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
-        object.__setattr__(self, "players", tuple(self.players))
+        object.__setattr__(self, "items", tuple(_collection(self.items, "items")))
+        object.__setattr__(self, "players",
+                           tuple(_collection(self.players, "players")))
         if not self.players:
             raise InputError("an instance needs at least one player")
+        for index, item in enumerate(self.items):
+            if not isinstance(item, Item):
+                raise InputError(f"item {index + 1} is not an Item: {item!r}")
         ids = [item.id for item in self.items]
         if len(set(ids)) != len(ids):
             raise InputError("item ids must be unique within an instance")
@@ -170,8 +174,9 @@ class _Memo:
     `test(player)` is the membership test of the player's kind on those
     masks (`FeasibilitySystem._mask_test` over `ordered_ids`), built on
     the first ask and kept for the kind: explicit families and their
-    covers decide a mask against their maximal sets as masks, and every
-    other system spells it for `is_member`.  Every walk whose bits are
+    covers decide a mask against their maximal sets as masks, job tables
+    by their integer view, and a user-defined system or a split over two
+    or more members spells it for `is_member`.  Every walk whose bits are
     `bit` asks these tests, and so does a verifier's validation of its
     profile (`_validation`).  Nothing is built before the first ask, so
     a game that walks nothing builds no test.
@@ -477,10 +482,12 @@ def _validation(instance: Instance, profile: Profile,
     `masked` a set is masked and tested on its mask by its kind's mask
     test (`_Memo.test`), which decides an explicit family's mask faster
     than `is_member` decides its frozenset.  Without `masked` every mask
-    is left 0, and `is_member` decides the frozenset, which a job
-    system's mask test would spell back.  The sets overlap exactly when
-    their sizes sum to more than their union's, and only then are the
-    pairs compared.
+    is left 0, and `is_member` decides the frozenset: `welfare` tests each
+    set once, and in deadline play a set holds a few of a large table's
+    latest jobs, which `is_member` sorts alone where building the bit
+    table and the kind's mask test, and walking its ranked jobs, cost
+    more.  The sets overlap exactly when their sizes sum to more than
+    their union's, and only then are the pairs compared.
     """
     if profile.n != instance.n:
         return [Violation("size_mismatch", players=())], [], []

@@ -21,9 +21,11 @@ list, and a child ors the item's bit into its member's mask, so a
 caller's prune and tests work on ints.  A system gives its test on masks
 over an id list by its one hook, `FeasibilitySystem._mask_test`:
 explicit families and their covers decide a mask against their maximal
-sets as masks, and every other system spells each mask into the
-frozenset its `is_member` decides.  Otherwise frozensets are built only
-where a result leaves the search (`spell`).
+sets as masks, and job tables read their jobs' positions from its bits.
+Only a user-defined system, a narrowed built-in one and a split over
+two or more members spell a mask into the frozenset `is_member` decides;
+otherwise frozensets are built only where a result leaves the search
+(`spell`).
 A walk with several members meets a member's set once per assignment of
 the others, so it memoises each member's verdicts by mask; a one-member
 walk meets each set once.  The walk keeps an explicit stack of flat

@@ -117,6 +117,22 @@ class TestDownwardClosure:
         assert validate_downward_closed(Pairs(), budget)
         assert budget.used == 16
 
+    def test_any_truthy_verdict_is_read(self):
+        class AsSets(FeasibilitySystem):
+            # is_member returns the set itself: truthy exactly when nonempty.
+            _ids = frozenset("ab")
+
+            def is_member(self, items, budget=None):
+                return set(items)
+
+        class NoMembers(AsSets):
+            def is_member(self, items, budget=None):
+                return set()
+
+        # Every nonempty set is a member and the empty set is not.
+        assert not validate_downward_closed(AsSets())
+        assert validate_downward_closed(NoMembers())
+
     def test_universe_past_the_budget_raises(self):
         class Twelve(Pairs):
             _ids = frozenset("abcdefghijkl")
@@ -426,22 +442,57 @@ class TestMaskTests:
             assert profile.sets == (frozenset("ab"), frozenset())
             assert all(map(game.players[0].is_member, profile.sets))
 
-    def test_machine_systems_are_asked_through_is_member(self):
-        jobs = unit_jobs({"a": (0, 1, 1), "b": (1, 1, 2), "c": (0, 2, 3)})
-        ids = ("a", "b", "c", "d")
-        for system in (SingleMachineSystem(jobs),
-                       SharedSymmetricSystem(SingleMachineSystem(jobs), 1),
-                       SharedSymmetricSystem(SingleMachineSystem(jobs), 2),
-                       IdenticalMachinesSystem(copies=2, jobs=jobs)):
-            test = system._mask_test(ids)
-            for mask in range(1 << len(ids)):
-                asked, spelt = SearchBudget(10**6), SearchBudget(10**6)
+    def test_job_systems_spell_masks_only_off_their_routes(self):
+        # Job b is released, so only the split walk decides two copies of
+        # the released table; the uniform table is decided by slot counts.
+        released = unit_jobs({"a": (0, 1, 1), "b": (1, 1, 2), "c": (0, 2, 3)})
+        uniform = unit_jobs({"a": (0, 1, 1), "b": (0, 1, 2), "c": (0, 1, 2)})
+        windows = {i: TimeWindow(w.release, w.deadline)
+                   for i, w in released.items()}
+        times = {("m", i): w.processing for i, w in released.items()}
+        ids = ("a", "b", "c", "d", "e")  # e is in no system's universe
+        decided = (
+            SingleMachineSystem(released),
+            SharedSymmetricSystem(SingleMachineSystem(uniform), 1),
+            SharedSymmetricSystem(SingleMachineSystem(uniform), 3),
+            SharedSymmetricSystem(SingleMachineSystem(released), 1),
+            IdenticalMachinesSystem(copies=2, jobs=uniform),
+            IdenticalMachinesSystem(copies=1, jobs=released),
+            UnrelatedMachinesSystem(("m",), times, windows))
+        asked = (
+            SharedSymmetricSystem(SingleMachineSystem(released), 2),
+            IdenticalMachinesSystem(copies=2, jobs=released),
+            UnrelatedMachinesSystem(("m", "n"), {**times, ("n", "c"): 1},
+                                    windows),
+            self.NARROWED,
+            SharedSymmetricSystem(self.NARROWED, 1),
+            SharedSymmetricSystem(self.NARROWED, 2),
+            SharedSymmetricSystem(Pairs(), 1),
+            SharedSymmetricSystem(Pairs(), 2))
+        for spells, systems in ((False, decided), (True, asked)):
+            for system in systems:
+                test = system._mask_test(ids)
                 with mock.patch("spgames.feasibility.spell",
                                 wraps=spell) as spelling:
-                    assert test(mask, asked) == system.is_member(
-                        spell(mask, ids), spelt)
-                spelling.assert_any_call(mask, ids)
-                assert asked.used == spelt.used
+                    masked = verdicts_and_nodes(test, len(ids))
+                assert spelling.called == spells
+                assert masked == verdicts_and_nodes(
+                    lambda mask, budget: system.is_member(spell(mask, ids),
+                                                          budget), len(ids))
+
+
+def verdicts_and_nodes(test, width):
+    """The verdict of `test` on every mask of `width` bits, with the nodes
+    it spent, or None for a budget of 3 nodes it exceeded."""
+    out = []
+    for mask in range(1 << width):
+        for limit in (10**6, 3):
+            budget = SearchBudget(limit)
+            try:
+                out.append((test(mask, budget), budget.used))
+            except BudgetExceededError:
+                out.append((None, budget.used))
+    return out
 
 
 class TestUnrelated:
@@ -530,9 +581,16 @@ class TestDescriptorErrors:
          "a shared base must be a feasibility system, got 5"),
         (lambda: Instance(items=(Item("a", 1),), players=(5,)),
          "player 1 is not a feasibility system: 5"),
+        (lambda: Instance(items=(5,), players=(ExplicitSystem(maximal_sets=[]),)),
+         "item 1 is not an Item: 5"),
+        (lambda: Instance(items=5, players=(ExplicitSystem(maximal_sets=[]),)),
+         "items must be a collection, got 5"),
+        (lambda: Instance(items=(), players=5),
+         "players must be a collection, got 5"),
     ], ids=["one-element-job", "number-for-jobs", "identical-number-for-jobs",
             "number-for-sets", "number-for-a-set", "one-element-processing",
-            "number-for-machines", "number-for-base", "number-for-player"])
+            "number-for-machines", "number-for-base", "number-for-player",
+            "number-for-an-item", "number-for-items", "number-for-players"])
     def test_a_container_of_the_wrong_shape(self, build, message):
         with pytest.raises(InputError) as caught:
             build()
@@ -1468,3 +1526,41 @@ class TestOneCopy:
         single = SingleMachineSystem({i: w for i, w in jobs.items() if runs[i]})
         ids = sorted(jobs) + ["x"]
         assert answers(unrelated, ids) == answers(single, ids)
+
+
+@st.composite
+def machine_systems(draw):
+    """A system of one of the four machine kinds over `one_machine_jobs`:
+    one machine, 1 to 3 identical machines or shared copies of one, or
+    1 or 2 unrelated machines, each job running on each with the table's
+    time, a drawn one or not at all."""
+    jobs = draw(one_machine_jobs())
+    kind = draw(st.sampled_from(("single", "identical", "shared", "unrelated")))
+    copies = draw(st.integers(1, 3))
+    if kind == "single":
+        return SingleMachineSystem(jobs)
+    if kind == "identical":
+        return IdenticalMachinesSystem(copies, jobs)
+    if kind == "shared":
+        return SharedSymmetricSystem(SingleMachineSystem(jobs), copies)
+    machines = ("m", "n")[:min(copies, 2)]
+    times = {(m, i): draw(st.one_of(st.none(), st.just(w.processing),
+                                    rationals(1, 3)))
+             for m in machines for i, w in jobs.items()}
+    return UnrelatedMachinesSystem(
+        machines, {key: time for key, time in times.items() if time},
+        {i: TimeWindow(w.release, w.deadline) for i, w in jobs.items()})
+
+
+class TestJobMaskTests:
+    """A job system's mask test decides every mask as `is_member` decides
+    the set it spells, and spends the same nodes, also up to a budget it
+    exceeds, whichever route it takes."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(machine_systems())
+    def test_every_mask_as_is_member(self, system):
+        ids = sorted(system.universe()) + ["x"]
+        assert verdicts_and_nodes(system._mask_test(ids), len(ids)) == (
+            verdicts_and_nodes(lambda mask, budget: system.is_member(
+                spell(mask, ids), budget), len(ids)))
